@@ -3,11 +3,10 @@
 //! batching effectively on/off (max_batch 1 vs 32), plus a direct
 //! batched-vs-scalar comparison and batch-size sweep of the
 //! operator-grouped QPPNet inference engine, a matmul-kernel sweep
-//! (scalar vs portable vs AVX2, f64 vs int8-quantized weights — direct
-//! batch-32 inference and the full service path, with the quantized
-//! models' q-error delta gated at 1%), a routed-gateway section
-//! comparing one `QcfeGateway` front door (1 client per environment across
-//! 4 environments) against the equivalent hand-wired per-service setup,
+//! (scalar vs portable vs AVX2 — direct batch-32 inference and the full
+//! service path), a routed-gateway section comparing one `QcfeGateway`
+//! front door (1 client per environment across 4 environments) against
+//! the equivalent hand-wired per-service setup,
 //! a cold-restart section timing a rebuilt gateway's first estimate
 //! served from persisted `QCFW` weights against one forced to retrain,
 //! an online-refinement section measuring a cold environment's
@@ -42,8 +41,7 @@
 //!
 //! The run fails (CI gate) if batched QPPNet inference falls below the
 //! scalar per-plan path, if the AVX2 kernel loses its ≥1.15x lead over the
-//! scalar kernel at batch 32 (on CPUs that have AVX2), if int8
-//! quantization costs more than 1% mean q-error, if routed-gateway
+//! scalar kernel at batch 32 (on CPUs that have AVX2), if routed-gateway
 //! aggregate throughput falls more than 20% below the hand-wired
 //! per-service baseline, if scheduling fails to cut the compliant
 //! tenants' pooled p99 to ≤ 0.5x the FIFO baseline while they keep
@@ -56,10 +54,7 @@
 use qcfe_bench::report::{fmt3, parse_common_args, ExperimentReport, ReportTable};
 use qcfe_core::cost_model::CostModel;
 use qcfe_core::encoding::FeatureEncoder;
-use qcfe_core::estimators::{
-    MscnEstimator, QppNetEstimator, QuantizedMscnEstimator, QuantizedQppNetEstimator,
-};
-use qcfe_core::metrics::q_errors;
+use qcfe_core::estimators::{MscnEstimator, QppNetEstimator};
 use qcfe_core::model_codec::PersistedModel;
 use qcfe_core::pipeline::{prepare_context, ContextConfig, EstimatorKind, ExperimentContext};
 use qcfe_core::snapshot::FeatureSnapshot;
@@ -293,120 +288,60 @@ fn main() {
     // ---------------------------------------------------------------
     // Matmul kernel sweep: the identical operator-grouped QPPNet batch-32
     // workload driven through each dispatchable kernel (scalar, portable,
-    // AVX2 where the CPU has it), for both the f64 weights and the
-    // int8-quantized model. `force_kernel` overrides the
+    // AVX2 where the CPU has it). `force_kernel` overrides the
     // QCFE_KERNEL-resolved default so one process compares all of them.
     // ---------------------------------------------------------------
     let supported: Vec<MatmulKernel> = MatmulKernel::ALL
         .into_iter()
         .filter(|k| k.is_supported())
         .collect();
-    let qqpp = QuantizedQppNetEstimator::quantize(&qpp);
-    let _ = qqpp.predict_batch(&plans, Some(&snapshot)); // warm scratch
     let mut kernel_table = ReportTable::new(
         "Matmul kernel sweep: QPPNet direct inference, batch 32",
-        &[
-            "kernel",
-            "weights",
-            "throughput (plans/s)",
-            "speedup vs scalar f64",
-        ],
+        &["kernel", "throughput (plans/s)", "speedup vs scalar"],
     );
     let mut scalar_f64_tput = 0.0_f64;
     let mut avx2_f64_tput = None;
     for &kernel in &supported {
         assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
-        let f64_tput = best_throughput(&|| {
+        let tput = best_throughput(&|| {
             for chunk in plans.chunks(32) {
                 let _ = qpp.predict_batch(chunk, Some(&snapshot));
             }
         });
-        let i8_tput = best_throughput(&|| {
-            for chunk in plans.chunks(32) {
-                let _ = qqpp.predict_batch(chunk, Some(&snapshot));
-            }
-        });
         if kernel == MatmulKernel::Scalar {
-            scalar_f64_tput = f64_tput;
+            scalar_f64_tput = tput;
         }
         if kernel == MatmulKernel::Avx2 {
-            avx2_f64_tput = Some(f64_tput);
+            avx2_f64_tput = Some(tput);
         }
-        for (weights, tput) in [("f64", f64_tput), ("int8", i8_tput)] {
-            kernel_table.push_row(vec![
-                kernel.name().into(),
-                weights.into(),
-                format!("{tput:.0}"),
-                fmt3(tput / scalar_f64_tput),
-            ]);
-            eprintln!(
-                "[serve] kernel={} weights={weights}: {tput:.0} plans/s ({:.2}x scalar f64)",
-                kernel.name(),
-                tput / scalar_f64_tput
-            );
-        }
+        kernel_table.push_row(vec![
+            kernel.name().into(),
+            format!("{tput:.0}"),
+            fmt3(tput / scalar_f64_tput),
+        ]);
+        eprintln!(
+            "[serve] kernel={}: {tput:.0} plans/s ({:.2}x scalar)",
+            kernel.name(),
+            tput / scalar_f64_tput
+        );
     }
     force_kernel(None);
     report.add_table(kernel_table);
 
-    // Quantization accuracy: the int8 models must stay within 1% of the
-    // f64 models' mean q-error on the seeded workload — the budget that
-    // makes quantize-at-publish an acceptable serving default.
-    let actuals: Vec<f64> = ctx
-        .workload
-        .queries
-        .iter()
-        .map(|q| q.executed.total_ms)
-        .collect();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let mut qerr_table = ReportTable::new(
-        "int8 quantization accuracy (mean q-error on the training workload)",
-        &["model", "f64", "int8", "delta"],
-    );
-    let qmscn = QuantizedMscnEstimator::quantize(&mscn);
-    for (name, f64_preds, i8_preds) in [
-        (
-            "QCFE(mscn)",
-            mscn.predict_batch(&plans, Some(&snapshot)),
-            qmscn.predict_batch(&plans, Some(&snapshot)),
-        ),
-        (
-            "QCFE(qpp)",
-            qpp.predict_batch(&plans, Some(&snapshot)),
-            qqpp.predict_batch(&plans, Some(&snapshot)),
-        ),
-    ] {
-        let f64_q = mean(&q_errors(&actuals, &f64_preds));
-        let i8_q = mean(&q_errors(&actuals, &i8_preds));
-        qerr_table.push_row(vec![
-            name.into(),
-            fmt3(f64_q),
-            fmt3(i8_q),
-            format!("{:+.3}%", 100.0 * (i8_q / f64_q - 1.0)),
-        ]);
-        eprintln!(
-            "[serve] {name} mean q-error: f64 {f64_q:.4} vs int8 {i8_q:.4} ({:+.3}%)",
-            100.0 * (i8_q / f64_q - 1.0)
-        );
-        // CI accuracy gate: quantization may cost at most 1% q-error.
-        assert!(
-            i8_q <= f64_q * 1.01,
-            "{name}: int8 mean q-error {i8_q:.4} exceeds the 1% budget over f64 {f64_q:.4}"
-        );
-    }
-    report.add_table(qerr_table);
-
     // The same sweep through the full EstimationService path: micro-batched
-    // closed-loop clients, one service per kernel choice, plus the int8
-    // model on the default kernel.
+    // closed-loop clients, one service per kernel choice.
     let sweep_db = ctx
         .benchmark
         .build_database(ctx.workload.environments[0].clone());
     let mscn_sweep_model: Arc<dyn CostModel> = Arc::new(mscn.clone());
-    let qmscn_model: Arc<dyn CostModel> = Arc::new(qmscn);
-    let service_tput = |model: &Arc<dyn CostModel>| -> f64 {
+    let mut svc_kernel_table = ReportTable::new(
+        "Matmul kernel sweep: EstimationService path (QCFE(mscn), 8 clients, max_batch 32)",
+        &["kernel", "throughput (est/s)"],
+    );
+    for &kernel in &supported {
+        assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
         let service = EstimationService::start(
-            Arc::clone(model),
+            Arc::clone(&mscn_sweep_model),
             Some(snapshot.clone()),
             ServiceConfig {
                 workers: 2,
@@ -423,33 +358,11 @@ fn main() {
         });
         let _ = service.shutdown();
         assert_eq!(run.errors, 0, "kernel-sweep serving must not fail");
-        run.throughput_qps()
-    };
-    let mut svc_kernel_table = ReportTable::new(
-        "Matmul kernel sweep: EstimationService path (QCFE(mscn), 8 clients, max_batch 32)",
-        &["kernel", "weights", "throughput (est/s)"],
-    );
-    for &kernel in &supported {
-        assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
-        let tput = service_tput(&mscn_sweep_model);
-        svc_kernel_table.push_row(vec![
-            kernel.name().into(),
-            "f64".into(),
-            format!("{tput:.0}"),
-        ]);
-        eprintln!(
-            "[serve] service kernel={} weights=f64: {tput:.0} est/s",
-            kernel.name()
-        );
+        let tput = run.throughput_qps();
+        svc_kernel_table.push_row(vec![kernel.name().into(), format!("{tput:.0}")]);
+        eprintln!("[serve] service kernel={}: {tput:.0} est/s", kernel.name());
     }
     force_kernel(None);
-    let int8_svc_tput = service_tput(&qmscn_model);
-    svc_kernel_table.push_row(vec![
-        "default".into(),
-        "int8".into(),
-        format!("{int8_svc_tput:.0}"),
-    ]);
-    eprintln!("[serve] service kernel=default weights=int8: {int8_svc_tput:.0} est/s");
     report.add_table(svc_kernel_table);
 
     // ---------------------------------------------------------------
@@ -1632,6 +1545,19 @@ fn main() {
         .cost_ms
         .to_bits();
 
+    // The weights re-published during the outage: the same model family
+    // trained from a different seed, so its sidecar is byte-divergent from
+    // what the victim's store still holds.
+    let mut divergent_rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
+    let (divergent_mscn, _) = MscnEstimator::train(
+        FeatureEncoder::new(&ctx.benchmark.catalog, true),
+        &ctx.workload,
+        Some(&ctx.snapshots_fso),
+        None,
+        if quick { 15 } else { 30 },
+        &mut divergent_rng,
+    );
+
     // Kill the victim and wait until every survivor's heartbeat agrees.
     rev_servers[rev_victim]
         .take()
@@ -1652,16 +1578,12 @@ fn main() {
     }
 
     // Re-publish during the outage: a different fitted snapshot and the
-    // int8-quantized weights under the same key — cheap, deterministic,
-    // and byte-divergent from what the victim's store still holds.
+    // divergent weights under the same key.
     rev_gateways[rev_heir]
         .publish_snapshot(kind, &ctx.workload.environments[0], &snapshots[1])
         .expect("re-published snapshot");
     rev_gateways[rev_heir]
-        .publish_model(
-            rev_key,
-            PersistedModel::Mscn(mscn_for_restart.clone()).quantize(),
-        )
+        .publish_model(rev_key, PersistedModel::Mscn(divergent_mscn))
         .expect("re-published weights");
     let converge_deadline = Instant::now() + Duration::from_secs(30);
     while rev_gateways[rev_survivors[0]]

@@ -17,9 +17,7 @@
 //! service can memoise encodings in its LRU plan-encoding cache and skip
 //! the encoding work for repeated plans.
 
-use crate::estimators::{
-    MscnEstimator, PgEstimator, QppNetEstimator, QuantizedMscnEstimator, QuantizedQppNetEstimator,
-};
+use crate::estimators::{MscnEstimator, PgEstimator, QppNetEstimator};
 use crate::snapshot::FeatureSnapshot;
 use qcfe_db::plan::PlanNode;
 
@@ -109,51 +107,6 @@ impl CostModel for QppNetEstimator {
 
     fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
         QppNetEstimator::predict_batch(self, plans, snapshot)
-    }
-}
-
-impl CostModel for QuantizedMscnEstimator {
-    fn name(&self) -> &'static str {
-        "MSCN-int8"
-    }
-
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict(root, snapshot)
-    }
-
-    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
-        QuantizedMscnEstimator::predict_batch(self, plans, snapshot)
-    }
-
-    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> Option<Vec<f64>> {
-        let features = self.encoder().encode_plan(root, snapshot);
-        Some(self.mask().iter().map(|&i| features[i]).collect())
-    }
-
-    fn predict_encoded(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.model()
-            .predict_rows(rows)
-            .into_iter()
-            .map(|p| p.max(1e-6))
-            .collect()
-    }
-
-    fn has_flat_encoding(&self) -> bool {
-        true
-    }
-}
-
-impl CostModel for QuantizedQppNetEstimator {
-    fn name(&self) -> &'static str {
-        "QPPNet-int8"
-    }
-
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict(root, snapshot)
-    }
-
-    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
-        QuantizedQppNetEstimator::predict_batch(self, plans, snapshot)
     }
 }
 

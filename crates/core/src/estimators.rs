@@ -10,10 +10,7 @@ use crate::encoding::FeatureEncoder;
 use crate::metrics::AccuracyReport;
 use crate::snapshot::FeatureSnapshot;
 use qcfe_db::plan::{OperatorKind, PlanNode};
-use qcfe_nn::{
-    Activation, BatchForward, Dataset, InferenceScratch, Loss, Matrix, Mlp, Optimizer,
-    QuantizedMlp, TrainConfig,
-};
+use qcfe_nn::{Activation, Dataset, InferenceScratch, Loss, Matrix, Mlp, Optimizer, TrainConfig};
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -421,23 +418,21 @@ fn flatten_plan_into(
     arena.len() - 1
 }
 
-/// The operator-grouped batched QPPNet inference engine, generic over the
-/// neural-unit representation ([`Mlp`] for f64 models,
-/// [`QuantizedMlp`] for int8): flatten every plan into one arena, bucket
-/// nodes by `(stage, OperatorKind)`, run each bucket through its unit in a
-/// single [`BatchForward::forward_batch_into`] pass, and scatter child
-/// data vectors into parent rows between stages.
+/// The operator-grouped batched QPPNet inference engine: flatten every
+/// plan into one arena, bucket nodes by `(stage, OperatorKind)`, run each
+/// bucket through its unit in a single [`Mlp::predict_batch_into`] pass,
+/// and scatter child data vectors into parent rows between stages.
 ///
 /// The engine is allocation-free in steady state: node encodings are
 /// packed into one flat feature arena (stride [`FeatureEncoder::node_dim`]),
 /// child links live in fixed-size slots, stage buckets are per-kind
 /// vectors, and everything — including the neural-unit input matrix and
 /// [`InferenceScratch`] — lives in a reusable thread-local
-/// [`QppBatchScratch`] shared by both representations.
-fn qpp_batched_forward<U: BatchForward>(
+/// [`QppBatchScratch`].
+fn qpp_batched_forward(
     encoder: &FeatureEncoder,
     masks: &HashMap<OperatorKind, Vec<usize>>,
-    units: &HashMap<OperatorKind, U>,
+    units: &HashMap<OperatorKind, Mlp>,
     node_dim: usize,
     plans: &[&PlanNode],
     snapshot: Option<&FeatureSnapshot>,
@@ -532,7 +527,7 @@ fn qpp_batched_forward<U: BatchForward>(
                         row[start..start + DATA_VECTOR_DIM].copy_from_slice(slot_out);
                     }
                 }
-                let out = units[&kind].forward_batch_into(input, nn);
+                let out = units[&kind].predict_batch_into(input, nn);
                 forward_calls += 1;
                 for (r, &id) in ids.iter().enumerate() {
                     outputs[id].copy_from_slice(out.row(r));
@@ -731,8 +726,7 @@ impl QppNetEstimator {
 
     /// [`QppNetEstimator::predict_batch`] plus execution statistics (used by
     /// tests and the serving benchmark to verify grouping happens). Runs the
-    /// shared operator-grouped engine ([`qpp_batched_forward`]) over the f64
-    /// neural units.
+    /// operator-grouped engine ([`qpp_batched_forward`]).
     pub fn predict_batch_with_stats(
         &self,
         plans: &[&PlanNode],
@@ -901,227 +895,6 @@ impl QppNetEstimator {
     }
 }
 
-// ---------------------------------------------------------------------------
-// int8-quantized estimators (inference-only, quantize-at-publish)
-// ---------------------------------------------------------------------------
-
-/// An inference-only MSCN estimator whose network carries int8 weights
-/// (per-layer symmetric scale, see [`qcfe_nn::quant`]). Produced by
-/// quantizing a trained [`MscnEstimator`] at publish time; estimates stay
-/// within a small q-error budget of the f64 model rather than being
-/// bit-identical to it.
-#[derive(Debug, Clone)]
-pub struct QuantizedMscnEstimator {
-    encoder: FeatureEncoder,
-    mask: Vec<usize>,
-    mlp: QuantizedMlp,
-}
-
-impl QuantizedMscnEstimator {
-    /// Quantize a trained f64 estimator.
-    pub fn quantize(estimator: &MscnEstimator) -> Self {
-        QuantizedMscnEstimator {
-            encoder: estimator.encoder().clone(),
-            mask: estimator.mask().to_vec(),
-            mlp: QuantizedMlp::quantize(estimator.model()),
-        }
-    }
-
-    /// Reassemble from persisted parts (the `QCFW` v2 decode path), with
-    /// the same structural validation as [`MscnEstimator::from_parts`].
-    pub fn from_parts(
-        encoder: FeatureEncoder,
-        mask: Vec<usize>,
-        mlp: QuantizedMlp,
-    ) -> Result<Self, crate::model_codec::ModelCodecError> {
-        use crate::model_codec::ModelCodecError;
-        let plan_dim = encoder.plan_dim();
-        if let Some(&bad) = mask.iter().find(|&&i| i >= plan_dim) {
-            return Err(ModelCodecError::Malformed(format!(
-                "quantized MSCN mask index {bad} out of range for plan dim {plan_dim}"
-            )));
-        }
-        if mlp.input_dim() != mask.len() {
-            return Err(ModelCodecError::Malformed(format!(
-                "quantized MSCN network input dim {} does not match mask length {}",
-                mlp.input_dim(),
-                mask.len()
-            )));
-        }
-        if mlp.output_dim() != 1 {
-            return Err(ModelCodecError::Malformed(format!(
-                "quantized MSCN network output dim {} is not scalar",
-                mlp.output_dim()
-            )));
-        }
-        Ok(QuantizedMscnEstimator { encoder, mask, mlp })
-    }
-
-    /// Predict the latency of a plan under an (optional) snapshot.
-    pub fn predict(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        let features = self.encoder.encode_plan(root, snapshot);
-        self.mlp
-            .predict_one(&project(&features, &self.mask))
-            .max(1e-6)
-    }
-
-    /// Batched prediction; bit-identical to per-plan
-    /// [`QuantizedMscnEstimator::predict`].
-    pub fn predict_batch(
-        &self,
-        plans: &[&PlanNode],
-        snapshot: Option<&FeatureSnapshot>,
-    ) -> Vec<f64> {
-        let rows: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| project(&self.encoder.encode_plan(p, snapshot), &self.mask))
-            .collect();
-        self.mlp
-            .predict_rows(&rows)
-            .into_iter()
-            .map(|p| p.max(1e-6))
-            .collect()
-    }
-
-    /// The quantized network.
-    pub fn model(&self) -> &QuantizedMlp {
-        &self.mlp
-    }
-
-    /// The feature mask in effect.
-    pub fn mask(&self) -> &[usize] {
-        &self.mask
-    }
-
-    /// The encoder in use.
-    pub fn encoder(&self) -> &FeatureEncoder {
-        &self.encoder
-    }
-}
-
-/// An inference-only QPPNet estimator whose per-operator neural units carry
-/// int8 weights. Rides the exact same operator-grouped batched engine
-/// ([`qpp_batched_forward`]) as the f64 [`QppNetEstimator`].
-#[derive(Debug, Clone)]
-pub struct QuantizedQppNetEstimator {
-    encoder: FeatureEncoder,
-    masks: HashMap<OperatorKind, Vec<usize>>,
-    units: HashMap<OperatorKind, QuantizedMlp>,
-    node_dim: usize,
-}
-
-impl QuantizedQppNetEstimator {
-    /// Quantize every neural unit of a trained f64 estimator.
-    pub fn quantize(estimator: &QppNetEstimator) -> Self {
-        QuantizedQppNetEstimator {
-            encoder: estimator.encoder().clone(),
-            masks: estimator.masks().clone(),
-            units: estimator
-                .units()
-                .iter()
-                .map(|(kind, unit)| (*kind, QuantizedMlp::quantize(unit)))
-                .collect(),
-            node_dim: estimator.node_dim(),
-        }
-    }
-
-    /// Reassemble from persisted parts (the `QCFW` v2 decode path), with
-    /// the same structural validation as [`QppNetEstimator::from_parts`].
-    pub fn from_parts(
-        encoder: FeatureEncoder,
-        masks: HashMap<OperatorKind, Vec<usize>>,
-        units: HashMap<OperatorKind, QuantizedMlp>,
-    ) -> Result<Self, crate::model_codec::ModelCodecError> {
-        use crate::model_codec::ModelCodecError;
-        let node_dim = encoder.node_dim();
-        for kind in OperatorKind::ALL {
-            let mask = masks.get(&kind).ok_or_else(|| {
-                ModelCodecError::Malformed(format!("quantized QPPNet mask missing for {kind:?}"))
-            })?;
-            if let Some(&bad) = mask.iter().find(|&&i| i >= node_dim) {
-                return Err(ModelCodecError::Malformed(format!(
-                    "quantized QPPNet {kind:?} mask index {bad} out of range for node dim {node_dim}"
-                )));
-            }
-            let unit = units.get(&kind).ok_or_else(|| {
-                ModelCodecError::Malformed(format!(
-                    "quantized QPPNet neural unit missing for {kind:?}"
-                ))
-            })?;
-            let expected_input = mask.len() + MAX_CHILDREN * DATA_VECTOR_DIM;
-            if unit.input_dim() != expected_input {
-                return Err(ModelCodecError::Malformed(format!(
-                    "quantized QPPNet {kind:?} unit input dim {} does not match mask-derived dim {expected_input}",
-                    unit.input_dim()
-                )));
-            }
-            if unit.output_dim() != DATA_VECTOR_DIM {
-                return Err(ModelCodecError::Malformed(format!(
-                    "quantized QPPNet {kind:?} unit output dim {} is not the data-vector dim {DATA_VECTOR_DIM}",
-                    unit.output_dim()
-                )));
-            }
-        }
-        Ok(QuantizedQppNetEstimator {
-            encoder,
-            masks,
-            units,
-            node_dim,
-        })
-    }
-
-    /// Predict the latency of a single plan (batch of one).
-    pub fn predict(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict_batch(&[root], snapshot)[0]
-    }
-
-    /// Operator-grouped batched inference; see
-    /// [`QppNetEstimator::predict_batch`].
-    pub fn predict_batch(
-        &self,
-        plans: &[&PlanNode],
-        snapshot: Option<&FeatureSnapshot>,
-    ) -> Vec<f64> {
-        self.predict_batch_with_stats(plans, snapshot).0
-    }
-
-    /// Batched inference plus engine statistics.
-    pub fn predict_batch_with_stats(
-        &self,
-        plans: &[&PlanNode],
-        snapshot: Option<&FeatureSnapshot>,
-    ) -> (Vec<f64>, QppBatchStats) {
-        qpp_batched_forward(
-            &self.encoder,
-            &self.masks,
-            &self.units,
-            self.node_dim,
-            plans,
-            snapshot,
-        )
-    }
-
-    /// The per-operator feature masks.
-    pub fn masks(&self) -> &HashMap<OperatorKind, Vec<usize>> {
-        &self.masks
-    }
-
-    /// The per-operator quantized neural units.
-    pub fn units(&self) -> &HashMap<OperatorKind, QuantizedMlp> {
-        &self.units
-    }
-
-    /// The encoder in use.
-    pub fn encoder(&self) -> &FeatureEncoder {
-        &self.encoder
-    }
-
-    /// The number of node-encoding features (before masking).
-    pub fn node_dim(&self) -> usize {
-        self.node_dim
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1257,64 +1030,6 @@ mod tests {
         // A single-plan batch still groups same-kind nodes at equal heights.
         let (_, single) = qpp.predict_batch_with_stats(&plans[..1], None);
         assert!(single.forward_calls <= single.nodes);
-    }
-
-    /// Quantization acceptance: int8 estimates stay within a 1% mean
-    /// q-error degradation of the f64 model on the seeded workload.
-    #[test]
-    fn quantized_estimators_stay_within_q_error_budget() {
-        let (w, encoder, encoder_fs) = workload();
-        let (train, test) = w.split(0.8, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let actuals = test.actual_costs();
-
-        let (mscn, _) = MscnEstimator::train(encoder, &train, None, None, 60, &mut rng);
-        let qmscn = QuantizedMscnEstimator::quantize(&mscn);
-        let plans: Vec<&PlanNode> = test.queries.iter().map(|q| &q.executed.root).collect();
-        let f64_report = AccuracyReport::compute(&actuals, &mscn.predict_batch(&plans, None));
-        let q_report = AccuracyReport::compute(&actuals, &qmscn.predict_batch(&plans, None));
-        assert!(
-            q_report.mean_q_error <= f64_report.mean_q_error * 1.01,
-            "quantized MSCN q-error {} vs f64 {}",
-            q_report.mean_q_error,
-            f64_report.mean_q_error
-        );
-
-        let mut qpp = QppNetEstimator::new(encoder_fs, None, &mut rng);
-        qpp.train(&train, None, 10, &mut rng);
-        let qqpp = QuantizedQppNetEstimator::quantize(&qpp);
-        let f64_report = AccuracyReport::compute(&actuals, &qpp.predict_batch(&plans, None));
-        let q_report = AccuracyReport::compute(&actuals, &qqpp.predict_batch(&plans, None));
-        assert!(
-            q_report.mean_q_error <= f64_report.mean_q_error * 1.01,
-            "quantized QPPNet q-error {} vs f64 {}",
-            q_report.mean_q_error,
-            f64_report.mean_q_error
-        );
-    }
-
-    /// The quantized QPPNet rides the same operator-grouped engine: batched
-    /// and batch-of-one predictions are bit-identical, and grouping stats
-    /// match the f64 estimator's (same plans, same buckets).
-    #[test]
-    fn quantized_qppnet_batching_is_self_consistent() {
-        let (w, _, encoder_fs) = workload();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let mut qpp = QppNetEstimator::new(encoder_fs, None, &mut rng);
-        qpp.train(&w, None, 2, &mut rng);
-        let qqpp = QuantizedQppNetEstimator::quantize(&qpp);
-        let plans: Vec<&PlanNode> = w.queries.iter().map(|q| &q.executed.root).collect();
-        let (batched, qstats) = qqpp.predict_batch_with_stats(&plans, None);
-        for (plan, b) in plans.iter().zip(&batched) {
-            let single = qqpp.predict(plan, None);
-            assert_eq!(
-                single.to_bits(),
-                b.to_bits(),
-                "batch-of-one {single} != {b}"
-            );
-        }
-        let (_, fstats) = qpp.predict_batch_with_stats(&plans, None);
-        assert_eq!(qstats, fstats);
     }
 
     #[test]

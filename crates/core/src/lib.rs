@@ -53,10 +53,7 @@ pub mod templates;
 pub use collect::{collect_workload, LabeledQuery, LabeledWorkload};
 pub use cost_model::CostModel;
 pub use encoding::FeatureEncoder;
-pub use estimators::{
-    MscnEstimator, PgEstimator, QppNetEstimator, QuantizedMscnEstimator, QuantizedQppNetEstimator,
-    TrainStats,
-};
+pub use estimators::{MscnEstimator, PgEstimator, QppNetEstimator, TrainStats};
 pub use metrics::AccuracyReport;
 pub use model_codec::{ModelCodecError, PersistedModel};
 pub use pipeline::{

@@ -9,12 +9,7 @@
 //!   snapshot flag), the plan-level feature mask from feature reduction,
 //!   and the trained network;
 //! * **QPPNet** ([`PAYLOAD_QPPNET`]): the encoder plus, per operator kind,
-//!   its feature mask and neural unit;
-//! * **int8 MSCN / QPPNet** ([`PAYLOAD_MSCN_INT8`] /
-//!   [`PAYLOAD_QPPNET_INT8`], `QCFW` v2): the same layouts with every Mlp
-//!   record replaced by a quantized-Mlp record — the publish-time int8
-//!   representation served by [`crate::estimators::QuantizedMscnEstimator`]
-//!   and [`crate::estimators::QuantizedQppNetEstimator`].
+//!   its feature mask and neural unit.
 //!
 //! # Payload layouts (all little-endian, inside a `QCFW` frame)
 //!
@@ -34,27 +29,18 @@
 //! *node* encoding) and one Mlp record. Units are written in
 //! [`OperatorKind::ALL`] order, so encoding is deterministic.
 //!
-//! The int8 payloads are identical except that each Mlp record is a
-//! quantized-Mlp record (tagged per-layer scheme, see `qcfe_nn::codec`).
-//!
 //! Every decode path is validated structurally ([`MscnEstimator::from_parts`]
-//! / [`QppNetEstimator::from_parts`] and the quantized equivalents), so a
-//! corrupted-but-checksum-colliding buffer still cannot produce an
-//! estimator that panics at inference time. Coefficients round-trip
-//! bit-exactly: a reloaded estimator — quantized or not — produces
+//! / [`QppNetEstimator::from_parts`]), so a corrupted-but-checksum-colliding
+//! buffer still cannot produce an estimator that panics at inference time.
+//! Coefficients round-trip bit-exactly: a reloaded estimator produces
 //! *identical* estimates.
 
 use crate::cost_model::CostModel;
 use crate::encoding::FeatureEncoder;
-use crate::estimators::{
-    MscnEstimator, QppNetEstimator, QuantizedMscnEstimator, QuantizedQppNetEstimator,
-};
+use crate::estimators::{MscnEstimator, QppNetEstimator};
 use qcfe_db::plan::OperatorKind;
-use qcfe_nn::codec::{
-    frame, read_mlp, read_quantized_mlp, unframe, write_mlp, write_quantized_mlp, Reader,
-    WeightsCodecError,
-};
-use qcfe_nn::{Mlp, QuantizedMlp};
+use qcfe_nn::codec::{frame, read_mlp, unframe, write_mlp, Reader, WeightsCodecError};
+use qcfe_nn::Mlp;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,14 +49,6 @@ pub const PAYLOAD_MSCN: u8 = 1;
 
 /// `QCFW` payload kind of a persisted [`QppNetEstimator`].
 pub const PAYLOAD_QPPNET: u8 = 2;
-
-/// `QCFW` payload kind of a persisted [`QuantizedMscnEstimator`].
-///
-/// (Kind 3 is `qcfe_nn`'s raw quantized-Mlp payload.)
-pub const PAYLOAD_MSCN_INT8: u8 = 4;
-
-/// `QCFW` payload kind of a persisted [`QuantizedQppNetEstimator`].
-pub const PAYLOAD_QPPNET_INT8: u8 = 5;
 
 /// Errors produced when decoding persisted estimator weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,99 +264,6 @@ fn decode_qppnet_payload(payload: &[u8]) -> Result<QppNetEstimator, ModelCodecEr
     QppNetEstimator::from_parts(encoder, masks, units)
 }
 
-impl QuantizedMscnEstimator {
-    /// Serialise the quantized estimator — encoder, feature mask and int8
-    /// network — into a framed `QCFW` buffer ([`PAYLOAD_MSCN_INT8`]).
-    pub fn to_weight_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        write_encoder(self.encoder(), &mut payload);
-        write_mask(self.mask(), &mut payload);
-        write_quantized_mlp(self.model(), &mut payload);
-        frame(PAYLOAD_MSCN_INT8, &payload)
-    }
-
-    /// Parse a framed `QCFW` buffer written by
-    /// [`QuantizedMscnEstimator::to_weight_bytes`]. The reloaded estimator
-    /// predicts bit-identically to the one that was saved.
-    pub fn from_weight_bytes(bytes: &[u8]) -> Result<Self, ModelCodecError> {
-        let (kind, payload) = unframe(bytes)?;
-        if kind != PAYLOAD_MSCN_INT8 {
-            return Err(ModelCodecError::UnexpectedPayload(kind));
-        }
-        decode_mscn_int8_payload(payload)
-    }
-}
-
-/// Decode an already-unframed [`PAYLOAD_MSCN_INT8`] payload.
-fn decode_mscn_int8_payload(payload: &[u8]) -> Result<QuantizedMscnEstimator, ModelCodecError> {
-    let mut r = Reader::new(payload);
-    let encoder = read_encoder(&mut r)?;
-    let mask = read_mask(&mut r)?;
-    let mlp = read_quantized_mlp(&mut r)?;
-    r.finish().map_err(ModelCodecError::Weights)?;
-    QuantizedMscnEstimator::from_parts(encoder, mask, mlp)
-}
-
-impl QuantizedQppNetEstimator {
-    /// Serialise the quantized estimator — encoder plus every operator's
-    /// mask and int8 neural unit — into a framed `QCFW` buffer
-    /// ([`PAYLOAD_QPPNET_INT8`]). Units are written in
-    /// [`OperatorKind::ALL`] order, so the encoding is deterministic.
-    pub fn to_weight_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        write_encoder(self.encoder(), &mut payload);
-        payload.extend_from_slice(&(OperatorKind::ALL.len() as u32).to_le_bytes());
-        for kind in OperatorKind::ALL {
-            payload.push(kind.index() as u8);
-            write_mask(&self.masks()[&kind], &mut payload);
-            write_quantized_mlp(&self.units()[&kind], &mut payload);
-        }
-        frame(PAYLOAD_QPPNET_INT8, &payload)
-    }
-
-    /// Parse a framed `QCFW` buffer written by
-    /// [`QuantizedQppNetEstimator::to_weight_bytes`]. The reloaded
-    /// estimator predicts bit-identically to the one that was saved.
-    pub fn from_weight_bytes(bytes: &[u8]) -> Result<Self, ModelCodecError> {
-        let (kind, payload) = unframe(bytes)?;
-        if kind != PAYLOAD_QPPNET_INT8 {
-            return Err(ModelCodecError::UnexpectedPayload(kind));
-        }
-        decode_qppnet_int8_payload(payload)
-    }
-}
-
-/// Decode an already-unframed [`PAYLOAD_QPPNET_INT8`] payload.
-fn decode_qppnet_int8_payload(payload: &[u8]) -> Result<QuantizedQppNetEstimator, ModelCodecError> {
-    let mut r = Reader::new(payload);
-    let encoder = read_encoder(&mut r)?;
-    let unit_count = r.u32()? as usize;
-    if unit_count > OperatorKind::ALL.len() {
-        return Err(ModelCodecError::Malformed(format!(
-            "{unit_count} neural units declared, but only {} operator kinds exist",
-            OperatorKind::ALL.len()
-        )));
-    }
-    let mut masks: HashMap<OperatorKind, Vec<usize>> = HashMap::with_capacity(unit_count);
-    let mut units: HashMap<OperatorKind, QuantizedMlp> = HashMap::with_capacity(unit_count);
-    for _ in 0..unit_count {
-        let index = r.u8()?;
-        let kind = *OperatorKind::ALL
-            .get(index as usize)
-            .ok_or(ModelCodecError::UnknownOperator(index))?;
-        let mask = read_mask(&mut r)?;
-        let unit = read_quantized_mlp(&mut r)?;
-        if masks.insert(kind, mask).is_some() {
-            return Err(ModelCodecError::Malformed(format!(
-                "duplicate neural unit for {kind:?}"
-            )));
-        }
-        units.insert(kind, unit);
-    }
-    r.finish().map_err(ModelCodecError::Weights)?;
-    QuantizedQppNetEstimator::from_parts(encoder, masks, units)
-}
-
 /// A decoded model-weight file: whichever trained estimator the `QCFW`
 /// payload held. This is what the serving store hands back on load — ready
 /// to be registered behind `Arc<dyn CostModel>` without retraining.
@@ -388,10 +273,6 @@ pub enum PersistedModel {
     Mscn(MscnEstimator),
     /// A QPPNet-style plan-structured estimator (plain or QCFE variant).
     QppNet(QppNetEstimator),
-    /// An int8-quantized MSCN-style estimator (inference only).
-    MscnInt8(QuantizedMscnEstimator),
-    /// An int8-quantized QPPNet-style estimator (inference only).
-    QppNetInt8(QuantizedQppNetEstimator),
 }
 
 impl PersistedModel {
@@ -400,8 +281,6 @@ impl PersistedModel {
         match self {
             PersistedModel::Mscn(_) => PAYLOAD_MSCN,
             PersistedModel::QppNet(_) => PAYLOAD_QPPNET,
-            PersistedModel::MscnInt8(_) => PAYLOAD_MSCN_INT8,
-            PersistedModel::QppNetInt8(_) => PAYLOAD_QPPNET_INT8,
         }
     }
 
@@ -410,31 +289,6 @@ impl PersistedModel {
         match self {
             PersistedModel::Mscn(_) => "MSCN",
             PersistedModel::QppNet(_) => "QPPNet",
-            PersistedModel::MscnInt8(_) => "MSCN-int8",
-            PersistedModel::QppNetInt8(_) => "QPPNet-int8",
-        }
-    }
-
-    /// Whether the model carries int8-quantized weights.
-    pub fn is_quantized(&self) -> bool {
-        matches!(
-            self,
-            PersistedModel::MscnInt8(_) | PersistedModel::QppNetInt8(_)
-        )
-    }
-
-    /// Quantize the model's weights to int8 (symmetric, per layer). f64
-    /// models become their inference-only int8 counterparts; an already
-    /// quantized model is returned unchanged.
-    pub fn quantize(self) -> Self {
-        match self {
-            PersistedModel::Mscn(m) => {
-                PersistedModel::MscnInt8(QuantizedMscnEstimator::quantize(&m))
-            }
-            PersistedModel::QppNet(q) => {
-                PersistedModel::QppNetInt8(QuantizedQppNetEstimator::quantize(&q))
-            }
-            quantized => quantized,
         }
     }
 
@@ -443,8 +297,6 @@ impl PersistedModel {
         match self {
             PersistedModel::Mscn(m) => m.to_weight_bytes(),
             PersistedModel::QppNet(q) => q.to_weight_bytes(),
-            PersistedModel::MscnInt8(m) => m.to_weight_bytes(),
-            PersistedModel::QppNetInt8(q) => q.to_weight_bytes(),
         }
     }
 
@@ -456,10 +308,6 @@ impl PersistedModel {
         match kind {
             PAYLOAD_MSCN => Ok(PersistedModel::Mscn(decode_mscn_payload(payload)?)),
             PAYLOAD_QPPNET => Ok(PersistedModel::QppNet(decode_qppnet_payload(payload)?)),
-            PAYLOAD_MSCN_INT8 => Ok(PersistedModel::MscnInt8(decode_mscn_int8_payload(payload)?)),
-            PAYLOAD_QPPNET_INT8 => Ok(PersistedModel::QppNetInt8(decode_qppnet_int8_payload(
-                payload,
-            )?)),
             other => Err(ModelCodecError::Weights(WeightsCodecError::UnknownPayload(
                 other,
             ))),
@@ -471,8 +319,6 @@ impl PersistedModel {
         match self {
             PersistedModel::Mscn(m) => Arc::new(m),
             PersistedModel::QppNet(q) => Arc::new(q),
-            PersistedModel::MscnInt8(m) => Arc::new(m),
-            PersistedModel::QppNetInt8(q) => Arc::new(q),
         }
     }
 }
@@ -586,6 +432,15 @@ mod tests {
             QppNetEstimator::from_weight_bytes(&mscn_bytes).unwrap_err(),
             ModelCodecError::UnexpectedPayload(PAYLOAD_MSCN)
         );
+        // Kinds 3–5 (int8 payloads of older writers) are undefined: even
+        // behind a valid checksum they fail typed by kind.
+        let (_, payload) = unframe(&mscn_bytes).expect("valid frame");
+        for kind in 3..=5 {
+            assert_eq!(
+                PersistedModel::from_bytes(&frame(kind, payload)).unwrap_err(),
+                ModelCodecError::Weights(WeightsCodecError::UnknownPayload(kind))
+            );
+        }
         // The cost-model adapter serves predictions without retraining.
         let model = PersistedModel::from_bytes(&mscn_bytes)
             .expect("decodes")
@@ -669,154 +524,6 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn quantized_weights_roundtrip_bit_exactly() {
-        let (workload, snapshots, encoder) = fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let (mscn, _) = MscnEstimator::train(
-            encoder.clone(),
-            &workload,
-            Some(&snapshots),
-            None,
-            6,
-            &mut rng,
-        );
-        let qmscn = QuantizedMscnEstimator::quantize(&mscn);
-        let bytes = qmscn.to_weight_bytes();
-        let back = QuantizedMscnEstimator::from_weight_bytes(&bytes).expect("decodes");
-        assert_eq!(back.encoder(), qmscn.encoder());
-        assert_eq!(back.mask(), qmscn.mask());
-        let snapshot = snapshots[0].as_ref();
-        for q in &workload.queries {
-            let a = qmscn.predict(&q.executed.root, snapshot);
-            let b = back.predict(&q.executed.root, snapshot);
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "reloaded int8 MSCN must be bit-exact"
-            );
-        }
-
-        let mut qpp = QppNetEstimator::new(encoder, None, &mut rng);
-        qpp.train(&workload, Some(&snapshots), 1, &mut rng);
-        let qqpp = QuantizedQppNetEstimator::quantize(&qpp);
-        let bytes = qqpp.to_weight_bytes();
-        let back = QuantizedQppNetEstimator::from_weight_bytes(&bytes).expect("decodes");
-        assert_eq!(back.encoder(), qqpp.encoder());
-        assert_eq!(back.masks(), qqpp.masks());
-        let snapshot = snapshots[1].as_ref();
-        let plans: Vec<&PlanNode> = workload.queries.iter().map(|q| &q.executed.root).collect();
-        let a = qqpp.predict_batch(&plans, snapshot);
-        let b = back.predict_batch(&plans, snapshot);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "reloaded int8 QPPNet must be bit-exact"
-            );
-        }
-    }
-
-    #[test]
-    fn persisted_model_quantize_and_dispatch() {
-        let (workload, snapshots, encoder) = fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let (mscn, _) = MscnEstimator::train(
-            encoder.clone(),
-            &workload,
-            Some(&snapshots),
-            None,
-            3,
-            &mut rng,
-        );
-        let qpp = QppNetEstimator::new(encoder, None, &mut rng);
-
-        let qmscn = PersistedModel::Mscn(mscn).quantize();
-        assert!(qmscn.is_quantized());
-        assert_eq!(qmscn.name(), "MSCN-int8");
-        assert_eq!(qmscn.payload_kind(), PAYLOAD_MSCN_INT8);
-        let qqpp = PersistedModel::QppNet(qpp).quantize();
-        assert_eq!(qqpp.name(), "QPPNet-int8");
-        assert_eq!(qqpp.payload_kind(), PAYLOAD_QPPNET_INT8);
-        // Quantizing twice is a no-op.
-        assert!(matches!(
-            qmscn.clone().quantize(),
-            PersistedModel::MscnInt8(_)
-        ));
-
-        let mscn_bytes = qmscn.to_bytes();
-        let qpp_bytes = qqpp.to_bytes();
-        assert!(matches!(
-            PersistedModel::from_bytes(&mscn_bytes).expect("mscn decodes"),
-            PersistedModel::MscnInt8(_)
-        ));
-        assert!(matches!(
-            PersistedModel::from_bytes(&qpp_bytes).expect("qpp decodes"),
-            PersistedModel::QppNetInt8(_)
-        ));
-        // Typed cross-family rejection mirrors the f64 estimators.
-        assert_eq!(
-            QuantizedMscnEstimator::from_weight_bytes(&qpp_bytes).unwrap_err(),
-            ModelCodecError::UnexpectedPayload(PAYLOAD_QPPNET_INT8)
-        );
-        assert_eq!(
-            MscnEstimator::from_weight_bytes(&mscn_bytes).unwrap_err(),
-            ModelCodecError::UnexpectedPayload(PAYLOAD_MSCN_INT8)
-        );
-        // The cost-model adapter serves quantized predictions directly.
-        let model = PersistedModel::from_bytes(&mscn_bytes)
-            .expect("decodes")
-            .into_cost_model();
-        assert_eq!(model.name(), "MSCN-int8");
-        let pred = model.predict_plan(&workload.queries[0].executed.root, None);
-        assert!(pred.is_finite() && pred > 0.0);
-    }
-
-    #[test]
-    fn quantized_payload_corruption_is_rejected_with_typed_errors() {
-        let (workload, snapshots, encoder) = fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let (mscn, _) =
-            MscnEstimator::train(encoder, &workload, Some(&snapshots), None, 3, &mut rng);
-        let bytes = QuantizedMscnEstimator::quantize(&mscn).to_weight_bytes();
-
-        let mut truncated = bytes.clone();
-        truncated.truncate(bytes.len() / 2);
-        assert_eq!(
-            QuantizedMscnEstimator::from_weight_bytes(&truncated).unwrap_err(),
-            ModelCodecError::Weights(WeightsCodecError::Truncated)
-        );
-        let mut flipped = bytes.clone();
-        flipped[0] = b'X';
-        assert_eq!(
-            PersistedModel::from_bytes(&flipped).unwrap_err(),
-            ModelCodecError::Weights(WeightsCodecError::BadMagic)
-        );
-        let mid = bytes.len() / 2;
-        let mut corrupt = bytes.clone();
-        corrupt[mid] ^= 0x01;
-        assert!(matches!(
-            PersistedModel::from_bytes(&corrupt).unwrap_err(),
-            ModelCodecError::Weights(WeightsCodecError::Checksum { .. })
-        ));
-
-        // An unknown per-layer record tag behind a valid checksum is
-        // rejected typed. The tag byte follows the encoder record, the
-        // mask, and the quantized record's u32 layer count.
-        let (_, payload) = unframe(&bytes).expect("valid frame");
-        let mut r = Reader::new(payload);
-        let _ = read_encoder(&mut r).expect("encoder decodes");
-        let _ = read_mask(&mut r).expect("mask decodes");
-        let tag_offset = payload.len() - r.remaining() + 4;
-        let mut rigged = payload.to_vec();
-        rigged[tag_offset] = 9;
-        let reframed = frame(PAYLOAD_MSCN_INT8, &rigged);
-        assert_eq!(
-            QuantizedMscnEstimator::from_weight_bytes(&reframed).unwrap_err(),
-            ModelCodecError::Weights(WeightsCodecError::UnknownRecordTag(9))
-        );
     }
 
     #[test]

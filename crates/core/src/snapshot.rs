@@ -38,18 +38,9 @@
 //! plus a flags byte carrying the [`FeatureSnapshot::refined`] provenance
 //! bit); version-1 buffers still decode, with `refined = false`.
 //!
-//! `QCFW` is also at version 2, which adds the **int8-quantized weight
-//! records** behind payload kinds 3 (raw quantized Mlp, `qcfe_nn::codec`),
-//! 4 ([`crate::model_codec::PAYLOAD_MSCN_INT8`]) and 5
-//! ([`crate::model_codec::PAYLOAD_QPPNET_INT8`]). A quantized-Mlp record
-//! is a `u32` layer count followed by per-layer records that open with a
-//! one-byte **record tag** (`1` = int8 symmetric; unknown tags are a typed
-//! `UnknownRecordTag` error, the `QCFS`-v2 strictness rule applied to
-//! records): `u32` input dim, `u32` output dim, `u8` activation, `f64`
-//! scale, `i8` zero point, then `input*output` raw `i8` weights and
-//! `output` raw `f64` biases. Weights round-trip bit-exactly — a reloaded
-//! quantized model serves identical estimates. Version-1 `QCFW` buffers
-//! (f64-only payload kinds) still decode unchanged.
+//! `QCFW` is also at version 2. Its version-2 frames are byte-identical to
+//! version 1 apart from the version field, and both decode unchanged;
+//! payload kinds outside 0–2 are a typed `UnknownPayload` error.
 //!
 //! `QCFP` is the family's only *wire* format — the length-framed protocol
 //! the `qcfe-net` reactor serves estimates over. It inherits the `QCFW`

@@ -16,9 +16,8 @@
 //! offset size  field
 //! 0      4     magic "QCFW"
 //! 4      4     u32 codec version (writers emit 2; 1..=2 decode)
-//! 8      1     u8 payload kind (0 = raw Mlp, 3 = quantized Mlp;
-//!              qcfe-core defines 1 = MSCN, 2 = QPPNet,
-//!              4 = int8 MSCN, 5 = int8 QPPNet)
+//! 8      1     u8 payload kind (0 = raw Mlp;
+//!              qcfe-core defines 1 = MSCN, 2 = QPPNet)
 //! 9      8     u64 payload length in bytes
 //! 17     4     u32 CRC-32 (IEEE) over the kind byte followed by the payload
 //! 21     …     payload
@@ -40,24 +39,6 @@
 //!   output f64 biases
 //! ```
 //!
-//! Version 2 adds the **quantized Mlp record** (the only layout change; a
-//! version-2 frame holding a plain Mlp record is byte-identical to its
-//! version-1 form apart from the version field):
-//!
-//! ```text
-//! u32 layer count (≥ 1)
-//! per layer:
-//!   u8  record tag (1 = int8 symmetric; others rejected as
-//!       WeightsCodecError::UnknownRecordTag)
-//!   u32 input dim (≥ 1)
-//!   u32 output dim (≥ 1)
-//!   u8  activation index (Activation::index)
-//!   f64 scale (finite, > 0)
-//!   i8  zero point
-//!   input*output i8 weights (row-major)
-//!   output f64 biases
-//! ```
-//!
 //! Optimizer state is deliberately *not* persisted: the codec captures the
 //! inference surface; a reloaded network re-initialises optimizer moments
 //! on its first training step.
@@ -65,20 +46,21 @@
 //! # Versioning policy
 //!
 //! Mirrors `QCFS`: writers always emit [`WEIGHTS_CODEC_VERSION`]; decoders
-//! accept the whole range [`WEIGHTS_CODEC_MIN_VERSION`]`..=`current (v1
-//! buffers written before quantization existed still decode) and reject
-//! anything else with [`WeightsCodecError::UnsupportedVersion`] instead of
-//! guessing. Unknown per-layer record tags are rejected strictly
-//! ([`WeightsCodecError::UnknownRecordTag`]); there is no lenient skip
-//! path. The CRC means *any* single corrupted byte — header or payload —
-//! is rejected with a typed error rather than silently decoding to
-//! different weights.
+//! accept the whole range [`WEIGHTS_CODEC_MIN_VERSION`]`..=`current and
+//! reject anything else with [`WeightsCodecError::UnsupportedVersion`]
+//! instead of guessing. Versions 1 and 2 share every payload layout, so a
+//! version-2 frame is byte-identical to its version-1 form apart from the
+//! version field; writers stay on 2 so files (and the store manifests that
+//! hash them) do not change under a rolling upgrade. Kinds 3–5 appear in
+//! files from older version-2 writers; no decoder in the workspace defines
+//! them, so they fail as [`WeightsCodecError::UnknownPayload`]. The CRC
+//! means *any* single corrupted byte — header or payload — is rejected
+//! with a typed error rather than silently decoding to different weights.
 
 use crate::activation::Activation;
 use crate::layer::DenseLayer;
 use crate::matrix::Matrix;
 use crate::mlp::Mlp;
-use crate::quant::{QuantizedDenseLayer, QuantizedMlp};
 
 /// Magic prefix of every `QCFW` frame.
 pub const WEIGHTS_MAGIC: &[u8; 4] = b"QCFW";
@@ -91,14 +73,6 @@ pub const WEIGHTS_CODEC_MIN_VERSION: u32 = 1;
 
 /// Payload kind of a frame holding one raw [`Mlp`] record.
 pub const PAYLOAD_MLP: u8 = 0;
-
-/// Payload kind of a frame holding one quantized [`QuantizedMlp`] record
-/// (version ≥ 2).
-pub const PAYLOAD_QUANT_MLP: u8 = 3;
-
-/// Per-layer record tag of the int8 symmetric quantization scheme — the
-/// only scheme version 2 defines. Unknown tags are rejected strictly.
-pub const QUANT_LAYER_TAG_INT8: u8 = 1;
 
 /// Size of the fixed frame header (magic + version + kind + length + CRC).
 pub const FRAME_HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
@@ -125,9 +99,6 @@ pub enum WeightsCodecError {
     UnknownPayload(u8),
     /// An activation index outside [`Activation::ALL`].
     UnknownActivation(u8),
-    /// A per-layer record tag this decoder does not define (e.g. a
-    /// quantization scheme from a future version).
-    UnknownRecordTag(u8),
     /// The content decoded but violates a structural invariant.
     Malformed(&'static str),
 }
@@ -152,9 +123,6 @@ impl std::fmt::Display for WeightsCodecError {
             }
             WeightsCodecError::UnknownActivation(i) => {
                 write!(f, "unknown activation index {i} in QCFW record")
-            }
-            WeightsCodecError::UnknownRecordTag(t) => {
-                write!(f, "unknown QCFW per-layer record tag {t}")
             }
             WeightsCodecError::Malformed(what) => write!(f, "malformed QCFW record: {what}"),
         }
@@ -384,112 +352,6 @@ pub fn read_mlp(r: &mut Reader<'_>) -> Result<Mlp, WeightsCodecError> {
     Ok(Mlp::from_layers(layers))
 }
 
-/// Append one [`QuantizedMlp`] record (see the module docs for the
-/// version-2 layout) to a caller-owned buffer.
-pub fn write_quantized_mlp(mlp: &QuantizedMlp, out: &mut Vec<u8>) {
-    let layers = mlp.layers();
-    out.extend_from_slice(&(layers.len() as u32).to_le_bytes());
-    for layer in layers {
-        out.push(QUANT_LAYER_TAG_INT8);
-        out.extend_from_slice(&(layer.input_dim() as u32).to_le_bytes());
-        out.extend_from_slice(&(layer.output_dim() as u32).to_le_bytes());
-        out.push(layer.activation().index() as u8);
-        out.extend_from_slice(&layer.scale().to_le_bytes());
-        out.push(layer.zero_point() as u8);
-        out.extend(layer.weights_q().iter().map(|&v| v as u8));
-        for b in layer.biases() {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-    }
-}
-
-/// Read one [`QuantizedMlp`] record written by [`write_quantized_mlp`].
-pub fn read_quantized_mlp(r: &mut Reader<'_>) -> Result<QuantizedMlp, WeightsCodecError> {
-    let layer_count = r.u32()? as usize;
-    if layer_count == 0 {
-        return Err(WeightsCodecError::Malformed(
-            "a quantized MLP needs at least one layer",
-        ));
-    }
-    let mut layers = Vec::with_capacity(layer_count.min(64));
-    let mut prev_out: Option<usize> = None;
-    for _ in 0..layer_count {
-        let tag = r.u8()?;
-        if tag != QUANT_LAYER_TAG_INT8 {
-            return Err(WeightsCodecError::UnknownRecordTag(tag));
-        }
-        let input_dim = r.u32()? as usize;
-        let output_dim = r.u32()? as usize;
-        if input_dim == 0 || output_dim == 0 {
-            return Err(WeightsCodecError::Malformed("zero layer dimension"));
-        }
-        if let Some(prev) = prev_out {
-            if prev != input_dim {
-                return Err(WeightsCodecError::Malformed(
-                    "consecutive layer dimensions disagree",
-                ));
-            }
-        }
-        let act_index = r.u8()?;
-        let activation = Activation::from_index(act_index as usize)
-            .ok_or(WeightsCodecError::UnknownActivation(act_index))?;
-        let scale = r.f64()?;
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(WeightsCodecError::Malformed(
-                "quantization scale must be finite and positive",
-            ));
-        }
-        let zero_point = r.u8()? as i8;
-        // Bound the parameter count by what the buffer can still hold
-        // before allocating (1 byte per weight, 8 per bias).
-        let weight_count = input_dim
-            .checked_mul(output_dim)
-            .ok_or(WeightsCodecError::Malformed("layer dimension overflow"))?;
-        let needed = output_dim
-            .checked_mul(8)
-            .and_then(|n| n.checked_add(weight_count))
-            .ok_or(WeightsCodecError::Malformed("layer dimension overflow"))?;
-        if r.remaining() < needed {
-            return Err(WeightsCodecError::Truncated);
-        }
-        let weights_q: Vec<i8> = r.take(weight_count)?.iter().map(|&b| b as i8).collect();
-        let mut biases = Vec::with_capacity(output_dim);
-        for _ in 0..output_dim {
-            biases.push(r.f64()?);
-        }
-        layers.push(QuantizedDenseLayer::from_parts(
-            input_dim, output_dim, scale, zero_point, weights_q, biases, activation,
-        ));
-        prev_out = Some(output_dim);
-    }
-    Ok(QuantizedMlp::from_layers(layers))
-}
-
-impl QuantizedMlp {
-    /// Serialise into a standalone framed `QCFW` v2 buffer
-    /// ([`PAYLOAD_QUANT_MLP`]). Quantized weights, scales, zero-points and
-    /// f64 biases round-trip bit-exactly, so a reloaded quantized model
-    /// serves bit-identical estimates.
-    pub fn to_weight_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        write_quantized_mlp(self, &mut payload);
-        frame(PAYLOAD_QUANT_MLP, &payload)
-    }
-
-    /// Parse a framed `QCFW` buffer written by
-    /// [`QuantizedMlp::to_weight_bytes`].
-    pub fn from_weight_bytes(bytes: &[u8]) -> Result<QuantizedMlp, WeightsCodecError> {
-        let (kind, payload) = unframe(bytes)?;
-        if kind != PAYLOAD_QUANT_MLP {
-            return Err(WeightsCodecError::UnknownPayload(kind));
-        }
-        let mut r = Reader::new(payload);
-        let mlp = read_quantized_mlp(&mut r)?;
-        r.finish()?;
-        Ok(mlp)
-    }
-}
-
 impl Mlp {
     /// Serialise the network into a standalone framed `QCFW` buffer
     /// ([`PAYLOAD_MLP`]). Weights and biases round-trip bit-exactly.
@@ -692,77 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_mlp_roundtrips_bit_exactly() {
-        let mut r = rng(11);
-        let mlp = Mlp::with_output_activation(
-            &[6, 10, 4, 1],
-            Activation::Relu,
-            Activation::Softplus,
-            &mut r,
-        );
-        let q = QuantizedMlp::quantize(&mlp);
-        let bytes = q.to_weight_bytes();
-        let back = QuantizedMlp::from_weight_bytes(&bytes).expect("decodes");
-        assert_eq!(q, back);
-        let x = [0.3, -0.1, 0.7, 0.0, 1.5, -2.0];
-        assert_eq!(q.predict_one(&x).to_bits(), back.predict_one(&x).to_bits());
-    }
-
-    #[test]
-    fn quantized_decode_rejects_unknown_record_tag() {
-        let mut r = rng(12);
-        let q = QuantizedMlp::quantize(&Mlp::new(&[3, 5, 1], Activation::Relu, &mut r));
-        let mut payload = Vec::new();
-        write_quantized_mlp(&q, &mut payload);
-        // First layer's record tag sits right after the u32 layer count.
-        payload[4] = 9;
-        let framed = frame(PAYLOAD_QUANT_MLP, &payload);
-        assert_eq!(
-            QuantizedMlp::from_weight_bytes(&framed).unwrap_err(),
-            WeightsCodecError::UnknownRecordTag(9)
-        );
-    }
-
-    #[test]
-    fn quantized_decode_rejects_structural_corruption() {
-        let mut r = rng(13);
-        let q = QuantizedMlp::quantize(&Mlp::new(&[3, 5, 1], Activation::Relu, &mut r));
-        let mut payload = Vec::new();
-        write_quantized_mlp(&q, &mut payload);
-
-        // Truncation inside a layer record.
-        let mut truncated = payload.clone();
-        truncated.truncate(truncated.len() - 3);
-        let framed = frame(PAYLOAD_QUANT_MLP, &truncated);
-        assert_eq!(
-            QuantizedMlp::from_weight_bytes(&framed).unwrap_err(),
-            WeightsCodecError::Truncated
-        );
-
-        // Non-finite scale (offset: count 4 + tag 1 + dims 8 + activation 1).
-        let mut bad_scale = payload.clone();
-        bad_scale[14..22].copy_from_slice(&f64::NAN.to_le_bytes());
-        let framed = frame(PAYLOAD_QUANT_MLP, &bad_scale);
-        assert_eq!(
-            QuantizedMlp::from_weight_bytes(&framed).unwrap_err(),
-            WeightsCodecError::Malformed("quantization scale must be finite and positive")
-        );
-
-        // A huge declared dimension must fail cleanly, not allocate.
-        let mut huge = payload.clone();
-        huge[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-        let framed = frame(PAYLOAD_QUANT_MLP, &huge);
-        assert!(QuantizedMlp::from_weight_bytes(&framed).is_err());
-
-        // A plain-Mlp frame is rejected by payload kind, not misparsed.
-        let f64_frame = Mlp::new(&[3, 5, 1], Activation::Relu, &mut r).to_weight_bytes();
-        assert_eq!(
-            QuantizedMlp::from_weight_bytes(&f64_frame).unwrap_err(),
-            WeightsCodecError::UnknownPayload(PAYLOAD_MLP)
-        );
-    }
-
-    #[test]
     fn version_1_frames_still_decode() {
         // A v1 frame is a v2 frame with the version field rewritten: the
         // plain-Mlp payload layout never changed. Emulate a pre-upgrade
@@ -805,7 +596,7 @@ mod tests {
         }
         .to_string()
         .contains("checksum"));
-        assert!(WeightsCodecError::UnknownRecordTag(7)
+        assert!(WeightsCodecError::UnknownPayload(7)
             .to_string()
             .contains('7'));
         assert!(WeightsCodecError::Malformed("x").to_string().contains('x'));

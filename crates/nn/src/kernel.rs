@@ -53,11 +53,6 @@
 //! `Xᵀ·G` kernel, where one-hot-ish design matrices make the skip a real
 //! win; that kernel is shared verbatim by every dispatch choice, so
 //! training results never depend on `QCFE_KERNEL`.
-//!
-//! The int8 variants ([`matmul_i8`] / [`matmul_i8_with`]) follow the same
-//! ladder and the same contract with `b[p][j]` replaced by the dequantised
-//! `q[p][j] as f64`; the per-layer scale is applied by the caller after
-//! the accumulation (see [`crate::quant`]).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -231,46 +226,6 @@ pub fn matmul_f64_with(
     }
 }
 
-/// `out += a (m×k) * q (k×n, int8)` through the active kernel, with the
-/// int8 weights dequantised element-wise to `f64` inside the accumulation
-/// (`f64` accumulate, so precision matches the f64 path up to the weight
-/// rounding itself). The caller applies the per-layer scale afterwards.
-/// `out` must be zero-filled on entry.
-pub fn matmul_i8(a: &[f64], m: usize, k: usize, q: &[i8], n: usize, out: &mut [f64]) {
-    matmul_i8_with(active_kernel(), a, m, k, q, n, out);
-}
-
-/// [`matmul_i8`] with an explicit kernel choice.
-pub fn matmul_i8_with(
-    kernel: MatmulKernel,
-    a: &[f64],
-    m: usize,
-    k: usize,
-    q: &[i8],
-    n: usize,
-    out: &mut [f64],
-) {
-    check_shapes(a.len(), m, k, q.len(), n, out.len());
-    debug_assert!(
-        out.iter().all(|&v| v == 0.0),
-        "matmul kernel: out must be zeroed on entry"
-    );
-    match kernel {
-        MatmulKernel::Scalar => scalar_i8(a, m, k, q, n, out),
-        MatmulKernel::Portable => portable_i8(a, m, k, q, n, out),
-        MatmulKernel::Avx2 => {
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            if avx2_available() {
-                // SAFETY: shapes were checked above and AVX2+FMA are
-                // present on this CPU.
-                unsafe { x86::matmul_i8_avx2(a, m, k, q, n, out) };
-                return;
-            }
-            portable_i8(a, m, k, q, n, out)
-        }
-    }
-}
-
 /// Training-side `aᵀ (rows×a_cols)ᵀ · b (rows×b_cols)` accumulating into
 /// `out (a_cols×b_cols)`, with the per-element `a == 0.0` skip *kept*: the
 /// design matrices flowing through backprop (`Xᵀ·dZ` on one-hot-ish node
@@ -349,53 +304,9 @@ fn portable_f64(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f
     }
 }
 
-fn scalar_i8(a: &[f64], m: usize, k: usize, q: &[i8], n: usize, out: &mut [f64]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            let q_row = &q[p * n..(p + 1) * n];
-            for (o, &qv) in out_row.iter_mut().zip(q_row.iter()) {
-                *o += av * qv as f64;
-            }
-        }
-    }
-}
-
-fn portable_i8(a: &[f64], m: usize, k: usize, q: &[i8], n: usize, out: &mut [f64]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut p = 0;
-        while p + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-            let q0 = &q[p * n..(p + 1) * n];
-            let q1 = &q[(p + 1) * n..(p + 2) * n];
-            let q2 = &q[(p + 2) * n..(p + 3) * n];
-            let q3 = &q[(p + 3) * n..(p + 4) * n];
-            for j in 0..n {
-                out_row[j] = out_row[j]
-                    + a0 * q0[j] as f64
-                    + a1 * q1[j] as f64
-                    + a2 * q2[j] as f64
-                    + a3 * q3[j] as f64;
-            }
-            p += 4;
-        }
-        while p < k {
-            let av = a_row[p];
-            let q_row = &q[p * n..(p + 1) * n];
-            for (o, &qv) in out_row.iter_mut().zip(q_row.iter()) {
-                *o += av * qv as f64;
-            }
-            p += 1;
-        }
-    }
-}
-
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    //! The AVX2+FMA microkernels.
+    //! The AVX2+FMA microkernel.
     //!
     //! Shape: 4-row × 4-lane register blocks, `k` innermost. Each row of a
     //! block owns a private `__m256d` accumulator, so the per-row operation
@@ -497,90 +408,6 @@ mod x86 {
             out_row[j] = acc;
         }
     }
-
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available and that
-    /// `a.len() == m*k`, `q.len() == k*n`, `out.len() == m*n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_i8_avx2(
-        a: &[f64],
-        m: usize,
-        k: usize,
-        q: &[i8],
-        n: usize,
-        out: &mut [f64],
-    ) {
-        let nv = n / LANES * LANES;
-        let qp = q.as_ptr();
-        let op = out.as_mut_ptr();
-        // Sign-extend 4 packed i8 weights to 4 f64 lanes.
-        #[inline]
-        unsafe fn load4(ptr: *const i8) -> __m256d {
-            let raw = std::ptr::read_unaligned(ptr as *const i32);
-            _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(_mm_cvtsi32_si128(raw)))
-        }
-        let mut i = 0;
-        while i + 4 <= m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            let mut j = 0;
-            while j < nv {
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                let mut acc2 = _mm256_setzero_pd();
-                let mut acc3 = _mm256_setzero_pd();
-                for p in 0..k {
-                    let qv = load4(qp.add(p * n + j));
-                    acc0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.get_unchecked(p)), qv, acc0);
-                    acc1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1.get_unchecked(p)), qv, acc1);
-                    acc2 = _mm256_fmadd_pd(_mm256_set1_pd(*a2.get_unchecked(p)), qv, acc2);
-                    acc3 = _mm256_fmadd_pd(_mm256_set1_pd(*a3.get_unchecked(p)), qv, acc3);
-                }
-                _mm256_storeu_pd(op.add(i * n + j), acc0);
-                _mm256_storeu_pd(op.add((i + 1) * n + j), acc1);
-                _mm256_storeu_pd(op.add((i + 2) * n + j), acc2);
-                _mm256_storeu_pd(op.add((i + 3) * n + j), acc3);
-                j += LANES;
-            }
-            if nv < n {
-                scalar_cols_i8(a0, k, q, n, nv, &mut out[i * n..(i + 1) * n]);
-                scalar_cols_i8(a1, k, q, n, nv, &mut out[(i + 1) * n..(i + 2) * n]);
-                scalar_cols_i8(a2, k, q, n, nv, &mut out[(i + 2) * n..(i + 3) * n]);
-                scalar_cols_i8(a3, k, q, n, nv, &mut out[(i + 3) * n..(i + 4) * n]);
-            }
-            i += 4;
-        }
-        while i < m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let mut j = 0;
-            while j < nv {
-                let mut acc0 = _mm256_setzero_pd();
-                for p in 0..k {
-                    let qv = load4(qp.add(p * n + j));
-                    acc0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.get_unchecked(p)), qv, acc0);
-                }
-                _mm256_storeu_pd(op.add(i * n + j), acc0);
-                j += LANES;
-            }
-            if nv < n {
-                scalar_cols_i8(a0, k, q, n, nv, &mut out[i * n..(i + 1) * n]);
-            }
-            i += 1;
-        }
-    }
-
-    #[inline]
-    fn scalar_cols_i8(a_row: &[f64], k: usize, q: &[i8], n: usize, nv: usize, out_row: &mut [f64]) {
-        for j in nv..n {
-            let mut acc = 0.0;
-            for (p, &av) in a_row.iter().enumerate().take(k) {
-                acc += av * q[p * n + j] as f64;
-            }
-            out_row[j] = acc;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -656,35 +483,6 @@ mod tests {
             for (s, v) in scalar.iter().zip(&avx2) {
                 let tol = 1e-12 * s.abs().max(1.0);
                 assert!((s - v).abs() <= tol, "scalar {s} vs avx2 {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn i8_kernels_agree_across_dispatch() {
-        let mut r = rng(0xD00D);
-        for _ in 0..100 {
-            let m = r.gen_range(1usize..7);
-            let k = r.gen_range(1usize..15);
-            let n = r.gen_range(1usize..11);
-            let a = random_f64(&mut r, m * k);
-            let q: Vec<i8> = (0..k * n)
-                .map(|_| r.gen_range(-127i32..=127) as i8)
-                .collect();
-            let mut scalar = vec![0.0; m * n];
-            let mut portable = vec![0.0; m * n];
-            matmul_i8_with(MatmulKernel::Scalar, &a, m, k, &q, n, &mut scalar);
-            matmul_i8_with(MatmulKernel::Portable, &a, m, k, &q, n, &mut portable);
-            for (s, p) in scalar.iter().zip(&portable) {
-                assert_eq!(s.to_bits(), p.to_bits());
-            }
-            if MatmulKernel::Avx2.is_supported() {
-                let mut avx2 = vec![0.0; m * n];
-                matmul_i8_with(MatmulKernel::Avx2, &a, m, k, &q, n, &mut avx2);
-                for (s, v) in scalar.iter().zip(&avx2) {
-                    let tol = 1e-10 * s.abs().max(1.0);
-                    assert!((s - v).abs() <= tol, "scalar {s} vs avx2 {v}");
-                }
             }
         }
     }

@@ -24,10 +24,6 @@
 //! * a pluggable dense-kernel layer ([`kernel`]) behind every inference
 //!   matmul: runtime-detected AVX2+FMA microkernel with a bit-exact
 //!   portable fallback, overridable via `QCFE_KERNEL=scalar|portable|avx2`,
-//! * an opt-in int8 quantized inference path ([`quant`]:
-//!   [`QuantizedDenseLayer`](quant::QuantizedDenseLayer) /
-//!   [`QuantizedMlp`](quant::QuantizedMlp)) — per-layer symmetric
-//!   scale + zero-point, f64 accumulate, quantize-at-publish,
 //! * a tiny linear-algebra module with a least-squares solver (used to fit
 //!   the feature-snapshot coefficients of Table I),
 //! * dataset utilities (mini-batching, shuffling, train/test split, scaling),
@@ -70,7 +66,6 @@ pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optimizer;
-pub mod quant;
 
 pub use activation::Activation;
 pub use codec::WeightsCodecError;
@@ -80,9 +75,8 @@ pub use layer::DenseLayer;
 pub use linalg::{least_squares, ridge_regression, solve_linear_system, LinAlgError};
 pub use loss::Loss;
 pub use matrix::Matrix;
-pub use mlp::{BatchForward, InferenceScratch, Mlp, TrainConfig, TrainHistory};
+pub use mlp::{InferenceScratch, Mlp, TrainConfig, TrainHistory};
 pub use optimizer::Optimizer;
-pub use quant::{QuantizedDenseLayer, QuantizedMlp};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -93,9 +87,8 @@ pub mod prelude {
     pub use crate::linalg::{least_squares, ridge_regression};
     pub use crate::loss::Loss;
     pub use crate::matrix::Matrix;
-    pub use crate::mlp::{BatchForward, InferenceScratch, Mlp, TrainConfig, TrainHistory};
+    pub use crate::mlp::{InferenceScratch, Mlp, TrainConfig, TrainHistory};
     pub use crate::optimizer::Optimizer;
-    pub use crate::quant::{QuantizedDenseLayer, QuantizedMlp};
 }
 
 /// Errors produced by the neural-network substrate.

@@ -114,35 +114,6 @@ thread_local! {
     static TLS_SCRATCH: RefCell<(Matrix, InferenceScratch)> = RefCell::new(Default::default());
 }
 
-/// Batched-inference abstraction over the f64 [`Mlp`] and the int8
-/// [`QuantizedMlp`](crate::quant::QuantizedMlp): one matrix pass per layer
-/// into a caller-owned [`InferenceScratch`]. Lets batching engines (e.g.
-/// the serving layer's operator-grouped QPPNet path) run either
-/// representation through identical plumbing.
-pub trait BatchForward {
-    /// Input dimensionality.
-    fn input_dim(&self) -> usize;
-    /// Output dimensionality.
-    fn output_dim(&self) -> usize;
-    /// Allocation-free batched forward pass; returns a borrow of the
-    /// output matrix living inside `scratch` (one row per input row).
-    fn forward_batch_into<'a>(&self, x: &Matrix, scratch: &'a mut InferenceScratch) -> &'a Matrix;
-}
-
-impl BatchForward for Mlp {
-    fn input_dim(&self) -> usize {
-        Mlp::input_dim(self)
-    }
-
-    fn output_dim(&self) -> usize {
-        Mlp::output_dim(self)
-    }
-
-    fn forward_batch_into<'a>(&self, x: &Matrix, scratch: &'a mut InferenceScratch) -> &'a Matrix {
-        self.predict_batch_into(x, scratch)
-    }
-}
-
 /// A dense feed-forward network.
 #[derive(Debug, Clone)]
 pub struct Mlp {

@@ -440,24 +440,7 @@ impl QcfeGateway {
     /// fires, even while the shard is still working (the in-flight reply is
     /// discarded).
     pub fn estimate(&self, request: EstimateRequest) -> Result<EstimateResponse, QcfeError> {
-        let started = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let key = ModelKey::new(
-            request.benchmark,
-            request.options.estimator,
-            request.environment.fingerprint(),
-        );
-        let (shard, cold_start) =
-            self.shard(key, &request.environment, request.options.allow_transfer)?;
-        let deadline = request.deadline;
-        Self::check_deadline(deadline, started)?;
-        let submitted = Instant::now();
-        let spec = Self::submit_spec(&request, started);
-        let ticket = shard.handle.submit(request.plan, spec, None)?;
-        let estimate = Self::await_ticket(ticket, deadline, started)?;
-        Ok(assemble_response(
-            estimate, &shard, key, cold_start, started, submitted,
-        ))
+        self.submit(request)?.wait()
     }
 
     /// Submit one plan without waiting for the answer: the non-blocking
@@ -485,17 +468,8 @@ impl QcfeGateway {
     ) -> Result<PendingResponse, QcfeError> {
         let started = Instant::now();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let key = ModelKey::new(
-            request.benchmark,
-            request.options.estimator,
-            request.environment.fingerprint(),
-        );
-        let (shard, cold_start) =
-            self.shard(key, &request.environment, request.options.allow_transfer)?;
-        let deadline = request.deadline;
-        Self::check_deadline(deadline, started)?;
+        let (key, shard, cold_start, spec) = self.route(&request, started)?;
         let submitted = Instant::now();
-        let spec = Self::submit_spec(&request, started);
         let ticket = shard.handle.submit(request.plan, spec, notify)?;
         Ok(PendingResponse {
             ticket,
@@ -504,7 +478,7 @@ impl QcfeGateway {
             cold_start,
             started,
             submitted,
-            deadline,
+            deadline: request.deadline,
         })
     }
 
@@ -523,17 +497,9 @@ impl QcfeGateway {
         self.counters
             .requests
             .fetch_add(plan_count as u64, Ordering::Relaxed);
-        let key = ModelKey::new(
-            request.benchmark,
-            request.options.estimator,
-            request.environment.fingerprint(),
-        );
-        let (shard, cold_start) =
-            self.shard(key, &request.environment, request.options.allow_transfer)?;
+        let (key, shard, cold_start, spec) = self.route(&request, started)?;
         let deadline = request.deadline;
-        Self::check_deadline(deadline, started)?;
         let submitted = Instant::now();
-        let spec = Self::submit_spec(&request, started);
         let mut pending: Vec<PendingEstimate> = Vec::with_capacity(plan_count);
         pending.push(shard.handle.submit(request.plan, spec, None)?);
         for plan in extra_plans {
@@ -793,20 +759,6 @@ impl QcfeGateway {
         Ok(path)
     }
 
-    /// Publish a trained model in its int8-quantized form: the weights are
-    /// quantized (symmetric, per layer) at publish time, persisted as a
-    /// `QCFW` v2 sidecar, and served from the quantized representation —
-    /// the trade the paper's serving path wants when throughput matters
-    /// more than the last fraction of a percent of q-error. An already
-    /// quantized [`PersistedModel`] passes through unchanged.
-    pub fn publish_quantized_model(
-        &self,
-        key: ModelKey,
-        model: PersistedModel,
-    ) -> Result<PathBuf, QcfeError> {
-        self.publish_model(key, model.quantize())
-    }
-
     /// Register (or replace) a model under its serving key, returning the
     /// entry this insert evicted, if any. Evictions observed here feed
     /// [`GatewayStats::model_evictions`].
@@ -991,30 +943,36 @@ impl QcfeGateway {
         &self.registry
     }
 
-    fn check_deadline(
-        deadline: Option<std::time::Duration>,
+    /// The routing prelude every submission shares: resolve (or start) the
+    /// request's shard, fail with [`QcfeError::DeadlineExceeded`] if routing
+    /// already spent the deadline, and build the scheduler-facing
+    /// [`SubmitSpec`] — the tenant, whatever deadline budget remains, and
+    /// the blocking mode `options.shed_load` selects. Returns the serving
+    /// key, the shard, whether this call started it, and the spec.
+    fn route(
+        &self,
+        request: &EstimateRequest,
         started: Instant,
-    ) -> Result<(), QcfeError> {
-        if let Some(deadline) = deadline {
-            let elapsed = started.elapsed();
+    ) -> Result<(ModelKey, Arc<Shard>, bool, SubmitSpec), QcfeError> {
+        let key = ModelKey::new(
+            request.benchmark,
+            request.options.estimator,
+            request.environment.fingerprint(),
+        );
+        let (shard, cold_start) =
+            self.shard(key, &request.environment, request.options.allow_transfer)?;
+        let elapsed = started.elapsed();
+        if let Some(deadline) = request.deadline {
             if elapsed > deadline {
                 return Err(QcfeError::DeadlineExceeded { elapsed, deadline });
             }
         }
-        Ok(())
-    }
-
-    /// The scheduler-facing view of a request: its tenant, whatever
-    /// deadline budget remains after routing, and the blocking mode
-    /// `options.shed_load` selects.
-    fn submit_spec(request: &EstimateRequest, started: Instant) -> SubmitSpec {
-        SubmitSpec {
+        let spec = SubmitSpec {
             tenant: request.options.tenant,
-            deadline: request
-                .deadline
-                .map(|deadline| deadline.saturating_sub(started.elapsed())),
+            deadline: request.deadline.map(|d| d.saturating_sub(elapsed)),
             block_on_full: !request.options.shed_load,
-        }
+        };
+        Ok((key, shard, cold_start, spec))
     }
 
     /// Resolve (or start) the shard for `key`, returning it together with
@@ -1189,8 +1147,9 @@ impl QcfeGateway {
 }
 
 /// Assemble the caller-facing response from one consumed shard reply: the
-/// single point where both the blocking ([`QcfeGateway::estimate`]) and the
-/// polled ([`PendingResponse`]) paths stamp provenance, so the two are
+/// single point where both the blocking ([`PendingResponse::wait`], which
+/// [`QcfeGateway::estimate`] calls) and the polled
+/// ([`PendingResponse::try_wait`]) paths stamp provenance, so the two are
 /// bit-identical for the same reply.
 fn assemble_response(
     estimate: crate::service::Estimate,
@@ -1747,60 +1706,6 @@ mod tests {
         let stats = gateway.stats();
         assert_eq!(stats.model_loads, 1, "one disk load serves every request");
         assert_eq!(stats.registry.loads, 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// The quantized publish path end-to-end: quantize-at-publish, persist
-    /// as `QCFW` v2, drop the gateway, rebuild on the same root — the
-    /// restarted gateway reloads the *int8* sidecar and serves estimates
-    /// bit-identical to the pre-restart quantized ones.
-    #[test]
-    fn restarted_gateway_serves_quantized_weights_bit_identically() {
-        let root = temp_root("restart-int8");
-        let env = DbEnvironment::reference();
-        let key = ModelKey::new(
-            BenchmarkKind::Sysbench,
-            EstimatorKind::Mscn,
-            env.fingerprint(),
-        );
-        let persisted = tiny_persisted_mscn(37);
-        let plans: Vec<PlanNode> = (1..=6).map(|i| scan_plan(i as f64 * 10.0)).collect();
-
-        let before: Vec<u64> = {
-            let gateway = QcfeGateway::builder(&root).build().unwrap();
-            gateway
-                .publish_quantized_model(key, persisted.clone())
-                .expect("quantized weights persisted");
-            plans
-                .iter()
-                .map(|p| {
-                    let mut request = mscn_request(&env, 1.0);
-                    request.plan = p.clone();
-                    gateway.estimate(request).unwrap().cost_ms.to_bits()
-                })
-                .collect()
-        };
-        let gateway = QcfeGateway::builder(&root).build().unwrap();
-        // The sidecar on disk holds the int8 payload, not a re-expanded f64
-        // model.
-        let reloaded = gateway
-            .store()
-            .load_model(key.benchmark, key.estimator, key.fingerprint)
-            .expect("loads")
-            .expect("present");
-        assert!(reloaded.is_quantized());
-        assert_eq!(reloaded.name(), "MSCN-int8");
-        for (plan, &expected) in plans.iter().zip(&before) {
-            let mut request = mscn_request(&env, 1.0);
-            request.plan = plan.clone();
-            let response = gateway.estimate(request).unwrap();
-            assert_eq!(
-                response.cost_ms.to_bits(),
-                expected,
-                "restarted gateway must serve bit-identical quantized estimates"
-            );
-            assert!(response.provenance.model_from_disk);
-        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

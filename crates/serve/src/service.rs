@@ -1112,16 +1112,20 @@ mod tests {
             )
             .unwrap();
         // Poll until the hook reports completion; every poll must return
-        // instantly (None or the result), never block.
+        // instantly (None or the result), never block. The reply lands
+        // before the hook fires, so a poll in between can already take the
+        // estimate; keep it and stop polling the consumed ticket.
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        let mut estimate = None;
         while fired.load(Ordering::SeqCst) == 0 {
             assert!(Instant::now() < deadline, "completion hook never fired");
-            let _ = pending.try_wait().unwrap();
+            if estimate.is_none() {
+                estimate = pending.try_wait().unwrap();
+            }
             std::thread::yield_now();
         }
-        let estimate = pending
-            .try_wait()
-            .unwrap()
+        let estimate = estimate
+            .or_else(|| pending.try_wait().unwrap())
             .expect("notified ticket must hold its estimate");
         assert_eq!(estimate.cost_ms, 42.0);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "hook fires exactly once");

@@ -152,10 +152,10 @@ fn model_matches_estimator(model: &PersistedModel, estimator: EstimatorKind) -> 
     matches!(
         (model, estimator),
         (
-            PersistedModel::Mscn(_) | PersistedModel::MscnInt8(_),
+            PersistedModel::Mscn(_),
             EstimatorKind::Mscn | EstimatorKind::QcfeMscn
         ) | (
-            PersistedModel::QppNet(_) | PersistedModel::QppNetInt8(_),
+            PersistedModel::QppNet(_),
             EstimatorKind::QppNet | EstimatorKind::QcfeQpp
         )
     )

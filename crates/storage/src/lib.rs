@@ -6,16 +6,16 @@
 //! PostgreSQL instance, this crate provides a small but real storage engine
 //! that the `qcfe-db` execution simulator drives:
 //!
-//! * [`page`] — slotted pages with a fixed 8 KiB size (PostgreSQL's default),
-//! * [`heap`] — heap files built from slotted pages,
+//! * [`page`] — tuple addressing and page-count arithmetic for a fixed
+//!   8 KiB page size (PostgreSQL's default),
 //! * [`btree`] — an order-configurable B+tree index mapping integer keys to
 //!   tuple ids, with range scans and height/leaf accounting,
-//! * [`lsm`] — a simple leveled LSM tree used as the alternative storage
-//!   format, exhibiting the higher read-amplification the paper alludes to,
 //! * [`buffer`] — an LRU buffer pool that turns logical page accesses into
 //!   physical reads depending on `shared_buffers`-style capacity,
 //! * [`disk`] — disk/hardware profiles that translate physical I/O counts
-//!   into time.
+//!   into time,
+//! * [`StorageFormat`] — the heap + B+tree vs LSM choice, modelled by its
+//!   read and write amplification.
 //!
 //! The execution simulator asks this crate two kinds of questions: "how many
 //! logical/physical page accesses does this access path perform?" and "how
@@ -25,36 +25,16 @@
 pub mod btree;
 pub mod buffer;
 pub mod disk;
-pub mod heap;
-pub mod lsm;
 pub mod page;
 
 pub use btree::BPlusTree;
 pub use buffer::{AccessOutcome, BufferPool, BufferPoolStats};
 pub use disk::{DiskKind, DiskProfile};
-pub use heap::HeapFile;
-pub use lsm::LsmTree;
-pub use page::{Page, PageId, SlotId, TupleId, PAGE_SIZE};
+pub use page::{PageId, SlotId, TupleId, PAGE_SIZE};
 
 /// Errors raised by the storage engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// The tuple does not fit in a page.
-    TupleTooLarge {
-        /// Size of the tuple that was rejected.
-        size: usize,
-        /// Maximum tuple size a page can hold.
-        max: usize,
-    },
-    /// A page id was out of range for the file.
-    InvalidPage(u64),
-    /// A slot id was out of range for the page.
-    InvalidSlot {
-        /// Page on which the access was attempted.
-        page: u64,
-        /// Slot index that was requested.
-        slot: u16,
-    },
     /// A key was not found where one was required.
     KeyNotFound(i64),
 }
@@ -62,16 +42,6 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::TupleTooLarge { size, max } => {
-                write!(
-                    f,
-                    "tuple of {size} bytes exceeds the page payload limit of {max} bytes"
-                )
-            }
-            StorageError::InvalidPage(id) => write!(f, "page {id} does not exist"),
-            StorageError::InvalidSlot { page, slot } => {
-                write!(f, "slot {slot} does not exist on page {page}")
-            }
             StorageError::KeyNotFound(k) => write!(f, "key {k} not found"),
         }
     }
@@ -118,15 +88,6 @@ mod tests {
 
     #[test]
     fn errors_render_human_readable_messages() {
-        let e = StorageError::TupleTooLarge {
-            size: 9000,
-            max: 8000,
-        };
-        assert!(e.to_string().contains("9000"));
-        assert!(StorageError::InvalidPage(7).to_string().contains('7'));
-        assert!(StorageError::InvalidSlot { page: 1, slot: 2 }
-            .to_string()
-            .contains("slot 2"));
         assert!(StorageError::KeyNotFound(-5).to_string().contains("-5"));
     }
 

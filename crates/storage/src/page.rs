@@ -1,22 +1,21 @@
-//! Slotted pages.
+//! Page addressing and page-count arithmetic.
 //!
-//! Pages follow the classic slotted layout: a header with the slot count and
-//! the free-space pointer, a slot directory growing from the front, and tuple
-//! payloads growing from the back. The page size is fixed at 8 KiB, matching
-//! PostgreSQL's default block size so page-count arithmetic in the cost model
-//! lines up with the formulas the paper quotes.
+//! Relations are laid out as classic slotted pages: a header, a slot
+//! directory growing from the front, and tuple payloads growing from the
+//! back. The page size is fixed at 8 KiB, matching PostgreSQL's default
+//! block size so page-count arithmetic in the cost model lines up with the
+//! formulas the paper quotes.
 
-use crate::StorageError;
 use serde::{Deserialize, Serialize};
 
 /// Page size in bytes (PostgreSQL default block size).
 pub const PAGE_SIZE: usize = 8192;
 
 /// Bytes reserved for the page header.
-pub const PAGE_HEADER_SIZE: usize = 24;
+const PAGE_HEADER_SIZE: usize = 24;
 
 /// Bytes used per slot directory entry (offset + length).
-pub const SLOT_ENTRY_SIZE: usize = 4;
+const SLOT_ENTRY_SIZE: usize = 4;
 
 /// Identifier of a page within a file.
 pub type PageId = u64;
@@ -40,117 +39,6 @@ impl TupleId {
     }
 }
 
-/// A single slot directory entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    /// Byte offset of the tuple payload from the start of the page.
-    offset: u16,
-    /// Length of the tuple payload.
-    length: u16,
-}
-
-/// An in-memory slotted page.
-#[derive(Debug, Clone)]
-pub struct Page {
-    id: PageId,
-    /// Raw page image. Tuples grow from the back.
-    data: Vec<u8>,
-    /// Slot directory (kept structured rather than re-parsed from bytes).
-    slots: Vec<Slot>,
-    /// Offset of the first payload byte (free space ends here).
-    free_end: usize,
-}
-
-impl Page {
-    /// Create an empty page with the given id.
-    pub fn new(id: PageId) -> Self {
-        Page {
-            id,
-            data: vec![0u8; PAGE_SIZE],
-            slots: Vec::new(),
-            free_end: PAGE_SIZE,
-        }
-    }
-
-    /// The page id.
-    pub fn id(&self) -> PageId {
-        self.id
-    }
-
-    /// Number of tuples stored on the page.
-    pub fn tuple_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Remaining free bytes usable for a new tuple (accounting for the slot
-    /// directory entry the tuple would need).
-    pub fn free_space(&self) -> usize {
-        let used_front = PAGE_HEADER_SIZE + self.slots.len() * SLOT_ENTRY_SIZE;
-        self.free_end
-            .saturating_sub(used_front)
-            .saturating_sub(SLOT_ENTRY_SIZE)
-    }
-
-    /// Maximum payload a fresh page can hold.
-    pub fn max_tuple_size() -> usize {
-        PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE
-    }
-
-    /// Whether a tuple of `size` bytes fits on the page.
-    pub fn fits(&self, size: usize) -> bool {
-        size <= self.free_space()
-    }
-
-    /// Insert a tuple payload, returning its slot id.
-    pub fn insert(&mut self, payload: &[u8]) -> Result<SlotId, StorageError> {
-        if payload.len() > Self::max_tuple_size() {
-            return Err(StorageError::TupleTooLarge {
-                size: payload.len(),
-                max: Self::max_tuple_size(),
-            });
-        }
-        if !self.fits(payload.len()) {
-            return Err(StorageError::TupleTooLarge {
-                size: payload.len(),
-                max: self.free_space(),
-            });
-        }
-        let start = self.free_end - payload.len();
-        self.data[start..self.free_end].copy_from_slice(payload);
-        self.free_end = start;
-        let slot = Slot {
-            offset: start as u16,
-            length: payload.len() as u16,
-        };
-        self.slots.push(slot);
-        Ok((self.slots.len() - 1) as SlotId)
-    }
-
-    /// Read a tuple payload by slot id.
-    pub fn get(&self, slot: SlotId) -> Result<&[u8], StorageError> {
-        let s = self
-            .slots
-            .get(slot as usize)
-            .ok_or(StorageError::InvalidSlot {
-                page: self.id,
-                slot,
-            })?;
-        Ok(&self.data[s.offset as usize..(s.offset + s.length) as usize])
-    }
-
-    /// Iterate over all tuple payloads in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.slots
-            .iter()
-            .map(move |s| &self.data[s.offset as usize..(s.offset + s.length) as usize])
-    }
-
-    /// Bytes of payload stored (excluding header and slot directory).
-    pub fn payload_bytes(&self) -> usize {
-        PAGE_SIZE - self.free_end
-    }
-}
-
 /// How many pages a relation of `tuple_count` tuples with an average tuple
 /// width of `tuple_width` bytes occupies, assuming the standard fill factor.
 pub fn pages_for(tuple_count: u64, tuple_width: usize) -> u64 {
@@ -166,73 +54,6 @@ pub fn pages_for(tuple_count: u64, tuple_width: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fresh_page_is_empty() {
-        let p = Page::new(3);
-        assert_eq!(p.id(), 3);
-        assert_eq!(p.tuple_count(), 0);
-        assert_eq!(p.payload_bytes(), 0);
-        assert!(p.free_space() > 8000);
-    }
-
-    #[test]
-    fn insert_then_get_roundtrips() {
-        let mut p = Page::new(0);
-        let a = p.insert(b"hello").unwrap();
-        let b = p.insert(b"world!!").unwrap();
-        assert_eq!(p.get(a).unwrap(), b"hello");
-        assert_eq!(p.get(b).unwrap(), b"world!!");
-        assert_eq!(p.tuple_count(), 2);
-        assert_eq!(p.payload_bytes(), 12);
-    }
-
-    #[test]
-    fn iteration_preserves_insert_order() {
-        let mut p = Page::new(0);
-        for i in 0..10u8 {
-            p.insert(&[i; 16]).unwrap();
-        }
-        let collected: Vec<Vec<u8>> = p.iter().map(|t| t.to_vec()).collect();
-        assert_eq!(collected.len(), 10);
-        for (i, t) in collected.iter().enumerate() {
-            assert_eq!(t[0], i as u8);
-        }
-    }
-
-    #[test]
-    fn oversized_tuple_is_rejected() {
-        let mut p = Page::new(0);
-        let err = p.insert(&vec![0u8; PAGE_SIZE]).unwrap_err();
-        assert!(matches!(err, StorageError::TupleTooLarge { .. }));
-    }
-
-    #[test]
-    fn page_fills_up_and_rejects_overflow() {
-        let mut p = Page::new(0);
-        let tuple = vec![7u8; 1000];
-        let mut inserted = 0;
-        while p.fits(tuple.len()) {
-            p.insert(&tuple).unwrap();
-            inserted += 1;
-        }
-        assert!(
-            inserted >= 7,
-            "expected at least 7 KB of payload, got {inserted}"
-        );
-        assert!(p.insert(&tuple).is_err());
-        // existing data is still intact after the failed insert
-        assert_eq!(p.get(0).unwrap(), &tuple[..]);
-    }
-
-    #[test]
-    fn invalid_slot_access_errors() {
-        let p = Page::new(9);
-        assert_eq!(
-            p.get(4).unwrap_err(),
-            StorageError::InvalidSlot { page: 9, slot: 4 }
-        );
-    }
 
     #[test]
     fn pages_for_matches_capacity_arithmetic() {

@@ -1,27 +1,18 @@
-//! Property-style tests over the pluggable matmul kernels and the int8
-//! quantized weight path (seeded loops, same offline-proptest idiom as
-//! `properties.rs`).
+//! Property-style tests over the pluggable matmul kernels (seeded loops,
+//! same offline-proptest idiom as `properties.rs`).
 //!
 //! Acceptance bars:
 //!
 //! * the portable kernel is **bit-identical** to the scalar kernel on every
 //!   tested shape (same fixed accumulation order);
 //! * the AVX2 kernel (when the CPU has it) agrees with scalar within a
-//!   documented FMA tolerance, never bit-garbage;
-//! * int8 quantize→dequantize is bounded by half a quantization step;
-//! * quantized models round-trip the `QCFW` v2 codec bit-exactly and
-//!   corrupt buffers die with typed errors — while v1 frames still decode.
+//!   documented FMA tolerance, never bit-garbage.
 
-use qcfe::nn::codec::{
-    frame, unframe, WeightsCodecError, FRAME_HEADER_LEN, PAYLOAD_QUANT_MLP, QUANT_LAYER_TAG_INT8,
-    WEIGHTS_CODEC_VERSION,
-};
-use qcfe::nn::kernel::{matmul_f64_with, matmul_i8_with, MatmulKernel};
-use qcfe::nn::{Activation, Mlp, QuantizedMlp};
+use qcfe::nn::kernel::{matmul_f64_with, MatmulKernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Kernel-equivalence and codec properties run the full acceptance count.
+/// Kernel-equivalence properties run the full acceptance count.
 const CASES: usize = 1000;
 
 /// Adversarial matmul shapes exercised before random sampling takes over:
@@ -83,20 +74,6 @@ fn portable_kernel_is_bit_identical_to_scalar() {
                 "case {case} ({m}x{k}x{n}) element {i}: portable {p} != scalar {s}"
             );
         }
-
-        // Same contract for the int8 kernels.
-        let q: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-127i8..=127)).collect();
-        let mut scalar_q = vec![0.0; m * n];
-        let mut portable_q = vec![0.0; m * n];
-        matmul_i8_with(MatmulKernel::Scalar, &a, m, k, &q, n, &mut scalar_q);
-        matmul_i8_with(MatmulKernel::Portable, &a, m, k, &q, n, &mut portable_q);
-        for (i, (s, p)) in scalar_q.iter().zip(&portable_q).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                p.to_bits(),
-                "case {case} ({m}x{k}x{n}) int8 element {i}"
-            );
-        }
     }
 }
 
@@ -134,188 +111,5 @@ fn avx2_kernel_matches_scalar_within_fma_tolerance() {
                 );
             }
         }
-    }
-}
-
-fn random_mlp(rng: &mut StdRng) -> Mlp {
-    let layer_count = rng.gen_range(2usize..=4);
-    let sizes: Vec<usize> = (0..=layer_count)
-        .map(|_| rng.gen_range(1usize..=10))
-        .collect();
-    let hidden = Activation::ALL[rng.gen_range(0..Activation::ALL.len())];
-    let output = Activation::ALL[rng.gen_range(0..Activation::ALL.len())];
-    Mlp::with_output_activation(&sizes, hidden, output, rng)
-}
-
-/// Symmetric int8 quantization reconstructs every weight within half a
-/// quantization step (scale/2), and biases/dims/activations are carried
-/// over untouched.
-#[test]
-fn int8_quantization_roundtrip_error_is_bounded() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_51D2);
-    for case in 0..CASES {
-        let mlp = random_mlp(&mut rng);
-        let quantized = QuantizedMlp::quantize(&mlp);
-        assert_eq!(quantized.layer_count(), mlp.layer_count());
-        for (layer, qlayer) in mlp.layers().iter().zip(quantized.layers()) {
-            assert_eq!(layer.input_dim(), qlayer.input_dim(), "case {case}");
-            assert_eq!(layer.output_dim(), qlayer.output_dim(), "case {case}");
-            assert_eq!(layer.activation(), qlayer.activation(), "case {case}");
-            for (b, qb) in layer.biases().iter().zip(qlayer.biases()) {
-                assert_eq!(b.to_bits(), qb.to_bits(), "case {case}: bias bits");
-            }
-            let bound = qlayer.scale() / 2.0 + 1e-12;
-            for r in 0..layer.input_dim() {
-                for c in 0..layer.output_dim() {
-                    let w = layer.weights().get(r, c);
-                    let dq = qlayer.dequantized_weight(r, c);
-                    assert!(
-                        (w - dq).abs() <= bound,
-                        "case {case}: weight ({r},{c}) {w} reconstructs to {dq}, \
-                         over the scale/2 bound {bound}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Quantized models survive the `QCFW` v2 codec bit-exactly: every int8
-/// weight, scale, zero point, bias and activation — and therefore every
-/// prediction — and the serialization is deterministic.
-#[test]
-fn qcfw_v2_quantized_roundtrip_is_bit_identical() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_51D3);
-    for case in 0..CASES {
-        let quantized = QuantizedMlp::quantize(&random_mlp(&mut rng));
-        let bytes = quantized.to_weight_bytes();
-        assert_eq!(
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            WEIGHTS_CODEC_VERSION,
-            "case {case}: quantized frames are written at version 2"
-        );
-        let back = QuantizedMlp::from_weight_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("case {case}: valid buffer rejected: {e}"));
-        assert_eq!(back.layer_count(), quantized.layer_count(), "case {case}");
-        for (la, lb) in quantized.layers().iter().zip(back.layers()) {
-            assert_eq!(la.input_dim(), lb.input_dim(), "case {case}");
-            assert_eq!(la.output_dim(), lb.output_dim(), "case {case}");
-            assert_eq!(la.activation(), lb.activation(), "case {case}");
-            assert_eq!(la.scale().to_bits(), lb.scale().to_bits(), "case {case}");
-            assert_eq!(la.zero_point(), lb.zero_point(), "case {case}");
-            assert_eq!(la.weights_q(), lb.weights_q(), "case {case}: int8 bits");
-            for (ba, bb) in la.biases().iter().zip(lb.biases()) {
-                assert_eq!(ba.to_bits(), bb.to_bits(), "case {case}: bias bits");
-            }
-        }
-        let input: Vec<f64> = (0..quantized.input_dim())
-            .map(|_| rng.gen_range(-3.0f64..3.0))
-            .collect();
-        assert_eq!(
-            quantized.predict_one(&input).to_bits(),
-            back.predict_one(&input).to_bits(),
-            "case {case}: prediction must be bit-identical"
-        );
-        assert_eq!(back.to_weight_bytes(), bytes, "case {case}: deterministic");
-    }
-}
-
-/// Corrupt quantized buffers are rejected with *typed* errors — truncation,
-/// flipped magic, an unknown per-layer record tag (behind a valid
-/// checksum), arbitrary byte flips — and never panic. Version-1 frames
-/// (the f64-only era) still decode under the v2 reader.
-#[test]
-fn qcfw_v2_rejects_corruption_and_still_reads_v1() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_51D4);
-    for case in 0..CASES {
-        let quantized = QuantizedMlp::quantize(&random_mlp(&mut rng));
-        let bytes = quantized.to_weight_bytes();
-        match case % 5 {
-            0 => {
-                let cut = rng.gen_range(0..bytes.len());
-                let err = QuantizedMlp::from_weight_bytes(&bytes[..cut])
-                    .expect_err("truncated buffer must not decode");
-                assert!(
-                    matches!(
-                        err,
-                        WeightsCodecError::Truncated | WeightsCodecError::BadMagic
-                    ),
-                    "case {case}: cut {cut} gave {err:?}"
-                );
-            }
-            1 => {
-                let mut corrupt = bytes.clone();
-                corrupt[rng.gen_range(0usize..4)] ^= 0xFF;
-                assert_eq!(
-                    QuantizedMlp::from_weight_bytes(&corrupt)
-                        .expect_err("bad magic must not decode"),
-                    WeightsCodecError::BadMagic,
-                    "case {case}"
-                );
-            }
-            2 => {
-                // An unknown record tag must be a typed rejection even when
-                // the frame checksum is valid, so rig the tag and re-frame.
-                let (kind, payload) = unframe(&bytes).expect("valid frame");
-                assert_eq!(kind, PAYLOAD_QUANT_MLP, "case {case}");
-                let mut rigged = payload.to_vec();
-                // Layout: u32 layer count, then the first layer's tag byte.
-                assert_eq!(rigged[4], QUANT_LAYER_TAG_INT8, "case {case}");
-                rigged[4] = rng.gen_range(2u8..=u8::MAX);
-                let expected = rigged[4];
-                assert_eq!(
-                    QuantizedMlp::from_weight_bytes(&frame(PAYLOAD_QUANT_MLP, &rigged))
-                        .expect_err("unknown record tag must not decode"),
-                    WeightsCodecError::UnknownRecordTag(expected),
-                    "case {case}"
-                );
-            }
-            3 => {
-                // Any single flipped byte anywhere: typed error, no panic.
-                let mut corrupt = bytes.clone();
-                let index = rng.gen_range(0..corrupt.len());
-                corrupt[index] ^= rng.gen_range(1u8..=255);
-                if let Err(err) = QuantizedMlp::from_weight_bytes(&corrupt) {
-                    assert!(!err.to_string().is_empty(), "case {case}");
-                } else {
-                    // The only flip that can still decode is one that turns
-                    // the version field into another *supported* version
-                    // (the CRC covers kind + payload, not the header).
-                    assert_eq!(&corrupt[..4], &bytes[..4], "case {case}: flip at {index}");
-                    assert_eq!(&corrupt[8..], &bytes[8..], "case {case}: flip at {index}");
-                }
-            }
-            _ => {
-                // A v1 frame (f64 Mlp payload, version field rewritten to 1
-                // — the CRC covers kind + payload, not the version) still
-                // decodes; versions 0 and 3 are typed rejections.
-                let mlp = random_mlp(&mut rng);
-                let mut old = mlp.to_weight_bytes();
-                old[4..8].copy_from_slice(&1u32.to_le_bytes());
-                let back = Mlp::from_weight_bytes(&old)
-                    .unwrap_or_else(|e| panic!("case {case}: v1 frame rejected: {e}"));
-                let input: Vec<f64> = (0..mlp.input_dim())
-                    .map(|_| rng.gen_range(-3.0f64..3.0))
-                    .collect();
-                assert_eq!(
-                    mlp.predict_one(&input).to_bits(),
-                    back.predict_one(&input).to_bits(),
-                    "case {case}"
-                );
-                for bad in [0u32, 3] {
-                    let mut unsupported = old.clone();
-                    unsupported[4..8].copy_from_slice(&bad.to_le_bytes());
-                    assert_eq!(
-                        Mlp::from_weight_bytes(&unsupported)
-                            .expect_err("unknown version must not decode"),
-                        WeightsCodecError::UnsupportedVersion(bad),
-                        "case {case}"
-                    );
-                }
-            }
-        }
-        // The header length sanity-checks above rely on this constant not
-        // drifting silently.
-        assert_eq!(FRAME_HEADER_LEN, 21, "frame header layout changed");
     }
 }

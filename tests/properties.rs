@@ -11,7 +11,9 @@ use qcfe::db::expr::{ColumnRef, CompareOp, Predicate};
 use qcfe::db::plan::OperatorKind;
 use qcfe::db::stats::ColumnStats;
 use qcfe::db::types::Value;
-use qcfe::nn::codec::WeightsCodecError;
+use qcfe::nn::codec::{
+    WeightsCodecError, FRAME_HEADER_LEN, WEIGHTS_CODEC_MIN_VERSION, WEIGHTS_CODEC_VERSION,
+};
 use qcfe::nn::{least_squares, Activation, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -258,9 +260,13 @@ fn qcfw_roundtrip_is_bit_identical_for_random_mlps() {
 
 /// `QCFW` decode rejects truncation, flipped magic, unknown versions and
 /// arbitrary single-byte corruption with *typed* errors — never a panic,
-/// never silently different weights.
+/// never silently different weights. Every supported version decodes the
+/// same frame to the same weights.
 #[test]
 fn qcfw_decode_rejects_corruption_with_typed_errors() {
+    // The version-field offsets below rely on this header layout.
+    assert_eq!(FRAME_HEADER_LEN, 21, "frame header layout changed");
+    let supported = WEIGHTS_CODEC_MIN_VERSION..=WEIGHTS_CODEC_VERSION;
     let mut rng = StdRng::seed_from_u64(0xBAD5EED);
     for case in 0..QCFW_CASES {
         let mlp = random_mlp(&mut rng);
@@ -291,30 +297,57 @@ fn qcfw_decode_rejects_corruption_with_typed_errors() {
                 );
             }
             2 => {
-                // Unknown version.
+                // Unknown version: anything outside the supported range.
+                let version = loop {
+                    let v = rng.gen_range(0u32..=u32::MAX);
+                    if !supported.contains(&v) {
+                        break v;
+                    }
+                };
                 let mut corrupt = bytes.clone();
-                let version = rng.gen_range(2u32..=u32::MAX);
                 corrupt[4..8].copy_from_slice(&version.to_le_bytes());
                 assert_eq!(
                     Mlp::from_weight_bytes(&corrupt).expect_err("unknown version must not decode"),
                     WeightsCodecError::UnsupportedVersion(version),
                     "case {case}"
                 );
+                // Every supported version (the CRC covers kind + payload,
+                // not the version) decodes to bit-identical weights.
+                for version in supported.clone() {
+                    let mut older = bytes.clone();
+                    older[4..8].copy_from_slice(&version.to_le_bytes());
+                    let back = Mlp::from_weight_bytes(&older).unwrap_or_else(|e| {
+                        panic!("case {case}: version {version} frame rejected: {e}")
+                    });
+                    assert_eq!(back.to_weight_bytes(), bytes, "case {case}: v{version}");
+                }
             }
             _ => {
                 // A single flipped byte anywhere in the frame: magic,
-                // version, kind, length, CRC or payload — all typed
-                // rejections (the CRC catches everything the header
-                // validators don't).
+                // version, kind, length, CRC or payload — typed rejections
+                // (the CRC catches everything the header validators
+                // don't), with one exception: a version-field flip that
+                // lands on another supported version decodes, and must
+                // then yield bit-identical weights.
                 let mut corrupt = bytes.clone();
                 let index = rng.gen_range(0..corrupt.len());
                 let mask = rng.gen_range(1u8..=255);
                 corrupt[index] ^= mask;
-                let err = Mlp::from_weight_bytes(&corrupt)
-                    .expect_err("single-byte corruption must not decode");
-                // Any variant is acceptable; what matters is a typed error
-                // (and no panic). Exercise Display while at it.
-                assert!(!err.to_string().is_empty(), "case {case}");
+                match Mlp::from_weight_bytes(&corrupt) {
+                    // Any variant is acceptable; what matters is a typed
+                    // error (and no panic). Exercise Display while at it.
+                    Err(err) => assert!(!err.to_string().is_empty(), "case {case}"),
+                    Ok(back) => {
+                        assert!((4..8).contains(&index), "case {case}: flip at {index}");
+                        let version = u32::from_le_bytes(corrupt[4..8].try_into().unwrap());
+                        assert!(supported.contains(&version), "case {case}: v{version}");
+                        assert_eq!(
+                            back.to_weight_bytes(),
+                            bytes,
+                            "case {case}: flip at {index}"
+                        );
+                    }
+                }
             }
         }
     }
