@@ -39,15 +39,34 @@
 //! machine-readable `BENCH_serve.json` at the workspace root so future PRs
 //! can track the serving perf trajectory.
 //!
-//! The run fails (CI gate) if batched QPPNet inference falls below the
-//! scalar per-plan path, if the AVX2 kernel loses its ≥1.15x lead over the
-//! scalar kernel at batch 32 (on CPUs that have AVX2), if routed-gateway
-//! aggregate throughput falls more than 20% below the hand-wired
-//! per-service baseline, if scheduling fails to cut the compliant
-//! tenants' pooled p99 to ≤ 0.5x the FIFO baseline while they keep
-//! ≥ 80% goodput, or if the greedy tenant is not shed typed (nonzero
-//! client-side and per-tenant-metric shed counters; every request must
-//! resolve — served, shed or deadline-failed — in both runs).
+//! The run fails (CI gate) when any of these happens:
+//!
+//! * batched QPPNet inference falls below the scalar per-plan path;
+//! * the AVX2 kernel runs below 1.15x the scalar kernel at batch 32 (on
+//!   CPUs that have AVX2);
+//! * routed-gateway aggregate throughput falls more than 20% below the
+//!   hand-wired per-service baseline;
+//! * a cold restart from persisted `QCFW` weights is not faster than one
+//!   that retrains;
+//! * online refinement leaves the cold environment's mean q-error above
+//!   the transferred-snapshot error, or the label stream triggers no
+//!   refit or not exactly one promotion;
+//! * scheduling fails to cut the compliant tenants' pooled p99 to ≤ 0.5x
+//!   the FIFO baseline, a compliant tenant keeps < 80% goodput, or the
+//!   greedy tenant is not shed typed (nonzero client-side and
+//!   per-tenant-metric shed counters; every request must resolve —
+//!   served, shed or deadline-failed — in both runs);
+//! * after the replication kill, the survivors answer
+//!   non-bit-identically, the loop stops completing requests, or a
+//!   replica rejects shipped state;
+//! * the revived replica serves a stale read before its catch-up
+//!   promotes it, serves the re-published state non-bit-identically, a
+//!   re-ship is rejected, or the stale snapshot and weights are not both
+//!   re-shipped.
+//!
+//! Every section also fails on a dropped request, and the network section
+//! on a remote estimate that differs from its in-process twin or a
+//! faulted or malformed frame.
 //!
 //! Usage: `cargo run --release -p qcfe-bench --bin serve_throughput [--quick] [--seed N]`
 

@@ -677,9 +677,9 @@ impl QppNetEstimator {
     }
 
     /// Reference scalar implementation: the original recursive tree walk
-    /// running one allocating 1-row neural-unit forward per node. Kept
-    /// verbatim as the ground truth the batched engine is verified against
-    /// bit-for-bit, and as the baseline of the serving benchmark's
+    /// running one 1-row neural-unit forward ([`Mlp::predict_vec`]) per
+    /// node. Kept as the ground truth the batched engine is verified
+    /// against bit-for-bit, and as the baseline of the serving benchmark's
     /// batched-vs-scalar comparison.
     pub fn predict_scalar(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
         fn walk(
@@ -696,8 +696,7 @@ impl QppNetEstimator {
             let kind = node.op.kind();
             let features = est.encoder.encode_node(node, depth, snapshot);
             let input = est.unit_input(kind, &features, &child_outputs);
-            let out = est.units[&kind].predict(&Matrix::row_vector(&input));
-            out.row(0).to_vec()
+            est.units[&kind].predict_vec(&input)
         }
         walk(self, root, 0, snapshot)
             .first()

@@ -114,13 +114,6 @@ impl Activation {
             Activation::Softplus => 1.0 / (1.0 + (-x).exp()),
         }
     }
-
-    /// Whether the derivative can be exactly zero on a non-trivial input
-    /// region (the "gradient vanishing" property that motivates difference
-    /// propagation in the paper).
-    pub fn can_saturate_to_zero(&self) -> bool {
-        matches!(self, Activation::Relu)
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +135,6 @@ mod tests {
         assert_eq!(Activation::Relu.apply(-3.0), 0.0);
         assert_eq!(Activation::Relu.derivative(3.0), 1.0);
         assert_eq!(Activation::Relu.derivative(-3.0), 0.0);
-        assert!(Activation::Relu.can_saturate_to_zero());
-        assert!(!Activation::Sigmoid.can_saturate_to_zero());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Dataset container, mini-batching and feature scaling utilities.
+//! Dataset container with column projection, subsampling, shuffling and
+//! mini-batching.
 
 use crate::matrix::Matrix;
 use crate::NnError;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A supervised regression dataset: feature vectors with scalar targets.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,16 +61,6 @@ impl Dataset {
         &self.targets
     }
 
-    /// A single `(features, target)` pair.
-    pub fn sample(&self, idx: usize) -> (&[f64], f64) {
-        (&self.features[idx], self.targets[idx])
-    }
-
-    /// Feature rows as a `(n, dim)` matrix.
-    pub fn feature_matrix(&self) -> Matrix {
-        Matrix::from_rows(&self.features)
-    }
-
     /// Build a new dataset keeping only the listed feature columns
     /// (the core operation performed by feature reduction).
     pub fn project_columns(&self, keep: &[usize]) -> Result<Dataset, NnError> {
@@ -91,30 +81,6 @@ impl Dataset {
             .map(|row| keep.iter().map(|&c| row[c]).collect())
             .collect();
         Dataset::new(features, self.targets.clone())
-    }
-
-    /// Deterministically split into `(train, test)` with the given training
-    /// fraction, after a seeded shuffle.
-    pub fn train_test_split<R: Rng + ?Sized>(
-        &self,
-        train_fraction: f64,
-        rng: &mut R,
-    ) -> (Dataset, Dataset) {
-        assert!(
-            (0.0..=1.0).contains(&train_fraction),
-            "train_fraction must be within [0, 1]"
-        );
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        indices.shuffle(rng);
-        let cut = ((self.len() as f64) * train_fraction).round() as usize;
-        let cut = cut.clamp(1, self.len().saturating_sub(1).max(1));
-        let take = |idx: &[usize]| -> Dataset {
-            Dataset {
-                features: idx.iter().map(|&i| self.features[i].clone()).collect(),
-                targets: idx.iter().map(|&i| self.targets[i]).collect(),
-            }
-        };
-        (take(&indices[..cut]), take(&indices[cut..]))
     }
 
     /// Take a random subsample of `n` rows (used for reference sets in
@@ -154,145 +120,6 @@ impl Dataset {
         let targets = indices.iter().map(|&i| self.targets[i]).collect();
         self.features = features;
         self.targets = targets;
-    }
-
-    /// Append all samples of another dataset (dimensions must agree).
-    pub fn extend(&mut self, other: &Dataset) -> Result<(), NnError> {
-        if other.dim() != self.dim() {
-            return Err(NnError::InvalidDataset(format!(
-                "cannot extend dim {} dataset with dim {} dataset",
-                self.dim(),
-                other.dim()
-            )));
-        }
-        self.features.extend(other.features.iter().cloned());
-        self.targets.extend_from_slice(&other.targets);
-        Ok(())
-    }
-}
-
-/// The kind of feature scaling applied by a [`Scaler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScalerKind {
-    /// Rescale each column to `[0, 1]` by its min/max.
-    MinMax,
-    /// Standardise each column to zero mean / unit variance.
-    Standard,
-    /// Leave features untouched.
-    Identity,
-}
-
-/// Column-wise feature scaler fitted on a training set and applied to both
-/// training and test features (one-hot columns pass through unchanged under
-/// min-max scaling because their range is already `[0, 1]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Scaler {
-    kind: ScalerKind,
-    /// Per-column offset (min or mean).
-    offsets: Vec<f64>,
-    /// Per-column divisor (range or standard deviation), never zero.
-    divisors: Vec<f64>,
-}
-
-impl Scaler {
-    /// Fit a scaler on a dataset's feature columns.
-    pub fn fit(kind: ScalerKind, data: &Dataset) -> Scaler {
-        let dim = data.dim();
-        let n = data.len() as f64;
-        match kind {
-            ScalerKind::Identity => Scaler {
-                kind,
-                offsets: vec![0.0; dim],
-                divisors: vec![1.0; dim],
-            },
-            ScalerKind::MinMax => {
-                let mut mins = vec![f64::INFINITY; dim];
-                let mut maxs = vec![f64::NEG_INFINITY; dim];
-                for row in data.features() {
-                    for c in 0..dim {
-                        mins[c] = mins[c].min(row[c]);
-                        maxs[c] = maxs[c].max(row[c]);
-                    }
-                }
-                let divisors = mins
-                    .iter()
-                    .zip(&maxs)
-                    .map(|(lo, hi)| {
-                        let d = hi - lo;
-                        if d.abs() < 1e-12 {
-                            1.0
-                        } else {
-                            d
-                        }
-                    })
-                    .collect();
-                Scaler {
-                    kind,
-                    offsets: mins,
-                    divisors,
-                }
-            }
-            ScalerKind::Standard => {
-                let mut means = vec![0.0; dim];
-                for row in data.features() {
-                    for c in 0..dim {
-                        means[c] += row[c];
-                    }
-                }
-                for m in &mut means {
-                    *m /= n;
-                }
-                let mut vars = vec![0.0; dim];
-                for row in data.features() {
-                    for c in 0..dim {
-                        vars[c] += (row[c] - means[c]).powi(2);
-                    }
-                }
-                let divisors = vars
-                    .iter()
-                    .map(|v| {
-                        let s = (v / n).sqrt();
-                        if s < 1e-12 {
-                            1.0
-                        } else {
-                            s
-                        }
-                    })
-                    .collect();
-                Scaler {
-                    kind,
-                    offsets: means,
-                    divisors,
-                }
-            }
-        }
-    }
-
-    /// Scaler kind.
-    pub fn kind(&self) -> ScalerKind {
-        self.kind
-    }
-
-    /// Transform a single feature row.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.offsets.len(), "scaler dimension mismatch");
-        row.iter()
-            .zip(self.offsets.iter().zip(&self.divisors))
-            .map(|(v, (o, d))| (v - o) / d)
-            .collect()
-    }
-
-    /// Transform a whole dataset, preserving targets.
-    pub fn transform(&self, data: &Dataset) -> Dataset {
-        let features = data
-            .features()
-            .iter()
-            .map(|r| self.transform_row(r))
-            .collect();
-        Dataset {
-            features,
-            targets: data.targets().to_vec(),
-        }
     }
 }
 
@@ -335,15 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn split_partitions_all_samples() {
-        let d = toy();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let (train, test) = d.train_test_split(0.75, &mut rng);
-        assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(train.len(), 3);
-    }
-
-    #[test]
     fn batches_cover_every_sample_once() {
         let d = toy();
         let batches = d.batches(3);
@@ -360,59 +178,5 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         assert_eq!(d.subsample(2, &mut rng).len(), 2);
         assert_eq!(d.subsample(100, &mut rng).len(), d.len());
-    }
-
-    #[test]
-    fn minmax_scaler_maps_to_unit_interval() {
-        let d = toy();
-        let s = Scaler::fit(ScalerKind::MinMax, &d);
-        let t = s.transform(&d);
-        for row in t.features() {
-            for &v in row {
-                assert!((0.0..=1.0).contains(&v), "{v}");
-            }
-        }
-        // one-hot-ish column 2 passes through unchanged
-        assert_eq!(t.features()[1][2], 1.0);
-        assert_eq!(t.features()[0][2], 0.0);
-    }
-
-    #[test]
-    fn standard_scaler_centers_columns() {
-        let d = toy();
-        let s = Scaler::fit(ScalerKind::Standard, &d);
-        let t = s.transform(&d);
-        for c in 0..d.dim() {
-            let mean: f64 = t.features().iter().map(|r| r[c]).sum::<f64>() / t.len() as f64;
-            assert!(mean.abs() < 1e-9, "column {c} mean {mean}");
-        }
-    }
-
-    #[test]
-    fn identity_scaler_is_a_noop() {
-        let d = toy();
-        let s = Scaler::fit(ScalerKind::Identity, &d);
-        assert_eq!(s.transform(&d), d);
-    }
-
-    #[test]
-    fn constant_column_does_not_divide_by_zero() {
-        let d = Dataset::new(vec![vec![5.0], vec![5.0]], vec![1.0, 2.0]).unwrap();
-        let s = Scaler::fit(ScalerKind::MinMax, &d);
-        let t = s.transform(&d);
-        assert!(t.features().iter().all(|r| r[0].is_finite()));
-        let s = Scaler::fit(ScalerKind::Standard, &d);
-        let t = s.transform(&d);
-        assert!(t.features().iter().all(|r| r[0].is_finite()));
-    }
-
-    #[test]
-    fn extend_checks_dimensions() {
-        let mut d = toy();
-        let other = toy();
-        d.extend(&other).unwrap();
-        assert_eq!(d.len(), 8);
-        let bad = Dataset::new(vec![vec![1.0]], vec![0.0]).unwrap();
-        assert!(d.extend(&bad).is_err());
     }
 }

@@ -50,9 +50,19 @@
 //! The former per-element `a == 0.0` skip of the dense loops is gone — on
 //! dense MLP weights it branch-predicts poorly and defeats vectorisation.
 //! It survives only in [`t_matmul_sparse`], the training-side
-//! `Xᵀ·G` kernel, where one-hot-ish design matrices make the skip a real
-//! win; that kernel is shared verbatim by every dispatch choice, so
-//! training results never depend on `QCFE_KERNEL`.
+//! `Xᵀ·dZ` kernel, where one-hot-ish design matrices make the skip a real
+//! win.
+//!
+//! # Training and the kernel choice
+//!
+//! Only the two backward products are kernel-independent: `Xᵀ·dZ`
+//! ([`t_matmul_sparse`]) and `dZ·Wᵀ` (`Matrix::matmul_t`) run the same
+//! code under every dispatch choice. The training forward
+//! (`DenseLayer::forward_explicit`) multiplies through `Matrix::matmul`,
+//! i.e. through the active kernel. So training is bit-identical across
+//! scalar and portable, and under AVX2 it differs from them by FMA
+//! rounding: the same seed trains different low bits of the weights, and
+//! so different `QCFW` bytes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -230,8 +240,9 @@ pub fn matmul_f64_with(
 /// `out (a_cols×b_cols)`, with the per-element `a == 0.0` skip *kept*: the
 /// design matrices flowing through backprop (`Xᵀ·dZ` on one-hot-ish node
 /// encodings) are genuinely sparse, so the branch wins there. One shared
-/// implementation serves every kernel choice — training never depends on
-/// `QCFE_KERNEL`.
+/// implementation serves every kernel choice, so this product does not
+/// depend on `QCFE_KERNEL`; the training forward does (see the module
+/// docs).
 pub fn t_matmul_sparse(
     a: &[f64],
     rows: usize,

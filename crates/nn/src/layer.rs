@@ -1,9 +1,10 @@
-//! A fully-connected layer with cached forward state and an explicit
-//! backward pass.
+//! A fully-connected layer with an explicit forward/backward pair.
 //!
 //! The layer computes `Y = act(X * W + b)` for a batch `X` (one sample per
-//! row). The backward pass consumes `dL/dY` and produces `dL/dX` while
-//! accumulating `dL/dW` and `dL/db` internally for the optimizer to consume.
+//! row). The layer holds no forward state: [`DenseLayer::forward_explicit`]
+//! returns the pre-activation and the caller hands it, with the input, back
+//! to [`DenseLayer::backward_explicit`], which produces `dL/dX` while
+//! accumulating `dL/dW` and `dL/db` for the optimizer to consume.
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
@@ -18,10 +19,6 @@ pub struct DenseLayer {
     biases: Vec<f64>,
     /// Activation applied element-wise to the affine output.
     activation: Activation,
-    /// Cached input of the most recent forward pass (batch x input_dim).
-    cached_input: Option<Matrix>,
-    /// Cached pre-activation of the most recent forward pass (batch x output_dim).
-    cached_pre_activation: Option<Matrix>,
     /// Accumulated weight gradient.
     grad_weights: Matrix,
     /// Accumulated bias gradient.
@@ -40,8 +37,6 @@ impl DenseLayer {
             weights: Matrix::xavier_uniform(input_dim, output_dim, rng),
             biases: vec![0.0; output_dim],
             activation,
-            cached_input: None,
-            cached_pre_activation: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_biases: vec![0.0; output_dim],
         }
@@ -60,8 +55,6 @@ impl DenseLayer {
             weights,
             biases,
             activation,
-            cached_input: None,
-            cached_pre_activation: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_biases: vec![0.0; output_dim],
         }
@@ -117,39 +110,10 @@ impl DenseLayer {
         &self.grad_biases
     }
 
-    /// Forward pass, caching the state needed for `backward`.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.input_dim(),
-            "forward: input has {} columns, layer expects {}",
-            input.cols(),
-            self.input_dim()
-        );
-        let pre = input.matmul(&self.weights).add_row_broadcast(&self.biases);
-        let out = pre.map(|v| self.activation.apply(v));
-        self.cached_input = Some(input.clone());
-        self.cached_pre_activation = Some(pre);
-        out
-    }
-
-    /// Forward pass without caching; usable on `&self` for pure inference.
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.input_dim(),
-            "forward_inference: dimension mismatch"
-        );
-        input
-            .matmul(&self.weights)
-            .add_row_broadcast(&self.biases)
-            .map(|v| self.activation.apply(v))
-    }
-
-    /// Allocation-free variant of [`DenseLayer::forward_inference`]: writes
-    /// the activations into a caller-owned buffer (reshaped in place). This
-    /// is the kernel behind the batched inference path — the buffer is part
-    /// of an [`crate::mlp::InferenceScratch`] reused across calls.
+    /// Inference forward pass: writes the activations into a caller-owned
+    /// buffer (reshaped in place). This is the kernel behind the batched
+    /// inference path — the buffer is part of an
+    /// [`crate::mlp::InferenceScratch`] reused across calls.
     pub fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(
             input.cols(),
@@ -161,55 +125,12 @@ impl DenseLayer {
         out.map_inplace(|v| self.activation.apply(v));
     }
 
-    /// Backward pass.
+    /// Training forward pass.
     ///
-    /// `grad_output` is `dL/dY` with one row per batch sample. Gradients with
-    /// respect to the parameters are *accumulated* (use [`zero_grad`] between
-    /// optimizer steps); the return value is `dL/dX`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let pre = self
-            .cached_pre_activation
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(
-            grad_output.shape(),
-            pre.shape(),
-            "backward: grad shape mismatch"
-        );
-
-        // dZ = dY ⊙ act'(Z)
-        let mut grad_pre = grad_output.clone();
-        for r in 0..grad_pre.rows() {
-            for c in 0..grad_pre.cols() {
-                let d = self.activation.derivative(pre.get(r, c));
-                grad_pre.set(r, c, grad_pre.get(r, c) * d);
-            }
-        }
-
-        // dW += X^T dZ ; db += colsum(dZ)
-        let grad_w = input.t_matmul(&grad_pre);
-        self.grad_weights.add_assign(&grad_w);
-        for (gb, s) in self.grad_biases.iter_mut().zip(grad_pre.col_sums()) {
-            *gb += s;
-        }
-
-        // dX = dZ W^T
-        grad_pre.matmul_t(&self.weights)
-    }
-
-    /// Functional forward pass that does not touch the internal cache.
-    ///
-    /// Returns `(pre_activation, output)`; the caller owns the cache. This is
-    /// what the tree-structured QPPNet trainer uses, because a single shared
-    /// neural unit is applied to many plan nodes before any backward pass
-    /// runs.
+    /// Returns `(pre_activation, output)`; the caller keeps both (with the
+    /// input) for [`DenseLayer::backward_explicit`]. Holding the state
+    /// outside the layer lets one shared QPPNet unit run at many plan nodes
+    /// before any backward pass.
     pub fn forward_explicit(&self, input: &Matrix) -> (Matrix, Matrix) {
         assert_eq!(
             input.cols(),
@@ -221,11 +142,12 @@ impl DenseLayer {
         (pre, out)
     }
 
-    /// Functional backward pass using caller-provided cached state.
+    /// Backward pass for a prior [`DenseLayer::forward_explicit`] call.
     ///
-    /// Accumulates parameter gradients exactly like [`DenseLayer::backward`]
-    /// but takes the forward-pass `input` and `pre_activation` explicitly
-    /// instead of reading the internal cache.
+    /// `grad_output` is `dL/dY` with one row per batch sample. Gradients with
+    /// respect to the parameters are *accumulated* (use
+    /// [`DenseLayer::zero_grad`] between optimizer steps); the return value
+    /// is `dL/dX`.
     pub fn backward_explicit(
         &mut self,
         input: &Matrix,
@@ -233,14 +155,39 @@ impl DenseLayer {
         grad_output: &Matrix,
     ) -> Matrix {
         assert_eq!(
-            grad_output.shape(),
-            pre_activation.shape(),
-            "backward_explicit: grad shape"
-        );
-        assert_eq!(
             input.rows(),
             pre_activation.rows(),
             "backward_explicit: batch size"
+        );
+        let grad_pre = self.pre_activation_grad(pre_activation, grad_output);
+        // dW += Xᵀ·dZ ; db += colsum(dZ)
+        let grad_w = input.t_matmul(&grad_pre);
+        self.grad_weights.add_assign(&grad_w);
+        for (gb, s) in self.grad_biases.iter_mut().zip(grad_pre.col_sums()) {
+            *gb += s;
+        }
+        // dX = dZ·Wᵀ
+        grad_pre.matmul_t(&self.weights)
+    }
+
+    /// `dL/dX` for a prior [`DenseLayer::forward_explicit`] call, without
+    /// accumulating any parameter gradient: the input-gradient half of
+    /// [`DenseLayer::backward_explicit`], with the same arithmetic.
+    pub(crate) fn input_gradient_explicit(
+        &self,
+        pre_activation: &Matrix,
+        grad_output: &Matrix,
+    ) -> Matrix {
+        self.pre_activation_grad(pre_activation, grad_output)
+            .matmul_t(&self.weights)
+    }
+
+    /// `dZ = dY ⊙ act'(Z)`, shared by both backward steps.
+    fn pre_activation_grad(&self, pre_activation: &Matrix, grad_output: &Matrix) -> Matrix {
+        assert_eq!(
+            grad_output.shape(),
+            pre_activation.shape(),
+            "backward: grad shape must match the pre-activation"
         );
         let mut grad_pre = grad_output.clone();
         for r in 0..grad_pre.rows() {
@@ -249,12 +196,7 @@ impl DenseLayer {
                 grad_pre.set(r, c, grad_pre.get(r, c) * d);
             }
         }
-        let grad_w = input.t_matmul(&grad_pre);
-        self.grad_weights.add_assign(&grad_w);
-        for (gb, s) in self.grad_biases.iter_mut().zip(grad_pre.col_sums()) {
-            *gb += s;
-        }
-        grad_pre.matmul_t(&self.weights)
+        grad_pre
     }
 
     /// Reset the accumulated parameter gradients to zero.
@@ -263,12 +205,6 @@ impl DenseLayer {
         for g in &mut self.grad_biases {
             *g = 0.0;
         }
-    }
-
-    /// Drop cached forward state (frees memory between epochs).
-    pub fn clear_cache(&mut self) {
-        self.cached_input = None;
-        self.cached_pre_activation = None;
     }
 }
 
@@ -285,9 +221,9 @@ mod tests {
 
     #[test]
     fn forward_matches_manual_affine() {
-        let mut l = tiny_layer();
+        let l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = l.forward(&x);
+        let (_, y) = l.forward_explicit(&x);
         // [1,1] * [[1,2],[3,4]] + [0.5,-0.5] = [4.5, 5.5]
         assert_eq!(y.row(0), &[4.5, 5.5]);
     }
@@ -295,8 +231,9 @@ mod tests {
     #[test]
     fn relu_masks_negative_preactivations() {
         let w = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
-        let mut l = DenseLayer::with_parameters(w, vec![0.0, 0.0], Activation::Relu);
-        let y = l.forward(&Matrix::from_vec(1, 1, vec![2.0]));
+        let l = DenseLayer::with_parameters(w, vec![0.0, 0.0], Activation::Relu);
+        let (pre, y) = l.forward_explicit(&Matrix::from_vec(1, 1, vec![2.0]));
+        assert_eq!(pre.row(0), &[2.0, -2.0]);
         assert_eq!(y.row(0), &[2.0, 0.0]);
     }
 
@@ -304,10 +241,12 @@ mod tests {
     fn backward_produces_expected_gradients() {
         let mut l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = l.forward(&x);
-        let grad_in = l.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        let (pre, _) = l.forward_explicit(&x);
+        let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let grad_in = l.backward_explicit(&x, &pre, &dy);
         // dX = dY * W^T = [1,1] * [[1,3],[2,4]] = [3, 7]
         assert_eq!(grad_in.row(0), &[3.0, 7.0]);
+        assert_eq!(l.input_gradient_explicit(&pre, &dy), grad_in);
         // dW = X^T dY = [[1],[2]] * [1,1] = [[1,1],[2,2]]
         assert_eq!(l.grad_weights().as_slice(), &[1.0, 1.0, 2.0, 2.0]);
         assert_eq!(l.grad_biases(), &[1.0, 1.0]);
@@ -318,8 +257,8 @@ mod tests {
         let mut l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         for _ in 0..3 {
-            let _ = l.forward(&x);
-            let _ = l.backward(&Matrix::from_vec(1, 2, vec![1.0, 0.0]));
+            let (pre, _) = l.forward_explicit(&x);
+            let _ = l.backward_explicit(&x, &pre, &Matrix::from_vec(1, 2, vec![1.0, 0.0]));
         }
         assert_eq!(l.grad_weights().get(0, 0), 3.0);
         l.zero_grad();
@@ -328,27 +267,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_matches_forward() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut l = DenseLayer::new(4, 3, Activation::Tanh, &mut rng);
-        let x = Matrix::from_vec(2, 4, (0..8).map(|i| i as f64 * 0.1).collect());
-        let a = l.forward(&x);
-        let b = l.forward_inference(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn forward_inference_into_matches_forward_inference() {
+    fn forward_inference_into_matches_forward_explicit() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let l = DenseLayer::new(5, 3, Activation::Relu, &mut rng);
         let x = Matrix::from_vec(4, 5, (0..20).map(|i| i as f64 * 0.07 - 0.5).collect());
         let mut out = Matrix::default();
         l.forward_inference_into(&x, &mut out);
-        assert_eq!(out, l.forward_inference(&x));
+        assert_eq!(out, l.forward_explicit(&x).1);
         // Reuse with a different batch size.
         let y = Matrix::from_vec(1, 5, (0..5).map(|i| i as f64).collect());
         l.forward_inference_into(&y, &mut out);
-        assert_eq!(out, l.forward_inference(&y));
+        assert_eq!(out, l.forward_explicit(&y).1);
     }
 
     #[test]
@@ -356,12 +285,5 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let l = DenseLayer::new(10, 5, Activation::Relu, &mut rng);
         assert_eq!(l.parameter_count(), 10 * 5 + 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_without_forward_panics() {
-        let mut l = tiny_layer();
-        let _ = l.backward(&Matrix::zeros(1, 2));
     }
 }

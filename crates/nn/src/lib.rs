@@ -9,14 +9,16 @@
 //!
 //! * a row-major [`Matrix`](matrix::Matrix) type with the handful of BLAS-like
 //!   kernels required by dense layers,
-//! * [`DenseLayer`](layer::DenseLayer) with forward/backward passes,
+//! * [`DenseLayer`](layer::DenseLayer) with one explicit forward/backward
+//!   pair whose caller keeps the forward state,
 //! * the activations used by existing cost estimators (ReLU in QPPNet,
 //!   sigmoid/ReLU in MSCN),
 //! * mean-squared / q-error-friendly losses,
-//! * SGD (with momentum) and Adam optimizers,
-//! * an [`Mlp`](mlp::Mlp) that composes the above and can additionally return
-//!   the gradient of its output with respect to its *input* (needed by the
-//!   gradient feature-reduction baseline of the paper),
+//! * the Adam optimizer,
+//! * an [`Mlp`](mlp::Mlp) that composes the above into one training path
+//!   and can additionally return the gradient of its output with respect to
+//!   its *input* (needed by the gradient feature-reduction baseline of the
+//!   paper),
 //! * an allocation-free batched inference path
 //!   ([`Mlp::predict_batch_into`](mlp::Mlp::predict_batch_into) with
 //!   caller-owned [`InferenceScratch`](mlp::InferenceScratch) buffers) used
@@ -26,7 +28,8 @@
 //!   portable fallback, overridable via `QCFE_KERNEL=scalar|portable|avx2`,
 //! * a tiny linear-algebra module with a least-squares solver (used to fit
 //!   the feature-snapshot coefficients of Table I),
-//! * dataset utilities (mini-batching, shuffling, train/test split, scaling),
+//! * dataset utilities (column projection, subsampling, shuffling,
+//!   mini-batching),
 //! * the versioned, checksummed `QCFW` weight codec ([`codec`]) that
 //!   persists trained [`Mlp`](mlp::Mlp) parameters bit-exactly for the
 //!   serving layer's restart-without-retraining path.
@@ -69,7 +72,7 @@ pub mod optimizer;
 
 pub use activation::Activation;
 pub use codec::WeightsCodecError;
-pub use dataset::{Dataset, Scaler, ScalerKind};
+pub use dataset::Dataset;
 pub use kernel::MatmulKernel;
 pub use layer::DenseLayer;
 pub use linalg::{least_squares, ridge_regression, solve_linear_system, LinAlgError};
@@ -81,7 +84,7 @@ pub use optimizer::Optimizer;
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::activation::Activation;
-    pub use crate::dataset::{Dataset, Scaler, ScalerKind};
+    pub use crate::dataset::Dataset;
     pub use crate::kernel::MatmulKernel;
     pub use crate::layer::DenseLayer;
     pub use crate::linalg::{least_squares, ridge_regression};

@@ -162,33 +162,6 @@ fn xt_vec(x: &Matrix, y: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Coefficient of determination (R^2) of a fitted linear model, used to
-/// sanity-check feature-snapshot fits.
-pub fn r_squared(x: &Matrix, y: &[f64], beta: &[f64]) -> f64 {
-    assert_eq!(x.cols(), beta.len(), "beta length must equal feature count");
-    assert_eq!(x.rows(), y.len(), "row count must equal target count");
-    if y.is_empty() {
-        return 0.0;
-    }
-    let mean = y.iter().sum::<f64>() / y.len() as f64;
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for (r, &yv) in y.iter().enumerate() {
-        let pred: f64 = x.row(r).iter().zip(beta).map(|(a, b)| a * b).sum();
-        ss_res += (yv - pred).powi(2);
-        ss_tot += (yv - mean).powi(2);
-    }
-    if ss_tot < 1e-12 {
-        if ss_res < 1e-12 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +212,6 @@ mod tests {
         let beta = least_squares(&x, &y).unwrap();
         assert!((beta[0] - 3.0).abs() < 1e-8);
         assert!((beta[1] - 7.0).abs() < 1e-8);
-        assert!(r_squared(&x, &y, &beta) > 0.999_999);
     }
 
     #[test]
@@ -278,13 +250,5 @@ mod tests {
         let large = ridge_regression(&x, &y, 1e6).unwrap()[0];
         assert!((small - 2.0).abs() < 1e-3);
         assert!(large.abs() < small.abs());
-    }
-
-    #[test]
-    fn r_squared_handles_constant_targets() {
-        let x = Matrix::from_rows(&[vec![1.0], vec![1.0]]);
-        let y = [5.0, 5.0];
-        assert_eq!(r_squared(&x, &y, &[5.0]), 1.0);
-        assert_eq!(r_squared(&x, &y, &[0.0]), 0.0);
     }
 }

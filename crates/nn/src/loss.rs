@@ -13,12 +13,8 @@ use serde::{Deserialize, Serialize};
 pub enum Loss {
     /// Mean squared error in linear space.
     Mse,
-    /// Mean absolute error.
-    Mae,
     /// Mean squared error between `ln(1 + pred)` and `ln(1 + actual)`.
     LogMse,
-    /// Huber loss with delta = 1.0.
-    Huber,
 }
 
 impl Loss {
@@ -38,34 +34,11 @@ impl Loss {
                     .sum::<f64>()
                     / n
             }
-            Loss::Mae => {
-                predictions
-                    .iter()
-                    .zip(targets)
-                    .map(|(p, t)| (p - t).abs())
-                    .sum::<f64>()
-                    / n
-            }
             Loss::LogMse => {
                 predictions
                     .iter()
                     .zip(targets)
                     .map(|(p, t)| (log1p_clamped(*p) - log1p_clamped(*t)).powi(2))
-                    .sum::<f64>()
-                    / n
-            }
-            Loss::Huber => {
-                predictions
-                    .iter()
-                    .zip(targets)
-                    .map(|(p, t)| {
-                        let d = (p - t).abs();
-                        if d <= 1.0 {
-                            0.5 * d * d
-                        } else {
-                            d - 0.5
-                        }
-                    })
                     .sum::<f64>()
                     / n
             }
@@ -86,18 +59,6 @@ impl Loss {
                 .zip(targets)
                 .map(|(p, t)| 2.0 * (p - t) / n)
                 .collect(),
-            Loss::Mae => predictions
-                .iter()
-                .zip(targets)
-                .map(|(p, t)| {
-                    let d = p - t;
-                    if d == 0.0 {
-                        0.0
-                    } else {
-                        d.signum() / n
-                    }
-                })
-                .collect(),
             Loss::LogMse => predictions
                 .iter()
                 .zip(targets)
@@ -106,18 +67,6 @@ impl Loss {
                     let lt = log1p_clamped(*t);
                     // d/dp (lp - lt)^2 = 2 (lp - lt) * 1/(1 + max(p, 0))
                     2.0 * (lp - lt) / (1.0 + p.max(0.0)) / n
-                })
-                .collect(),
-            Loss::Huber => predictions
-                .iter()
-                .zip(targets)
-                .map(|(p, t)| {
-                    let d = p - t;
-                    if d.abs() <= 1.0 {
-                        d / n
-                    } else {
-                        d.signum() / n
-                    }
                 })
                 .collect(),
         }
@@ -145,18 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn mae_is_scale_of_absolute_errors() {
-        let preds = vec![3.0, -1.0];
-        let targets = vec![1.0, 1.0];
-        assert!((Loss::Mae.value(&preds, &targets) - 2.0).abs() < 1e-12);
-        let g = Loss::Mae.gradient(&preds, &targets);
-        assert_eq!(g, vec![0.5, -0.5]);
-    }
-
-    #[test]
     fn perfect_predictions_give_zero_loss() {
         let v = vec![1.5, 200.0, 0.01];
-        for loss in [Loss::Mse, Loss::Mae, Loss::LogMse, Loss::Huber] {
+        for loss in [Loss::Mse, Loss::LogMse] {
             assert_eq!(loss.value(&v, &v), 0.0, "{loss:?}");
             assert!(loss.gradient(&v, &v).iter().all(|g| g.abs() < 1e-12));
         }
@@ -187,12 +127,6 @@ mod tests {
             g_under[0] < 0.0,
             "under-prediction should push the output up"
         );
-    }
-
-    #[test]
-    fn huber_is_quadratic_near_zero_and_linear_far_away() {
-        assert!((Loss::Huber.value(&[0.5], &[0.0]) - 0.125).abs() < 1e-12);
-        assert!((Loss::Huber.value(&[3.0], &[0.0]) - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -28,15 +28,6 @@ impl Matrix {
         }
     }
 
-    /// Create a matrix filled with a constant value.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Build a matrix from a flat row-major vector.
     ///
     /// # Panics
@@ -91,15 +82,6 @@ impl Matrix {
             cols: 1,
             data: values.to_vec(),
         }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Xavier/Glorot-uniform initialised matrix, the standard initialisation
@@ -166,11 +148,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume the matrix, returning its backing storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Reshape in place to `rows x cols`, zero-filled. The backing allocation
@@ -288,77 +265,11 @@ impl Matrix {
         out
     }
 
-    /// Element-wise addition.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add: shapes must agree");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Element-wise in-place addition.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shapes must agree");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += *b;
-        }
-    }
-
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "sub: shapes must agree");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard: shapes must agree");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Multiply every element by a scalar.
-    pub fn scale(&self, s: f64) -> Matrix {
-        let data = self.data.iter().map(|a| a * s).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// In-place scalar multiply-accumulate: `self += other * s`.
-    pub fn axpy(&mut self, s: f64, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy: shapes must agree");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * *b;
         }
     }
 
@@ -420,21 +331,6 @@ impl Matrix {
             *v = f(*v);
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute element, or 0.0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// True when every element is finite (no NaN / infinity).
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
 }
 
 #[cfg(test)]
@@ -484,24 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_matmul_neutral() {
-        let a = Matrix::from_vec(3, 3, (0..9).map(|i| i as f64).collect());
-        let i = Matrix::identity(3);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(a.add(&b).as_slice(), &[6.0, 8.0, 10.0, 12.0]);
-        assert_eq!(b.sub(&a).as_slice(), &[4.0, 4.0, 4.0, 4.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[5.0, 12.0, 21.0, 32.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
     fn broadcast_and_col_sums() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let with_bias = a.add_row_broadcast(&[10.0, 20.0, 30.0]);
@@ -519,16 +397,6 @@ mod tests {
         assert_eq!(a, b, "same seed must give identical initialisation");
         let limit = (6.0 / 12.0_f64).sqrt();
         assert!(a.as_slice().iter().all(|v| v.abs() <= limit));
-    }
-
-    #[test]
-    fn norms_and_finiteness() {
-        let a = Matrix::from_vec(1, 3, vec![3.0, 4.0, 0.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(a.max_abs(), 4.0);
-        assert!(a.is_finite());
-        let bad = Matrix::from_vec(1, 1, vec![f64::NAN]);
-        assert!(!bad.is_finite());
     }
 
     #[test]

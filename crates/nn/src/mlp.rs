@@ -1,15 +1,15 @@
-//! Multi-layer perceptron with explicit training loop, functional (cached)
-//! forward/backward for tree-structured composition, and input-gradient
-//! extraction.
+//! Multi-layer perceptron with one training path, input-gradient
+//! extraction and an allocation-free batched inference path.
 //!
-//! Two training surfaces are exposed:
-//!
-//! * [`Mlp::train`] — the standard flat mini-batch loop used by the MSCN-style
-//!   estimator and by many unit tests;
-//! * [`Mlp::forward_cached`] / [`Mlp::backward_cached`] / [`Mlp::step`] — the
-//!   building blocks used by the QPPNet reimplementation, where one MLP per
-//!   operator type is applied at every matching node of a plan tree and the
-//!   gradients flow from parents into the outputs of children.
+//! Training runs through one explicit-cache surface:
+//! [`Mlp::forward_cached`] returns the per-layer inputs and
+//! pre-activations as an [`MlpCache`], [`Mlp::backward_cached`] consumes it
+//! and accumulates parameter gradients, and [`Mlp::step`] applies Adam.
+//! [`Mlp::train`] (the flat mini-batch loop of MSCN and the reduction's
+//! auxiliary models) is built from these three calls, and so is the
+//! QPPNet reimplementation, where one MLP per operator type runs at every
+//! matching node of a plan tree and gradients flow from parents into the
+//! outputs of children. The layers hold no forward state.
 //!
 //! # Batched, allocation-free inference
 //!
@@ -19,10 +19,10 @@
 //! buffers are reused across calls — after warm-up the forward pass performs
 //! zero heap allocations. The convenience wrappers ([`Mlp::predict_vec`],
 //! [`Mlp::predict_one`], [`Mlp::predict_rows`]) route through the same path
-//! via a thread-local scratch, so single-row prediction no longer builds a
+//! via a thread-local scratch, so single-row prediction does not build a
 //! fresh 1-row [`Matrix`] per call. Batched and per-row results are
 //! bit-identical because every kernel visits elements in the same order
-//! row-by-row.
+//! row-by-row, and they equal the training forward's output bit for bit.
 
 use crate::activation::Activation;
 use crate::dataset::Dataset;
@@ -41,7 +41,7 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Parameter update rule.
+    /// Adam configuration.
     pub optimizer: Optimizer,
     /// Regression loss.
     pub loss: Loss,
@@ -204,28 +204,11 @@ impl Mlp {
         &self.layers
     }
 
-    /// Stateful forward pass over a batch (caches per-layer state internally).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
-    }
-
-    /// Pure inference over a batch.
-    pub fn predict(&self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            cur = layer.forward_inference(&cur);
-        }
-        cur
-    }
-
     /// Allocation-free batched inference: one matrix pass per layer, every
     /// intermediate written into the caller-owned `scratch`. Returns a
     /// borrow of the output matrix living inside the scratch (one row per
-    /// input row). Results are bit-identical to [`Mlp::predict`].
+    /// input row). Results are bit-identical to the output of
+    /// [`Mlp::forward_cached`].
     pub fn predict_batch_into<'a>(
         &self,
         x: &Matrix,
@@ -281,27 +264,8 @@ impl Mlp {
         })
     }
 
-    /// Predict scalars (first output unit) for every row of a dataset.
-    /// Uses a local scratch: this one-shot whole-dataset path would
-    /// otherwise pin dataset-sized buffers in the thread-local for the
-    /// thread's remaining lifetime.
-    pub fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        let mut scratch = InferenceScratch::new();
-        let out = self.predict_batch_into(&data.feature_matrix(), &mut scratch);
-        (0..out.rows()).map(|r| out.get(r, 0)).collect()
-    }
-
-    /// Backward pass matching the most recent [`Mlp::forward`] call.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
-    /// Functional forward pass returning the cache needed for
-    /// [`Mlp::backward_cached`]; does not disturb internal layer caches.
+    /// Training forward pass over a batch, returning the output and the
+    /// cache [`Mlp::backward_cached`] needs.
     pub fn forward_cached(&self, x: &Matrix) -> (Matrix, MlpCache) {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut pre_activations = Vec::with_capacity(self.layers.len());
@@ -321,7 +285,7 @@ impl Mlp {
         )
     }
 
-    /// Functional backward pass for a prior [`Mlp::forward_cached`] call.
+    /// Backward pass for a prior [`Mlp::forward_cached`] call.
     /// Accumulates parameter gradients and returns the gradient with respect
     /// to the network input.
     pub fn backward_cached(&mut self, cache: &MlpCache, grad_output: &Matrix) -> Matrix {
@@ -337,13 +301,6 @@ impl Mlp {
         grad
     }
 
-    /// Zero all accumulated parameter gradients.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
-        }
-    }
-
     /// Apply one optimizer step using the accumulated gradients, then clear
     /// them. Optimizer state is kept inside the MLP across calls.
     pub fn step(&mut self, optimizer: &Optimizer) {
@@ -354,24 +311,19 @@ impl Mlp {
         state.apply(optimizer, &mut self.layers);
     }
 
-    /// Reset any optimizer state (used when re-training from scratch).
-    pub fn reset_optimizer(&mut self) {
-        self.optimizer_state = None;
-    }
-
     /// Gradient of the first output unit with respect to the input features,
     /// evaluated at a single point. This is the quantity the paper's gradient
-    /// feature-reduction baseline averages over the dataset.
+    /// feature-reduction baseline averages over the dataset. Walks the
+    /// layers backwards with `dZ·Wᵀ` steps that accumulate no parameter
+    /// gradient, so the network is neither cloned nor changed.
     pub fn input_gradient(&self, features: &[f64]) -> Vec<f64> {
-        let x = Matrix::row_vector(features);
-        let (out, cache) = self.forward_cached(&x);
+        let (out, cache) = self.forward_cached(&Matrix::row_vector(features));
         // Seed gradient: 1 on the first output unit.
-        let mut seed = Matrix::zeros(1, out.cols());
-        seed.set(0, 0, 1.0);
-        // Backward without touching parameter gradients: use a scratch clone.
-        let mut scratch = self.clone();
-        scratch.zero_grad();
-        let grad = scratch.backward_cached(&cache, &seed);
+        let mut grad = Matrix::zeros(1, out.cols());
+        grad.set(0, 0, 1.0);
+        for (layer, pre) in self.layers.iter().zip(&cache.pre_activations).rev() {
+            grad = layer.input_gradient_explicit(pre, &grad);
+        }
         grad.row(0).to_vec()
     }
 
@@ -382,7 +334,7 @@ impl Mlp {
         let mut outs = Vec::with_capacity(self.layers.len());
         let mut cur = Matrix::row_vector(features);
         for layer in &self.layers {
-            cur = layer.forward_inference(&cur);
+            cur = layer.forward_explicit(&cur).1;
             outs.push(cur.row(0).to_vec());
         }
         outs
@@ -391,15 +343,10 @@ impl Mlp {
     /// Activations of the first hidden layer for a single input.
     pub fn first_hidden_activations(&self, features: &[f64]) -> Vec<f64> {
         self.layers[0]
-            .forward_inference(&Matrix::row_vector(features))
+            .forward_explicit(&Matrix::row_vector(features))
+            .1
             .row(0)
             .to_vec()
-    }
-
-    /// Mean loss over a dataset (scalar-output networks only).
-    pub fn evaluate_loss(&self, data: &Dataset, loss: Loss) -> f64 {
-        let preds = self.predict_batch(data);
-        loss.value(&preds, data.targets())
     }
 
     /// Flat mini-batch training loop for scalar-output networks.
@@ -436,13 +383,12 @@ impl Mlp {
             let mut epoch_loss = 0.0;
             let mut batches_seen = 0usize;
             for (x, y) in working.batches(config.batch_size) {
-                let out = self.forward(&x);
+                let (out, cache) = self.forward_cached(&x);
                 let preds: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
                 epoch_loss += config.loss.value(&preds, &y);
                 batches_seen += 1;
                 let grads = config.loss.gradient(&preds, &y);
-                let grad_out = Matrix::col_vector(&grads);
-                self.backward(&grad_out);
+                self.backward_cached(&cache, &Matrix::col_vector(&grads));
                 self.step(&config.optimizer);
             }
             epoch_losses.push(epoch_loss / batches_seen.max(1) as f64);
@@ -483,16 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_predict_agree() {
-        let mut r = rng();
-        let mut mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, &mut r);
-        let x = Matrix::from_rows(&[vec![0.1, 0.2, 0.3], vec![-0.5, 0.4, 0.0]]);
-        let a = mlp.forward(&x);
-        let b = mlp.predict(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn learns_a_linear_function() {
         let mut r = rng();
         let xs: Vec<Vec<f64>> = (0..200)
@@ -516,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_into_is_bit_identical_to_predict() {
+    fn predict_batch_into_is_bit_identical_to_the_training_forward() {
         let mut r = rng();
         let mlp = Mlp::new(&[4, 9, 5, 2], Activation::Relu, &mut r);
         let x = Matrix::from_rows(&[
@@ -526,10 +462,13 @@ mod tests {
         ]);
         let mut scratch = InferenceScratch::new();
         let batched = mlp.predict_batch_into(&x, &mut scratch).clone();
-        assert_eq!(batched, mlp.predict(&x));
+        assert_eq!(batched, mlp.forward_cached(&x).0);
         // Reusing the scratch across calls and batch sizes stays exact.
         let y = Matrix::from_rows(&[vec![0.9, 0.9, 0.9, 0.9]]);
-        assert_eq!(*mlp.predict_batch_into(&y, &mut scratch), mlp.predict(&y));
+        assert_eq!(
+            *mlp.predict_batch_into(&y, &mut scratch),
+            mlp.forward_cached(&y).0
+        );
     }
 
     #[test]
@@ -540,9 +479,10 @@ mod tests {
         let xa = Matrix::from_rows(&[vec![0.1, 0.2, 0.3]]);
         let xb = Matrix::from_rows(&[vec![0.5; 6], vec![-0.5; 6]]);
         let mut scratch = InferenceScratch::new();
-        assert_eq!(*a.predict_batch_into(&xa, &mut scratch), a.predict(&xa));
-        assert_eq!(*b.predict_batch_into(&xb, &mut scratch), b.predict(&xb));
-        assert_eq!(*a.predict_batch_into(&xa, &mut scratch), a.predict(&xa));
+        let (ya, yb) = (a.forward_cached(&xa).0, b.forward_cached(&xb).0);
+        assert_eq!(*a.predict_batch_into(&xa, &mut scratch), ya);
+        assert_eq!(*b.predict_batch_into(&xb, &mut scratch), yb);
+        assert_eq!(*a.predict_batch_into(&xa, &mut scratch), ya);
     }
 
     #[test]
@@ -561,22 +501,43 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_stateful_backward_agree() {
+    fn parameter_gradients_match_finite_differences_through_every_layer() {
         let mut r = rng();
-        let mut a = Mlp::new(&[4, 6, 1], Activation::Relu, &mut r);
-        let mut b = a.clone();
-        let x = Matrix::from_rows(&[vec![0.3, -0.2, 0.8, 0.1]]);
-        let grad_out = Matrix::from_rows(&[vec![1.0]]);
-
-        let _ = a.forward(&x);
-        let ga = a.backward(&grad_out);
-
-        let (_, cache) = b.forward_cached(&x);
-        let gb = b.backward_cached(&cache, &grad_out);
-        assert_eq!(ga, gb);
-        for (la, lb) in a.layers().iter().zip(b.layers()) {
-            assert_eq!(la.grad_weights(), lb.grad_weights());
-            assert_eq!(la.grad_biases(), lb.grad_biases());
+        let mut mlp = Mlp::new(&[3, 5, 4, 1], Activation::Tanh, &mut r);
+        let x = Matrix::from_rows(&[vec![0.4, -0.7, 0.2], vec![-0.3, 0.9, 0.5]]);
+        let (_, cache) = mlp.forward_cached(&x);
+        // dY = 1 per row: the gradients are those of the summed outputs.
+        mlp.backward_cached(&cache, &Matrix::col_vector(&[1.0, 1.0]));
+        let summed_output = |m: &Mlp| m.forward_cached(&x).0.as_slice().iter().sum::<f64>();
+        let eps = 1e-6;
+        let mut probe = mlp.clone();
+        for (l, layer) in mlp.layers().iter().enumerate() {
+            for (i, analytic) in layer.grad_weights().as_slice().iter().enumerate() {
+                let original = probe.layers[l].weights().as_slice()[i];
+                probe.layers[l].weights_mut().as_mut_slice()[i] = original + eps;
+                let plus = summed_output(&probe);
+                probe.layers[l].weights_mut().as_mut_slice()[i] = original - eps;
+                let minus = summed_output(&probe);
+                probe.layers[l].weights_mut().as_mut_slice()[i] = original;
+                let numeric = (plus - minus) / (2.0 * eps);
+                assert!(
+                    (analytic - numeric).abs() < 1e-6,
+                    "layer {l} weight {i}: analytic {analytic} vs numeric {numeric}"
+                );
+            }
+            for (i, analytic) in layer.grad_biases().iter().enumerate() {
+                let original = probe.layers[l].biases()[i];
+                probe.layers[l].biases_mut()[i] = original + eps;
+                let plus = summed_output(&probe);
+                probe.layers[l].biases_mut()[i] = original - eps;
+                let minus = summed_output(&probe);
+                probe.layers[l].biases_mut()[i] = original;
+                let numeric = (plus - minus) / (2.0 * eps);
+                assert!(
+                    (analytic - numeric).abs() < 1e-6,
+                    "layer {l} bias {i}: analytic {analytic} vs numeric {numeric}"
+                );
+            }
         }
     }
 
@@ -645,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_loss_is_zero_for_memorised_constant() {
+    fn training_memorises_a_constant() {
         let mut r = rng();
         let data = Dataset::new(vec![vec![1.0], vec![1.0]], vec![0.0, 0.0]).unwrap();
         let mut mlp = Mlp::new(&[1, 4, 1], Activation::Relu, &mut r);
@@ -655,7 +616,8 @@ mod tests {
             ..Default::default()
         };
         mlp.train(&data, &cfg, &mut r);
-        assert!(mlp.evaluate_loss(&data, Loss::Mse) < 1e-3);
+        let preds = mlp.predict_rows(data.features());
+        assert!(Loss::Mse.value(&preds, data.targets()) < 1e-3);
     }
 
     #[test]

@@ -1,97 +1,49 @@
-//! Parameter update rules (SGD with momentum, Adam).
+//! The Adam parameter update rule.
 //!
-//! Optimizers are stateless value objects; the per-parameter state (momentum
-//! buffers, Adam moments) lives in [`OptimizerState`] so one optimizer
-//! configuration can be shared across the many small neural units of QPPNet.
+//! [`Optimizer`] is a stateless value object holding Adam's
+//! hyper-parameters; the per-parameter moments live in [`OptimizerState`],
+//! so one configuration can be shared across the many small neural units
+//! of QPPNet.
 
 use crate::layer::DenseLayer;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Optimizer configuration.
+/// Adam configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Optimizer {
-    /// Stochastic gradient descent with optional momentum.
-    Sgd {
-        /// Learning rate.
-        learning_rate: f64,
-        /// Momentum coefficient in `[0, 1)`; 0 disables momentum.
-        momentum: f64,
-    },
-    /// Adam optimizer.
-    Adam {
-        /// Learning rate.
-        learning_rate: f64,
-        /// Exponential decay for the first moment.
-        beta1: f64,
-        /// Exponential decay for the second moment.
-        beta2: f64,
-        /// Numerical stabiliser.
-        epsilon: f64,
-    },
+pub struct Optimizer {
+    /// Learning rate.
+    learning_rate: f64,
+    /// Exponential decay for the first moment.
+    beta1: f64,
+    /// Exponential decay for the second moment.
+    beta2: f64,
+    /// Numerical stabiliser.
+    epsilon: f64,
 }
 
 impl Optimizer {
-    /// Plain SGD with the given learning rate.
-    pub fn sgd(learning_rate: f64) -> Self {
-        Optimizer::Sgd {
-            learning_rate,
-            momentum: 0.0,
-        }
-    }
-
     /// Adam with the conventional default hyper-parameters.
     pub fn adam(learning_rate: f64) -> Self {
-        Optimizer::Adam {
+        Optimizer {
             learning_rate,
             beta1: 0.9,
             beta2: 0.999,
             epsilon: 1e-8,
         }
     }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        match self {
-            Optimizer::Sgd { learning_rate, .. } | Optimizer::Adam { learning_rate, .. } => {
-                *learning_rate
-            }
-        }
-    }
-
-    /// Return a copy with a different learning rate (used for fine-tuning in
-    /// the transfer-learning experiment).
-    pub fn with_learning_rate(&self, learning_rate: f64) -> Self {
-        match *self {
-            Optimizer::Sgd { momentum, .. } => Optimizer::Sgd {
-                learning_rate,
-                momentum,
-            },
-            Optimizer::Adam {
-                beta1,
-                beta2,
-                epsilon,
-                ..
-            } => Optimizer::Adam {
-                learning_rate,
-                beta1,
-                beta2,
-                epsilon,
-            },
-        }
-    }
 }
 
-/// Per-layer optimizer state (one entry per [`DenseLayer`]).
+/// Per-layer Adam moments (one entry per [`DenseLayer`]).
 #[derive(Debug, Clone)]
 pub struct OptimizerState {
-    /// First-moment / momentum buffers for the weights of each layer.
+    /// First-moment buffers for the weights of each layer.
     m_weights: Vec<Matrix>,
-    /// Second-moment buffers for the weights of each layer (Adam only).
+    /// Second-moment buffers for the weights of each layer.
     v_weights: Vec<Matrix>,
-    /// First-moment / momentum buffers for the biases of each layer.
+    /// First-moment buffers for the biases of each layer.
     m_biases: Vec<Vec<f64>>,
-    /// Second-moment buffers for the biases of each layer (Adam only).
+    /// Second-moment buffers for the biases of each layer.
     v_biases: Vec<Vec<f64>>,
     /// Number of update steps performed so far (for Adam bias correction).
     step: u64,
@@ -119,11 +71,6 @@ impl OptimizerState {
         }
     }
 
-    /// Number of optimizer steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.step
-    }
-
     /// Apply one update step to all layers using their accumulated gradients,
     /// then zero the gradients.
     pub fn apply(&mut self, optimizer: &Optimizer, layers: &mut [DenseLayer]) {
@@ -134,62 +81,18 @@ impl OptimizerState {
         );
         self.step += 1;
         for (idx, layer) in layers.iter_mut().enumerate() {
-            match *optimizer {
-                Optimizer::Sgd {
-                    learning_rate,
-                    momentum,
-                } => {
-                    self.sgd_update(idx, layer, learning_rate, momentum);
-                }
-                Optimizer::Adam {
-                    learning_rate,
-                    beta1,
-                    beta2,
-                    epsilon,
-                } => {
-                    self.adam_update(idx, layer, learning_rate, beta1, beta2, epsilon);
-                }
-            }
+            self.adam_update(idx, layer, optimizer);
             layer.zero_grad();
         }
     }
 
-    fn sgd_update(&mut self, idx: usize, layer: &mut DenseLayer, lr: f64, momentum: f64) {
-        let grad_w = layer.grad_weights().clone();
-        let grad_b: Vec<f64> = layer.grad_biases().to_vec();
-        {
-            let m = &mut self.m_weights[idx];
-            // m = momentum * m + grad ; w -= lr * m
-            for (mv, gv) in m.as_mut_slice().iter_mut().zip(grad_w.as_slice()) {
-                *mv = momentum * *mv + *gv;
-            }
-            let w = layer.weights_mut();
-            for (wv, mv) in w.as_mut_slice().iter_mut().zip(m.as_slice()) {
-                *wv -= lr * *mv;
-            }
-        }
-        {
-            let mb = &mut self.m_biases[idx];
-            for (mv, gv) in mb.iter_mut().zip(&grad_b) {
-                *mv = momentum * *mv + *gv;
-            }
-            let b = layer.biases_mut();
-            for (bv, mv) in b.iter_mut().zip(mb.iter()) {
-                *bv -= lr * *mv;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn adam_update(
-        &mut self,
-        idx: usize,
-        layer: &mut DenseLayer,
-        lr: f64,
-        beta1: f64,
-        beta2: f64,
-        epsilon: f64,
-    ) {
+    fn adam_update(&mut self, idx: usize, layer: &mut DenseLayer, optimizer: &Optimizer) {
+        let Optimizer {
+            learning_rate: lr,
+            beta1,
+            beta2,
+            epsilon,
+        } = *optimizer;
         let t = self.step as f64;
         let bc1 = 1.0 - beta1.powf(t);
         let bc2 = 1.0 - beta2.powf(t);
@@ -241,7 +144,6 @@ impl OptimizerState {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::matrix::Matrix;
 
     fn layer_with_grad() -> DenseLayer {
         let mut l = DenseLayer::with_parameters(
@@ -250,47 +152,10 @@ mod tests {
             Activation::Identity,
         );
         // produce a known gradient of 2.0 on the single weight
-        let _ = l.forward(&Matrix::from_vec(1, 1, vec![2.0]));
-        let _ = l.backward(&Matrix::from_vec(1, 1, vec![1.0]));
+        let x = Matrix::from_vec(1, 1, vec![2.0]);
+        let (pre, _) = l.forward_explicit(&x);
+        let _ = l.backward_explicit(&x, &pre, &Matrix::from_vec(1, 1, vec![1.0]));
         l
-    }
-
-    #[test]
-    fn sgd_moves_parameters_against_gradient() {
-        let mut layers = vec![layer_with_grad()];
-        let mut state = OptimizerState::for_layers(&layers);
-        let opt = Optimizer::sgd(0.1);
-        state.apply(&opt, &mut layers);
-        // weight 1.0, gradient 2.0, lr 0.1 -> 0.8
-        assert!((layers[0].weights().get(0, 0) - 0.8).abs() < 1e-12);
-        // gradient should be reset
-        assert_eq!(layers[0].grad_weights().get(0, 0), 0.0);
-        assert_eq!(state.steps_taken(), 1);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let make = || layer_with_grad();
-        // two identical steps with momentum: second step moves further
-        let mut layers = vec![make()];
-        let mut state = OptimizerState::for_layers(&layers);
-        let opt = Optimizer::Sgd {
-            learning_rate: 0.1,
-            momentum: 0.9,
-        };
-        state.apply(&opt, &mut layers);
-        let after_first = layers[0].weights().get(0, 0);
-        // re-create the same gradient and apply again
-        let _ = layers[0].forward(&Matrix::from_vec(1, 1, vec![2.0]));
-        let _ = layers[0].backward(&Matrix::from_vec(1, 1, vec![1.0]));
-        state.apply(&opt, &mut layers);
-        let after_second = layers[0].weights().get(0, 0);
-        let first_delta = 1.0 - after_first;
-        let second_delta = after_first - after_second;
-        assert!(
-            second_delta > first_delta,
-            "momentum should accelerate the update"
-        );
     }
 
     #[test]
@@ -302,22 +167,8 @@ mod tests {
         // Adam's bias-corrected first step is ~lr regardless of gradient scale.
         let delta = 1.0 - layers[0].weights().get(0, 0);
         assert!((delta - 0.01).abs() < 1e-6, "delta {delta}");
-    }
-
-    #[test]
-    fn with_learning_rate_preserves_other_hyperparameters() {
-        let adam = Optimizer::adam(0.01).with_learning_rate(0.1);
-        match adam {
-            Optimizer::Adam {
-                learning_rate,
-                beta1,
-                ..
-            } => {
-                assert_eq!(learning_rate, 0.1);
-                assert_eq!(beta1, 0.9);
-            }
-            _ => panic!("expected Adam"),
-        }
-        assert_eq!(Optimizer::sgd(0.5).learning_rate(), 0.5);
+        // gradient should be reset
+        assert_eq!(layers[0].grad_weights().get(0, 0), 0.0);
+        assert_eq!(layers[0].grad_biases(), &[0.0]);
     }
 }

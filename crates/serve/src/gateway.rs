@@ -182,7 +182,8 @@ pub struct GatewayStats {
     pub shard_starts: u64,
     /// Currently resident shards.
     pub shards_resident: usize,
-    /// Shards retired by the LRU cap.
+    /// Shards retired, by the LRU cap or by a model registered under a
+    /// running shard's key.
     pub shard_retirements: u64,
     /// Shard starts that warm-started from a transferred snapshot.
     pub snapshot_transfers: u64,
@@ -482,64 +483,6 @@ impl QcfeGateway {
         })
     }
 
-    /// Estimate several plans for one environment in a single call. The
-    /// shard is resolved once and the whole burst is enqueued before any
-    /// reply is awaited, so one caller fills micro-batches on its own.
-    /// Responses come back in plan order; the deadline (if any) applies to
-    /// the batch end-to-end, and `shed_load` applies to every admission.
-    pub fn estimate_many(
-        &self,
-        request: EstimateRequest,
-        extra_plans: Vec<qcfe_db::plan::PlanNode>,
-    ) -> Result<Vec<EstimateResponse>, QcfeError> {
-        let started = Instant::now();
-        let plan_count = 1 + extra_plans.len();
-        self.counters
-            .requests
-            .fetch_add(plan_count as u64, Ordering::Relaxed);
-        let (key, shard, cold_start, spec) = self.route(&request, started)?;
-        let deadline = request.deadline;
-        let submitted = Instant::now();
-        let mut pending: Vec<PendingEstimate> = Vec::with_capacity(plan_count);
-        pending.push(shard.handle.submit(request.plan, spec, None)?);
-        for plan in extra_plans {
-            pending.push(shard.handle.submit(plan, spec, None)?);
-        }
-        let mut estimates = Vec::with_capacity(plan_count);
-        for ticket in pending {
-            let estimate = Self::await_ticket(ticket, deadline, started)?;
-            estimates.push((
-                estimate,
-                submitted.elapsed().as_micros() as u64,
-                started.elapsed().as_micros() as u64,
-            ));
-        }
-        // Read once, after every reply was consumed — the same point
-        // estimate() reads at, so both paths label a burst consistently
-        // (see the [`Provenance`] docs for the concurrent-refit caveat).
-        let provenance = shard.read_provenance();
-        Ok(estimates
-            .into_iter()
-            .enumerate()
-            .map(
-                |(index, (estimate, service_us, total_us))| EstimateResponse {
-                    cost_ms: estimate.cost_ms,
-                    batch_size: estimate.batch_size,
-                    encoding_cache_hit: estimate.encoding_cache_hit,
-                    provenance: Provenance {
-                        model_key: key,
-                        snapshot_origin: provenance.origin,
-                        refined: provenance.refined,
-                        model_from_disk: shard.model_from_disk,
-                        cold_start: cold_start && index == 0,
-                        service_us,
-                        total_us,
-                    },
-                },
-            )
-            .collect())
-    }
-
     /// Wait for one in-flight reply, bounded by the request deadline:
     /// without one, block until the reply; with one, wait only for the
     /// remaining budget and fail with [`QcfeError::DeadlineExceeded`] when
@@ -761,7 +704,9 @@ impl QcfeGateway {
 
     /// Register (or replace) a model under its serving key, returning the
     /// entry this insert evicted, if any. Evictions observed here feed
-    /// [`GatewayStats::model_evictions`].
+    /// [`GatewayStats::model_evictions`]. A shard already running under the
+    /// key is retired, so the next request cold-starts on the new model
+    /// instead of serving the one the shard started with.
     pub fn register_model(&self, key: ModelKey, model: Arc<dyn CostModel>) -> Option<EvictedModel> {
         // Registry::insert clears the key's disk-load mark under the
         // registry lock: an in-process registration supersedes any earlier
@@ -771,6 +716,15 @@ impl QcfeGateway {
             self.counters
                 .model_evictions
                 .fetch_add(1, Ordering::Relaxed);
+        }
+        let retired = self.shards.lock().expect("shard map poisoned").remove(&key);
+        // Dropped outside the lock, as in `shard`: the final drop joins the
+        // service's worker threads.
+        if let Some(shard) = retired {
+            self.counters
+                .shard_retirements
+                .fetch_add(1, Ordering::Relaxed);
+            drop(shard);
         }
         evicted
     }
@@ -1221,11 +1175,6 @@ impl PendingResponse {
         self.cold_start
     }
 
-    /// Whether the request's deadline has already elapsed.
-    pub fn deadline_elapsed(&self) -> bool {
-        self.deadline.is_some_and(|d| self.started.elapsed() > d)
-    }
-
     /// Poll without blocking: `Ok(Some)` with the full response when the
     /// estimate is ready, `Ok(None)` while it is in flight and within
     /// budget. A lapsed deadline fails with
@@ -1297,6 +1246,20 @@ mod tests {
         }
         fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
             3.0 * root.est_rows
+        }
+    }
+
+    /// Deterministic stub: cost = 2 * est_rows, told apart from
+    /// [`TripleRows`] when one replaces the other.
+    #[derive(Debug)]
+    struct DoubleRows;
+
+    impl CostModel for DoubleRows {
+        fn name(&self) -> &'static str {
+            "DoubleRows"
+        }
+        fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
+            2.0 * root.est_rows
         }
     }
 
@@ -1376,6 +1339,34 @@ mod tests {
         assert_eq!(gateway.resident_shards(), vec![key]);
         let metrics = gateway.shard_metrics(&key).expect("shard resident");
         assert_eq!(metrics.completed, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn registering_a_model_retires_the_running_shard() {
+        let root = temp_root("replace");
+        let env = DbEnvironment::reference();
+        let key = ModelKey::new(
+            BenchmarkKind::Sysbench,
+            EstimatorKind::Mscn,
+            env.fingerprint(),
+        );
+        let gateway = QcfeGateway::builder(&root).build().unwrap();
+        gateway.register_model(key, Arc::new(TripleRows));
+        let first = gateway.estimate(mscn_request(&env, 10.0)).unwrap();
+        assert_eq!(first.cost_ms, 30.0);
+        assert!(first.provenance.cold_start);
+
+        gateway.register_model(key, Arc::new(DoubleRows));
+        assert_eq!(gateway.stats().shard_retirements, 1);
+        assert_eq!(gateway.stats().shards_resident, 0);
+        let replaced = gateway.estimate(mscn_request(&env, 10.0)).unwrap();
+        assert_eq!(replaced.cost_ms, 20.0, "the replacement model serves");
+        assert!(
+            replaced.provenance.cold_start,
+            "the shard restarts on the replacement"
+        );
+        assert_eq!(gateway.stats().shard_starts, 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1587,34 +1578,6 @@ mod tests {
             waited.elapsed() < Duration::from_millis(250),
             "the caller must be released at the deadline, not after inference"
         );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn estimate_many_answers_in_plan_order_through_one_shard() {
-        let root = temp_root("many");
-        let env = DbEnvironment::reference();
-        let key = ModelKey::new(
-            BenchmarkKind::Sysbench,
-            EstimatorKind::Mscn,
-            env.fingerprint(),
-        );
-        let gateway = QcfeGateway::builder(&root)
-            .with_model(key, Arc::new(TripleRows))
-            .build()
-            .unwrap();
-        let extra: Vec<PlanNode> = (2..=8).map(|i| scan_plan(i as f64)).collect();
-        let responses = gateway
-            .estimate_many(mscn_request(&env, 1.0), extra)
-            .unwrap();
-        assert_eq!(responses.len(), 8);
-        for (i, response) in responses.iter().enumerate() {
-            assert_eq!(response.cost_ms, 3.0 * (i as f64 + 1.0), "plan order");
-            assert_eq!(response.provenance.model_key, key);
-        }
-        let stats = gateway.stats();
-        assert_eq!(stats.requests, 8);
-        assert_eq!(stats.shard_starts, 1, "one shard serves the whole burst");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1864,11 +1827,15 @@ mod tests {
             2,
             "each model loaded from disk exactly once"
         );
-        // An in-process registration supersedes the disk mark (retire A's
-        // shard again first — a running shard keeps its start-time origin).
+        // An in-process registration supersedes the disk mark, and retires
+        // A's running shard so the next request restarts it on the new
+        // model.
         gateway.register_model(key_for(&env_a), Arc::new(TripleRows));
-        gateway.estimate(mscn_request(&env_b, 1.0)).unwrap();
         let replaced = gateway.estimate(mscn_request(&env_a, 1.0)).unwrap();
+        assert!(
+            replaced.provenance.cold_start,
+            "registration retired A's shard"
+        );
         assert!(
             !replaced.provenance.snapshot_origin.is_from_disk(),
             "a freshly registered model is TrainedHere again"

@@ -189,10 +189,7 @@ pub struct Provenance {
     /// reusing a running one.
     pub cold_start: bool,
     /// Microseconds from shard submission until this reply was consumed:
-    /// queue wait plus batched inference. For a
-    /// [`crate::QcfeGateway::estimate_many`] burst the whole burst is
-    /// submitted up front and replies are consumed in plan order, so later
-    /// responses include time spent waiting behind earlier replies.
+    /// queue wait plus batched inference.
     pub service_us: u64,
     /// Microseconds end-to-end inside the gateway, including routing and
     /// any cold-start work.

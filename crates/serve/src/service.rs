@@ -13,8 +13,8 @@
 //! plan-encoding cache so repeated plans skip the encoding work entirely.
 //!
 //! Backpressure: [`ServiceHandle::estimate`] blocks while the queue is at
-//! capacity (closed-loop clients), [`ServiceHandle::try_estimate`] returns
-//! [`ServiceError::QueueFull`] instead (open-loop clients that shed load).
+//! capacity (closed-loop clients). The gateway's shed-load submissions
+//! return [`ServiceError::QueueFull`] instead (open-loop clients).
 //!
 //! # Scheduling
 //!
@@ -507,9 +507,8 @@ impl Shared {
     }
 }
 
-/// An in-flight estimation request: the ticket returned by
-/// [`ServiceHandle::submit_async`]. Dropping it abandons the request (the
-/// worker's reply is discarded).
+/// An in-flight estimation request: the ticket a submission returns.
+/// Dropping it abandons the request (the worker's reply is discarded).
 #[derive(Debug)]
 pub struct PendingEstimate {
     response: mpsc::Receiver<Reply>,
@@ -588,34 +587,6 @@ impl ServiceHandle {
     /// backpressure: blocks while the queue is at capacity.
     pub fn estimate(&self, plan: PlanNode) -> Result<Estimate, ServiceError> {
         self.submit(plan, SubmitSpec::anonymous(true), None)?.wait()
-    }
-
-    /// Submit without blocking on a full queue.
-    pub fn try_estimate(&self, plan: PlanNode) -> Result<Estimate, ServiceError> {
-        self.submit(plan, SubmitSpec::anonymous(false), None)?
-            .wait()
-    }
-
-    /// Enqueue a plan and return immediately with a [`PendingEstimate`]
-    /// ticket (still applying backpressure while the queue is at
-    /// capacity). Submitting a whole burst before waiting lets one client
-    /// fill a micro-batch on its own — the gateway's multi-plan requests
-    /// flow through here.
-    pub fn submit_async(&self, plan: PlanNode) -> Result<PendingEstimate, ServiceError> {
-        self.submit(plan, SubmitSpec::anonymous(true), None)
-    }
-
-    /// [`ServiceHandle::submit_async`] with a [`CompletionNotify`] hook:
-    /// the hook fires exactly once when the request leaves the service
-    /// (reply sent, or dropped by shutdown/abort), after which
-    /// [`PendingEstimate::try_wait`] is guaranteed to make progress. The
-    /// submission half of the event-loop contract.
-    pub fn submit_async_with_notify(
-        &self,
-        plan: PlanNode,
-        notify: CompletionNotify,
-    ) -> Result<PendingEstimate, ServiceError> {
-        self.submit(plan, SubmitSpec::anonymous(true), Some(notify))
     }
 
     /// Asynchronous submission with explicit admission policy: blocking
@@ -1034,7 +1005,9 @@ mod tests {
         // Subsequent requests must fail fast, not hang on a dead worker.
         assert_eq!(handle.estimate(scan_plan(2.0)), Err(ServiceError::Closed));
         assert_eq!(
-            handle.try_estimate(scan_plan(3.0)),
+            handle
+                .submit(scan_plan(3.0), SubmitSpec::anonymous(false), None)
+                .and_then(PendingEstimate::wait),
             Err(ServiceError::Closed)
         );
     }
@@ -1042,7 +1015,7 @@ mod tests {
     /// One client submitting a burst asynchronously fills a multi-request
     /// micro-batch on its own — no concurrent clients needed.
     #[test]
-    fn submit_async_lets_one_client_fill_a_micro_batch() {
+    fn async_submission_lets_one_client_fill_a_micro_batch() {
         /// Doubles rows like `DoubleRows`, but holds each batch briefly so
         /// a burst queues behind the first drain.
         #[derive(Debug)]
@@ -1074,7 +1047,11 @@ mod tests {
         );
         let handle = service.handle();
         let pending: Vec<PendingEstimate> = (0..16)
-            .map(|i| handle.submit_async(scan_plan(i as f64 + 1.0)).unwrap())
+            .map(|i| {
+                handle
+                    .submit(scan_plan(i as f64 + 1.0), SubmitSpec::anonymous(true), None)
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pending.into_iter().enumerate() {
             let estimate = p.wait().unwrap();
@@ -1104,11 +1081,12 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let hook = Arc::clone(&fired);
         let pending = handle
-            .submit_async_with_notify(
+            .submit(
                 scan_plan(21.0),
-                Arc::new(move || {
+                SubmitSpec::anonymous(true),
+                Some(Arc::new(move || {
                     hook.fetch_add(1, Ordering::SeqCst);
-                }),
+                })),
             )
             .unwrap();
         // Poll until the hook reports completion; every poll must return
@@ -1165,11 +1143,12 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let hook = Arc::clone(&fired);
         let pending = handle
-            .submit_async_with_notify(
+            .submit(
                 scan_plan(1.0),
-                Arc::new(move || {
+                SubmitSpec::anonymous(true),
+                Some(Arc::new(move || {
                     hook.fetch_add(1, Ordering::SeqCst);
-                }),
+                })),
             )
             .unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
@@ -1225,13 +1204,14 @@ mod tests {
         let hook_slot = Arc::clone(&slot);
         let hook_seen = Arc::clone(&seen);
         let pending = handle
-            .submit_async_with_notify(
+            .submit(
                 scan_plan(1.0),
-                Arc::new(move || {
+                SubmitSpec::anonymous(true),
+                Some(Arc::new(move || {
                     if let Some(ticket) = hook_slot.lock().unwrap().as_ref() {
                         *hook_seen.lock().unwrap() = Some(ticket.try_wait());
                     }
-                }),
+                })),
             )
             .unwrap();
         *slot.lock().unwrap() = Some(pending);
@@ -1259,7 +1239,9 @@ mod tests {
         drop(service);
         assert_eq!(handle.estimate(scan_plan(1.0)), Err(ServiceError::Closed));
         assert_eq!(
-            handle.try_estimate(scan_plan(1.0)),
+            handle
+                .submit(scan_plan(1.0), SubmitSpec::anonymous(false), None)
+                .and_then(PendingEstimate::wait),
             Err(ServiceError::Closed)
         );
     }
@@ -1389,8 +1371,12 @@ mod tests {
         );
         let handle = service.handle();
         // Occupy the single worker, then queue a second request behind it.
-        let busy = handle.submit_async(scan_plan(1.0)).unwrap();
-        let stuck = handle.submit_async(scan_plan(2.0)).unwrap();
+        let busy = handle
+            .submit(scan_plan(1.0), SubmitSpec::anonymous(true), None)
+            .unwrap();
+        let stuck = handle
+            .submit(scan_plan(2.0), SubmitSpec::anonymous(true), None)
+            .unwrap();
         let waited = Instant::now();
         let outcome = stuck.wait_timeout(std::time::Duration::ZERO).unwrap();
         assert_eq!(outcome, None, "an expired budget must not yield a result");
@@ -1436,9 +1422,9 @@ mod tests {
     }
 
     #[test]
-    fn try_estimate_sheds_load_when_the_queue_is_full() {
+    fn shed_load_submission_is_rejected_when_the_queue_is_full() {
         // One worker, tiny queue: stall the worker with a burst from
-        // background threads, then check try_estimate rejects.
+        // background threads, then check a shed-load submission rejects.
         let service = start(
             true,
             ServiceConfig {
@@ -1461,7 +1447,10 @@ mod tests {
         // least once.
         let mut saw_full = false;
         for _ in 0..200 {
-            match handle.try_estimate(scan_plan(5.0)) {
+            match handle
+                .submit(scan_plan(5.0), SubmitSpec::anonymous(false), None)
+                .and_then(PendingEstimate::wait)
+            {
                 Err(ServiceError::QueueFull { depth, limit }) => {
                     assert_eq!(limit, 2, "the shed fault names the configured capacity");
                     assert!(depth >= limit, "the shed fault reports the observed depth");
