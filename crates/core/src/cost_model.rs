@@ -87,7 +87,7 @@ impl CostModel for MscnEstimator {
         self.model()
             .predict_rows(rows)
             .into_iter()
-            .map(|p| p.max(1e-6))
+            .map(crate::metrics::floor_ms)
             .collect()
     }
 

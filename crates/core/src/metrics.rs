@@ -2,11 +2,26 @@
 //!
 //! These are the metrics of Section V-A (Equations 2 and 3) of the paper.
 
+/// Clamp a latency (ms) up to `1e-6`, the floor every estimator applies
+/// to its predictions and [`q_error`] to both of its sides.
+///
+/// Unlike `x.max(1e-6)`, which returns `1e-6` for a NaN `x`, this keeps
+/// NaN, so a diverged model reads as a NaN q-error instead of a finite one.
+/// For every other value the two agree bit for bit.
+pub fn floor_ms(x: f64) -> f64 {
+    if x < 1e-6 {
+        1e-6
+    } else {
+        x
+    }
+}
+
 /// Q-error of a single prediction: `max(actual/pred, pred/actual)`, with both
-/// sides clamped away from zero. A perfect prediction has q-error 1.0.
+/// sides clamped away from zero by [`floor_ms`]. A perfect prediction has
+/// q-error 1.0; a NaN prediction has q-error NaN.
 pub fn q_error(actual: f64, predicted: f64) -> f64 {
-    let a = actual.max(1e-6);
-    let p = predicted.max(1e-6);
+    let a = floor_ms(actual);
+    let p = floor_ms(predicted);
     (a / p).max(p / a)
 }
 
@@ -127,6 +142,29 @@ mod tests {
             "zero prediction is clamped, not infinite"
         );
         assert!(q_error(0.0, 0.0).is_finite());
+    }
+
+    #[test]
+    fn a_nan_prediction_has_a_nan_q_error() {
+        assert!(q_error(10.0, f64::NAN).is_nan());
+        assert!(q_error(f64::NAN, 10.0).is_nan());
+        assert!(floor_ms(f64::NAN).is_nan());
+        // Every other value floors exactly as `max(1e-6)` did.
+        for x in [
+            f64::NEG_INFINITY,
+            -3.0,
+            -0.0,
+            0.0,
+            1e-300,
+            9.99e-7,
+            1e-6,
+            1.0000001e-6,
+            0.5,
+            1e12,
+            f64::INFINITY,
+        ] {
+            assert_eq!(floor_ms(x).to_bits(), x.max(1e-6).to_bits(), "{x}");
+        }
     }
 
     #[test]

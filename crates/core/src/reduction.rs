@@ -116,7 +116,7 @@ fn masked_q_error(model: &Mlp, data: &Dataset, zeroed: &[usize]) -> f64 {
         for &z in zeroed {
             buffer[z] = 0.0;
         }
-        let pred = model.predict_one(&buffer).max(1e-6);
+        let pred = metrics::floor_ms(model.predict_one(&buffer));
         qs.push(metrics::q_error(*y, pred));
     }
     metrics::mean(&qs)

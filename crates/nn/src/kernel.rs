@@ -57,12 +57,15 @@
 //!
 //! Only the two backward products are kernel-independent: `Xᵀ·dZ`
 //! ([`t_matmul_sparse`]) and `dZ·Wᵀ` (`Matrix::matmul_t`) run the same
-//! code under every dispatch choice. The training forward
-//! (`DenseLayer::forward_explicit`) multiplies through `Matrix::matmul`,
-//! i.e. through the active kernel. So training is bit-identical across
-//! scalar and portable, and under AVX2 it differs from them by FMA
-//! rounding: the same seed trains different low bits of the weights, and
-//! so different `QCFW` bytes.
+//! code under every dispatch choice. `matmul_t` transposes `W` and runs
+//! the portable i-k-j loop over `Wᵀ` whatever the active kernel is: it
+//! vectorises like the forward, yet each output element adds its products
+//! from `0.0` in increasing `p`, bit for bit a row-by-row dot product.
+//! The training forward (`DenseLayer::forward_explicit`) multiplies
+//! through `Matrix::matmul`, i.e. through the active kernel. So training
+//! is bit-identical across scalar and portable, and under AVX2 it differs
+//! from them by FMA rounding: the same seed trains different low bits of
+//! the weights, and so different `QCFW` bytes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -236,21 +236,26 @@ impl Matrix {
         out
     }
 
-    /// `self * other^T`, computed without materialising the transpose.
+    /// `self * other^T`: the training-side `dZ·Wᵀ` product.
+    ///
+    /// Transposes `other` and runs the i-k-j loop of the *portable* kernel,
+    /// never the active one: AVX2's FMA would change bits. Each output
+    /// element adds its products from `0.0` in increasing `p`, exactly as a
+    /// dot product of the two rows does, whatever `QCFE_KERNEL` says, while
+    /// the inner loop runs along contiguous rows the compiler vectorises.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t: column counts must agree");
+        let other_t = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out.set(i, j, acc);
-            }
-        }
+        crate::kernel::matmul_f64_with(
+            crate::kernel::MatmulKernel::Portable,
+            &self.data,
+            self.rows,
+            self.cols,
+            &other_t.data,
+            other_t.cols,
+            &mut out.data,
+        );
         out
     }
 

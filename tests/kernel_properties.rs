@@ -6,9 +6,12 @@
 //! * the portable kernel is **bit-identical** to the scalar kernel on every
 //!   tested shape (same fixed accumulation order);
 //! * the AVX2 kernel (when the CPU has it) agrees with scalar within a
-//!   documented FMA tolerance, never bit-garbage.
+//!   documented FMA tolerance, never bit-garbage;
+//! * the training-side `Matrix::matmul_t` is bit-identical to the
+//!   dot-product loop it replaced, under every forced kernel.
 
-use qcfe::nn::kernel::{matmul_f64_with, MatmulKernel};
+use qcfe::nn::kernel::{force_kernel, matmul_f64_with, MatmulKernel};
+use qcfe::nn::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,4 +115,54 @@ fn avx2_kernel_matches_scalar_within_fma_tolerance() {
             }
         }
     }
+}
+
+/// The dot-product loop `Matrix::matmul_t` used to run: one accumulator
+/// per output element, starting from `0.0`, summed in increasing `p`.
+fn dot_product_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        let a_row = a.row(i);
+        for j in 0..b.rows() {
+            let b_row = b.row(j);
+            let mut acc = 0.0;
+            for (&x, &y) in a_row.iter().zip(b_row.iter()) {
+                acc += x * y;
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+/// `dZ·Wᵀ` runs the portable i-k-j loop over `Wᵀ`, never the active
+/// kernel, so it must equal the old dot-product loop bit for bit whichever
+/// kernel is forced. k spans 1–9 so every shape of the 4-way unroll tail
+/// is covered.
+#[test]
+fn matmul_t_is_bit_identical_to_the_dot_product_loop_under_every_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_51D2);
+    for kernel in MatmulKernel::ALL {
+        if !force_kernel(Some(kernel)) {
+            continue;
+        }
+        for case in 0..CASES {
+            let rows = rng.gen_range(1usize..=5);
+            let k = rng.gen_range(1usize..=9);
+            let n = rng.gen_range(1usize..=7);
+            let a = Matrix::from_vec(rows, k, random_activations(&mut rng, rows, k));
+            let b = Matrix::from_vec(n, k, random_activations(&mut rng, n, k));
+            let got = a.matmul_t(&b);
+            let want = dot_product_matmul_t(&a, &b);
+            assert_eq!(got.shape(), want.shape());
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{kernel:?} case {case} ({rows}x{k} * ({n}x{k})^T) element {i}: {g} != {w}"
+                );
+            }
+        }
+    }
+    force_kernel(None);
 }
