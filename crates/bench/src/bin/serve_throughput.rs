@@ -14,8 +14,10 @@
 //! its own streamed labels (gated: refit error ≤ transferred error),
 //! a network section driving the same gateway through the `qcfe-net`
 //! reactor over a loopback Unix-domain socket — N pipelined remote
-//! clients vs the same clients in-process (reported, not gated; every
-//! remote estimate is asserted bit-identical to its in-process twin),
+//! clients vs the same clients in-process (throughput reported, not
+//! gated; the mean micro-batch the shards drained over the UDS window
+//! gated; every remote estimate is asserted bit-identical to its
+//! in-process twin),
 //! a multi-tenant scheduling section replaying one adversarial mix
 //! (a greedy deadline-less tenant flooding a throttled single-worker
 //! shard next to compliant deadline-carrying tenants) against a
@@ -62,7 +64,11 @@
 //! * the revived replica serves a stale read before its catch-up
 //!   promotes it, serves the re-published state non-bit-identically, a
 //!   re-ship is rejected, or the stale snapshot and weights are not both
-//!   re-shipped.
+//!   re-shipped;
+//! * the shards' mean micro-batch over the UDS window of the network
+//!   section falls below 6 — the reactor handing requests over one at a
+//!   time instead of one batch per readable event (a count, not a
+//!   timing, so loopback noise cannot trip it).
 //!
 //! Every section also fails on a dropped request, and the network section
 //! on a remote estimate that differs from its in-process twin or a
@@ -91,6 +97,12 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The network section's gate: the least mean micro-batch the shards may
+/// drain over the UDS window. Per-request hand-off measured 1.7–3.7 and
+/// per-turn batching 23.5–29.0 (quick and full mode, 2-vCPU host); the
+/// gate sits below a third of the batched runs' lowest value.
+const NET_MIN_BATCH_MEAN: f64 = 6.0;
 
 /// A cost model that sleeps once per drained micro-batch before
 /// delegating. The scheduling section uses it to make queue wait — not
@@ -846,10 +858,11 @@ fn main() {
     // gateway over a loopback Unix-domain socket. N remote clients each
     // pipeline their whole request batch through one connection; the
     // baseline is the same N clients calling `gateway.estimate`
-    // in-process. Reported, not gated — loopback syscall cost is machine
-    // noise, and the in-process sections above already carry the
-    // regression gates — but every remote estimate is asserted
-    // bit-identical to its in-process twin first.
+    // in-process. Throughput is reported, not gated — loopback syscall
+    // cost is machine noise — but the mean micro-batch the shards drain
+    // over each window is a count, and the UDS one is gated at the end.
+    // Every remote estimate is asserted bit-identical to its in-process
+    // twin first.
     // ---------------------------------------------------------------
     let net_root = std::env::temp_dir().join(format!(
         "qcfe-serve-bench-net-{}-{seed}",
@@ -920,6 +933,22 @@ fn main() {
         }
     }
 
+    // (completed, drained micro-batches) summed over the resident shards:
+    // the deltas across a timing window give its mean micro-batch.
+    let batch_totals = |gateway: &QcfeGateway| {
+        gateway
+            .resident_shards()
+            .iter()
+            .filter_map(|key| gateway.shard_metrics(key))
+            .fold((0u64, 0u64), |(completed, batches), m| {
+                (completed + m.completed, batches + m.batches)
+            })
+    };
+    let mean_batch = |before: (u64, u64), after: (u64, u64)| {
+        (after.0 - before.0) as f64 / (after.1 - before.1).max(1) as f64
+    };
+
+    let before = batch_totals(&gateway);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for batch in &net_requests {
@@ -932,7 +961,9 @@ fn main() {
         }
     });
     let inproc_tput = (net_clients * requests_per_client) as f64 / started.elapsed().as_secs_f64();
+    let inproc_batch_mean = mean_batch(before, batch_totals(&gateway));
 
+    let before = batch_totals(&gateway);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for batch in &net_requests {
@@ -950,6 +981,7 @@ fn main() {
         }
     });
     let net_tput = (net_clients * requests_per_client) as f64 / started.elapsed().as_secs_f64();
+    let net_batch_mean = mean_batch(before, batch_totals(&gateway));
 
     let net_stats = server.join().expect("clean reactor shutdown");
     assert_eq!(
@@ -969,6 +1001,7 @@ fn main() {
             "requests/client",
             "aggregate throughput (est/s)",
             "ratio vs in-process",
+            "mean micro-batch",
         ],
     );
     net_table.push_row(vec![
@@ -977,6 +1010,7 @@ fn main() {
         requests_per_client.to_string(),
         format!("{inproc_tput:.0}"),
         fmt3(1.0),
+        format!("{inproc_batch_mean:.2}"),
     ]);
     net_table.push_row(vec![
         "qcfe-net UDS reactor (pipelined)".into(),
@@ -984,10 +1018,11 @@ fn main() {
         requests_per_client.to_string(),
         format!("{net_tput:.0}"),
         fmt3(net_tput / inproc_tput),
+        format!("{net_batch_mean:.2}"),
     ]);
     report.add_table(net_table);
     eprintln!(
-        "[serve] network front end: {net_clients} pipelined UDS clients {net_tput:.0} est/s vs in-process {inproc_tput:.0} est/s ({:.2}x)",
+        "[serve] network front end: {net_clients} pipelined UDS clients {net_tput:.0} est/s vs in-process {inproc_tput:.0} est/s ({:.2}x); mean micro-batch {net_batch_mean:.2} over UDS, {inproc_batch_mean:.2} in process",
         net_tput / inproc_tput
     );
 
@@ -1327,6 +1362,9 @@ fn main() {
     let kill_after = load_duration / 3;
     let victim_server = Mutex::new(repl_servers[victim].take());
     let victim_replicator = Mutex::new(repl_replicators[victim].take());
+    // The victim owns environment 0's key, and rendezvous placement can
+    // hand it every other key too: count its ships before it goes.
+    let victim_ships = AtomicU64::new(0);
     let absorb_ms = Mutex::new(0.0f64);
     let repl_db = &dbs[0];
     let pool = Mutex::new(
@@ -1340,7 +1378,9 @@ fn main() {
             if let Some(handle) = victim_server.lock().expect("victim lock").take() {
                 handle.join().expect("victim drains");
             }
-            drop(victim_replicator.lock().expect("replicator lock").take());
+            if let Some(replicator) = victim_replicator.lock().expect("replicator lock").take() {
+                victim_ships.store(replicator.stats().ships_sent, Ordering::Relaxed);
+            }
             // Absorb latency: from the victim being fully gone to a
             // survivor answering for its keys, redirects and liveness
             // discovery included.
@@ -1395,7 +1435,8 @@ fn main() {
         .iter()
         .flatten()
         .map(|r| r.stats().ships_sent)
-        .sum();
+        .sum::<u64>()
+        + victim_ships.load(Ordering::Relaxed);
     assert!(repl_shipped > 0, "owners must have shipped state to peers");
     for (i, server) in repl_servers.iter_mut().enumerate() {
         if let Some(handle) = server.take() {
@@ -1850,5 +1891,14 @@ fn main() {
         "refit error regressed above transferred error: {:.4} > {:.4}",
         refined_run.mean_q_error(),
         transferred_run.mean_q_error()
+    );
+
+    // CI regression gate: the reactor must hand pipelined requests to the
+    // shards in batches. A count, not a timing, so loopback noise cannot
+    // trip it: the mean micro-batch over the UDS window stays at or above
+    // NET_MIN_BATCH_MEAN (one hand-off per request gives about 2).
+    assert!(
+        net_batch_mean >= NET_MIN_BATCH_MEAN,
+        "the UDS reactor's mean micro-batch fell to {net_batch_mean:.2} (gate {NET_MIN_BATCH_MEAN})"
     );
 }

@@ -16,7 +16,7 @@
 //! round-trip. Every other fault is permanent for the request and
 //! surfaces immediately.
 
-use crate::wire::{self, Frame, WireError, WireFault, WireRequest, WireResponse};
+use crate::wire::{self, Frame, WireError, WireFault, WireResponse};
 use qcfe_serve::request::{EstimateRequest, EstimateResponse};
 use qcfe_serve::{ModelKey, ReplicaSet};
 use std::io::{self, Read, Write};
@@ -223,13 +223,14 @@ impl QcfeClient {
 
     /// Encode and send one request without waiting for its response;
     /// returns the correlation id the response will echo. Call repeatedly
-    /// to pipeline.
+    /// to pipeline. The frame is encoded straight from the borrowed
+    /// request ([`wire::encode_estimate_request`]), one allocation, no
+    /// clone of the environment or plan.
     pub fn send(&mut self, request: &EstimateRequest) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let wire_request = WireRequest::from_estimate_request(id, request)?;
         self.transport
-            .write_all(&wire::encode_request(&wire_request)?)?;
+            .write_all(&wire::encode_estimate_request(id, request)?)?;
         Ok(id)
     }
 

@@ -9,10 +9,12 @@
 //!   rejection and no-panic bounds-checked decoding.
 //! * [`server`] — a single-threaded reactor (epoll on Linux, `poll`
 //!   elsewhere) multiplexing every connection through non-blocking framed
-//!   reads/writes, submitting decoded requests through the gateway's
-//!   asynchronous [`qcfe_serve::QcfeGateway::submit_with_notify`] path and
-//!   shipping responses as they complete — thousands of in-flight
-//!   estimates without a thread each.
+//!   reads/writes. Every request decoded from one readable event enters
+//!   the gateway in one [`qcfe_serve::QcfeGateway::submit_batch`] call,
+//!   completions wake the reactor through one coalescing
+//!   [`sys::Waker`], and each connection's replies leave in one socket
+//!   write per turn — thousands of in-flight estimates without a thread
+//!   each.
 //! * [`client`] — a small blocking client that connects, pipelines
 //!   requests and reaps responses by correlation id, with an opt-in
 //!   [`client::RetryPolicy`] for backoff-on-shed and transparent
@@ -42,6 +44,7 @@ pub use client::{ClientError, QcfeClient, RetryPolicy, ShardClient};
 pub use replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
 pub use server::{NetServerBuilder, ServerHandle, ServerStats};
 pub use wire::{
-    decode_frame, encode_request, encode_response, frame_length, Frame, WireError, WireEstimate,
-    WireFault, WireRequest, WireResponse, WireShipAck, WireShipModel, WireShipSnapshot,
+    decode_frame, encode_estimate_request, encode_request, encode_response, frame_length, Frame,
+    WireError, WireEstimate, WireFault, WireRequest, WireResponse, WireShipAck, WireShipModel,
+    WireShipSnapshot,
 };

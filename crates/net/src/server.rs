@@ -2,26 +2,45 @@
 //! sockets.
 //!
 //! One thread owns every connection. Sockets are nonblocking and
-//! level-polled through [`crate::sys::Poller`]; decoded requests enter the
-//! gateway through its asynchronous
-//! [`QcfeGateway::submit_with_notify`] path, so an in-flight estimate
+//! level-polled through [`crate::sys::Poller`]; an in-flight estimate
 //! costs one map entry — not a parked thread — and thousands can be
-//! outstanding at once. Completion hooks (running on the shard worker
-//! threads) push the finished sequence number onto a queue and kick the
-//! reactor's [`crate::sys::Waker`]; the reactor reaps each ticket with the
-//! non-blocking [`PendingResponse::try_wait`] and ships the response frame
-//! on the owning connection.
+//! outstanding at once.
+//!
+//! ## One hand-off per turn
+//!
+//! Every hop between the socket and the shards works per batch:
+//!
+//! * **In.** A readable event reads the socket dry, decodes every complete
+//!   frame straight from the read buffer, and hands all the request frames
+//!   to the gateway in one [`QcfeGateway::submit_batch`] call — once the
+//!   buffer is used up, and before any non-request frame is handled, so
+//!   frame order is kept. The gateway groups them by shard, and each shard
+//!   admits its share under one queue lock with one worker wake-up per
+//!   micro-batch.
+//! * **Completions.** Each request carries a completion hook that pushes
+//!   its sequence number onto a queue and kicks the reactor's
+//!   [`crate::sys::Waker`]. A shard worker fires its micro-batch's hooks
+//!   only after every reply is sent, and the waker coalesces, so a batch
+//!   wakes the reactor with one write. The reactor reaps each ticket with
+//!   the non-blocking [`PendingResponse::try_wait`].
+//! * **Out.** Replies are only appended to their connection's write buffer;
+//!   once per turn, after completions and sweeps, the reactor flushes every
+//!   connection with new bytes, so each connection's replies leave in one
+//!   socket write per turn. (A protocol error flushes and closes at
+//!   once.)
 //!
 //! ## Backpressure
 //!
-//! The reactor never blocks on admission: every gateway submission sheds
+//! The reactor never blocks on admission: the gateway's batch call sheds
 //! load. When a shard queue is full, the client's own `shed_load` flag
 //! picks the policy — `true` gets a typed
 //! [`WireFault::QueueFull`](crate::wire::WireFault) response immediately;
-//! `false` parks the decoded request on its connection and *pauses
-//! reading from that connection* (the paper's closed-loop client simply
-//! stops being read from, and TCP flow control propagates the stall to
-//! it) until a completion frees queue capacity.
+//! `false` parks the request, whole, at the back of its connection's FIFO
+//! of parked requests and *pauses reading from that connection* (the
+//! paper's closed-loop client simply stops being read from, and TCP flow
+//! control propagates the stall to it). After each turn's completions
+//! free queue capacity, the FIFO is resubmitted in order as one batch;
+//! reading resumes once it is empty.
 //!
 //! ## Malformed input
 //!
@@ -35,12 +54,15 @@
 
 use crate::sys::{Event, Interest, Poller, Waker, WakerHandle};
 use crate::wire::{
-    self, Frame, WireError, WireEstimate, WireFault, WireManifestReply, WireRequest, WireResponse,
-    WireShipAck, MAX_STRING_LEN,
+    self, Frame, WireError, WireEstimate, WireFault, WireManifestReply, WireResponse, WireShipAck,
+    MAX_STRING_LEN,
 };
 use qcfe_db::EnvFingerprint;
-use qcfe_serve::{ModelKey, PendingResponse, QcfeError, QcfeGateway, ReplicaSet};
-use std::collections::HashMap;
+use qcfe_serve::{
+    CompletionNotify, EstimateRequest, ModelKey, PendingResponse, QcfeError, QcfeGateway, Rejected,
+    ReplicaSet, ServiceError,
+};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -201,18 +223,21 @@ impl NetServerBuilder {
         for (i, listener) in listeners.iter().enumerate() {
             poller.register(listener.fd(), i, Interest::READ)?;
         }
-        let wake_handle = waker.handle()?;
+        let wake_handle = waker.handle();
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let reactor = Reactor {
             gateway: self.gateway,
             poller,
+            completions: Arc::new(Completions {
+                seqs: Mutex::new(Vec::new()),
+                waker: waker.handle(),
+            }),
             waker,
-            wake_handle: wake_handle.clone(),
             listeners,
             conns: Vec::new(),
             pending: HashMap::new(),
-            completions: Arc::new(Mutex::new(Vec::new())),
+            to_flush: Vec::new(),
             next_seq: 0,
             shutdown: shutdown.clone(),
             max_connections: self.max_connections,
@@ -361,12 +386,15 @@ struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
+    /// Queued for this turn's flush (see [`Reactor::flush_turn`]); the
+    /// connection does not need write interest until that flush blocks.
+    flush_queued: bool,
     last_activity: Instant,
     in_flight: usize,
-    /// A decoded request waiting for shard queue capacity. While set, the
-    /// connection is not read from (frames behind the stalled one must not
-    /// overtake it).
-    stalled: Option<WireRequest>,
+    /// Requests waiting for shard queue capacity, in arrival order, with
+    /// their correlation ids. While any is parked, the connection is not
+    /// read from (frames behind them must not overtake them).
+    parked: VecDeque<(u64, EstimateRequest)>,
     /// Peer half-closed (or shutdown draining): stop reading.
     read_closed: bool,
     /// Close as soon as the write buffer drains.
@@ -376,7 +404,7 @@ struct Conn {
 
 impl Conn {
     fn wants_read(&self, shutting_down: bool) -> bool {
-        !self.read_closed && self.stalled.is_none() && !self.close_after_flush && !shutting_down
+        !self.read_closed && self.parked.is_empty() && !self.close_after_flush && !shutting_down
     }
 
     fn has_backlog(&self) -> bool {
@@ -390,19 +418,40 @@ struct Pending {
     request_id: u64,
     response: PendingResponse,
     submitted_at: Instant,
-    deadline_us: Option<u64>,
+    deadline: Option<Duration>,
     expires: Option<Instant>,
+}
+
+/// Finished submissions waiting to be reaped: the completion hooks (on the
+/// shard workers) push their sequence numbers here, then wake the reactor.
+struct Completions {
+    seqs: Mutex<Vec<u64>>,
+    waker: WakerHandle,
+}
+
+impl Completions {
+    /// Queue one finished sequence number, then wake the reactor — in that
+    /// order, which is what the waker's coalescing relies on.
+    fn push(&self, seq: u64) {
+        self.seqs.lock().expect("completion queue").push(seq);
+        self.waker.wake();
+    }
+
+    fn take(&self) -> Vec<u64> {
+        std::mem::take(&mut *self.seqs.lock().expect("completion queue"))
+    }
 }
 
 struct Reactor {
     gateway: Arc<QcfeGateway>,
     poller: Poller,
     waker: Waker,
-    wake_handle: WakerHandle,
     listeners: Vec<Listener>,
     conns: Vec<Option<Conn>>,
     pending: HashMap<u64, Pending>,
-    completions: Arc<Mutex<Vec<u64>>>,
+    completions: Arc<Completions>,
+    /// Connections with replies appended this turn, flushed at its end.
+    to_flush: Vec<usize>,
     next_seq: u64,
     shutdown: Arc<AtomicBool>,
     max_connections: usize,
@@ -440,7 +489,7 @@ impl Reactor {
                         .conns
                         .iter()
                         .flatten()
-                        .all(|c| !c.has_backlog() && c.stalled.is_none());
+                        .all(|c| !c.has_backlog() && c.parked.is_empty());
                 let expired = drain_until.is_some_and(|t| Instant::now() >= t);
                 if drained || expired {
                     break;
@@ -452,6 +501,7 @@ impl Reactor {
 
             for event in events.drain(..) {
                 if event.token == WAKER_TOKEN {
+                    // The completions it announces are reaped below.
                     self.waker.drain();
                 } else if event.token < CONN_BASE {
                     if accepting {
@@ -469,10 +519,11 @@ impl Reactor {
             }
 
             self.drain_completions(shutting_down);
-            self.sweep_deadlines(shutting_down);
+            self.sweep_deadlines();
             if !shutting_down {
                 self.sweep_idle();
             }
+            self.flush_turn(shutting_down);
         }
         Ok(self.stats)
     }
@@ -520,9 +571,10 @@ impl Reactor {
                         read_buf: Vec::new(),
                         write_buf: Vec::new(),
                         write_pos: 0,
+                        flush_queued: false,
                         last_activity: Instant::now(),
                         in_flight: 0,
-                        stalled: None,
+                        parked: VecDeque::new(),
                         read_closed: false,
                         close_after_flush: false,
                         interest: Interest::READ,
@@ -543,8 +595,16 @@ impl Reactor {
         }
     }
 
+    fn conn(&self, slot: usize) -> Option<&Conn> {
+        self.conns.get(slot).and_then(Option::as_ref)
+    }
+
+    fn conn_mut(&mut self, slot: usize) -> Option<&mut Conn> {
+        self.conns.get_mut(slot).and_then(Option::as_mut)
+    }
+
     fn readable(&mut self, slot: usize, shutting_down: bool) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conn_mut(slot) else {
             return;
         };
         if !conn.wants_read(shutting_down) {
@@ -568,7 +628,7 @@ impl Reactor {
             }
         }
         self.parse_frames(slot, shutting_down);
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conn(slot) else {
             return;
         };
         if conn.read_closed && conn.in_flight == 0 && !conn.has_backlog() {
@@ -578,48 +638,83 @@ impl Reactor {
         }
     }
 
-    /// Consume every complete frame in the connection's read buffer.
-    /// Stops early when the connection stalls on backpressure or the
-    /// stream desyncs.
+    /// Consume every complete frame in the connection's read buffer,
+    /// decoding each in place. Request frames are collected and submitted
+    /// in one batch when the buffer is used up — or before a non-request
+    /// frame is handled, so frame order is kept. Stops early when requests
+    /// are parked on backpressure (the rest stays buffered until the parked
+    /// FIFO drains) or the stream desyncs.
     fn parse_frames(&mut self, slot: usize, shutting_down: bool) {
+        let Some(conn) = self.conn_mut(slot) else {
+            return;
+        };
+        if !conn.parked.is_empty() || conn.close_after_flush {
+            return;
+        }
+        let generation = conn.generation;
+        // Take the buffer so `self` is free for the handlers below.
+        let mut buf = std::mem::take(&mut conn.read_buf);
         let mut offset = 0;
+        let mut requests: Vec<(u64, EstimateRequest)> = Vec::new();
         loop {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
-            if conn.stalled.is_some() || conn.close_after_flush {
-                break;
-            }
-            let buf = &conn.read_buf[offset..];
-            match wire::frame_length(buf) {
+            let len = match wire::frame_length(&buf[offset..]) {
                 Ok(None) => break,
-                Ok(Some(len)) => {
-                    // Take the frame bytes out so `self` is free for the
-                    // handlers below.
-                    let frame: Vec<u8> = buf[..len].to_vec();
-                    offset += len;
-                    self.handle_frame(slot, &frame, shutting_down);
-                }
+                Ok(Some(len)) => len,
                 Err(error) => {
                     // The stream cannot be re-synchronised: answer with a
                     // best-effort error frame and close.
+                    self.submit_batch(slot, std::mem::take(&mut requests), shutting_down);
                     self.stats.protocol_errors += 1;
                     self.protocol_error(slot, 0, &error);
-                    if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                        conn.read_buf.clear();
+                    offset = buf.len();
+                    break;
+                }
+            };
+            let frame = &buf[offset..offset + len];
+            match wire::decode_frame(frame) {
+                Ok(Frame::Request(request)) => {
+                    offset += len;
+                    requests.push((request.request_id, request.into_estimate_request()));
+                }
+                decoded => {
+                    self.submit_batch(slot, std::mem::take(&mut requests), shutting_down);
+                    let blocked = self
+                        .conn(slot)
+                        .is_none_or(|c| !c.parked.is_empty() || c.close_after_flush);
+                    if blocked {
+                        break;
                     }
-                    return;
+                    offset += len;
+                    self.handle_frame(slot, frame, decoded, shutting_down);
+                    if self.conn(slot).is_none_or(|c| c.close_after_flush) {
+                        break;
+                    }
                 }
             }
         }
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            conn.read_buf.drain(..offset);
+        self.submit_batch(slot, requests, shutting_down);
+        if let Some(conn) = self.conn_mut(slot) {
+            if conn.generation == generation {
+                buf.drain(..offset);
+                conn.read_buf = buf;
+            }
         }
     }
 
-    fn handle_frame(&mut self, slot: usize, frame: &[u8], shutting_down: bool) {
-        match wire::decode_frame(frame) {
-            Ok(Frame::Request(request)) => self.submit(slot, *request, shutting_down),
+    /// Act on one decoded frame; `frame` is its raw bytes, read only to
+    /// recover the request id of a payload that failed to decode.
+    fn handle_frame(
+        &mut self,
+        slot: usize,
+        frame: &[u8],
+        decoded: Result<Frame, WireError>,
+        shutting_down: bool,
+    ) {
+        match decoded {
+            Ok(Frame::Request(request)) => {
+                let request = (request.request_id, request.into_estimate_request());
+                self.submit_batch(slot, vec![request], shutting_down);
+            }
             Ok(Frame::Response(response)) => {
                 // Clients must not send response frames; the stream is
                 // syntactically fine but semantically broken — reject and
@@ -641,7 +736,7 @@ impl Reactor {
                     &ship.snapshot,
                     &ship.knobs,
                 );
-                self.ship_ack(slot, ship.request_id, outcome, shutting_down);
+                self.ship_ack(slot, ship.request_id, outcome);
             }
             Ok(Frame::ShipModel(ship)) => {
                 if self.reject_ship_when_solo(slot, ship.request_id) {
@@ -653,7 +748,7 @@ impl Reactor {
                     EnvFingerprint(ship.fingerprint),
                 );
                 let outcome = self.gateway.apply_shipped_model(key, &ship.weights);
-                self.ship_ack(slot, ship.request_id, outcome, shutting_down);
+                self.ship_ack(slot, ship.request_id, outcome);
             }
             Ok(Frame::ShipAck(ack)) => {
                 // Only *senders* of ship frames ever receive acks; an
@@ -686,7 +781,7 @@ impl Reactor {
                             return;
                         };
                         self.stats.manifests_served += 1;
-                        self.enqueue_bytes(slot, &bytes, shutting_down);
+                        self.enqueue_bytes(slot, &bytes);
                     }
                     Err(error) => {
                         self.send_fault(
@@ -695,7 +790,6 @@ impl Reactor {
                             WireFault::Store {
                                 message: clip(&error.to_string()),
                             },
-                            shutting_down,
                         );
                     }
                 }
@@ -720,7 +814,6 @@ impl Reactor {
                         WireFault::BadRequest {
                             message: clip(&error.to_string()),
                         },
-                        shutting_down,
                     );
                 }
                 // Checksum failure inside a well-delimited frame.
@@ -732,108 +825,105 @@ impl Reactor {
         }
     }
 
-    fn submit(&mut self, slot: usize, request: WireRequest, shutting_down: bool) {
-        if shutting_down {
-            self.send_fault(
-                slot,
-                request.request_id,
-                WireFault::ServiceClosed,
-                shutting_down,
-            );
+    /// Hand a connection's requests to the gateway in one batch call, in
+    /// order. Each gets a completion hook; an admitted one becomes a
+    /// pending entry, a non-shedding one refused for queue capacity is
+    /// parked (whole, as the gateway handed it back) at the back of the
+    /// connection's FIFO, and every other refusal is answered typed. The
+    /// replica-placement check and the shutdown answer stay per request.
+    fn submit_batch(
+        &mut self,
+        slot: usize,
+        requests: Vec<(u64, EstimateRequest)>,
+        shutting_down: bool,
+    ) {
+        if requests.is_empty() {
             return;
         }
-        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+        let Some(generation) = self.conn(slot).map(|c| c.generation) else {
             return;
         };
-        let generation = conn.generation;
-        let request_id = request.request_id;
-        let client_sheds = request.shed_load;
-        let deadline_us = request.deadline_us;
-
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let completions = Arc::clone(&self.completions);
-        let wake = self.wake_handle.clone();
-        let notify: qcfe_serve::CompletionNotify = Arc::new(move || {
-            completions.lock().expect("completion queue").push(seq);
-            wake.wake();
-        });
-
-        // The reactor itself always sheds: a full shard queue must never
-        // block the event loop. The client's own flag picks what happens
-        // next.
-        let mut estimate_request = request.clone().into_estimate_request();
-        estimate_request.options.shed_load = true;
-
-        // Replicated serving: a key placed on another alive peer is
-        // refused with a redirect hint instead of served here — every
-        // replica answers the same way, so clients converge on one owner
-        // per key and shipped state stays single-writer.
-        if let Some(replicas) = &self.replicas {
-            let key = ModelKey::new(
-                estimate_request.benchmark,
-                estimate_request.options.estimator,
-                estimate_request.environment.fingerprint(),
-            );
-            if !replicas.owns(&key) {
-                self.stats.not_owner_redirects += 1;
-                let owner = replicas.owner_addr(&key).to_string();
-                self.send_fault(
-                    slot,
-                    request_id,
-                    WireFault::NotOwner { owner },
-                    shutting_down,
-                );
-                return;
+        let mut tickets: Vec<(u64, u64, Option<Duration>)> = Vec::with_capacity(requests.len());
+        let mut batch: Vec<(EstimateRequest, Option<CompletionNotify>)> =
+            Vec::with_capacity(requests.len());
+        for (request_id, request) in requests {
+            if shutting_down {
+                self.send_fault(slot, request_id, WireFault::ServiceClosed);
+                continue;
             }
-        }
-
-        match self
-            .gateway
-            .submit_with_notify(estimate_request, Some(notify))
-        {
-            Ok(response) => {
-                let submitted_at = Instant::now();
-                self.pending.insert(
-                    seq,
-                    Pending {
-                        slot,
-                        generation,
-                        request_id,
-                        response,
-                        submitted_at,
-                        deadline_us,
-                        expires: deadline_us.map(|us| submitted_at + Duration::from_micros(us)),
-                    },
+            // Replicated serving: a key placed on another alive peer is
+            // refused with a redirect hint instead of served here — every
+            // replica answers the same way, so clients converge on one
+            // owner per key and shipped state stays single-writer.
+            if let Some(replicas) = &self.replicas {
+                let key = ModelKey::new(
+                    request.benchmark,
+                    request.options.estimator,
+                    request.environment.fingerprint(),
                 );
-                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                    conn.in_flight += 1;
+                if !replicas.owns(&key) {
+                    self.stats.not_owner_redirects += 1;
+                    let owner = replicas.owner_addr(&key).to_string();
+                    self.send_fault(slot, request_id, WireFault::NotOwner { owner });
+                    continue;
                 }
             }
-            Err(QcfeError::Service(qcfe_serve::ServiceError::QueueFull { .. }))
-                if !client_sheds =>
-            {
-                // Park the request and stop reading this connection until
-                // a completion frees capacity.
-                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                    conn.stalled = Some(request);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let completions = Arc::clone(&self.completions);
+            let notify: CompletionNotify = Arc::new(move || completions.push(seq));
+            tickets.push((request_id, seq, request.deadline));
+            batch.push((request, Some(notify)));
+        }
+        if batch.is_empty() {
+            return;
+        }
+        let outcomes = self.gateway.submit_batch(batch);
+        let submitted_at = Instant::now();
+        for ((request_id, seq, deadline), outcome) in tickets.into_iter().zip(outcomes) {
+            match outcome {
+                Ok(response) => {
+                    self.pending.insert(
+                        seq,
+                        Pending {
+                            slot,
+                            generation,
+                            request_id,
+                            response,
+                            submitted_at,
+                            deadline,
+                            expires: deadline.map(|d| submitted_at + d),
+                        },
+                    );
+                    if let Some(conn) = self.conn_mut(slot) {
+                        conn.in_flight += 1;
+                    }
                 }
-                self.update_interest(slot, shutting_down);
-            }
-            Err(error) => {
-                self.send_fault(slot, request_id, WireFault::from(&error), shutting_down);
+                Err(rejected) => match *rejected {
+                    Rejected {
+                        error: QcfeError::Service(ServiceError::QueueFull { .. }),
+                        request,
+                    } if !request.options.shed_load => {
+                        // Park it and stop reading this connection until a
+                        // completion frees capacity.
+                        if let Some(conn) = self.conn_mut(slot) {
+                            conn.parked.push_back((request_id, request));
+                        }
+                    }
+                    Rejected { error, .. } => {
+                        self.send_fault(slot, request_id, WireFault::from(&error));
+                    }
+                },
             }
         }
+        self.update_interest(slot, shutting_down);
     }
 
     /// Reap every completed submission the workers have signalled, then
-    /// retry stalled connections against the freed queue capacity.
+    /// retry parked requests against the freed queue capacity.
     fn drain_completions(&mut self, shutting_down: bool) {
         loop {
-            let seqs: Vec<u64> = {
-                let mut queue = self.completions.lock().expect("completion queue");
-                std::mem::take(&mut *queue)
-            };
+            let seqs = self.completions.take();
             if seqs.is_empty() {
                 break;
             }
@@ -841,15 +931,15 @@ impl Reactor {
                 let Some(pending) = self.pending.remove(&seq) else {
                     continue; // already answered by the deadline sweep
                 };
-                self.finish(pending, shutting_down);
+                self.finish(pending);
             }
         }
-        self.retry_stalled(shutting_down);
+        self.retry_parked(shutting_down);
     }
 
     /// Answer every in-flight request whose deadline has passed without a
     /// completion; the eventual completion finds nothing and is dropped.
-    fn sweep_deadlines(&mut self, shutting_down: bool) {
+    fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let expired: Vec<u64> = self
             .pending
@@ -859,33 +949,30 @@ impl Reactor {
             .collect();
         for seq in expired {
             if let Some(pending) = self.pending.remove(&seq) {
-                self.finish(pending, shutting_down);
+                self.finish(pending);
             }
         }
     }
 
     /// Turn one reaped submission into a response frame on its connection
     /// (if that connection is still the same one that submitted it).
-    fn finish(&mut self, pending: Pending, shutting_down: bool) {
+    fn finish(&mut self, pending: Pending) {
         let Pending {
             slot,
             generation,
             request_id,
             response,
             submitted_at,
-            deadline_us,
+            deadline,
             ..
         } = pending;
-        let live = self
-            .conns
-            .get(slot)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| c.generation == generation);
-        if live {
-            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+        let live = match self.conn_mut(slot) {
+            Some(conn) if conn.generation == generation => {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
+                true
             }
-        }
+            _ => false,
+        };
         let outcome = match response.try_wait() {
             Ok(Some(estimate)) => Ok(WireEstimate::from_response(&estimate)),
             // Reply not yet consumable: only the deadline sweep lands here,
@@ -894,7 +981,7 @@ impl Reactor {
             // consumable). Answer with the actual deadline fault.
             Ok(None) => Err(WireFault::DeadlineExceeded {
                 elapsed_us: submitted_at.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                deadline_us: deadline_us.unwrap_or(0),
+                deadline_us: deadline.map_or(0, |d| d.as_micros() as u64),
             }),
             Err(error) => Err(WireFault::from(&error)),
         };
@@ -912,43 +999,27 @@ impl Reactor {
                         request_id,
                         outcome: Ok(estimate),
                     },
-                    shutting_down,
                 );
             }
-            Err(fault) => self.send_fault(slot, request_id, fault, shutting_down),
-        }
-        let idle_close = self
-            .conns
-            .get(slot)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| c.read_closed && c.in_flight == 0 && !c.has_backlog());
-        if idle_close {
-            self.close(slot);
+            Err(fault) => self.send_fault(slot, request_id, fault),
         }
     }
 
-    /// Re-submit parked requests now that completions may have freed
-    /// shard queue capacity; resuming reads happens via `submit` →
-    /// `update_interest` when the stall clears.
-    fn retry_stalled(&mut self, shutting_down: bool) {
+    /// Resubmit each connection's parked FIFO, in order, as one batch now
+    /// that completions may have freed shard queue capacity. Whatever is
+    /// refused again is re-parked in the same order; once the FIFO is
+    /// empty, buffered frames are parsed and reading resumes.
+    fn retry_parked(&mut self, shutting_down: bool) {
         for slot in 0..self.conns.len() {
-            let Some(request) = self
-                .conns
-                .get_mut(slot)
-                .and_then(Option::as_mut)
-                .and_then(|c| c.stalled.take())
-            else {
+            let Some(conn) = self.conn_mut(slot) else {
                 continue;
             };
-            self.submit(slot, request, shutting_down);
-            // If it stalled again, submit() re-parked it; otherwise the
-            // connection is readable again and buffered frames resume.
-            let unstalled = self
-                .conns
-                .get(slot)
-                .and_then(Option::as_ref)
-                .is_some_and(|c| c.stalled.is_none());
-            if unstalled {
+            if conn.parked.is_empty() {
+                continue;
+            }
+            let parked = Vec::from(std::mem::take(&mut conn.parked));
+            self.submit_batch(slot, parked, shutting_down);
+            if self.conn(slot).is_some_and(|c| c.parked.is_empty()) {
                 self.parse_frames(slot, shutting_down);
                 self.update_interest(slot, shutting_down);
             }
@@ -964,13 +1035,13 @@ impl Reactor {
             .filter_map(|(slot, conn)| {
                 let conn = conn.as_ref()?;
                 let quiet = conn.in_flight == 0 && !conn.has_backlog();
-                // A stalled connection is not read from (its parked request
+                // A parked connection is not read from (its parked requests
                 // must not be overtaken), so a peer that disconnects while
                 // parked is invisible to the reactor. Bound the park: the
                 // idle timeout doubles as the longest a request may wait
                 // for shard queue capacity before the connection — and its
-                // parked request — is reclaimed.
-                let sweepable = quiet || conn.stalled.is_some();
+                // parked requests — is reclaimed.
+                let sweepable = quiet || !conn.parked.is_empty();
                 (sweepable && now.duration_since(conn.last_activity) > self.idle_timeout)
                     .then_some(slot)
             })
@@ -1000,13 +1071,7 @@ impl Reactor {
     /// Answer a ship frame: accepted on `Ok`, else a rejection carrying
     /// the rendered reason. The connection survives either way — a peer
     /// with one corrupt artifact can still ship the rest.
-    fn ship_ack(
-        &mut self,
-        slot: usize,
-        request_id: u64,
-        outcome: Result<(), QcfeError>,
-        shutting_down: bool,
-    ) {
+    fn ship_ack(&mut self, slot: usize, request_id: u64, outcome: Result<(), QcfeError>) {
         let ack = match outcome {
             Ok(()) => {
                 self.stats.ships_applied += 1;
@@ -1029,10 +1094,10 @@ impl Reactor {
             self.close(slot);
             return;
         };
-        self.enqueue_bytes(slot, &bytes, shutting_down);
+        self.enqueue_bytes(slot, &bytes);
     }
 
-    fn send_fault(&mut self, slot: usize, request_id: u64, fault: WireFault, down: bool) {
+    fn send_fault(&mut self, slot: usize, request_id: u64, fault: WireFault) {
         self.stats.responses_fault += 1;
         self.enqueue(
             slot,
@@ -1040,12 +1105,11 @@ impl Reactor {
                 request_id,
                 outcome: Err(fault),
             },
-            down,
         );
     }
 
     /// Best-effort error frame for an unparseable stream, then close once
-    /// it flushes.
+    /// it flushes — flushed now, not at the end of the turn.
     fn protocol_error(&mut self, slot: usize, request_id: u64, error: &WireError) {
         self.send_fault(
             slot,
@@ -1053,34 +1117,51 @@ impl Reactor {
             WireFault::BadRequest {
                 message: clip(&error.to_string()),
             },
-            false,
         );
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+        if let Some(conn) = self.conn_mut(slot) {
             conn.close_after_flush = true;
         }
         self.flush(slot, false);
     }
 
-    fn enqueue(&mut self, slot: usize, response: WireResponse, shutting_down: bool) {
+    fn enqueue(&mut self, slot: usize, response: WireResponse) {
         let Ok(bytes) = wire::encode_response(&response) else {
             // Unencodable response (cannot happen with clipped messages):
             // nothing sane to send.
             self.close(slot);
             return;
         };
-        self.enqueue_bytes(slot, &bytes, shutting_down);
+        self.enqueue_bytes(slot, &bytes);
     }
 
-    fn enqueue_bytes(&mut self, slot: usize, bytes: &[u8], shutting_down: bool) {
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            conn.write_buf.extend_from_slice(bytes);
+    /// Append a frame to the connection's write buffer; it leaves with
+    /// everything else appended this turn in [`Reactor::flush_turn`].
+    fn enqueue_bytes(&mut self, slot: usize, bytes: &[u8]) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        conn.write_buf.extend_from_slice(bytes);
+        if !conn.flush_queued {
+            conn.flush_queued = true;
+            self.to_flush.push(slot);
+        }
+    }
+
+    /// The once-per-turn flush: write out every connection that had
+    /// replies appended this turn.
+    fn flush_turn(&mut self, shutting_down: bool) {
+        for slot in std::mem::take(&mut self.to_flush) {
+            let Some(conn) = self.conn_mut(slot) else {
+                continue; // closed since its bytes were appended
+            };
+            conn.flush_queued = false;
             self.flush(slot, shutting_down);
         }
     }
 
     fn flush(&mut self, slot: usize, shutting_down: bool) {
         let must_close = {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            let Some(conn) = self.conn_mut(slot) else {
                 return;
             };
             let mut close = false;
@@ -1119,12 +1200,14 @@ impl Reactor {
     }
 
     fn update_interest(&mut self, slot: usize, shutting_down: bool) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.conn_mut(slot) else {
             return;
         };
         let desired = Interest {
             readable: conn.wants_read(shutting_down),
-            writable: conn.has_backlog(),
+            // A connection queued for this turn's flush writes then; it
+            // needs write interest only once a flush leaves a backlog.
+            writable: conn.has_backlog() && !conn.flush_queued,
         };
         if desired != conn.interest {
             conn.interest = desired;

@@ -15,6 +15,8 @@
 use std::io;
 use std::os::unix::io::RawFd;
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Interest set for one registered descriptor.
@@ -347,15 +349,40 @@ pub use imp::Poller;
 
 /// Cross-thread wakeup for a blocked [`Poller::wait`]: a nonblocking
 /// socketpair whose read end is registered like any connection. Completion
-/// hooks (running on service worker threads) call [`Waker::wake`]; the
-/// reactor drains the read end and processes its completion queue.
+/// hooks (running on service worker threads) call [`WakerHandle::wake`];
+/// the reactor drains the read end and processes its completion queue.
+///
+/// # Coalescing
+///
+/// A `pending` flag shared by every handle makes wake-ups coalesce: `wake`
+/// writes a byte only when no wake-up is pending since the last
+/// [`Waker::drain`], so a burst of completions costs one `write` and
+/// leaves one byte in the pipe. (A full pipe coalesces too — `wake` treats
+/// `WouldBlock` as success.)
+///
+/// The contract the flag relies on: the reactor processes its completion
+/// queue *after* every `drain`, and a waker pushes its work *before* it
+/// calls `wake`. `drain` reads the pipe empty first and clears the flag
+/// after. A `wake` that lands between the two finds the flag still set and
+/// writes nothing, but its work was queued before the flag is cleared, so
+/// the processing that follows the drain sees it; every `wake` after the
+/// clear writes a fresh byte. The opposite order would be wrong: a byte
+/// written by a `wake` racing in after an early clear could be swallowed
+/// by the read, leaving the flag set over an empty pipe — and every later
+/// `wake` would then skip its write while the poller sleeps.
 ///
 /// A socketpair needs no FFI beyond what [`UnixStream::pair`] already
-/// wraps, and a full pipe simply coalesces wakeups — `wake` treats
-/// `WouldBlock` as success.
+/// wraps.
 pub struct Waker {
-    tx: UnixStream,
     rx: UnixStream,
+    shared: Arc<WakerShared>,
+}
+
+/// The write end and the pending flag, shared by every [`WakerHandle`]
+/// (cloning a handle clones the `Arc`, never the descriptor).
+struct WakerShared {
+    tx: UnixStream,
+    pending: AtomicBool,
 }
 
 impl Waker {
@@ -364,7 +391,13 @@ impl Waker {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok(Waker { tx, rx })
+        Ok(Waker {
+            rx,
+            shared: Arc::new(WakerShared {
+                tx,
+                pending: AtomicBool::new(false),
+            }),
+        })
     }
 
     /// The descriptor to register for read interest.
@@ -374,41 +407,45 @@ impl Waker {
     }
 
     /// A clonable handle that wakes the poller. Cheap enough to call from
-    /// every completion hook.
-    pub fn handle(&self) -> io::Result<WakerHandle> {
-        Ok(WakerHandle {
-            tx: self.tx.try_clone()?,
-        })
+    /// every completion hook: it shares this waker's descriptor.
+    pub fn handle(&self) -> WakerHandle {
+        WakerHandle {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Drain pending wakeup bytes after the poller reported the read end
-    /// ready. Coalesced wakeups drain in one call.
+    /// ready, then re-arm coalescing. Reads first, clears the flag after
+    /// (see the type docs for why that order); the caller must process
+    /// its queued work after this returns.
     pub fn drain(&self) {
         use std::io::Read;
         let mut sink = [0u8; 64];
         while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        self.shared.pending.store(false, Ordering::SeqCst);
     }
 }
 
 /// Cloneable wake-the-reactor handle (see [`Waker`]).
+#[derive(Clone)]
 pub struct WakerHandle {
-    tx: UnixStream,
+    shared: Arc<WakerShared>,
 }
 
 impl WakerHandle {
-    /// Wake the poller. A full buffer means a wakeup is already pending,
-    /// which is just as good; a broken pair means the reactor is gone and
-    /// there is nobody left to wake.
+    /// Wake the poller, unless a wake-up is already pending since the last
+    /// drain. A full buffer means a wakeup is already pending, which is
+    /// just as good; a broken pair means the reactor is gone and there is
+    /// nobody left to wake. An interrupted write is retried: with the flag
+    /// set, no later `wake` would write the byte in its place.
     pub fn wake(&self) {
         use std::io::Write;
-        let _ = (&self.tx).write(&[1]);
-    }
-}
-
-impl Clone for WakerHandle {
-    fn clone(&self) -> Self {
-        WakerHandle {
-            tx: self.tx.try_clone().expect("clone waker socket"),
+        if !self.shared.pending.swap(true, Ordering::SeqCst) {
+            while let Err(e) = (&self.shared.tx).write(&[1]) {
+                if e.kind() != io::ErrorKind::Interrupted {
+                    break;
+                }
+            }
         }
     }
 }
@@ -443,7 +480,7 @@ mod tests {
         let waker = Waker::new().unwrap();
         let mut poller = Poller::new().unwrap();
         poller.register(waker.fd(), 0, Interest::READ).unwrap();
-        let handle = waker.handle().unwrap();
+        let handle = waker.handle();
         let t = std::thread::spawn(move || {
             for _ in 0..100 {
                 handle.wake();
@@ -463,5 +500,110 @@ mod tests {
             events.iter().all(|e| e.token != 0 || !e.readable),
             "drained waker must be quiet"
         );
+    }
+
+    /// Open descriptors of this process.
+    #[cfg(target_os = "linux")]
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").unwrap().count()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn cloned_handles_share_one_descriptor() {
+        let waker = Waker::new().unwrap();
+        let handle = waker.handle();
+        let before = open_fds();
+        let clones: Vec<WakerHandle> = (0..1000).map(|_| handle.clone()).collect();
+        let after = open_fds();
+        // Other tests of this binary open and close descriptors
+        // concurrently, so allow slack; one `dup` per clone would add 1000.
+        assert!(
+            after < before + 100,
+            "1000 clones raised the descriptor count from {before} to {after}"
+        );
+        for clone in &clones {
+            clone.wake();
+        }
+        waker.drain();
+    }
+
+    #[test]
+    fn wakes_between_drains_coalesce_into_one_byte() {
+        use std::io::Read;
+        let waker = Waker::new().unwrap();
+        let handle = waker.handle();
+        waker.drain();
+        for _ in 0..1000 {
+            handle.wake();
+        }
+        let mut buf = [0u8; 64];
+        assert_eq!((&waker.rx).read(&mut buf).unwrap(), 1, "one byte pending");
+        assert_eq!(
+            (&waker.rx).read(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "and nothing behind it"
+        );
+        waker.drain();
+    }
+
+    #[test]
+    fn a_wake_after_a_drain_is_seen_by_the_poller() {
+        let waker = Waker::new().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(waker.fd(), 3, Interest::READ).unwrap();
+        let handle = waker.handle();
+        handle.wake();
+        waker.drain();
+        handle.wake();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 3 && e.readable),
+            "a wake after a drain must re-arm the poller"
+        );
+    }
+
+    /// The reactor's pattern under a racing producer: wait on the poller,
+    /// drain the waker on its event, then process everything queued. A
+    /// wake that races a drain must never leave queued work behind a
+    /// poller that sleeps through it.
+    #[test]
+    fn wakes_racing_drains_are_never_lost() {
+        use std::sync::atomic::AtomicUsize;
+        const ITEMS: usize = 50_000;
+        let waker = Waker::new().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(waker.fd(), 1, Interest::READ).unwrap();
+        let handle = waker.handle();
+        let queued = Arc::new(AtomicUsize::new(0));
+        let producer = {
+            let queued = Arc::clone(&queued);
+            std::thread::spawn(move || {
+                for _ in 0..ITEMS {
+                    queued.fetch_add(1, Ordering::SeqCst);
+                    handle.wake();
+                }
+            })
+        };
+        let mut processed = 0;
+        let mut events = Vec::new();
+        while processed < ITEMS {
+            poller
+                .wait(&mut events, Some(Duration::from_secs(2)))
+                .unwrap();
+            assert!(
+                !events.is_empty() || queued.load(Ordering::SeqCst) == processed,
+                "the poller slept with {} items queued",
+                queued.load(Ordering::SeqCst) - processed
+            );
+            if events.iter().any(|e| e.token == 1) {
+                waker.drain();
+            }
+            processed = queued.load(Ordering::SeqCst);
+        }
+        producer.join().unwrap();
     }
 }

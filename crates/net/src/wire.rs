@@ -30,7 +30,10 @@
 //! *before* the body keeps the CRC contiguous and lets a stream reader
 //! find the frame boundary ([`frame_length`]) from the first 16 bytes,
 //! rejecting garbage (bad magic, wrong version, oversized length) before
-//! buffering a payload for it.
+//! buffering a payload for it. Encoders write the payload behind a
+//! reserved prelude and seal the length and CRC in place, so a frame is
+//! built in one buffer; [`encode_estimate_request`] encodes a borrowed
+//! gateway request without copying its environment or plan.
 //!
 //! # Decode hardening
 //!
@@ -330,26 +333,13 @@ impl WireRequest {
         request_id: u64,
         request: &EstimateRequest,
     ) -> Result<Self, WireError> {
-        let deadline_us = match request.deadline {
-            None => None,
-            Some(deadline) => {
-                let micros = deadline.as_micros();
-                if micros > MAX_DEADLINE_US as u128 {
-                    return Err(WireError::DeadlineOutOfRange {
-                        micros: micros.min(u64::MAX as u128) as u64,
-                        max: MAX_DEADLINE_US,
-                    });
-                }
-                Some(micros as u64)
-            }
-        };
         Ok(WireRequest {
             request_id,
             benchmark: request.benchmark,
             estimator: request.options.estimator,
             allow_transfer: request.options.allow_transfer,
             shed_load: request.options.shed_load,
-            deadline_us,
+            deadline_us: deadline_us(request.deadline)?,
             tenant: request.options.tenant.0,
             environment: (*request.environment).clone(),
             plan: request.plan.clone(),
@@ -371,6 +361,22 @@ impl WireRequest {
             },
         }
     }
+}
+
+/// A gateway deadline as the wire's microsecond budget: the encode-side
+/// half of the clamp, shared by every request encoder.
+fn deadline_us(deadline: Option<Duration>) -> Result<Option<u64>, WireError> {
+    let Some(deadline) = deadline else {
+        return Ok(None);
+    };
+    let micros = deadline.as_micros();
+    if micros > MAX_DEADLINE_US as u128 {
+        return Err(WireError::DeadlineOutOfRange {
+            micros: micros.min(u64::MAX as u128) as u64,
+            max: MAX_DEADLINE_US,
+        });
+    }
+    Ok(Some(micros as u64))
 }
 
 /// The success payload of a response frame: a bit-exact wire projection
@@ -760,10 +766,6 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -1405,7 +1407,50 @@ const OPTION_SHED_LOAD: u8 = 1 << 1;
 const OPTION_HAS_TENANT: u8 = 1 << 2;
 const OPTION_BITS: usize = 3;
 
-fn write_request_payload(w: &mut Writer, request: &WireRequest) -> Result<(), WireError> {
+/// The fields of a request frame, borrowed from whichever request type
+/// is being encoded — a decoded [`WireRequest`] or a caller's
+/// [`EstimateRequest`] — so neither encoder clones the environment or the
+/// plan.
+struct RequestFields<'a> {
+    benchmark: BenchmarkKind,
+    estimator: EstimatorKind,
+    allow_transfer: bool,
+    shed_load: bool,
+    deadline_us: Option<u64>,
+    tenant: u32,
+    environment: &'a DbEnvironment,
+    plan: &'a PlanNode,
+}
+
+impl<'a> RequestFields<'a> {
+    fn of_wire(request: &'a WireRequest) -> Self {
+        RequestFields {
+            benchmark: request.benchmark,
+            estimator: request.estimator,
+            allow_transfer: request.allow_transfer,
+            shed_load: request.shed_load,
+            deadline_us: request.deadline_us,
+            tenant: request.tenant,
+            environment: &request.environment,
+            plan: &request.plan,
+        }
+    }
+
+    fn of_estimate(request: &'a EstimateRequest) -> Result<Self, WireError> {
+        Ok(RequestFields {
+            benchmark: request.benchmark,
+            estimator: request.options.estimator,
+            allow_transfer: request.options.allow_transfer,
+            shed_load: request.options.shed_load,
+            deadline_us: deadline_us(request.deadline)?,
+            tenant: request.options.tenant.0,
+            environment: &request.environment,
+            plan: &request.plan,
+        })
+    }
+}
+
+fn write_request_payload(w: &mut Writer, request: &RequestFields<'_>) -> Result<(), WireError> {
     w.u8(tag_in(&BenchmarkKind::ALL, request.benchmark));
     w.u8(tag_in(&EstimatorKind::ALL, request.estimator));
     let mut bits = 0u8;
@@ -1441,8 +1486,8 @@ fn write_request_payload(w: &mut Writer, request: &WireRequest) -> Result<(), Wi
     if request.tenant != 0 {
         w.u32(request.tenant);
     }
-    write_environment(w, &request.environment)?;
-    write_plan(w, &request.plan)
+    write_environment(w, request.environment)?;
+    write_plan(w, request.plan)
 }
 
 fn read_request_payload(r: &mut Reader<'_>, request_id: u64) -> Result<WireRequest, WireError> {
@@ -1895,73 +1940,103 @@ fn read_manifest_reply_payload(
 // Framing.
 // ---------------------------------------------------------------------------
 
-fn frame(kind: u8, request_id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    let body_len = BODY_HEADER_LEN + payload.len();
+/// Initial capacity of a frame buffer: enough for a typical request (a
+/// few hundred bytes of environment and plan) or response, so most frames
+/// take exactly one allocation.
+const FRAME_CAPACITY: usize = 1024;
+
+/// Build one frame in a single buffer: write the prelude and body header
+/// with the length and CRC zeroed, let `payload` append the kind-specific
+/// payload after them, then seal the length and CRC in place.
+fn frame(
+    kind: u8,
+    request_id: u64,
+    payload: impl FnOnce(&mut Writer) -> Result<(), WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let mut w = Writer {
+        buf: Vec::with_capacity(FRAME_CAPACITY),
+    };
+    w.buf.extend_from_slice(&WIRE_MAGIC);
+    w.u32(WIRE_VERSION);
+    w.u32(0); // body length, sealed below
+    w.u32(0); // CRC, sealed below
+    w.u8(kind);
+    w.u8(0); // flags (v1: none)
+    w.u64(request_id);
+    payload(&mut w)?;
+    let body_len = w.buf.len() - PRELUDE_LEN;
     if body_len > MAX_BODY_LEN {
         return Err(WireError::FrameTooLarge {
             len: body_len,
             max: MAX_BODY_LEN,
         });
     }
-    let mut out = Vec::with_capacity(PRELUDE_LEN + body_len);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0, 0, 0, 0]); // CRC placeholder
-    out.push(kind);
-    out.push(0); // flags (v1: none)
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[PRELUDE_LEN..]);
-    out[12..16].copy_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    let crc = crc32(&w.buf[PRELUDE_LEN..]);
+    w.buf[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
+    w.buf[12..16].copy_from_slice(&crc.to_le_bytes());
+    Ok(w.buf)
 }
 
 /// Encode one request frame.
 pub fn encode_request(request: &WireRequest) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_request_payload(&mut w, request)?;
-    frame(FRAME_REQUEST, request.request_id, &w.buf)
+    frame(FRAME_REQUEST, request.request_id, |w| {
+        write_request_payload(w, &RequestFields::of_wire(request))
+    })
+}
+
+/// Encode one request frame straight from a gateway request, without
+/// building (and cloning into) a [`WireRequest`] first. The frame is
+/// byte-identical to `encode_request` of
+/// [`WireRequest::from_estimate_request`]`(request_id, request)`, and the
+/// same deadline clamp applies.
+pub fn encode_estimate_request(
+    request_id: u64,
+    request: &EstimateRequest,
+) -> Result<Vec<u8>, WireError> {
+    let fields = RequestFields::of_estimate(request)?;
+    frame(FRAME_REQUEST, request_id, |w| {
+        write_request_payload(w, &fields)
+    })
 }
 
 /// Encode one response frame.
 pub fn encode_response(response: &WireResponse) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_response_payload(&mut w, response)?;
-    frame(FRAME_RESPONSE, response.request_id, &w.buf)
+    frame(FRAME_RESPONSE, response.request_id, |w| {
+        write_response_payload(w, response)
+    })
 }
 
 /// Encode one ship-snapshot frame.
 pub fn encode_ship_snapshot(ship: &WireShipSnapshot) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_ship_snapshot_payload(&mut w, ship)?;
-    frame(FRAME_SHIP_SNAPSHOT, ship.request_id, &w.buf)
+    frame(FRAME_SHIP_SNAPSHOT, ship.request_id, |w| {
+        write_ship_snapshot_payload(w, ship)
+    })
 }
 
 /// Encode one ship-model frame.
 pub fn encode_ship_model(ship: &WireShipModel) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_ship_model_payload(&mut w, ship)?;
-    frame(FRAME_SHIP_MODEL, ship.request_id, &w.buf)
+    frame(FRAME_SHIP_MODEL, ship.request_id, |w| {
+        write_ship_model_payload(w, ship)
+    })
 }
 
 /// Encode one ship-acknowledgement frame.
 pub fn encode_ship_ack(ack: &WireShipAck) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_ship_ack_payload(&mut w, ack)?;
-    frame(FRAME_SHIP_ACK, ack.request_id, &w.buf)
+    frame(FRAME_SHIP_ACK, ack.request_id, |w| {
+        write_ship_ack_payload(w, ack)
+    })
 }
 
 /// Encode one manifest-request frame (empty payload).
 pub fn encode_manifest_request(request: &WireManifestRequest) -> Result<Vec<u8>, WireError> {
-    frame(FRAME_MANIFEST_REQUEST, request.request_id, &[])
+    frame(FRAME_MANIFEST_REQUEST, request.request_id, |_| Ok(()))
 }
 
 /// Encode one manifest-reply frame.
 pub fn encode_manifest_reply(reply: &WireManifestReply) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    write_manifest_reply_payload(&mut w, reply)?;
-    frame(FRAME_MANIFEST_REPLY, reply.request_id, &w.buf)
+    frame(FRAME_MANIFEST_REPLY, reply.request_id, |w| {
+        write_manifest_reply_payload(w, reply)
+    })
 }
 
 /// Incremental frame delimiting for stream readers: given the bytes
@@ -2407,7 +2482,11 @@ mod tests {
     #[test]
     fn manifest_corruption_rejects_typed() {
         // A manifest request carries trailing garbage: rejected.
-        let sealed = frame(FRAME_MANIFEST_REQUEST, 9, &[0xAA]).unwrap();
+        let sealed = frame(FRAME_MANIFEST_REQUEST, 9, |w| {
+            w.u8(0xAA);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             decode_frame(&sealed),
             Err(WireError::TrailingBytes(1)),
@@ -2416,11 +2495,13 @@ mod tests {
         // An unknown entry-kind tag rejects typed. The body is padded to
         // one full entry width so the pre-allocation truncation guard
         // passes and the tag itself is what gets judged.
-        let mut w = Writer::new();
-        w.u32(1);
-        w.u8(9); // neither snapshot (1) nor model (2)
-        w.buf.extend_from_slice(&[0u8; 13]);
-        let sealed = frame(FRAME_MANIFEST_REPLY, 9, &w.buf).unwrap();
+        let sealed = frame(FRAME_MANIFEST_REPLY, 9, |w| {
+            w.u32(1);
+            w.u8(9); // neither snapshot (1) nor model (2)
+            w.buf.extend_from_slice(&[0u8; 13]);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             decode_frame(&sealed),
             Err(WireError::UnknownTag {
@@ -2429,14 +2510,18 @@ mod tests {
             })
         );
         // A count the body cannot hold is truncation, before allocation.
-        let mut w = Writer::new();
-        w.u32(1000);
-        let sealed = frame(FRAME_MANIFEST_REPLY, 9, &w.buf).unwrap();
+        let sealed = frame(FRAME_MANIFEST_REPLY, 9, |w| {
+            w.u32(1000);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(decode_frame(&sealed), Err(WireError::Truncated));
         // A count above the cap rejects typed on both ends.
-        let mut w = Writer::new();
-        w.u32((MAX_MANIFEST_ENTRIES + 1) as u32);
-        let sealed = frame(FRAME_MANIFEST_REPLY, 9, &w.buf).unwrap();
+        let sealed = frame(FRAME_MANIFEST_REPLY, 9, |w| {
+            w.u32((MAX_MANIFEST_ENTRIES + 1) as u32);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             decode_frame(&sealed),
             Err(WireError::ListTooLong {

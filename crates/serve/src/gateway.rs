@@ -70,10 +70,13 @@ use crate::metrics::{MetricsSnapshot, ReplicationHealth, TenantLane};
 use crate::refine::{FeedbackOutcome, LabelBuffer, RefinementConfig};
 use crate::registry::{EvictedModel, ModelKey, ModelRegistry, ModelSource, RegistryStats};
 use crate::replica::{ReplicaSet, ReplicationSink, ShipEvent};
-use crate::request::{EstimateRequest, EstimateResponse, Provenance, SnapshotOrigin};
+use crate::request::{
+    EstimateRequest, EstimateResponse, Provenance, RequestOptions, SnapshotOrigin,
+};
 use crate::sched::{SchedPolicy, TenantId};
 use crate::service::{
-    CompletionNotify, EstimationService, PendingEstimate, ServiceConfig, ServiceHandle, SubmitSpec,
+    BatchJob, CompletionNotify, EstimationService, PendingEstimate, ServiceConfig, ServiceHandle,
+    SubmitSpec,
 };
 use crate::store::{SnapshotStore, StoreError};
 use crate::LruCache;
@@ -451,27 +454,13 @@ impl QcfeGateway {
     /// ticket is then polled with [`PendingResponse::try_wait`] or awaited
     /// with [`PendingResponse::wait`]. Admission follows
     /// `options.shed_load`: open-loop submissions fail fast with
-    /// [`crate::service::ServiceError::QueueFull`] instead of blocking —
-    /// the mode event-loop front-ends must use, since a blocked reactor
-    /// thread stalls every connection it multiplexes.
+    /// [`crate::service::ServiceError::QueueFull`] instead of blocking.
     pub fn submit(&self, request: EstimateRequest) -> Result<PendingResponse, QcfeError> {
-        self.submit_with_notify(request, None)
-    }
-
-    /// [`QcfeGateway::submit`] with a [`CompletionNotify`] hook that fires
-    /// exactly once when the shard finishes (or drops) the request — the
-    /// wakeup signal a poll-based reactor pairs with
-    /// [`PendingResponse::try_wait`].
-    pub fn submit_with_notify(
-        &self,
-        request: EstimateRequest,
-        notify: Option<CompletionNotify>,
-    ) -> Result<PendingResponse, QcfeError> {
         let started = Instant::now();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let (key, shard, cold_start, spec) = self.route(&request, started)?;
         let submitted = Instant::now();
-        let ticket = shard.handle.submit(request.plan, spec, notify)?;
+        let ticket = shard.handle.submit(request.plan, spec, None)?;
         Ok(PendingResponse {
             ticket,
             shard,
@@ -481,6 +470,112 @@ impl QcfeGateway {
             submitted,
             deadline: request.deadline,
         })
+    }
+
+    /// Submit many requests at once, each with an optional
+    /// [`CompletionNotify`] hook that fires exactly once when its shard
+    /// finishes (or drops) it — the wakeup an event-loop front end pairs
+    /// with [`PendingResponse::try_wait`].
+    ///
+    /// Each request is routed like [`QcfeGateway::submit`], deadline check
+    /// included; the routed requests are then grouped by shard, and each
+    /// shard admits its share under one queue lock with one worker wake-up
+    /// per micro-batch. The call never blocks: a full queue rejects with
+    /// [`crate::service::ServiceError::QueueFull`] whatever
+    /// `options.shed_load` says, since a blocked event loop would stall
+    /// every connection it multiplexes.
+    ///
+    /// Results come back in input order. A rejected request comes back
+    /// whole in a [`Rejected`], so a caller can park and resubmit it without
+    /// cloning it up front. `Provenance::total_us − service_us` of an
+    /// admitted request includes the time spent routing the rest of the
+    /// batch before its shard call.
+    pub fn submit_batch(
+        &self,
+        requests: Vec<(EstimateRequest, Option<CompletionNotify>)>,
+    ) -> Vec<Result<PendingResponse, Box<Rejected>>> {
+        /// What a routed request keeps while its plan is in the shard call.
+        struct Routed {
+            index: usize,
+            key: ModelKey,
+            cold_start: bool,
+            started: Instant,
+            benchmark: BenchmarkKind,
+            environment: Arc<DbEnvironment>,
+            deadline: Option<std::time::Duration>,
+            options: RequestOptions,
+        }
+        let mut results: Vec<Option<Result<PendingResponse, Box<Rejected>>>> =
+            requests.iter().map(|_| None).collect();
+        let mut groups: Vec<(Arc<Shard>, Vec<Routed>, Vec<BatchJob>)> = Vec::new();
+        for (index, (request, notify)) in requests.into_iter().enumerate() {
+            let started = Instant::now();
+            self.counters.requests.fetch_add(1, Ordering::Relaxed);
+            let (key, shard, cold_start, spec) = match self.route(&request, started) {
+                Ok(routed) => routed,
+                Err(error) => {
+                    results[index] = Some(Err(Box::new(Rejected { error, request })));
+                    continue;
+                }
+            };
+            let group = match groups.iter().position(|(s, _, _)| Arc::ptr_eq(s, &shard)) {
+                Some(group) => group,
+                None => {
+                    groups.push((shard, Vec::new(), Vec::new()));
+                    groups.len() - 1
+                }
+            };
+            let EstimateRequest {
+                benchmark,
+                environment,
+                plan,
+                deadline,
+                options,
+            } = request;
+            let (_, routed, jobs) = &mut groups[group];
+            routed.push(Routed {
+                index,
+                key,
+                cold_start,
+                started,
+                benchmark,
+                environment,
+                deadline,
+                options,
+            });
+            jobs.push((plan, spec, notify));
+        }
+        for (shard, routed, jobs) in groups {
+            let submitted = Instant::now();
+            let outcomes = shard.handle.submit_batch(jobs);
+            for (meta, outcome) in routed.into_iter().zip(outcomes) {
+                results[meta.index] = Some(match outcome {
+                    Ok(ticket) => Ok(PendingResponse {
+                        ticket,
+                        shard: Arc::clone(&shard),
+                        key: meta.key,
+                        cold_start: meta.cold_start,
+                        started: meta.started,
+                        submitted,
+                        deadline: meta.deadline,
+                    }),
+                    Err((error, plan)) => Err(Box::new(Rejected {
+                        error: error.into(),
+                        request: EstimateRequest {
+                            benchmark: meta.benchmark,
+                            environment: meta.environment,
+                            plan,
+                            deadline: meta.deadline,
+                            options: meta.options,
+                        },
+                    })),
+                });
+            }
+        }
+        results
+            .into_iter()
+            .map(|result| result.expect("every request is answered"))
+            .collect()
     }
 
     /// Wait for one in-flight reply, bounded by the request deadline:
@@ -1131,6 +1226,16 @@ fn assemble_response(
     }
 }
 
+/// A request [`QcfeGateway::submit_batch`] did not admit: the typed error,
+/// and the request itself, handed back unchanged.
+#[derive(Debug)]
+pub struct Rejected {
+    /// Why the request was not admitted.
+    pub error: QcfeError,
+    /// The request as submitted.
+    pub request: EstimateRequest,
+}
+
 /// An admitted-but-unanswered gateway request: the ticket returned by
 /// [`QcfeGateway::submit`]. Holds the shard alive (a concurrent LRU
 /// retirement cannot strand the reply) and carries everything needed to
@@ -1139,7 +1244,7 @@ fn assemble_response(
 /// Two consumption styles:
 /// * [`PendingResponse::try_wait`] — non-blocking poll, for event loops
 ///   multiplexing many tickets on one thread (pair with the
-///   [`CompletionNotify`] hook of [`QcfeGateway::submit_with_notify`]);
+///   [`CompletionNotify`] hooks of [`QcfeGateway::submit_batch`]);
 /// * [`PendingResponse::wait`] — block until the answer (or the deadline).
 ///
 /// Dropping the ticket abandons the request; the shard's eventual reply is
@@ -1228,7 +1333,6 @@ impl PendingResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestOptions;
     use crate::service::ServiceError;
     use qcfe_core::snapshot::OperatorSample;
     use qcfe_db::plan::{OperatorKind, PhysicalOp, PlanNode};
@@ -1508,6 +1612,125 @@ mod tests {
             }
             other => panic!("expected ModelMissing, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A gateway serving `TripleRows` for every given environment.
+    fn triple_rows_gateway(
+        root: &PathBuf,
+        envs: &[&DbEnvironment],
+        config: ServiceConfig,
+    ) -> QcfeGateway {
+        let mut builder = QcfeGateway::builder(root).service_config(config);
+        for env in envs {
+            let key = ModelKey::new(
+                BenchmarkKind::Sysbench,
+                EstimatorKind::Mscn,
+                env.fingerprint(),
+            );
+            builder = builder.with_model(key, Arc::new(TripleRows));
+        }
+        builder.build().unwrap()
+    }
+
+    fn unhooked(requests: &[EstimateRequest]) -> Vec<(EstimateRequest, Option<CompletionNotify>)> {
+        requests.iter().map(|r| (r.clone(), None)).collect()
+    }
+
+    #[test]
+    fn a_batch_call_to_a_warm_shard_forms_one_micro_batch_in_input_order() {
+        let root = temp_root("batch-one");
+        let env = DbEnvironment::reference();
+        let gateway = triple_rows_gateway(&root, &[&env], ServiceConfig::default());
+        gateway.estimate(mscn_request(&env, 1.0)).unwrap(); // warm the shard
+        let requests: Vec<EstimateRequest> = (0..16)
+            .map(|i| mscn_request(&env, 10.0 + i as f64))
+            .collect();
+        let responses: Vec<EstimateResponse> = gateway
+            .submit_batch(unhooked(&requests))
+            .into_iter()
+            .map(|outcome| outcome.expect("admitted").wait().unwrap())
+            .collect();
+        for (request, response) in requests.iter().zip(&responses) {
+            assert_eq!(response.batch_size, 16, "one micro-batch of 16");
+            let expected = gateway.estimate(request.clone()).unwrap();
+            assert_eq!(
+                response.cost_ms.to_bits(),
+                expected.cost_ms.to_bits(),
+                "answers in input order, bit-identical to estimate"
+            );
+            assert!(!response.provenance.cold_start);
+        }
+        assert_eq!(gateway.stats().requests, 1 + 16 + 16);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_full_queue_hands_rejected_requests_back_whole() {
+        let root = temp_root("batch-full");
+        let env = DbEnvironment::reference();
+        let config = ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            ..ServiceConfig::default()
+        };
+        let gateway = triple_rows_gateway(&root, &[&env], config);
+        gateway.estimate(mscn_request(&env, 1.0)).unwrap(); // warm the shard
+                                                            // Closed-loop requests: the batch call sheds them all the same.
+        let requests: Vec<EstimateRequest> = (0..16)
+            .map(|i| mscn_request(&env, 10.0 + i as f64))
+            .collect();
+        let outcomes = gateway.submit_batch(unhooked(&requests));
+        let mut admitted = Vec::new();
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok(pending) if i < 8 => admitted.push(pending),
+                Err(rejected) if i >= 8 => {
+                    assert!(
+                        matches!(
+                            rejected.error,
+                            QcfeError::Service(ServiceError::QueueFull { limit: 8, .. })
+                        ),
+                        "request {i}: {:?}",
+                        rejected.error
+                    );
+                    assert_eq!(rejected.request.plan, requests[i].plan);
+                    assert_eq!(rejected.request.options, requests[i].options);
+                }
+                Ok(_) => panic!("request {i} should have been shed"),
+                Err(rejected) => panic!("request {i} rejected: {:?}", rejected.error),
+            }
+        }
+        for (i, pending) in admitted.into_iter().enumerate() {
+            assert_eq!(pending.wait().unwrap().cost_ms, 3.0 * (10.0 + i as f64));
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_batch_for_two_environments_forms_one_micro_batch_per_shard() {
+        let root = temp_root("batch-two");
+        let (a, b) = (env_with_overhead(0.5), env_with_overhead(2.0));
+        let gateway = triple_rows_gateway(&root, &[&a, &b], ServiceConfig::default());
+        gateway.estimate(mscn_request(&a, 1.0)).unwrap();
+        gateway.estimate(mscn_request(&b, 1.0)).unwrap();
+        let requests: Vec<EstimateRequest> = (0..16)
+            .map(|i| mscn_request(if i % 2 == 0 { &a } else { &b }, 10.0 + i as f64))
+            .collect();
+        let responses: Vec<EstimateResponse> = gateway
+            .submit_batch(unhooked(&requests))
+            .into_iter()
+            .map(|outcome| outcome.expect("admitted").wait().unwrap())
+            .collect();
+        for (i, (request, response)) in requests.iter().zip(&responses).enumerate() {
+            assert_eq!(response.batch_size, 8, "request {i}: one batch per shard");
+            assert_eq!(response.cost_ms, 3.0 * request.plan.est_rows);
+            assert_eq!(
+                response.provenance.model_key.fingerprint,
+                request.environment.fingerprint()
+            );
+        }
+        assert_eq!(gateway.stats().shard_starts, 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 

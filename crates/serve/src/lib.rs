@@ -131,7 +131,9 @@ pub mod store;
 mod test_support;
 
 pub use error::QcfeError;
-pub use gateway::{GatewayBuilder, GatewayStats, ModelProvider, PendingResponse, QcfeGateway};
+pub use gateway::{
+    GatewayBuilder, GatewayStats, ModelProvider, PendingResponse, QcfeGateway, Rejected,
+};
 pub use lru::LruCache;
 pub use metrics::TenantLane;
 pub use metrics::{MetricsSnapshot, ReplicationHealth, ServiceMetrics};

@@ -228,6 +228,7 @@ impl ServiceMetrics {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed) as usize,
             snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
+            batches,
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
@@ -368,6 +369,9 @@ pub struct MetricsSnapshot {
     pub queue_high_water: usize,
     /// Live snapshot swaps performed by online refinement.
     pub snapshot_swaps: u64,
+    /// Micro-batches drained (with [`MetricsSnapshot::completed`], the
+    /// mean batch over any window of two snapshots).
+    pub batches: u64,
     /// Mean requests per drained micro-batch.
     pub mean_batch_size: f64,
     /// Largest micro-batch drained.
@@ -400,6 +404,7 @@ mod tests {
         assert_eq!(s.completed, 2);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.queue_high_water, 3);
+        assert_eq!(s.batches, 1);
         assert_eq!(s.mean_batch_size, 2.0);
         assert_eq!(s.max_batch_size, 2);
         assert_eq!(s.cache_hit_rate, 0.5);

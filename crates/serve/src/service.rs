@@ -16,6 +16,25 @@
 //! capacity (closed-loop clients). The gateway's shed-load submissions
 //! return [`ServiceError::QueueFull`] instead (open-loop clients).
 //!
+//! # Batch admission
+//!
+//! Every submission passes one admission check (open, below capacity and,
+//! with scheduling enabled, a live deadline budget within the tenant's
+//! quota). A single submission may block on capacity; a *batch* submission
+//! — the path the gateway's `submit_batch` takes for an event-loop front
+//! end — never blocks: it admits every request it can under one queue
+//! lock, hands each rejected plan back with its typed error, and wakes one
+//! worker per `max_batch` admitted requests (at most the pool). Workers
+//! wake blocked submitters only when some are waiting.
+//!
+//! # Completion hooks
+//!
+//! A submission may carry a [`CompletionNotify`] hook, which fires exactly
+//! once when the request leaves the service, always after its reply
+//! channel has closed. A worker answers its whole micro-batch first and
+//! drops the jobs after, so every hook of a batch fires once the batch is
+//! fully answered — a poller woken by any of them can reap all of them.
+//!
 //! # Scheduling
 //!
 //! The queue between submissions and the workers is a
@@ -171,7 +190,8 @@ pub fn plan_key(root: &PlanNode) -> u64 {
 
 /// A completion hook attached to a submission: invoked exactly once when
 /// the request leaves the service, whether it completed normally or was
-/// dropped by an abort. Used by event-loop front-ends (one reactor thread
+/// dropped by an abort — for a served request, after every reply of its
+/// micro-batch was sent. Used by event-loop front-ends (one reactor thread
 /// parking thousands of pending estimates) to wake their poller instead of
 /// blocking a thread per request. The hook runs on a worker thread and
 /// must be cheap and non-blocking (e.g. a self-pipe write).
@@ -180,6 +200,14 @@ pub type CompletionNotify = Arc<dyn Fn() + Send + Sync>;
 /// What a worker sends back per request: the estimate, or the typed fault
 /// of a request the scheduler dropped (deadline expired in queue).
 type Reply = Result<Estimate, ServiceError>;
+
+/// One entry of [`ServiceHandle::submit_batch`]: the plan, its scheduling
+/// envelope and its optional completion hook.
+pub(crate) type BatchJob = (PlanNode, SubmitSpec, Option<CompletionNotify>);
+
+/// The per-entry result of [`ServiceHandle::submit_batch`]: the ticket, or
+/// the admission error with the plan handed back.
+pub(crate) type BatchOutcome = Result<PendingEstimate, (ServiceError, PlanNode)>;
 
 struct Job {
     plan: PlanNode,
@@ -213,6 +241,9 @@ struct QueueState {
     jobs: EdfQueue<Job>,
     admission: AdmissionControl,
     closed: bool,
+    /// Blocking submitters parked on `not_full`. Workers wake them only
+    /// when there are any, so a drain costs no futex call otherwise.
+    blocked: usize,
 }
 
 /// The swappable serving snapshot plus its epoch. The epoch ties the
@@ -257,7 +288,7 @@ impl Shared {
     fn worker_loop(&self) {
         loop {
             let mut expired: Vec<EdfEntry<Job>> = Vec::new();
-            let batch: Vec<EdfEntry<Job>> = {
+            let (batch, wake_submitters) = {
                 let mut queue = self.queue.lock().expect("service queue poisoned");
                 loop {
                     let now = Instant::now();
@@ -280,7 +311,7 @@ impl Shared {
                             self.metrics.record_batch(batch.len(), queue.jobs.len());
                             self.record_batch_lanes(&batch, now);
                         }
-                        break batch;
+                        break (batch, queue.blocked > 0);
                     }
                     if queue.closed {
                         return;
@@ -288,13 +319,17 @@ impl Shared {
                     queue = self.not_empty.wait(queue).expect("service queue poisoned");
                 }
             };
-            // Space freed: wake every blocked submitter.
-            self.not_full.notify_all();
+            // Space freed: wake the blocked submitters, if any.
+            if wake_submitters {
+                self.not_full.notify_all();
+            }
             // Expired entries never reach the model: fail them typed, after
-            // releasing the lock (the reply send and notify hook run here).
-            for entry in expired {
+            // releasing the lock. Their hooks fire when `expired` drops,
+            // after every reply is sent.
+            for entry in &mut expired {
                 self.fail_expired(entry);
             }
+            drop(expired);
             if !batch.is_empty() {
                 self.process_batch(batch);
             }
@@ -326,7 +361,7 @@ impl Shared {
 
     /// Drop one entry whose deadline passed while it was queued: reply
     /// with the typed fault instead of serving (or silently dropping) it.
-    fn fail_expired(&self, mut entry: EdfEntry<Job>) {
+    fn fail_expired(&self, entry: &mut EdfEntry<Job>) {
         if self.lanes_tracked(entry.tenant) {
             self.metrics.record_tenant_shed_deadline(entry.tenant);
         }
@@ -343,7 +378,11 @@ impl Shared {
     /// Run one drained micro-batch through the model's uniform batch API
     /// and complete every request. All models batch; the only per-model
     /// difference is whether the plan-encoding cache applies.
-    fn process_batch(&self, batch: Vec<EdfEntry<Job>>) {
+    ///
+    /// Every reply is sent before any job drops, so the batch's completion
+    /// hooks fire together at the end: an event-loop front end woken by
+    /// the first hook finds the whole batch answered.
+    fn process_batch(&self, mut batch: Vec<EdfEntry<Job>>) {
         let batch_size = batch.len();
         let (predictions, hits) = self.batched_predictions(&batch);
         // A wrong-length result would otherwise leave the truncated jobs
@@ -358,7 +397,7 @@ impl Shared {
             self.model.name(),
             predictions.len(),
         );
-        for ((job, cost_ms), hit) in batch.into_iter().zip(predictions).zip(hits) {
+        for ((job, cost_ms), hit) in batch.iter_mut().zip(predictions).zip(hits) {
             self.complete(
                 job,
                 Estimate {
@@ -368,6 +407,7 @@ impl Shared {
                 },
             );
         }
+        drop(batch);
     }
 
     /// Batched inference for one drained micro-batch, returning one
@@ -468,7 +508,7 @@ impl Shared {
             .clone()
     }
 
-    fn complete(&self, mut entry: EdfEntry<Job>, estimate: Estimate) {
+    fn complete(&self, entry: &mut EdfEntry<Job>, estimate: Estimate) {
         self.metrics
             .record_completion(entry.enqueued_at.elapsed().as_secs_f64() * 1e6);
         // Take the sender out so it closes here, before the job drops and
@@ -478,6 +518,77 @@ impl Shared {
         // A client that gave up (dropped the receiver) is not an error.
         if let Some(reply) = entry.item.reply.take() {
             let _ = reply.send(Ok(estimate));
+        }
+    }
+
+    /// The one admission check every submission passes, under the queue
+    /// lock: the service must be open and below capacity, and — with
+    /// scheduling enabled — the request must carry a live deadline budget
+    /// and fit its tenant's quota. Returns the queue deadline to stamp on
+    /// the entry (none under the FIFO policy). Every rejection is counted
+    /// here.
+    fn admit(
+        &self,
+        queue: &mut QueueState,
+        spec: SubmitSpec,
+        now: Instant,
+    ) -> Result<Option<Instant>, ServiceError> {
+        if queue.closed {
+            self.metrics.record_reject();
+            return Err(ServiceError::Closed);
+        }
+        if queue.jobs.len() >= self.config.queue_capacity {
+            self.metrics.record_reject();
+            if self.lanes_tracked(spec.tenant) {
+                self.metrics.record_tenant_shed_quota(spec.tenant);
+            }
+            return Err(ServiceError::QueueFull {
+                depth: queue.jobs.len(),
+                limit: self.config.queue_capacity,
+            });
+        }
+        if !self.policy.enabled {
+            // Under the disabled (FIFO) policy every entry queues
+            // deadline-less: legacy ordering, no expiry at pop.
+            return Ok(None);
+        }
+        // A budget that is already exhausted can only expire in the
+        // queue: reject it up front instead of queuing it.
+        if let Some(budget) = spec.deadline {
+            if budget.is_zero() {
+                self.metrics.record_reject();
+                self.metrics.record_tenant_shed_deadline(spec.tenant);
+                return Err(ServiceError::DeadlineExpired {
+                    waited: Duration::ZERO,
+                    deadline: budget,
+                });
+            }
+        }
+        let quota = self.policy.quota_for(spec.tenant);
+        if let Err(err) = queue.admission.try_admit(spec.tenant, &quota, now) {
+            self.metrics.record_reject();
+            self.metrics.record_tenant_shed_quota(spec.tenant);
+            return Err(ServiceError::QueueFull {
+                depth: err.depth(),
+                limit: err.limit(),
+            });
+        }
+        Ok(spec.deadline.map(|budget| now + budget))
+    }
+
+    /// Queue one admitted job and count it.
+    fn push(
+        &self,
+        queue: &mut QueueState,
+        job: Job,
+        tenant: TenantId,
+        deadline: Option<Instant>,
+        now: Instant,
+    ) {
+        queue.jobs.push(job, tenant, deadline, now);
+        self.metrics.record_submit(queue.jobs.len());
+        if self.lanes_tracked(tenant) {
+            self.metrics.record_tenant_admit(tenant);
         }
     }
 
@@ -591,8 +702,7 @@ impl ServiceHandle {
 
     /// Asynchronous submission with explicit admission policy: blocking
     /// backpressure (`block_on_full`) or load shedding, plus the request's
-    /// scheduling envelope (tenant, remaining deadline budget). The
-    /// gateway routes all of its admission modes through here.
+    /// scheduling envelope (tenant, remaining deadline budget).
     ///
     /// Quota rejections are immediate even for blocking submissions — a
     /// request over its tenant's quota is never parked. Only global queue
@@ -607,71 +717,64 @@ impl ServiceHandle {
         let (reply, response) = mpsc::channel();
         {
             let mut queue = shared.queue.lock().expect("service queue poisoned");
-            while queue.jobs.len() >= shared.config.queue_capacity && !queue.closed {
-                if !spec.block_on_full {
-                    shared.metrics.record_reject();
-                    if shared.lanes_tracked(spec.tenant) {
-                        shared.metrics.record_tenant_shed_quota(spec.tenant);
-                    }
-                    return Err(ServiceError::QueueFull {
-                        depth: queue.jobs.len(),
-                        limit: shared.config.queue_capacity,
-                    });
+            if spec.block_on_full {
+                while queue.jobs.len() >= shared.config.queue_capacity && !queue.closed {
+                    queue.blocked += 1;
+                    queue = shared.not_full.wait(queue).expect("service queue poisoned");
+                    queue.blocked -= 1;
                 }
-                queue = shared.not_full.wait(queue).expect("service queue poisoned");
-            }
-            if queue.closed {
-                shared.metrics.record_reject();
-                return Err(ServiceError::Closed);
             }
             let now = Instant::now();
-            if shared.policy.enabled {
-                // A budget that is already exhausted can only expire in the
-                // queue: reject it up front instead of queuing it.
-                if let Some(budget) = spec.deadline {
-                    if budget.is_zero() {
-                        shared.metrics.record_reject();
-                        shared.metrics.record_tenant_shed_deadline(spec.tenant);
-                        return Err(ServiceError::DeadlineExpired {
-                            waited: Duration::ZERO,
-                            deadline: budget,
-                        });
-                    }
-                }
-                let quota = shared.policy.quota_for(spec.tenant);
-                if let Err(err) = queue.admission.try_admit(spec.tenant, &quota, now) {
-                    shared.metrics.record_reject();
-                    shared.metrics.record_tenant_shed_quota(spec.tenant);
-                    return Err(ServiceError::QueueFull {
-                        depth: err.depth(),
-                        limit: err.limit(),
-                    });
-                }
-            }
-            // Under the disabled (FIFO) policy every entry queues
-            // deadline-less: legacy ordering, no expiry at pop.
-            let deadline = if shared.policy.enabled {
-                spec.deadline.map(|budget| now + budget)
-            } else {
-                None
+            let deadline = shared.admit(&mut queue, spec, now)?;
+            let job = Job {
+                plan,
+                reply: Some(reply),
+                notify,
             };
-            queue.jobs.push(
-                Job {
-                    plan,
-                    reply: Some(reply),
-                    notify,
-                },
-                spec.tenant,
-                deadline,
-                now,
-            );
-            shared.metrics.record_submit(queue.jobs.len());
-            if shared.lanes_tracked(spec.tenant) {
-                shared.metrics.record_tenant_admit(spec.tenant);
-            }
+            shared.push(&mut queue, job, spec.tenant, deadline, now);
         }
         shared.not_empty.notify_one();
         Ok(PendingEstimate { response })
+    }
+
+    /// Submit many requests under one queue lock, never blocking: each
+    /// passes the same admission as [`ServiceHandle::submit`], and a full
+    /// queue sheds it whatever its `block_on_full` says. Results come back
+    /// in input order; a rejected request hands its plan back with the
+    /// typed error, so the caller can park and resubmit it without having
+    /// cloned it. Wakes ⌈admitted / `max_batch`⌉ workers, capped at the
+    /// pool size — one per micro-batch the submission can fill.
+    pub(crate) fn submit_batch(&self, jobs: Vec<BatchJob>) -> Vec<BatchOutcome> {
+        let shared = &self.shared;
+        let channels: Vec<_> = jobs.iter().map(|_| mpsc::channel()).collect();
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        let mut admitted = 0usize;
+        {
+            let mut queue = shared.queue.lock().expect("service queue poisoned");
+            let now = Instant::now();
+            for ((plan, spec, notify), (reply, response)) in jobs.into_iter().zip(channels) {
+                match shared.admit(&mut queue, spec, now) {
+                    Ok(deadline) => {
+                        let job = Job {
+                            plan,
+                            reply: Some(reply),
+                            notify,
+                        };
+                        shared.push(&mut queue, job, spec.tenant, deadline, now);
+                        admitted += 1;
+                        outcomes.push(Ok(PendingEstimate { response }));
+                    }
+                    Err(error) => outcomes.push(Err((error, plan))),
+                }
+            }
+        }
+        let wakes = admitted
+            .div_ceil(shared.config.max_batch)
+            .min(shared.config.workers);
+        for _ in 0..wakes {
+            shared.not_empty.notify_one();
+        }
+        outcomes
     }
 
     /// Live metrics of the service.
@@ -740,6 +843,7 @@ impl EstimationService {
                 jobs: EdfQueue::new(),
                 admission: AdmissionControl::new(),
                 closed: false,
+                blocked: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -1229,6 +1333,127 @@ mod tests {
             assert!(Instant::now() < deadline, "hook never ran");
             std::thread::yield_now();
         }
+    }
+
+    /// Holds every batch until the test opens the gate, so a test can
+    /// place its tickets where the completion hooks can reach them, or
+    /// fill the queue, before a worker gets going.
+    #[derive(Debug)]
+    struct GatedDoubleRows(Arc<std::sync::atomic::AtomicBool>);
+
+    impl CostModel for GatedDoubleRows {
+        fn name(&self) -> &'static str {
+            "GatedDoubleRows"
+        }
+        fn predict_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
+            2.0 * root.est_rows
+        }
+        fn predict_batch(&self, plans: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            while !self.0.load(std::sync::atomic::Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            plans.iter().map(|p| 2.0 * p.est_rows).collect()
+        }
+    }
+
+    fn gated_service(
+        config: ServiceConfig,
+    ) -> (EstimationService, Arc<std::sync::atomic::AtomicBool>) {
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let service =
+            EstimationService::start(Arc::new(GatedDoubleRows(Arc::clone(&gate))), None, config);
+        (service, gate)
+    }
+
+    /// A worker answers its whole micro-batch before any of the batch's
+    /// hooks fire: a poller woken by any hook finds no ticket of the batch
+    /// still in flight.
+    #[test]
+    fn batch_hooks_fire_only_after_every_reply_is_sent() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        const N: usize = 8;
+        let (service, gate) = gated_service(ServiceConfig {
+            workers: 1,
+            max_batch: N,
+            ..ServiceConfig::default()
+        });
+        let tickets: Arc<Mutex<Vec<PendingEstimate>>> = Arc::new(Mutex::new(Vec::new()));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let in_flight_seen = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<BatchJob> = (0..N)
+            .map(|i| {
+                let (tickets, fired, in_flight_seen) = (
+                    Arc::clone(&tickets),
+                    Arc::clone(&fired),
+                    Arc::clone(&in_flight_seen),
+                );
+                let hook: CompletionNotify = Arc::new(move || {
+                    for ticket in tickets.lock().unwrap().iter() {
+                        if matches!(ticket.try_wait(), Ok(None)) {
+                            in_flight_seen.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    fired.fetch_add(1, Ordering::SeqCst);
+                });
+                (
+                    scan_plan(i as f64 + 1.0),
+                    SubmitSpec::anonymous(false),
+                    Some(hook),
+                )
+            })
+            .collect();
+        let outcomes = service.handle().submit_batch(jobs);
+        *tickets.lock().unwrap() = outcomes
+            .into_iter()
+            .map(|outcome| outcome.map_err(|(e, _)| e).unwrap())
+            .collect();
+        gate.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while fired.load(Ordering::SeqCst) < N {
+            assert!(Instant::now() < deadline, "every hook must fire");
+            std::thread::yield_now();
+        }
+        assert_eq!(fired.load(Ordering::SeqCst), N, "each hook fires once");
+        assert_eq!(
+            in_flight_seen.load(Ordering::SeqCst),
+            0,
+            "a hook fired while a reply of its batch was still pending"
+        );
+        assert_eq!(service.shutdown().max_batch_size, N, "one micro-batch");
+    }
+
+    /// A batch submission admits up to capacity under one lock and hands
+    /// every rejected plan back, in input order, with the typed fault.
+    #[test]
+    fn batch_submission_hands_rejected_plans_back_in_order() {
+        let (service, gate) = gated_service(ServiceConfig {
+            workers: 1,
+            queue_capacity: 4,
+            max_batch: 1,
+            encoding_cache_capacity: 16,
+        });
+        let jobs: Vec<BatchJob> = (0..8)
+            .map(|i| (scan_plan(i as f64), SubmitSpec::anonymous(true), None))
+            .collect();
+        let outcomes = service.handle().submit_batch(jobs);
+        let mut tickets = Vec::new();
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok(ticket) if i < 4 => tickets.push(ticket),
+                Err((ServiceError::QueueFull { depth, limit }, plan)) if i >= 4 => {
+                    assert_eq!((depth, limit), (4, 4));
+                    assert_eq!(plan.est_rows, i as f64, "the submitted plan comes back");
+                }
+                other => panic!("request {i}: unexpected {other:?}"),
+            }
+        }
+        gate.store(true, std::sync::atomic::Ordering::SeqCst);
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            assert_eq!(ticket.wait().unwrap().cost_ms, 2.0 * i as f64);
+        }
+        let metrics = service.shutdown();
+        assert_eq!((metrics.submitted, metrics.rejected), (4, 4));
     }
 
     #[test]

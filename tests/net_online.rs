@@ -383,6 +383,30 @@ fn qcfp_frames_round_trip_bit_exactly_and_reject_corruption() {
     }
 }
 
+/// The client's borrowed encoder writes exactly the frame of the owned
+/// path — `encode_request` of `WireRequest::from_estimate_request` — for
+/// any request, and refuses an out-of-range deadline the same way.
+#[test]
+fn borrowed_request_encoder_is_byte_identical_to_encode_request() {
+    let mut rng = StdRng::seed_from_u64(0xB0AA);
+    for case in 0..QCFP_CASES {
+        let wire_request = random_request(&mut rng);
+        let id = wire_request.request_id;
+        let mut request = wire_request.into_estimate_request();
+        if case % 10 == 9 {
+            let micros = MAX_DEADLINE_US + 1 + rng.gen_range(0..=u32::MAX as u64);
+            request.deadline = Some(Duration::from_micros(micros));
+        }
+        let owned = WireRequest::from_estimate_request(id, &request)
+            .and_then(|wire_request| wire::encode_request(&wire_request));
+        assert_eq!(
+            wire::encode_estimate_request(id, &request),
+            owned,
+            "case {case}: borrowed and owned encoders disagree"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Live-server fixtures.
 // ---------------------------------------------------------------------------
@@ -781,5 +805,172 @@ fn gateway_faults_cross_the_wire_typed() {
     let stats = server.join().unwrap();
     assert_eq!(stats.responses_fault, 1);
     assert_eq!(stats.responses_ok, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A deterministic stub whose every micro-batch takes ~5 ms, so a
+/// one-worker shard with a 2-slot queue fills up behind a pipelined burst.
+#[derive(Debug)]
+struct SlowLinear;
+
+impl CostModel for SlowLinear {
+    fn name(&self) -> &'static str {
+        "SlowLinear"
+    }
+
+    fn predict_plan(
+        &self,
+        root: &PlanNode,
+        _: Option<&qcfe::core::snapshot::FeatureSnapshot>,
+    ) -> f64 {
+        1.5 * root.est_rows + 0.25
+    }
+
+    fn predict_batch(
+        &self,
+        plans: &[&PlanNode],
+        snapshot: Option<&qcfe::core::snapshot::FeatureSnapshot>,
+    ) -> Vec<f64> {
+        std::thread::sleep(Duration::from_millis(5));
+        plans
+            .iter()
+            .map(|p| self.predict_plan(p, snapshot))
+            .collect()
+    }
+}
+
+/// Write every request's frame in one `write_all` on a raw socket, then
+/// read one response per request, returned in request order.
+fn pipeline_in_one_write(socket: &PathBuf, requests: &[EstimateRequest]) -> Vec<WireResponse> {
+    use std::io::{Read, Write};
+    let mut bytes = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        let wire_request = WireRequest::from_estimate_request(i as u64 + 1, request).unwrap();
+        bytes.extend_from_slice(&wire::encode_request(&wire_request).unwrap());
+    }
+    let mut raw = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    raw.write_all(&bytes).unwrap();
+    let mut responses: Vec<Option<WireResponse>> = requests.iter().map(|_| None).collect();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut answered = 0;
+    while answered < requests.len() {
+        if let Some(len) = wire::frame_length(&buf).unwrap() {
+            let frame: Vec<u8> = buf.drain(..len).collect();
+            match wire::decode_frame(&frame).unwrap() {
+                Frame::Response(response) => {
+                    let slot = &mut responses[response.request_id as usize - 1];
+                    assert!(slot.is_none(), "one response per request");
+                    *slot = Some(response);
+                    answered += 1;
+                }
+                other => panic!("expected a response frame, got {other:?}"),
+            }
+            continue;
+        }
+        let n = raw.read(&mut chunk).unwrap();
+        assert!(n > 0, "server hung up with {answered} answered");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    responses.into_iter().map(Option::unwrap).collect()
+}
+
+/// Backpressure through the live reactor: a burst far past a tiny shard
+/// queue is parked and resumed in order for a client that does not shed —
+/// every request answered, bit-identical to in-process — and answered
+/// with typed `QueueFull` faults for one that does.
+#[test]
+fn reactor_parks_and_resumes_a_burst_and_sheds_typed_when_asked() {
+    const BURST: usize = 12;
+    let dir = temp_path("backpressure-store");
+    let env = DbEnvironment::reference();
+    let gateway = Arc::new(
+        QcfeGateway::builder(&dir)
+            .service_config(ServiceConfig {
+                workers: 1,
+                queue_capacity: 2,
+                max_batch: 1,
+                encoding_cache_capacity: 16,
+            })
+            .with_model(
+                ModelKey::new(KIND, EstimatorKind::Mscn, env.fingerprint()),
+                Arc::new(SlowLinear),
+            )
+            .build()
+            .unwrap(),
+    );
+    let requests = |shed_load: bool| -> Vec<EstimateRequest> {
+        (0..BURST)
+            .map(|i| {
+                let mut plan = PlanNode::new(PhysicalOp::SeqScan { table: "t".into() }, vec![]);
+                plan.est_rows = 100.0 + i as f64;
+                EstimateRequest::new(KIND, env.clone(), plan).with_options(RequestOptions {
+                    estimator: EstimatorKind::Mscn,
+                    shed_load,
+                    ..RequestOptions::default()
+                })
+            })
+            .collect()
+    };
+
+    // A client that does not shed: every request parks until capacity
+    // frees, and all are answered.
+    let closed_loop = requests(false);
+    let expected: Vec<EstimateResponse> = closed_loop
+        .iter()
+        .map(|r| gateway.estimate(r.clone()).unwrap())
+        .collect();
+    let socket = temp_path("backpressure.sock");
+    let server = NetServerBuilder::new(Arc::clone(&gateway))
+        .uds(&socket)
+        .start()
+        .unwrap();
+    let responses = pipeline_in_one_write(&socket, &closed_loop);
+    for (i, (response, want)) in responses.iter().zip(&expected).enumerate() {
+        let estimate = response
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|fault| panic!("request {i}: parked, not faulted: {fault:?}"));
+        assert_eq!(
+            estimate.cost_ms.to_bits(),
+            want.cost_ms.to_bits(),
+            "request {i}: bit-identical to in-process"
+        );
+    }
+    let stats = server.join().unwrap();
+    assert_eq!(stats.responses_ok, BURST as u64);
+    assert_eq!(stats.responses_fault, 0, "a parked request never faults");
+    let key = ModelKey::new(KIND, EstimatorKind::Mscn, env.fingerprint());
+    assert!(
+        gateway.shard_metrics(&key).unwrap().rejected > 0,
+        "the burst must have hit the full queue and been parked"
+    );
+
+    // A client that sheds: each request is served or refused typed.
+    let socket = temp_path("backpressure-shed.sock");
+    let server = NetServerBuilder::new(Arc::clone(&gateway))
+        .uds(&socket)
+        .start()
+        .unwrap();
+    let responses = pipeline_in_one_write(&socket, &requests(true));
+    let (mut ok, mut shed) = (0u64, 0u64);
+    for (i, response) in responses.iter().enumerate() {
+        match &response.outcome {
+            Ok(estimate) => {
+                assert_eq!(estimate.cost_ms.to_bits(), expected[i].cost_ms.to_bits());
+                ok += 1;
+            }
+            Err(WireFault::QueueFull { limit, .. }) => {
+                assert_eq!(*limit, 2, "the fault names the shard's capacity");
+                shed += 1;
+            }
+            Err(fault) => panic!("request {i}: unexpected fault {fault:?}"),
+        }
+    }
+    assert!(ok >= 1 && shed >= 1, "{ok} served, {shed} shed");
+    assert_eq!(ok + shed, BURST as u64);
+    let stats = server.join().unwrap();
+    assert_eq!((stats.responses_ok, stats.responses_fault), (ok, shed));
     let _ = std::fs::remove_dir_all(&dir);
 }
