@@ -13,6 +13,7 @@ use qcfe_core::pipeline::{prepare_context, ContextConfig};
 use qcfe_core::reduction::{diffprop_reduction, gradient_reduction};
 use qcfe_core::snapshot::{operator_samples_from, FeatureSnapshot};
 use qcfe_db::env::{DbEnvironment, HardwareProfile};
+use qcfe_serve::RefinementConfig;
 use qcfe_workloads::BenchmarkKind;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -74,6 +75,16 @@ fn bench_snapshot_fit() {
 
     bench("feature_snapshot_least_squares_fit", 20, 20, || {
         std::hint::black_box(FeatureSnapshot::fit(&samples));
+    });
+
+    // The gateway's online refit: the whole label window a shard retains
+    // by default, refitted against the serving snapshot.
+    let warm = FeatureSnapshot::fit(&samples);
+    let capacity = RefinementConfig::default().buffer_capacity;
+    let window: Vec<_> = samples.iter().copied().cycle().take(capacity).collect();
+    let name = format!("feature_snapshot_refit_with_{capacity}_window");
+    bench(&name, 20, 20, || {
+        std::hint::black_box(warm.refit_with(&window));
     });
 }
 

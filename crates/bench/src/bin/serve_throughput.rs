@@ -6,7 +6,7 @@
 //! (scalar vs portable vs AVX2 — direct batch-32 inference and the full
 //! service path), a routed-gateway section comparing one `QcfeGateway`
 //! front door (1 client per environment across 4 environments) against
-//! the equivalent hand-wired per-service setup,
+//! the equivalent hand-wired per-service setup over alternating rounds,
 //! a cold-restart section timing a rebuilt gateway's first estimate
 //! served from persisted `QCFW` weights against one forced to retrain,
 //! an online-refinement section measuring a cold environment's
@@ -47,7 +47,8 @@
 //! * the AVX2 kernel runs below 1.15x the scalar kernel at batch 32 (on
 //!   CPUs that have AVX2);
 //! * routed-gateway aggregate throughput falls more than 20% below the
-//!   hand-wired per-service baseline;
+//!   hand-wired per-service baseline (each side's total completions over
+//!   its total time across 100 alternating rounds, after a warm-up round);
 //! * a cold restart from persisted `QCFW` weights is not faster than one
 //!   that retrains;
 //! * online refinement leaves the cold environment's mean q-error above
@@ -84,6 +85,7 @@ use qcfe_core::model_codec::PersistedModel;
 use qcfe_core::pipeline::{prepare_context, ContextConfig, EstimatorKind, ExperimentContext};
 use qcfe_core::snapshot::FeatureSnapshot;
 use qcfe_db::plan::PlanNode;
+use qcfe_db::DbEnvironment;
 use qcfe_net::{NetServerBuilder, QcfeClient, Replicator, ReplicatorConfig, ShardClient};
 use qcfe_nn::kernel::{force_kernel, MatmulKernel};
 use qcfe_serve::prelude::*;
@@ -103,6 +105,11 @@ use std::time::{Duration, Instant};
 /// per-turn batching 23.5–29.0 (quick and full mode, 2-vCPU host); the
 /// gate sits below a third of the batched runs' lowest value.
 const NET_MIN_BATCH_MEAN: f64 = 6.0;
+
+/// Timed rounds of the routed-gateway section: each round runs the
+/// hand-wired and the routed side once, in alternating order, over
+/// deployments kept up for the whole comparison.
+const GATEWAY_ROUNDS: usize = 100;
 
 /// A cost model that sleeps once per drained micro-batch before
 /// delegating. The scheduling section uses it to make queue wait — not
@@ -474,28 +481,13 @@ fn main() {
             )
         })
         .collect();
-    let started = Instant::now();
-    let handwired_completed: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..env_count)
-            .map(|i| {
-                let handle = services[i].handle();
-                let db = &dbs[i];
-                let benchmark = &ctx.benchmark;
-                scope.spawn(move || {
-                    let load = ClosedLoopConfig::new(1, requests_per_client, seed + 300 + i as u64);
-                    let run = run_closed_loop(benchmark, &load, |query| {
-                        let plan = db.plan(&query).map_err(|e| e.to_string())?;
-                        Ok(handle.estimate(plan).map_err(|e| e.to_string())?.cost_ms)
-                    });
-                    assert_eq!(run.errors, 0, "hand-wired serving must not fail");
-                    run.completed
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    let handwired_tput = handwired_completed as f64 / started.elapsed().as_secs_f64();
-    drop(services);
+    let service_handles: Vec<ServiceHandle> = services.iter().map(|s| s.handle()).collect();
+    let handwired = |i: usize, plan: PlanNode| -> Result<f64, String> {
+        Ok(service_handles[i]
+            .estimate(plan)
+            .map_err(|e| e.to_string())?
+            .cost_ms)
+    };
 
     // Routed: one QcfeGateway owning everything; clients submit typed
     // requests naming only their environment.
@@ -517,34 +509,71 @@ fn main() {
             Arc::clone(&mscn_model),
         );
     }
-    let started = Instant::now();
-    let gateway_completed: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..env_count)
-            .map(|i| {
-                let gateway = &gateway;
-                // Shared per client: each request clones the pointer, not
-                // the knob/hardware structs.
-                let env = Arc::new(ctx.workload.environments[i].clone());
-                let db = &dbs[i];
-                let benchmark = &ctx.benchmark;
-                scope.spawn(move || {
-                    let load = ClosedLoopConfig::new(1, requests_per_client, seed + 300 + i as u64);
-                    let run = run_closed_loop(benchmark, &load, |query| {
-                        let plan = db.plan(&query).map_err(|e| e.to_string())?;
-                        let request = EstimateRequest::new(kind, Arc::clone(&env), plan);
-                        Ok(gateway
-                            .estimate(request)
-                            .map_err(|e| e.to_string())?
-                            .cost_ms)
-                    });
-                    assert_eq!(run.errors, 0, "routed serving must not fail");
-                    run.completed
+    // Shared per client: each request clones the pointer, not the
+    // knob/hardware structs.
+    let routed_envs: Vec<Arc<DbEnvironment>> = ctx
+        .workload
+        .environments
+        .iter()
+        .map(|env| Arc::new(env.clone()))
+        .collect();
+    let routed = |i: usize, plan: PlanNode| -> Result<f64, String> {
+        let request = EstimateRequest::new(kind, Arc::clone(&routed_envs[i]), plan);
+        Ok(gateway
+            .estimate(request)
+            .map_err(|e| e.to_string())?
+            .cost_ms)
+    };
+
+    // One round of one side: a closed-loop client per environment, each
+    // issuing `requests_per_client` requests; returns (completions,
+    // seconds). Both sides of a round draw the same queries.
+    let run_round = |estimate: &(dyn Fn(usize, PlanNode) -> Result<f64, String> + Sync),
+                     round: usize|
+     -> (usize, f64) {
+        let started = Instant::now();
+        let completed: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..env_count)
+                .map(|i| {
+                    let db = &dbs[i];
+                    let benchmark = &ctx.benchmark;
+                    let client_seed = seed + 300 + (round * env_count + i) as u64;
+                    scope.spawn(move || {
+                        let load = ClosedLoopConfig::new(1, requests_per_client, client_seed);
+                        let run = run_closed_loop(benchmark, &load, |query| {
+                            estimate(i, db.plan(&query).map_err(|e| e.to_string())?)
+                        });
+                        assert_eq!(run.errors, 0, "gateway-section serving must not fail");
+                        run.completed
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    let gateway_tput = gateway_completed as f64 / started.elapsed().as_secs_f64();
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        (completed, started.elapsed().as_secs_f64())
+    };
+    // Both deployments stay up for the whole comparison. An untimed
+    // warm-up round starts the gateway's shards (the hand-wired services
+    // are already running), then the two sides alternate (hand-wired first
+    // in odd rounds, routed first in even ones), so host drift lands on
+    // both sides instead of on whichever ran second. Each side's
+    // throughput is its total completions over its total time.
+    run_round(&handwired, 0);
+    run_round(&routed, 0);
+    let mut totals = [(0usize, 0.0f64); 2];
+    for round in 1..=GATEWAY_ROUNDS {
+        for side in [1 - round % 2, round % 2] {
+            let (completed, secs) = if side == 0 {
+                run_round(&handwired, round)
+            } else {
+                run_round(&routed, round)
+            };
+            totals[side].0 += completed;
+            totals[side].1 += secs;
+        }
+    }
+    let [handwired_tput, gateway_tput] = totals.map(|(completed, secs)| completed as f64 / secs);
+    drop(services);
     let gateway_stats = gateway.stats();
     assert_eq!(
         gateway_stats.shard_starts as usize, env_count,

@@ -98,11 +98,26 @@
 //! coefficients for operators the feedback window never covered, and marks
 //! the result [`FeatureSnapshot::refined`] so the provenance survives the
 //! codec round-trip.
+//!
+//! The serving gateway refits inline, on the feedback path, every few
+//! hundred labels over a window of thousands, so the fit is one pass that
+//! allocates nothing per sample. [`FeatureSnapshot::fit`] walks the samples
+//! once and adds each one's design row ([`formula_arity`] entries, at most
+//! [`SNAPSHOT_DIM`]) into its operator's fixed-size `XᵀX` and `Xᵀy`; no
+//! design matrix, per-operator grouping or per-sample `Vec` is built. Each
+//! operator's system then goes to `qcfe_nn::linalg::solve_normal_equations`,
+//! the solve [`qcfe_nn::linalg::least_squares`] ends in too. The pass is
+//! bit-identical to `least_squares` over the materialised per-operator
+//! design matrix: it performs the additions of that path's `XᵀX` product
+//! (`qcfe_nn::kernel::t_matmul_sparse`, which skips a zero design entry)
+//! and of its `Xᵀy` (which does not) with the same operands in the same
+//! sample order, and floating-point sums in one order have one result. A
+//! property test holds the two to the bit on seeded windows, zero entries,
+//! undersampled operators and collinear (ridge-fallback) windows included.
 
 use qcfe_db::executor::ExecutedQuery;
 use qcfe_db::plan::{OperatorKind, PlanNode};
-use qcfe_nn::linalg::least_squares;
-use qcfe_nn::Matrix;
+use qcfe_nn::linalg::solve_normal_equations;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -152,17 +167,66 @@ pub fn operator_samples_from(executions: &[ExecutedQuery]) -> Vec<OperatorSample
     executions.iter().flat_map(operator_samples).collect()
 }
 
-/// The design-matrix row of the logical cost formula for one operator sample.
-fn design_row(kind: OperatorKind, n1: f64, n2: f64) -> Vec<f64> {
+/// The design-matrix row of the logical cost formula for one operator
+/// sample: [`formula_arity`] meaningful entries, zero-padded.
+fn design_row(kind: OperatorKind, n1: f64, n2: f64) -> [f64; SNAPSHOT_DIM] {
     match kind {
         OperatorKind::Sort => {
             let n = n1.max(0.0);
-            vec![n * (n + 1.0).log2(), 1.0, 0.0, 0.0]
+            [n * (n + 1.0).log2(), 1.0, 0.0, 0.0]
         }
-        OperatorKind::NestedLoop => vec![n1 * n2, n1, n2, 1.0],
+        OperatorKind::NestedLoop => [n1 * n2, n1, n2, 1.0],
         // Every other operator follows the linear formula F = c0*n + c1 with
         // n the total input cardinality.
-        _ => vec![n1 + n2, 1.0, 0.0, 0.0],
+        _ => [n1 + n2, 1.0, 0.0, 0.0],
+    }
+}
+
+/// One operator's least-squares system, accumulated sample by sample:
+/// `XᵀX` (row-major with row stride `arity`, so its first `arity²` entries
+/// are the matrix) and `Xᵀy` over the operator's design rows.
+#[derive(Clone, Copy)]
+struct NormalSystem {
+    samples: usize,
+    xtx: [f64; SNAPSHOT_DIM * SNAPSHOT_DIM],
+    xty: [f64; SNAPSHOT_DIM],
+}
+
+impl NormalSystem {
+    const EMPTY: NormalSystem = NormalSystem {
+        samples: 0,
+        xtx: [0.0; SNAPSHOT_DIM * SNAPSHOT_DIM],
+        xty: [0.0; SNAPSHOT_DIM],
+    };
+
+    /// Add one design row (`ARITY` entries) with its target: the additions
+    /// `t_matmul_sparse` makes into `XᵀX` for that row of a materialised
+    /// design matrix, zero skip included, and those of `Xᵀy`, which has no
+    /// skip.
+    fn add<const ARITY: usize>(&mut self, row: &[f64; ARITY], target: f64) {
+        self.samples += 1;
+        for (i, &xi) in row.iter().enumerate() {
+            if xi != 0.0 {
+                for (cell, &xj) in self.xtx[i * ARITY..(i + 1) * ARITY].iter_mut().zip(row) {
+                    *cell += xi * xj;
+                }
+            }
+            self.xty[i] += xi * target;
+        }
+    }
+
+    /// The fitted coefficients, zero-padded; zeros when the operator has
+    /// fewer samples than coefficients or the solve fails.
+    fn solve(&self, arity: usize) -> [f64; SNAPSHOT_DIM] {
+        let mut packed = [0.0; SNAPSHOT_DIM];
+        if self.samples >= arity {
+            if let Ok(beta) =
+                solve_normal_equations(&self.xtx[..arity * arity], &self.xty[..arity], 0.0)
+            {
+                packed[..arity].copy_from_slice(&beta);
+            }
+        }
+        packed
     }
 }
 
@@ -243,37 +307,30 @@ pub struct FeatureSnapshot {
 }
 
 impl FeatureSnapshot {
-    /// Fit a snapshot from labeled operator samples.
+    /// Fit a snapshot from labeled operator samples, in one pass over them
+    /// (see "Online refinement" in the module docs).
     ///
     /// Operators with fewer samples than coefficients fall back to zeroed
     /// coefficients (they contribute nothing to the encoding, which is the
     /// safe default).
     pub fn fit(samples: &[OperatorSample]) -> Self {
-        let mut by_kind: HashMap<OperatorKind, Vec<&OperatorSample>> = HashMap::new();
+        let mut systems = [NormalSystem::EMPTY; OperatorKind::ALL.len()];
         for s in samples {
-            by_kind.entry(s.kind).or_default().push(s);
-        }
-        let mut coefficients = HashMap::new();
-        for (kind, group) in by_kind {
-            let arity = formula_arity(kind);
-            if group.len() < arity {
-                coefficients.insert(kind, [0.0; SNAPSHOT_DIM]);
-                continue;
+            let row = design_row(s.kind, s.n1, s.n2);
+            let system = &mut systems[s.kind.index()];
+            // A constant arity per arm lets the additions unroll.
+            match formula_arity(s.kind) {
+                4 => system.add::<4>(&row, s.self_ms),
+                2 => system.add::<2>(&[row[0], row[1]], s.self_ms),
+                arity => unreachable!("Table I has no {arity}-coefficient formula"),
             }
-            let rows: Vec<Vec<f64>> = group
-                .iter()
-                .map(|s| design_row(kind, s.n1, s.n2)[..arity].to_vec())
-                .collect();
-            let x = Matrix::from_rows(&rows);
-            let y: Vec<f64> = group.iter().map(|s| s.self_ms).collect();
-            let mut packed = [0.0; SNAPSHOT_DIM];
-            if let Ok(beta) = least_squares(&x, &y) {
-                for (i, b) in beta.iter().enumerate().take(SNAPSHOT_DIM) {
-                    packed[i] = *b;
-                }
-            }
-            coefficients.insert(kind, packed);
         }
+        let coefficients = OperatorKind::ALL
+            .iter()
+            .zip(&systems)
+            .filter(|(_, system)| system.samples > 0)
+            .map(|(&kind, system)| (kind, system.solve(formula_arity(kind))))
+            .collect();
         FeatureSnapshot {
             coefficients,
             collection_cost_ms: 0.0,
@@ -292,12 +349,12 @@ impl FeatureSnapshot {
     /// queries ran anyway).
     pub fn refit_with(&self, samples: &[OperatorSample]) -> FeatureSnapshot {
         let mut refit = FeatureSnapshot::fit(samples);
-        for (kind, coeffs) in self.entries() {
-            let fitted = refit.coefficients.get(&kind);
+        for (&kind, &coeffs) in &self.coefficients {
+            let fitted = refit.coefficients.entry(kind).or_insert(coeffs);
             // An all-zero fit is `fit`'s undersampled fallback, never a real
             // least-squares solution over observed runtimes.
-            if fitted.is_none() || fitted == Some(&[0.0; SNAPSHOT_DIM]) {
-                refit.coefficients.insert(kind, coeffs);
+            if *fitted == [0.0; SNAPSHOT_DIM] {
+                *fitted = coeffs;
             }
         }
         refit.collection_cost_ms = self.collection_cost_ms;

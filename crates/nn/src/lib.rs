@@ -75,7 +75,9 @@ pub use codec::WeightsCodecError;
 pub use dataset::Dataset;
 pub use kernel::MatmulKernel;
 pub use layer::DenseLayer;
-pub use linalg::{least_squares, ridge_regression, solve_linear_system, LinAlgError};
+pub use linalg::{
+    least_squares, ridge_regression, solve_linear_system, solve_normal_equations, LinAlgError,
+};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use mlp::{InferenceScratch, Mlp, TrainConfig, TrainHistory};

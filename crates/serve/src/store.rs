@@ -334,6 +334,12 @@ impl SnapshotStore {
     /// the fingerprint *searchable*: nearest-neighbour lookups over
     /// persisted vectors drive the gateway's cross-environment snapshot
     /// transfer.
+    ///
+    /// A file that already holds exactly these bytes is left as it is, with
+    /// no temp file and no rename. The knob vector is a function of the
+    /// fingerprinted environment, so every online refit re-saves the bytes
+    /// already on disk; only a missing, differing or corrupt file is
+    /// rewritten.
     pub fn save_vector(
         &self,
         benchmark: BenchmarkKind,
@@ -349,6 +355,9 @@ impl SnapshotStore {
         bytes.extend_from_slice(&dim.to_le_bytes());
         for v in vector {
             bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        if std::fs::read(&path).is_ok_and(|on_disk| on_disk == bytes) {
+            return Ok(path);
         }
         Self::write_atomic(&path, &format!("{}.qvec", fingerprint.to_hex()), &bytes)?;
         Ok(path)
@@ -845,6 +854,50 @@ mod tests {
             Err(StoreError::Vector(_)) => {}
             other => panic!("expected vector error, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Re-saving an environment leaves its unchanged `.qvec` file in place
+    /// (a rename would give it a new inode); a missing, differing or
+    /// corrupt vector file is rewritten.
+    #[cfg(unix)]
+    #[test]
+    fn unchanged_knob_vectors_are_not_rewritten() {
+        use std::os::unix::fs::MetadataExt;
+        let store = temp_store("vector-skip");
+        let kind = BenchmarkKind::Tpch;
+        let env = DbEnvironment::reference();
+        let fp = env.fingerprint();
+        let path = store.vector_path_for(kind, fp);
+        let inode = |path: &Path| std::fs::metadata(path).unwrap().ino();
+        let expected = env.knob_vector();
+
+        store.save_env(kind, &env, &sample_snapshot(0.002)).unwrap();
+        let first = inode(&path);
+        store.save_env(kind, &env, &sample_snapshot(0.003)).unwrap();
+        store.save_env(kind, &env, &sample_snapshot(0.004)).unwrap();
+        assert_eq!(
+            inode(&path),
+            first,
+            "an unchanged vector must not be replaced"
+        );
+        assert_eq!(store.load(kind, fp).unwrap(), Some(sample_snapshot(0.004)));
+
+        std::fs::remove_file(&path).unwrap();
+        store.save_env(kind, &env, &sample_snapshot(0.002)).unwrap();
+        assert_eq!(store.load_vector(kind, fp).unwrap(), Some(expected.clone()));
+
+        let mut other = expected.clone();
+        other[0] += 1.0;
+        store.save_vector(kind, fp, &other).unwrap();
+        let differing = inode(&path);
+        store.save_env(kind, &env, &sample_snapshot(0.002)).unwrap();
+        assert_ne!(inode(&path), differing, "a differing vector is replaced");
+        assert_eq!(store.load_vector(kind, fp).unwrap(), Some(expected.clone()));
+
+        std::fs::write(&path, b"junk").unwrap();
+        store.save_env(kind, &env, &sample_snapshot(0.002)).unwrap();
+        assert_eq!(store.load_vector(kind, fp).unwrap(), Some(expected));
         let _ = std::fs::remove_dir_all(store.root());
     }
 

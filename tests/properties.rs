@@ -14,7 +14,7 @@ use qcfe::db::types::Value;
 use qcfe::nn::codec::{
     WeightsCodecError, FRAME_HEADER_LEN, WEIGHTS_CODEC_MIN_VERSION, WEIGHTS_CODEC_VERSION,
 };
-use qcfe::nn::{least_squares, Activation, Matrix, Mlp};
+use qcfe::nn::{least_squares, solve_linear_system, Activation, LinAlgError, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,6 +208,163 @@ fn snapshot_refit_and_codec_properties() {
             "case {case}: asymmetric difference {ab} vs {ba}"
         );
     }
+}
+
+/// The dense oracle for [`FeatureSnapshot::fit`], built the way the fit
+/// was before it streamed: group the samples per operator in sample order,
+/// materialise each group's design matrix (Table I's formula, truncated to
+/// its arity) and call `least_squares` on it. Undersampled groups and
+/// failed solves give zeros. Also reports the kinds whose plain normal
+/// matrix was singular, so `least_squares` took its ridge fallback.
+type DenseFit = (Vec<(OperatorKind, [f64; 4])>, Vec<OperatorKind>);
+
+fn dense_snapshot_oracle(samples: &[OperatorSample]) -> DenseFit {
+    let mut ridge_fallbacks = Vec::new();
+    let mut fitted = Vec::new();
+    for kind in OperatorKind::ALL {
+        let group: Vec<&OperatorSample> = samples.iter().filter(|s| s.kind == kind).collect();
+        if group.is_empty() {
+            continue;
+        }
+        let rows: Vec<Vec<f64>> = group
+            .iter()
+            .map(|s| match kind {
+                OperatorKind::Sort => {
+                    let n = s.n1.max(0.0);
+                    vec![n * (n + 1.0).log2(), 1.0]
+                }
+                OperatorKind::NestedLoop => vec![s.n1 * s.n2, s.n1, s.n2, 1.0],
+                _ => vec![s.n1 + s.n2, 1.0],
+            })
+            .collect();
+        let arity = rows[0].len();
+        let mut packed = [0.0; 4];
+        if group.len() >= arity {
+            let x = Matrix::from_rows(&rows);
+            let y: Vec<f64> = group.iter().map(|s| s.self_ms).collect();
+            let xty: Vec<f64> = (0..arity)
+                .map(|c| (0..x.rows()).fold(0.0, |acc, r| acc + x.get(r, c) * y[r]))
+                .collect();
+            if solve_linear_system(&x.t_matmul(&x), &xty) == Err(LinAlgError::SingularMatrix) {
+                ridge_fallbacks.push(kind);
+            }
+            if let Ok(beta) = least_squares(&x, &y) {
+                packed[..arity].copy_from_slice(&beta);
+            }
+        }
+        fitted.push((kind, packed));
+    }
+    (fitted, ridge_fallbacks)
+}
+
+/// One seeded feedback-style window for the streamed-fit oracle: every
+/// operator kind, interleaved, with 0–60 samples each (so some kinds have
+/// fewer samples than their formula's arity), cardinalities that are
+/// sometimes 0 (so design entries hit `t_matmul_sparse`'s zero skip), and,
+/// when `collinear`, a Nested Loop group whose inner cardinality never
+/// varies, which makes its normal matrix singular.
+fn random_fit_window(rng: &mut StdRng, collinear: bool) -> Vec<OperatorSample> {
+    let mut samples = Vec::new();
+    for kind in OperatorKind::ALL {
+        let count = match rng.gen_range(0usize..6) {
+            0 => 0,
+            1 => rng.gen_range(1usize..4),
+            _ => rng.gen_range(4usize..=60),
+        };
+        let fixed_inner = rng.gen_range(1.0f64..50.0).round();
+        for _ in 0..count {
+            let cardinality = |rng: &mut StdRng| {
+                if rng.gen_bool(0.15) {
+                    0.0
+                } else {
+                    rng.gen_range(1.0f64..1e5).round()
+                }
+            };
+            let n1 = cardinality(rng);
+            let n2 = match kind {
+                OperatorKind::NestedLoop if collinear => fixed_inner,
+                OperatorKind::NestedLoop | OperatorKind::HashJoin | OperatorKind::MergeJoin => {
+                    cardinality(rng)
+                }
+                _ => 0.0,
+            };
+            samples.push(OperatorSample {
+                kind,
+                n1,
+                n2,
+                self_ms: rng.gen_range(0.001f64..500.0),
+            });
+        }
+    }
+    // Interleave the kinds, as a feedback window does.
+    for i in (1..samples.len()).rev() {
+        samples.swap(i, rng.gen_range(0..=i));
+    }
+    samples
+}
+
+/// The streamed one-pass `FeatureSnapshot::fit` equals the dense per-kind
+/// `least_squares(&Matrix::from_rows(..))` oracle bit for bit on seeded
+/// windows covering all nine operator kinds, Sort and Nested Loop rows,
+/// undersampled kinds (zeroed), zero design entries and collinear Nested
+/// Loop windows that force the ridge fallback. `refit_with` keeps the
+/// previous coefficients of every kind the window leaves uncovered or
+/// undersampled.
+#[test]
+fn streamed_snapshot_fit_matches_the_dense_least_squares_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0F17_B175);
+    let (mut kinds_fitted, mut kinds_zeroed, mut zero_entries, mut nested_loop_fallbacks) =
+        ([0usize; 9], [0usize; 9], 0usize, 0usize);
+    let warm = FeatureSnapshot::fit(&random_fit_window(&mut rng, false));
+    for case in 0..256 {
+        let window = random_fit_window(&mut rng, case % 4 == 3);
+        zero_entries += window
+            .iter()
+            .filter(|s| s.n1 == 0.0 || (s.kind == OperatorKind::NestedLoop && s.n2 == 0.0))
+            .count();
+        let (oracle, ridge_fallbacks) = dense_snapshot_oracle(&window);
+        nested_loop_fallbacks += usize::from(ridge_fallbacks.contains(&OperatorKind::NestedLoop));
+        let snap = FeatureSnapshot::fit(&window);
+        let entries = snap.entries();
+        assert_eq!(
+            entries.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            oracle.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            "case {case}: covered kinds"
+        );
+        for ((kind, streamed), (_, dense)) in entries.iter().zip(&oracle) {
+            let bits = |c: &[f64; 4]| c.map(f64::to_bits);
+            assert_eq!(bits(streamed), bits(dense), "case {case}: {kind:?}");
+            if *dense == [0.0; 4] {
+                kinds_zeroed[kind.index()] += 1;
+            } else {
+                kinds_fitted[kind.index()] += 1;
+            }
+        }
+
+        let refit = warm.refit_with(&window);
+        for kind in OperatorKind::ALL {
+            let fitted = oracle.iter().find(|(k, _)| *k == kind).map(|(_, c)| *c);
+            let expected = match fitted {
+                Some(c) if c != [0.0; 4] => c,
+                _ => warm.coefficients(kind),
+            };
+            assert_eq!(
+                refit.coefficients(kind).map(f64::to_bits),
+                expected.map(f64::to_bits),
+                "case {case}: refit {kind:?}"
+            );
+        }
+    }
+    for kind in OperatorKind::ALL {
+        let i = kind.index();
+        assert!(kinds_fitted[i] > 0, "{kind:?} never fitted");
+        assert!(kinds_zeroed[i] > 0, "{kind:?} never undersampled");
+    }
+    assert!(zero_entries > 0, "no zero design entries drawn");
+    assert!(
+        nested_loop_fallbacks > 0,
+        "no Nested Loop window forced the ridge fallback"
+    );
 }
 
 /// Build a random small network: 1–3 hidden layers, dims 1–10, random

@@ -280,6 +280,70 @@ fn line_snapshot(slope: f64, intercept: f64) -> FeatureSnapshot {
     FeatureSnapshot::fit(&samples)
 }
 
+/// A transferred environment has no knob vector of its own until its
+/// first refit persists one (`SnapshotStore::save_vector` skips only a file
+/// that already holds the same bytes), and from then on it is a transfer
+/// candidate: `nearest_environment` finds it for a neighbour closer to it
+/// than to the environment it borrowed from.
+#[test]
+fn first_refit_of_a_transferred_environment_persists_its_knob_vector() {
+    let dir = temp_dir("vector");
+    let mut neighbour = DbEnvironment::reference();
+    neighbour.os_overhead = 1.05;
+    let mut cold = DbEnvironment::reference();
+    cold.os_overhead = 1.0501;
+    let mut probe = DbEnvironment::reference();
+    probe.os_overhead = 1.0502;
+    let key = ModelKey::new(KIND, EstimatorKind::Mscn, cold.fingerprint());
+    let gateway = QcfeGateway::builder(&dir)
+        .with_model(key, Arc::new(SnapshotSlope))
+        .refinement(RefinementConfig {
+            refit_threshold: 16,
+            min_drift: 0.0,
+            buffer_capacity: 64,
+        })
+        .build()
+        .unwrap();
+    gateway
+        .publish_snapshot(KIND, &neighbour, &line_snapshot(0.002, 0.25))
+        .unwrap();
+    let first = gateway
+        .estimate(
+            EstimateRequest::new(KIND, cold.clone(), scan_plan(50.0))
+                .with_estimator(EstimatorKind::Mscn),
+        )
+        .unwrap();
+    assert!(first.provenance.snapshot_origin.is_transferred());
+
+    let store = gateway.store();
+    let nearest = |store: &SnapshotStore| {
+        store
+            .nearest_environment(KIND, &probe.knob_vector(), probe.fingerprint())
+            .unwrap()
+            .expect("a candidate is persisted")
+            .0
+    };
+    assert_eq!(store.load_vector(KIND, cold.fingerprint()).unwrap(), None);
+    assert_eq!(nearest(store), neighbour.fingerprint());
+
+    let refits: usize = (1..=16)
+        .map(|i| {
+            gateway
+                .record_execution(KIND, &cold, &executed_scan(10.0 * i as f64, 0.02, 0.5))
+                .unwrap()
+                .refits
+        })
+        .sum();
+    assert_eq!(refits, 1, "16 labels reach the threshold once");
+    assert_eq!(
+        store.load_vector(KIND, cold.fingerprint()).unwrap(),
+        Some(cold.knob_vector()),
+        "the first refit persists the cold environment's vector"
+    );
+    assert_eq!(nearest(store), cold.fingerprint());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite acceptance: 8 estimate threads race concurrent feedback
 /// writers on one transferred shard. Invariants under the race:
 ///
