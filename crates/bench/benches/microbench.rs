@@ -1,6 +1,6 @@
-//! Microbenchmarks: inference latency, snapshot fitting and feature-reduction
-//! runtime — the time-efficiency side of the paper's "time-accuracy"
-//! comparisons.
+//! Microbenchmarks: inference latency, snapshot fitting, snapshot
+//! persistence and feature-reduction runtime — the time-efficiency side of
+//! the paper's "time-accuracy" comparisons.
 //!
 //! Criterion is unavailable offline, so this is a plain `harness = false`
 //! bench binary with warm-up plus median-of-samples timing. Run with
@@ -12,19 +12,27 @@ use qcfe_core::estimators::MscnEstimator;
 use qcfe_core::pipeline::{prepare_context, ContextConfig};
 use qcfe_core::reduction::{diffprop_reduction, gradient_reduction};
 use qcfe_core::snapshot::{operator_samples_from, FeatureSnapshot};
-use qcfe_db::env::{DbEnvironment, HardwareProfile};
+use qcfe_db::env::{DbEnvironment, EnvFingerprint, HardwareProfile};
+use qcfe_serve::store::SnapshotStore;
 use qcfe_serve::RefinementConfig;
 use qcfe_workloads::BenchmarkKind;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Time `f` with a short warm-up, returning the median per-iteration time in
+/// Print one result row: the median of `times_us` per iteration.
+fn print_median(name: &str, mut times_us: Vec<f64>, detail: &str) {
+    times_us.sort_by(|a, b| a.total_cmp(b));
+    let median = times_us[times_us.len() / 2];
+    println!("{name:<44} {median:>12.2} us/iter  ({detail})");
+}
+
+/// Time `f` with a short warm-up, printing the median per-iteration time in
 /// microseconds over `samples` measured batches.
 fn bench<F: FnMut()>(name: &str, samples: usize, iters_per_sample: usize, mut f: F) {
     for _ in 0..iters_per_sample.min(3) {
         f();
     }
-    let mut times_us: Vec<f64> = (0..samples)
+    let times_us: Vec<f64> = (0..samples)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters_per_sample {
@@ -33,9 +41,11 @@ fn bench<F: FnMut()>(name: &str, samples: usize, iters_per_sample: usize, mut f:
             start.elapsed().as_secs_f64() * 1e6 / iters_per_sample as f64
         })
         .collect();
-    times_us.sort_by(|a, b| a.total_cmp(b));
-    let median = times_us[times_us.len() / 2];
-    println!("{name:<44} {median:>12.2} us/iter  ({samples} samples x {iters_per_sample} iters)");
+    print_median(
+        name,
+        times_us,
+        &format!("{samples} samples x {iters_per_sample} iters"),
+    );
 }
 
 fn bench_inference() {
@@ -86,6 +96,44 @@ fn bench_snapshot_fit() {
     bench(&name, 20, 20, || {
         std::hint::black_box(warm.refit_with(&window));
     });
+    bench_snapshot_store(&warm.refit_with(&window));
+}
+
+/// What persisting a refit costs: `SnapshotStore::save` of one snapshot,
+/// over and over, into a store under `std::env::temp_dir()`. Most saves
+/// append one record to the warm log; each time the log reaches its
+/// 64 KiB bound, a save writes a fresh one-record log instead (temp file +
+/// rename). Each save is timed on its own and filed by which of the two it
+/// was (a compaction shrinks the file).
+fn bench_snapshot_store(snapshot: &FeatureSnapshot) {
+    let root = std::env::temp_dir().join(format!("qcfe-microbench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = SnapshotStore::open(&root).expect("store opens");
+    let (kind, fingerprint) = (BenchmarkKind::Sysbench, EnvFingerprint(0x5a7e));
+    let path = store.path_for(kind, fingerprint);
+    store.save(kind, fingerprint, snapshot).expect("save");
+    let (mut appends_us, mut compactions_us) = (Vec::new(), Vec::new());
+    let mut len = std::fs::metadata(&path).expect("log exists").len();
+    for _ in 0..10_000 {
+        let start = Instant::now();
+        store.save(kind, fingerprint, snapshot).expect("save");
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        let now = std::fs::metadata(&path).expect("log exists").len();
+        if now < len {
+            compactions_us.push(us);
+        } else {
+            appends_us.push(us);
+        }
+        len = now;
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    for (name, saves_us) in [
+        ("snapshot_store_save_onto_warm_log", appends_us),
+        ("snapshot_store_save_compacting_the_log", compactions_us),
+    ] {
+        let detail = format!("{} saves", saves_us.len());
+        print_median(name, saves_us, &detail);
+    }
 }
 
 fn bench_reduction() {

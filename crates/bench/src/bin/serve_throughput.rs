@@ -22,7 +22,9 @@
 //! (a greedy deadline-less tenant flooding a throttled single-worker
 //! shard next to compliant deadline-carrying tenants) against a
 //! default FIFO gateway and one running `SchedPolicy::edf()` with a
-//! queue-share quota on the greedy tenant, and a replication section
+//! queue-share quota on the greedy tenant, in alternating rounds over
+//! both gateways kept up until each policy's pooled compliant p99 has
+//! at least 30 samples above it, and a replication section
 //! running three local replicas with rendezvous-sharded keys, killing
 //! the owner of the loaded shard mid-run, and reporting the time for
 //! the survivors to absorb the dead peer's keys from shipped
@@ -58,7 +60,8 @@
 //!   the FIFO baseline, a compliant tenant keeps < 80% goodput, or the
 //!   greedy tenant is not shed typed (nonzero client-side and
 //!   per-tenant-metric shed counters; every request must resolve —
-//!   served, shed or deadline-failed — in both runs);
+//!   served, shed or deadline-failed — under both policies); each
+//!   policy's figures pool its alternating rounds;
 //! * after the replication kill, the survivors answer
 //!   non-bit-identically, the loop stops completing requests, or a
 //!   replica rejects shipped state;
@@ -111,6 +114,18 @@ const NET_MIN_BATCH_MEAN: f64 = 6.0;
 /// deployments kept up for the whole comparison.
 const GATEWAY_ROUNDS: usize = 100;
 
+/// The scheduling section runs alternating FIFO/EDF rounds until each
+/// policy's pooled compliant p99 has at least this many samples above it.
+/// A host stall delays several compliant requests of one round together
+/// (their latencies land within 0.1 ms of each other), so with 10
+/// samples above the p99 one or two stalled rounds decided the gate; at
+/// 30 it takes several.
+const SCHED_TAIL_SAMPLES: usize = 30;
+
+/// Upper bound on the scheduling section's rounds, reached only when
+/// compliant requests stop completing (which fails its goodput gate).
+const SCHED_MAX_ROUNDS: usize = 40;
+
 /// A cost model that sleeps once per drained micro-batch before
 /// delegating. The scheduling section uses it to make queue wait — not
 /// inference speed — dominate latency, so the FIFO-vs-EDF comparison
@@ -136,8 +151,9 @@ impl CostModel for ThrottledModel {
     }
 }
 
-/// p99 latency pooled over the given tenants' completed requests.
-fn pooled_p99_ms(report: &MultiTenantReport, tenants: &[u32]) -> f64 {
+/// p99 latency pooled over the given tenants' completed requests, and the
+/// number of pooled samples ranked above it.
+fn pooled_p99_ms(report: &MultiTenantReport, tenants: &[u32]) -> (f64, usize) {
     let mut pooled: Vec<f64> = report
         .lanes
         .iter()
@@ -146,10 +162,28 @@ fn pooled_p99_ms(report: &MultiTenantReport, tenants: &[u32]) -> f64 {
         .collect();
     pooled.sort_by(|a, b| a.total_cmp(b));
     if pooled.is_empty() {
-        return 0.0;
+        return (0.0, 0);
     }
     let rank = (0.99 * (pooled.len() - 1) as f64).round() as usize;
-    pooled[rank.min(pooled.len() - 1)]
+    (pooled[rank], pooled.len() - 1 - rank)
+}
+
+/// Add one round of a multi-tenant mix into the running pool of its
+/// policy (lanes in the same order every round).
+fn pool_mix(pool: &mut Option<MultiTenantReport>, round: MultiTenantReport) {
+    let Some(pool) = pool else {
+        *pool = Some(round);
+        return;
+    };
+    pool.wall_s += round.wall_s;
+    for (total, lane) in pool.lanes.iter_mut().zip(round.lanes) {
+        total.attempted += lane.attempted;
+        total.completed += lane.completed;
+        total.shed += lane.shed;
+        total.deadline_failures += lane.deadline_failures;
+        total.other_errors += lane.other_errors;
+        total.latencies_ms.extend(lane.latencies_ms);
+    }
 }
 
 /// One closed-loop service sweep for a model, appended to `table`.
@@ -1063,7 +1097,11 @@ fn main() {
     // with deadline-less traffic from 16 closed-loop clients while two
     // compliant tenants (2 clients each) submit deadline-carrying
     // requests; the throttle makes queue wait dominate latency, so the
-    // comparison measures ordering policy, not inference speed.
+    // comparison measures ordering policy, not inference speed. Both
+    // gateways stay up and the mix runs in alternating FIFO/EDF rounds
+    // (one seed per round, replayed on both), pooling each policy's
+    // lanes until its compliant p99 has `SCHED_TAIL_SAMPLES` samples
+    // above it.
     // ---------------------------------------------------------------
     const GREEDY_TENANT: u32 = 7;
     const COMPLIANT_TENANTS: [u32; 2] = [21, 22];
@@ -1095,11 +1133,11 @@ fn main() {
     });
     let sched_env = Arc::new(ctx.workload.environments[0].clone());
     let sched_db = &dbs[0];
-    let run_mix = |gateway: &QcfeGateway| {
+    let run_mix = |gateway: &QcfeGateway, round_seed: u64| {
         run_multi_tenant_mix(
             &ctx.benchmark,
             &sched_lanes,
-            seed + 700,
+            round_seed,
             |tenant, deadline, query| {
                 let plan = sched_db
                     .plan(&query)
@@ -1121,7 +1159,7 @@ fn main() {
             },
         )
     };
-    let run_policy = |tag: &str, policy: SchedPolicy| {
+    let start_gateway = |tag: &str, policy: SchedPolicy| {
         let root = std::env::temp_dir().join(format!(
             "qcfe-serve-bench-sched-{tag}-{}-{seed}",
             std::process::id()
@@ -1143,7 +1181,7 @@ fn main() {
             ),
             Arc::clone(&throttled_model),
         );
-        // Warm the shard so neither run pays model load on its first
+        // Warm the shard so neither policy pays model load on its first
         // timed request.
         gateway
             .estimate(EstimateRequest::new(
@@ -1152,14 +1190,11 @@ fn main() {
                 ctx.workload.queries[0].executed.root.clone(),
             ))
             .expect("warm-up estimate");
-        let mix = run_mix(&gateway);
-        let stats = gateway.stats();
-        let _ = std::fs::remove_dir_all(&root);
-        (mix, stats)
+        (gateway, root)
     };
     eprintln!("[serve] multi-tenant scheduling: adversarial mix vs FIFO baseline...");
-    let (fifo_mix, _) = run_policy("fifo", SchedPolicy::fifo());
-    let (edf_mix, edf_stats) = run_policy(
+    let (fifo_gateway, fifo_root) = start_gateway("fifo", SchedPolicy::fifo());
+    let (edf_gateway, edf_root) = start_gateway(
         "edf",
         SchedPolicy::edf()
             .with_age_after(Duration::from_millis(50))
@@ -1168,6 +1203,32 @@ fn main() {
                 TenantQuota::new(f64::INFINITY, f64::INFINITY, 2),
             ),
     );
+    let (mut fifo_pool, mut edf_pool) = (None, None);
+    let tail_samples = |pool: &Option<MultiTenantReport>| {
+        pool.as_ref()
+            .map_or(0, |mix| pooled_p99_ms(mix, &COMPLIANT_TENANTS).1)
+    };
+    let mut sched_rounds = 0;
+    while sched_rounds < SCHED_MAX_ROUNDS
+        && (tail_samples(&fifo_pool) < SCHED_TAIL_SAMPLES
+            || tail_samples(&edf_pool) < SCHED_TAIL_SAMPLES)
+    {
+        let round_seed = seed + 700 + sched_rounds as u64;
+        if sched_rounds % 2 == 0 {
+            pool_mix(&mut fifo_pool, run_mix(&fifo_gateway, round_seed));
+            pool_mix(&mut edf_pool, run_mix(&edf_gateway, round_seed));
+        } else {
+            pool_mix(&mut edf_pool, run_mix(&edf_gateway, round_seed));
+            pool_mix(&mut fifo_pool, run_mix(&fifo_gateway, round_seed));
+        }
+        sched_rounds += 1;
+    }
+    let edf_stats = edf_gateway.stats();
+    drop((fifo_gateway, edf_gateway));
+    let _ = std::fs::remove_dir_all(&fifo_root);
+    let _ = std::fs::remove_dir_all(&edf_root);
+    let fifo_mix = fifo_pool.expect("at least one scheduling round");
+    let edf_mix = edf_pool.expect("at least one scheduling round");
 
     let mut sched_table = ReportTable::new(
         "Multi-tenant scheduling: adversarial mix on a throttled shard, FIFO vs EDF+quota",
@@ -1218,10 +1279,10 @@ fn main() {
     }
     report.add_table(sched_table);
 
-    let fifo_p99 = pooled_p99_ms(&fifo_mix, &COMPLIANT_TENANTS);
-    let edf_p99 = pooled_p99_ms(&edf_mix, &COMPLIANT_TENANTS);
+    let (fifo_p99, fifo_tail) = pooled_p99_ms(&fifo_mix, &COMPLIANT_TENANTS);
+    let (edf_p99, edf_tail) = pooled_p99_ms(&edf_mix, &COMPLIANT_TENANTS);
     eprintln!(
-        "[serve] scheduling: compliant p99 {fifo_p99:.3} ms (FIFO) -> {edf_p99:.3} ms (EDF), greedy shed {} of {}",
+        "[serve] scheduling: compliant p99 {fifo_p99:.3} ms (FIFO) -> {edf_p99:.3} ms (EDF) over {sched_rounds} alternating rounds ({fifo_tail} and {edf_tail} samples above p99), greedy shed {} of {}",
         edf_mix.lane(GREEDY_TENANT).map_or(0, |l| l.shed),
         edf_mix.lane(GREEDY_TENANT).map_or(0, |l| l.attempted),
     );

@@ -26,6 +26,7 @@
 //! | magic  | contents                  | defined in                            |
 //! |--------|---------------------------|---------------------------------------|
 //! | `QCFS` | feature snapshot          | this module                           |
+//! | `QCFL` | log of `QCFS` frames      | `qcfe_serve::store`                   |
 //! | `QVEC` | environment knob vector   | `qcfe_serve::store`                   |
 //! | `QCFW` | trained model weights     | `qcfe_nn::codec` + [`crate::model_codec`] |
 //! | `QCFP` | network request/response  | `qcfe_net::wire`                      |
@@ -41,6 +42,15 @@
 //! `QCFW` is also at version 2. Its version-2 frames are byte-identical to
 //! version 1 apart from the version field, and both decode unchanged;
 //! payload kinds outside 0–2 are a typed `UnknownPayload` error.
+//!
+//! `QCFL` (version 1) is how the serving store persists a snapshot that
+//! is refit online: an append-only log of `[u32 len][u32 CRC-32][QCFS
+//! frame]` records, whose last CRC-valid record is the current snapshot.
+//! Each refit appends one record instead of replacing the file. A
+//! single-frame `QCFS` file written before the log still loads, and its
+//! first save converts it. A binary built before the log rejects one as
+//! `BadMagic`. Replication and manifests carry the current `QCFS` frame,
+//! never the log.
 //!
 //! `QCFP` is the family's only *wire* format — the length-framed protocol
 //! the `qcfe-net` reactor serves estimates over. It inherits the `QCFW`
@@ -248,6 +258,18 @@ pub const SNAPSHOT_CODEC_VERSION: u32 = 2;
 /// Oldest snapshot codec version this build still decodes.
 pub const SNAPSHOT_CODEC_MIN_VERSION: u32 = 1;
 
+/// Bytes of a version-2 `QCFS` frame before its entries: magic, version,
+/// flags, collection cost and entry count.
+const SNAPSHOT_HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 1 + 8 + 4;
+
+/// Bytes of one `QCFS` entry: the operator index and its coefficients.
+const SNAPSHOT_ENTRY_LEN: usize = 1 + 8 * SNAPSHOT_DIM;
+
+/// The longest frame [`FeatureSnapshot::to_bytes`] writes: one entry per
+/// operator kind (318 bytes for nine kinds).
+pub const SNAPSHOT_MAX_ENCODED_LEN: usize =
+    SNAPSHOT_HEADER_LEN + OperatorKind::ALL.len() * SNAPSHOT_ENTRY_LEN;
+
 /// Bit 0 of the version-2 flags byte: the snapshot was refined online from
 /// the serving environment's own observed labels.
 const SNAPSHOT_FLAG_REFINED: u8 = 0b0000_0001;
@@ -432,8 +454,7 @@ impl FeatureSnapshot {
     /// byte; [`FeatureSnapshot::from_bytes`] still decodes it.)
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.entries();
-        let mut out =
-            Vec::with_capacity(SNAPSHOT_MAGIC.len() + 17 + entries.len() * (1 + 8 * SNAPSHOT_DIM));
+        let mut out = Vec::with_capacity(SNAPSHOT_HEADER_LEN + entries.len() * SNAPSHOT_ENTRY_LEN);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_CODEC_VERSION.to_le_bytes());
         out.push(if self.refined {
@@ -487,7 +508,7 @@ impl FeatureSnapshot {
         // Bound the declared count by what the buffer can actually hold
         // (1 index byte + SNAPSHOT_DIM f64s per entry) before allocating,
         // so a corrupted count field cannot trigger a huge allocation.
-        if count > cursor.len() / (1 + 8 * SNAPSHOT_DIM) {
+        if count > cursor.len() / SNAPSHOT_ENTRY_LEN {
             return Err(SnapshotCodecError::Truncated);
         }
         let mut coefficients = HashMap::with_capacity(count);
@@ -651,6 +672,16 @@ mod tests {
                 snap.predict(kind, 5000.0, 0.0).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn a_snapshot_of_every_operator_encodes_to_the_longest_frame() {
+        let full = FeatureSnapshot::from_entries(
+            OperatorKind::ALL.map(|kind| (kind, [1.5; SNAPSHOT_DIM])),
+            2.0,
+        );
+        assert_eq!(full.to_bytes().len(), SNAPSHOT_MAX_ENCODED_LEN);
+        assert_eq!(SNAPSHOT_MAX_ENCODED_LEN, 318);
     }
 
     #[test]

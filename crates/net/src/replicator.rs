@@ -448,8 +448,8 @@ impl Worker {
             if theirs.contains(&WireManifestEntry::from(*entry)) {
                 continue;
             }
-            // Divergent or missing on the peer: re-ship the verbatim
-            // file bytes. An entry whose file vanished between manifest
+            // Divergent or missing on the peer: re-ship the persisted
+            // codec bytes. An entry whose file vanished between manifest
             // and read (concurrent re-publish) is skipped — the ordinary
             // ship path already carried its replacement.
             let ship_id = self.next_request_id;

@@ -81,10 +81,12 @@
 //! frames leave open: when a survivor's heartbeat sees a peer transition
 //! dead→alive, it sends a [`WireManifestRequest`] (empty payload) and the
 //! revived peer answers with a [`WireManifestReply`] — a deterministic
-//! listing of every persisted artifact as `(key, CRC-32 of the verbatim
-//! file bytes)` [`WireManifestEntry`] records. The survivor diffs the
-//! reply against its own store manifest and re-ships divergent or missing
-//! keys through the ordinary kind-3/4 path before routing traffic back.
+//! listing of every persisted artifact as `(key, CRC-32 of the persisted
+//! codec bytes)` [`WireManifestEntry`] records: a snapshot's current
+//! `QCFS` frame (the last record of its snapshot log), a weight file's
+//! `QCFW` bytes. The survivor diffs the reply against its own store
+//! manifest and re-ships divergent or missing keys through the ordinary
+//! kind-3/4 path before routing traffic back.
 //! Like kinds 3–5, the version stays 1 and pre-manifest decoders reject
 //! the new kinds typed with [`WireError::UnknownFrameKind`]. Entry counts
 //! are bounded by [`MAX_MANIFEST_ENTRIES`] before allocation.
@@ -668,9 +670,9 @@ pub struct WireManifestRequest {
 }
 
 /// One record of a manifest reply: the identity of a persisted artifact
-/// plus a CRC-32 over its verbatim `QCFS`/`QCFW` file bytes. Mirrors
-/// `qcfe_serve`'s store-level manifest entry with the wire's raw-`u64`
-/// fingerprint convention (same as the ship frames).
+/// plus a CRC-32 over its persisted `QCFS` frame or `QCFW` file bytes.
+/// Mirrors `qcfe_serve`'s store-level manifest entry with the wire's
+/// raw-`u64` fingerprint convention (same as the ship frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireManifestEntry {
     /// A persisted feature snapshot.
@@ -679,7 +681,7 @@ pub enum WireManifestEntry {
         benchmark: BenchmarkKind,
         /// The environment fingerprint it is keyed under.
         fingerprint: u64,
-        /// CRC-32 over the verbatim `QCFS` file bytes.
+        /// CRC-32 over the current persisted `QCFS` frame.
         crc: u32,
     },
     /// Persisted model weights.

@@ -48,9 +48,9 @@
 //!    the snapshot. At most one refit runs per trigger, even under
 //!    concurrent feedback writers;
 //! 3. **persist, then swap** — the refit snapshot (marked
-//!    [`FeatureSnapshot::refined`]) is written through the store's atomic
-//!    temp-file + rename *first*, then swapped into the running
-//!    [`EstimationService`] without a restart
+//!    [`FeatureSnapshot::refined`]) is appended to the key's snapshot log
+//!    *first* (one CRC-framed record per refit; see [`crate::store`]),
+//!    then swapped into the running [`EstimationService`] without a restart
 //!    ([`ServiceHandle::install_snapshot`]; in-flight batches finish under
 //!    the old snapshot, later batches use the new one — never a mixture),
 //!    so persisted state is always at least as fresh as served state and a
@@ -609,12 +609,12 @@ impl QcfeGateway {
     /// shard of `(benchmark, environment.fingerprint())` (all estimator
     /// families), accumulating in each shard's bounded label window. Once a
     /// shard accumulates [`RefinementConfig::refit_threshold`] samples, its
-    /// snapshot is refit from its own labels, persisted (snapshot + knob
-    /// vector, atomic temp-file + rename — persisted state always leads
-    /// served state), swapped into the running service without a restart,
-    /// and — for a shard that warm-started from a transferred snapshot —
-    /// its provenance is promoted `Transferred → TrainedHere`, exactly
-    /// once.
+    /// snapshot is refit from its own labels, persisted (one record
+    /// appended to the snapshot log, plus the knob vector when it changed —
+    /// persisted state always leads served state), swapped into the
+    /// running service without a restart, and — for a shard that
+    /// warm-started from a transferred snapshot — its provenance is
+    /// promoted `Transferred → TrainedHere`, exactly once.
     ///
     /// Returns what the call did ([`FeedbackOutcome`]); `shards == 0` means
     /// no shard of the fingerprint is running and the labels were dropped.

@@ -6,35 +6,189 @@
 //! lays an environment's serving state out as sibling files:
 //!
 //! ```text
-//! <root>/<benchmark>/<fingerprint>.qcfs             feature snapshot (QCFS)
+//! <root>/<benchmark>/<fingerprint>.qcfs             feature snapshot log (QCFL)
 //! <root>/<benchmark>/<fingerprint>.qvec             knob vector (QVEC)
 //! <root>/<benchmark>/<fingerprint>.<estimator>.qcfw trained weights (QCFW)
 //! ```
 //!
 //! using the versioned binary codec family (`QCFS` in
 //! [`qcfe_core::snapshot`], `QCFW` in [`qcfe_core::model_codec`] /
-//! `qcfe_nn::codec`, `QVEC` below), which round-trips every coefficient and
-//! weight bit-exactly: a reloaded snapshot or model yields *identical*
-//! estimates, not merely close ones. The weight sidecars are what make a
-//! restarted estimator self-serving — [`SnapshotStore::load_model`] hands
-//! back a ready [`PersistedModel`] instead of forcing a retrain. All writes
-//! go through a temp file plus rename so a crashed writer never leaves a
-//! torn file behind, and concurrent readers only ever observe complete
-//! frames.
+//! `qcfe_nn::codec`, `QVEC` and `QCFL` below), which round-trips every
+//! coefficient and weight bit-exactly: a reloaded snapshot or model yields
+//! *identical* estimates, not merely close ones. The weight sidecars are
+//! what make a restarted estimator self-serving — [`SnapshotStore::load_model`]
+//! hands back a ready [`PersistedModel`] instead of forcing a retrain.
+//! Weight and knob-vector files are written through a temp file plus
+//! rename, so a crashed writer never leaves a torn file behind and
+//! concurrent readers only ever observe complete frames.
+//!
+//! # The snapshot log
+//!
+//! The gateway persists every online refit before it swaps the refit in,
+//! hundreds of times a second under feedback, so a `.qcfs` file is an
+//! append-only log of `QCFS` frames, newest last:
+//!
+//! ```text
+//! offset   bytes  field
+//! 0        4      magic "QCFL"
+//! 4        4      u32 LE log version (1)
+//! 8        4      record: u32 LE frame length (<= SNAPSHOT_MAX_ENCODED_LEN)
+//! 12       4      record: u32 LE CRC-32 of the frame
+//! 16       len    record: the QCFS frame (FeatureSnapshot::to_bytes)
+//! 16+len   ...    further records
+//! ```
+//!
+//! **Write path.** [`SnapshotStore::save`] appends one record with one
+//! `O_APPEND` write. It writes a fresh one-record log through
+//! [`SnapshotStore::write_atomic`] (temp file + rename) instead when the
+//! file is missing, when it is not a log of this version (a legacy
+//! single-frame `QCFS` file, or garbage), or when the record would take it
+//! past [`SnapshotStore::LOG_COMPACT_BYTES`]: the log's create and compact
+//! step. A compaction can rename a fresh log over the path between an
+//! append's open and its write, which leaves the record in the replaced
+//! file; the append then sees that the path no longer names the file it
+//! wrote (device and inode differ) and saves again. So a save returns only
+//! once its record is in the file at the path, and the last save to
+//! complete wins, as with a rename.
+//!
+//! **Read path.** [`SnapshotStore::load`], [`SnapshotStore::snapshot_bytes`]
+//! and [`SnapshotStore::manifest`] read the log's last CRC-valid record:
+//! the frame a single-frame file would hold, so replication ships and
+//! manifests hash the same bytes on either side of the format change. The
+//! reader steps a byte at a time past bytes that do not frame a CRC-valid
+//! record, and rejects a length above the longest `QCFS` frame before
+//! hashing. A torn tail or appended garbage therefore never hides the
+//! previous record, a record appended after a torn tail is the one read,
+//! and a garbage log scans in bounded time. A concurrent reader gets the
+//! current record or the previous one, never a torn frame. A log with no
+//! valid record fails typed ([`StoreError::Codec`]), never as `Ok(None)`.
+//!
+//! **Legacy files and downgrades.** A single-frame `.qcfs` file (the
+//! format before the log) loads unchanged, and its first save converts it
+//! to a log. A binary built before the log reads a log as `BadMagic`: a
+//! typed failure, and the limit of a downgrade.
+//!
+//! **Power loss** is out of scope, as it was for the rename: neither path
+//! calls `fsync`. A process crash loses no record a save returned for.
+//! ext4 starts writeback of a file renamed over another at the rename
+//! (`auto_da_alloc`), but an append gets no such early writeback. After a
+//! power loss, the newest refits can therefore be missing for up to the
+//! kernel's dirty-writeback interval, not the journal commit interval.
 
 use qcfe_core::model_codec::{ModelCodecError, PersistedModel};
 use qcfe_core::pipeline::EstimatorKind;
-use qcfe_core::snapshot::{FeatureSnapshot, SnapshotCodecError};
+use qcfe_core::snapshot::{
+    FeatureSnapshot, SnapshotCodecError, SNAPSHOT_MAGIC, SNAPSHOT_MAX_ENCODED_LEN,
+};
 use qcfe_db::env::{knob_distance, EnvFingerprint};
 use qcfe_db::DbEnvironment;
+use qcfe_nn::codec::crc32;
 use qcfe_workloads::BenchmarkKind;
-use std::io;
+use std::fs::{File, Metadata, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of knob-vector sidecar files.
 const VECTOR_MAGIC: &[u8; 4] = b"QVEC";
 /// Current knob-vector codec version.
 const VECTOR_VERSION: u16 = 1;
+
+/// Magic prefix of snapshot log files.
+const LOG_MAGIC: &[u8; 4] = b"QCFL";
+/// Current snapshot-log codec version.
+const LOG_VERSION: u32 = 1;
+/// The header every snapshot log of this version starts with.
+const LOG_HEADER: [u8; 8] = {
+    let (m, v) = (*LOG_MAGIC, LOG_VERSION.to_le_bytes());
+    [m[0], m[1], m[2], m[3], v[0], v[1], v[2], v[3]]
+};
+/// Bytes of a log record's `[u32 len][u32 crc32]` prefix.
+const RECORD_PREFIX_LEN: usize = 8;
+
+/// The `QCFS` frame of the log record that starts `bytes`, or `None` when
+/// they do not frame a CRC-valid record. A length above the longest frame
+/// is rejected before hashing.
+fn record_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    if bytes.len() < RECORD_PREFIX_LEN {
+        return None;
+    }
+    let len = field(0) as usize;
+    if len > SNAPSHOT_MAX_ENCODED_LEN {
+        return None;
+    }
+    let frame = bytes.get(RECORD_PREFIX_LEN..RECORD_PREFIX_LEN + len)?;
+    (frame.starts_with(SNAPSHOT_MAGIC) && crc32(frame) == field(4)).then_some(frame)
+}
+
+/// The `QCFS` frame a snapshot file holds now: a log's last CRC-valid
+/// record, or a legacy single-frame file whole. Bytes that do not frame a
+/// record (a torn tail, garbage) are stepped past one at a time, so a
+/// record appended after them is still found. A log with no valid record
+/// is [`SnapshotCodecError::Truncated`]; one of an unknown version is
+/// [`SnapshotCodecError::UnsupportedVersion`].
+fn current_frame(file: &[u8]) -> Result<&[u8], SnapshotCodecError> {
+    let Some(body) = file.strip_prefix(LOG_MAGIC) else {
+        return Ok(file);
+    };
+    let version = body.get(..4).ok_or(SnapshotCodecError::Truncated)?;
+    let version = u32::from_le_bytes(version.try_into().expect("4 bytes"));
+    if version != LOG_VERSION {
+        return Err(SnapshotCodecError::UnsupportedVersion(version));
+    }
+    let mut rest = &body[4..];
+    let mut last = None;
+    while !rest.is_empty() {
+        match record_frame(rest) {
+            Some(frame) => {
+                last = Some(frame);
+                rest = &rest[RECORD_PREFIX_LEN + frame.len()..];
+            }
+            None => rest = &rest[1..],
+        }
+    }
+    last.ok_or(SnapshotCodecError::Truncated)
+}
+
+/// A one-record snapshot log holding `snapshot`: the log header, then the
+/// record `save` appends to an existing log.
+fn one_record_log(snapshot: &FeatureSnapshot) -> Vec<u8> {
+    let frame = snapshot.to_bytes();
+    let mut log = Vec::with_capacity(LOG_HEADER.len() + RECORD_PREFIX_LEN + frame.len());
+    log.extend_from_slice(&LOG_HEADER);
+    log.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    log.extend_from_slice(&crc32(&frame).to_le_bytes());
+    log.extend_from_slice(&frame);
+    log
+}
+
+/// What one attempt to append a record to a snapshot log did.
+#[derive(Debug, PartialEq, Eq)]
+enum Append {
+    /// The record is in the file the path names.
+    Written,
+    /// The file is missing, is not a log of this version, or would outgrow
+    /// [`SnapshotStore::LOG_COMPACT_BYTES`]: write a fresh one-record log
+    /// instead.
+    Compact,
+    /// A compaction renamed a fresh log over the path after the file was
+    /// opened, so the record went to the replaced file: save again.
+    Replaced,
+}
+
+/// Whether two metadata records describe the same file.
+#[cfg(unix)]
+fn same_file(a: &Metadata, b: &Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
+
+/// Without inode numbers a replaced log cannot be told from the one that
+/// was opened, so the check passes.
+#[cfg(not(unix))]
+fn same_file(_: &Metadata, _: &Metadata) -> bool {
+    true
+}
 
 /// Errors from the snapshot store.
 #[derive(Debug)]
@@ -162,10 +316,12 @@ fn model_matches_estimator(model: &PersistedModel, estimator: EstimatorKind) -> 
 }
 
 /// One entry of a store manifest: the identity of a persisted artifact
-/// plus a CRC-32 over its *verbatim file bytes* — the exact `QCFS`/`QCFW`
-/// payload replication ships. Two stores hold bit-identical state for a
-/// key exactly when their entries for it carry equal CRCs, which is what
-/// the revival catch-up handshake diffs.
+/// plus a CRC-32 over the exact payload replication ships — a snapshot's
+/// current `QCFS` frame (not its log file) or a weight sidecar's verbatim
+/// `QCFW` file bytes. Two stores hold bit-identical state for a key
+/// exactly when their entries for it carry equal CRCs, however their
+/// snapshot logs got there, which is what the revival catch-up handshake
+/// diffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ManifestEntry {
     /// A persisted feature snapshot (`<fp>.qcfs`).
@@ -174,7 +330,8 @@ pub enum ManifestEntry {
         benchmark: BenchmarkKind,
         /// The environment fingerprint it is keyed by.
         fingerprint: EnvFingerprint,
-        /// CRC-32 over the verbatim `QCFS` file bytes.
+        /// CRC-32 over the current `QCFS` frame
+        /// ([`SnapshotStore::snapshot_bytes`]), not the log file.
         crc: u32,
     },
     /// Persisted model weights (`<fp>.<estimator>.qcfw`).
@@ -201,23 +358,75 @@ impl SnapshotStore {
     /// Extension of snapshot files.
     pub const EXTENSION: &'static str = "qcfs";
 
-    /// The crash-safe write shared by every sidecar kind: a temp file
-    /// unique per process *and* per call (pid + process-wide sequence
-    /// number, so concurrent savers of the same key never interleave
-    /// writes into one file) followed by an atomic rename — last writer
-    /// wins and readers only ever observe complete files.
+    /// A snapshot save whose record would take the log past this many
+    /// bytes writes a fresh one-record log instead: about 200 records of
+    /// a typical snapshot between two compactions.
+    const LOG_COMPACT_BYTES: u64 = 64 * 1024;
+
+    /// The crash-safe write of weight and knob-vector files, and the
+    /// snapshot log's create and compact step: a temp file unique per
+    /// process *and* per call (pid + process-wide sequence number, so
+    /// concurrent savers of the same key never interleave writes into one
+    /// file) followed by an atomic rename — last writer wins and readers
+    /// only ever observe complete files. A failed write or rename removes
+    /// the temp file.
     fn write_atomic(path: &Path, tmp_tag: &str, bytes: &[u8]) -> Result<(), StoreError> {
         static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let dir = path.parent().expect("store paths have a parent");
         std::fs::create_dir_all(dir)?;
         let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = dir.join(format!(".{tmp_tag}.{}.{}.tmp", std::process::id(), seq));
-        std::fs::write(&tmp, bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
+        if let Err(e) = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e.into());
         }
         Ok(())
+    }
+
+    /// Append one log record to the snapshot log at `path` with one
+    /// `O_APPEND` write, unless the file is missing, is not a log of this
+    /// version, or the record would take it past
+    /// [`SnapshotStore::LOG_COMPACT_BYTES`] ([`Append::Compact`]).
+    fn append_record(path: &Path, record: &[u8]) -> Result<Append, StoreError> {
+        let mut file = match OpenOptions::new().read(true).append(true).open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Append::Compact),
+            Err(e) => return Err(e.into()),
+        };
+        let opened = file.metadata()?;
+        let mut header = [0u8; LOG_HEADER.len()];
+        if opened.len() + record.len() as u64 > Self::LOG_COMPACT_BYTES
+            || file.read_exact(&mut header).is_err()
+            || header != LOG_HEADER
+        {
+            return Ok(Append::Compact);
+        }
+        Self::append_to(&mut file, &opened, path, record)
+    }
+
+    /// Write `record` to the end of the open log `file` in one write, then
+    /// check that `path` still names that file: a compaction that renamed
+    /// a fresh log over the path since `opened` was taken left the record
+    /// in the replaced file ([`Append::Replaced`]).
+    fn append_to(
+        file: &mut File,
+        opened: &Metadata,
+        path: &Path,
+        record: &[u8],
+    ) -> Result<Append, StoreError> {
+        // One write, so concurrent appenders never interleave parts of
+        // their records; a short write would leave a torn record behind.
+        if file.write(record)? != record.len() {
+            return Err(
+                io::Error::new(io::ErrorKind::WriteZero, "short append to a snapshot log").into(),
+            );
+        }
+        match std::fs::metadata(path) {
+            Ok(now) if same_file(&now, opened) => Ok(Append::Written),
+            Ok(_) => Ok(Append::Replaced),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Append::Replaced),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Open (creating if needed) a store rooted at `root`.
@@ -241,8 +450,10 @@ impl SnapshotStore {
         ))
     }
 
-    /// Persist a snapshot (atomic temp-file + rename via
-    /// [`SnapshotStore::write_atomic`]).
+    /// Persist a snapshot: append one record to the key's snapshot log, or
+    /// write a fresh one-record log when the file is missing, legacy or
+    /// due for compaction (see the module docs). Returns once the record
+    /// is in the file the path names.
     pub fn save(
         &self,
         benchmark: BenchmarkKind,
@@ -250,23 +461,45 @@ impl SnapshotStore {
         snapshot: &FeatureSnapshot,
     ) -> Result<PathBuf, StoreError> {
         let path = self.path_for(benchmark, fingerprint);
-        Self::write_atomic(&path, &fingerprint.to_hex(), &snapshot.to_bytes())?;
-        Ok(path)
+        let log = one_record_log(snapshot);
+        loop {
+            match Self::append_record(&path, &log[LOG_HEADER.len()..])? {
+                Append::Written => return Ok(path),
+                Append::Replaced => continue,
+                Append::Compact => {
+                    Self::write_atomic(&path, &fingerprint.to_hex(), &log)?;
+                    return Ok(path);
+                }
+            }
+        }
     }
 
-    /// Load a snapshot; `Ok(None)` when never persisted.
+    /// The file bytes of a persisted snapshot; `Ok(None)` when never
+    /// persisted.
+    fn snapshot_file(
+        &self,
+        benchmark: BenchmarkKind,
+        fingerprint: EnvFingerprint,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        match std::fs::read(self.path_for(benchmark, fingerprint)) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Load a snapshot: the last CRC-valid record of its log, or a legacy
+    /// single-frame file. `Ok(None)` when never persisted; a file that
+    /// holds no decodable snapshot is a typed [`StoreError::Codec`].
     pub fn load(
         &self,
         benchmark: BenchmarkKind,
         fingerprint: EnvFingerprint,
     ) -> Result<Option<FeatureSnapshot>, StoreError> {
-        let path = self.path_for(benchmark, fingerprint);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(file) = self.snapshot_file(benchmark, fingerprint)? else {
+            return Ok(None);
         };
-        Ok(Some(FeatureSnapshot::from_bytes(&bytes)?))
+        Ok(Some(FeatureSnapshot::from_bytes(current_frame(&file)?)?))
     }
 
     /// Whether a snapshot is persisted for the key.
@@ -330,7 +563,7 @@ impl SnapshotStore {
     }
 
     /// Persist an environment's knob vector next to its snapshot (atomic
-    /// temp-file + rename, like [`SnapshotStore::save`]). The vector makes
+    /// temp-file + rename, [`SnapshotStore::write_atomic`]). The vector makes
     /// the fingerprint *searchable*: nearest-neighbour lookups over
     /// persisted vectors drive the gateway's cross-environment snapshot
     /// transfer.
@@ -493,7 +726,7 @@ impl SnapshotStore {
     }
 
     /// Persist a trained model's weights next to the environment's snapshot
-    /// (atomic temp-file + rename, like [`SnapshotStore::save`]): readers
+    /// (atomic temp-file + rename, [`SnapshotStore::write_atomic`]): readers
     /// never observe a partially written weight file. Rejects saving a
     /// model under an estimator family it does not belong to.
     pub fn save_model(
@@ -640,20 +873,25 @@ impl SnapshotStore {
         Ok(out)
     }
 
-    /// The verbatim bytes of a persisted snapshot file; `Ok(None)` when
-    /// never persisted. This is the replication payload: shipping the file
-    /// bytes untouched (rather than decode + re-encode) keeps the receiver's
-    /// copy bit-identical to the sender's, so manifest CRCs agree.
+    /// The verbatim `QCFS` frame of a persisted snapshot: its log's last
+    /// CRC-valid record, or a legacy single-frame file whole; `Ok(None)`
+    /// when never persisted. This is the replication payload: shipping the
+    /// persisted frame untouched (rather than decode + re-encode) keeps the
+    /// receiver's copy bit-identical to the sender's, so manifest CRCs
+    /// agree however differently the two logs got there. A log with no
+    /// valid record yields its file bytes, which no peer holds and every
+    /// peer rejects typed.
     pub fn snapshot_bytes(
         &self,
         benchmark: BenchmarkKind,
         fingerprint: EnvFingerprint,
     ) -> Result<Option<Vec<u8>>, StoreError> {
-        match std::fs::read(self.path_for(benchmark, fingerprint)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        Ok(self
+            .snapshot_file(benchmark, fingerprint)?
+            .map(|file| match current_frame(&file) {
+                Ok(frame) => frame.to_vec(),
+                Err(_) => file,
+            }))
     }
 
     /// The verbatim bytes of a persisted weight sidecar; `Ok(None)` when
@@ -681,9 +919,11 @@ impl SnapshotStore {
     /// benchmark the snapshots (ascending fingerprint, from
     /// [`SnapshotStore::list`]) before the models (ascending
     /// `(fingerprint, estimator slug)`, from [`SnapshotStore::list_models`]).
-    /// Each entry's CRC-32 covers the verbatim file bytes. A file that
-    /// vanishes between listing and hashing (concurrent republish) is
-    /// skipped — it will show up as missing and simply be re-shipped.
+    /// Each entry's CRC-32 covers what replication would ship: a snapshot's
+    /// current `QCFS` frame ([`SnapshotStore::snapshot_bytes`]) or a weight
+    /// file's verbatim bytes. A file that vanishes between listing and
+    /// hashing (concurrent republish) is skipped — it will show up as
+    /// missing and simply be re-shipped.
     pub fn manifest(&self) -> Result<Vec<ManifestEntry>, StoreError> {
         let mut out = Vec::new();
         for benchmark in BenchmarkKind::ALL {
@@ -692,7 +932,7 @@ impl SnapshotStore {
                     out.push(ManifestEntry::Snapshot {
                         benchmark,
                         fingerprint,
-                        crc: qcfe_nn::codec::crc32(&bytes),
+                        crc: crc32(&bytes),
                     });
                 }
             }
@@ -702,7 +942,7 @@ impl SnapshotStore {
                         benchmark,
                         estimator,
                         fingerprint,
-                        crc: qcfe_nn::codec::crc32(&bytes),
+                        crc: crc32(&bytes),
                     });
                 }
             }
@@ -733,6 +973,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcfe_core::pipeline::EstimatorKind;
     use qcfe_core::snapshot::OperatorSample;
     use qcfe_db::plan::OperatorKind;
     use qcfe_db::DbEnvironment;
@@ -1175,6 +1416,475 @@ mod tests {
             Err(StoreError::Codec(_)) => {}
             other => panic!("expected codec error, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    // ---- the snapshot log ----
+
+    /// A snapshot of every operator kind whose coefficients spell out
+    /// `(tag, index)`, so each one is distinct and recognisable on load.
+    fn tagged_snapshot(tag: u64, index: u64) -> FeatureSnapshot {
+        FeatureSnapshot::from_entries(
+            OperatorKind::ALL
+                .map(|kind| (kind, [tag as f64, index as f64, kind.index() as f64, 0.5])),
+            1.0,
+        )
+    }
+
+    /// A seeded snapshot over a random subset of operator kinds with
+    /// random coefficient and cost bit patterns (NaNs included, so tests
+    /// compare encoded bytes).
+    fn random_snapshot(rng: &mut rand::rngs::StdRng) -> FeatureSnapshot {
+        use rand::{Rng, RngCore};
+        let kinds = rng.gen_range(1..=OperatorKind::ALL.len());
+        let mut entries = Vec::with_capacity(kinds);
+        for &kind in &OperatorKind::ALL[..kinds] {
+            let mut coefficients = [0.0; qcfe_core::snapshot::SNAPSHOT_DIM];
+            for c in &mut coefficients {
+                *c = f64::from_bits(rng.next_u64());
+            }
+            entries.push((kind, coefficients));
+        }
+        FeatureSnapshot::from_entries(entries, f64::from_bits(rng.next_u64()))
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// Saves below the bound append to one file — no temp file and no
+    /// rename, so the inode stays — and the file grows by one record per
+    /// save. The last record is what every read path returns.
+    #[cfg(unix)]
+    #[test]
+    fn saves_below_the_bound_append_to_the_same_file() {
+        use std::os::unix::fs::MetadataExt;
+        let store = temp_store("log-append");
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0xa11e);
+        let path = store.path_for(kind, fp);
+        let record_len = (RECORD_PREFIX_LEN + SNAPSHOT_MAX_ENCODED_LEN) as u64;
+        store.save(kind, fp, &tagged_snapshot(1, 0)).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        assert_eq!(&std::fs::read(&path).unwrap()[..8], &LOG_HEADER);
+        for i in 1..50 {
+            store.save(kind, fp, &tagged_snapshot(1, i)).unwrap();
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().ino(),
+                inode,
+                "save {i} below the bound must not replace the file"
+            );
+        }
+        assert_eq!(file_len(&path), LOG_HEADER.len() as u64 + 50 * record_len);
+        let last = tagged_snapshot(1, 49);
+        assert_eq!(store.load(kind, fp).unwrap(), Some(last.clone()));
+        assert_eq!(
+            store.snapshot_bytes(kind, fp).unwrap(),
+            Some(last.to_bytes())
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "no temp files: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A save that would take the log past its bound writes a fresh
+    /// one-record log instead: the file never exceeds the bound, and the
+    /// compaction loses nothing a later load needs.
+    #[cfg(unix)]
+    #[test]
+    fn a_log_at_its_bound_compacts_to_one_record() {
+        use std::os::unix::fs::MetadataExt;
+        let store = temp_store("log-compact");
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0xc0);
+        let path = store.path_for(kind, fp);
+        let record_len = (RECORD_PREFIX_LEN + SNAPSHOT_MAX_ENCODED_LEN) as u64;
+        let per_log = (SnapshotStore::LOG_COMPACT_BYTES - LOG_HEADER.len() as u64) / record_len;
+        let mut compactions = 0;
+        let mut inode = None;
+        for i in 0..3 * per_log + 5 {
+            store.save(kind, fp, &tagged_snapshot(2, i)).unwrap();
+            let meta = std::fs::metadata(&path).unwrap();
+            assert!(meta.len() <= SnapshotStore::LOG_COMPACT_BYTES);
+            if inode.is_some_and(|inode| inode != meta.ino()) {
+                compactions += 1;
+                assert_eq!(meta.len(), LOG_HEADER.len() as u64 + record_len);
+            }
+            inode = Some(meta.ino());
+            assert_eq!(store.load(kind, fp).unwrap(), Some(tagged_snapshot(2, i)));
+        }
+        assert_eq!(compactions, 3, "{per_log} records per log");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A log with no CRC-valid record fails typed, as a garbage file does,
+    /// and never reads as absent; so does a log of an unknown version.
+    #[test]
+    fn a_log_without_a_valid_record_fails_typed() {
+        let store = temp_store("log-empty");
+        let kind = BenchmarkKind::Sysbench;
+        let fp = EnvFingerprint(0xe);
+        let path = store.path_for(kind, fp);
+        store.save(kind, fp, &sample_snapshot(0.002)).unwrap();
+        let log = std::fs::read(&path).unwrap();
+        let mut flipped = log.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        let mut future = log.clone();
+        future[4] = 2;
+        for (case, bytes, expected) in [
+            (
+                "header only",
+                log[..8].to_vec(),
+                SnapshotCodecError::Truncated,
+            ),
+            (
+                "torn header",
+                log[..6].to_vec(),
+                SnapshotCodecError::Truncated,
+            ),
+            (
+                "torn record",
+                log[..log.len() - 1].to_vec(),
+                SnapshotCodecError::Truncated,
+            ),
+            ("flipped frame bit", flipped, SnapshotCodecError::Truncated),
+            (
+                "header then garbage",
+                [&log[..8], b"garbage, not a record"].concat(),
+                SnapshotCodecError::Truncated,
+            ),
+            (
+                "zeroed tail",
+                [&log[..8], &[0u8; 400][..]].concat(),
+                SnapshotCodecError::Truncated,
+            ),
+            (
+                "unknown version",
+                future,
+                SnapshotCodecError::UnsupportedVersion(2),
+            ),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            match store.load(kind, fp) {
+                Err(StoreError::Codec(e)) => assert_eq!(e, expected, "{case}"),
+                other => panic!("{case}: expected a codec error, got {other:?}"),
+            }
+            // Replication ships, and manifests hash, the file itself: no
+            // peer holds it, so anti-entropy replaces it.
+            assert_eq!(
+                store.snapshot_bytes(kind, fp).unwrap(),
+                Some(bytes),
+                "{case}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A single-frame `.qcfs` file, the format before the log, loads and
+    /// replicates unchanged; its first save converts it to a log whose
+    /// record is what later loads return.
+    #[test]
+    fn legacy_single_frame_files_load_and_convert_on_the_first_save() {
+        let store = temp_store("log-legacy");
+        let kind = BenchmarkKind::JobLight;
+        let fp = EnvFingerprint(0x1e9);
+        let path = store.path_for(kind, fp);
+        let legacy = sample_snapshot(0.003);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, legacy.to_bytes()).unwrap();
+        assert_eq!(store.load(kind, fp).unwrap(), Some(legacy.clone()));
+        assert_eq!(
+            store.snapshot_bytes(kind, fp).unwrap(),
+            Some(legacy.to_bytes())
+        );
+        assert_eq!(
+            store.manifest().unwrap(),
+            vec![ManifestEntry::Snapshot {
+                benchmark: kind,
+                fingerprint: fp,
+                crc: crc32(&legacy.to_bytes()),
+            }]
+        );
+        let next = sample_snapshot(0.004);
+        store.save(kind, fp, &next).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), one_record_log(&next));
+        assert_eq!(store.load(kind, fp).unwrap(), Some(next));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Replication ships the current `QCFS` frame, exactly what a
+    /// single-frame file holds, so stores whose logs hold different
+    /// histories of the same current snapshot have equal manifests.
+    #[test]
+    fn replication_reads_the_current_frame_whatever_the_history() {
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0x7e91);
+        let current = sample_snapshot(0.005);
+        let long = temp_store("log-history-long");
+        for i in 0..40 {
+            long.save(kind, fp, &sample_snapshot(0.001 * (i + 1) as f64))
+                .unwrap();
+        }
+        long.save(kind, fp, &current).unwrap();
+        let short = temp_store("log-history-short");
+        short.save(kind, fp, &current).unwrap();
+        let legacy = temp_store("log-history-legacy");
+        let legacy_path = legacy.path_for(kind, fp);
+        std::fs::create_dir_all(legacy_path.parent().unwrap()).unwrap();
+        std::fs::write(&legacy_path, current.to_bytes()).unwrap();
+
+        assert_ne!(
+            std::fs::read(long.path_for(kind, fp)).unwrap(),
+            std::fs::read(short.path_for(kind, fp)).unwrap()
+        );
+        for store in [&long, &short, &legacy] {
+            assert_eq!(
+                store.snapshot_bytes(kind, fp).unwrap(),
+                Some(current.to_bytes())
+            );
+        }
+        assert_eq!(long.manifest().unwrap(), short.manifest().unwrap());
+        assert_eq!(long.manifest().unwrap(), legacy.manifest().unwrap());
+        // A torn tail on one side changes neither the frame nor the CRC.
+        let mut torn = std::fs::read(long.path_for(kind, fp)).unwrap();
+        torn.extend_from_slice(&[0x2a; 13]);
+        std::fs::write(long.path_for(kind, fp), torn).unwrap();
+        assert_eq!(long.manifest().unwrap(), short.manifest().unwrap());
+        for store in [long, short, legacy] {
+            let _ = std::fs::remove_dir_all(store.root());
+        }
+    }
+
+    /// A compaction that renames a fresh log over the path between an
+    /// append's open and its write leaves the record in the replaced file.
+    /// The append reports it, and the save that follows lands in the log
+    /// the path names.
+    #[cfg(unix)]
+    #[test]
+    fn an_append_into_a_replaced_log_is_detected_and_saved_again() {
+        let store = temp_store("log-replaced");
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0x1a7e);
+        let path = store.path_for(kind, fp);
+        store.save(kind, fp, &tagged_snapshot(3, 0)).unwrap();
+
+        let mut stale = OpenOptions::new().append(true).open(&path).unwrap();
+        let opened = stale.metadata().unwrap();
+        // A concurrent compaction replaces the file after the open.
+        SnapshotStore::write_atomic(&path, "race", &one_record_log(&tagged_snapshot(3, 1)))
+            .unwrap();
+
+        let late = one_record_log(&tagged_snapshot(3, 2));
+        let record = &late[LOG_HEADER.len()..];
+        assert_eq!(
+            SnapshotStore::append_to(&mut stale, &opened, &path, record).unwrap(),
+            Append::Replaced
+        );
+        assert_eq!(
+            store.load(kind, fp).unwrap(),
+            Some(tagged_snapshot(3, 1)),
+            "the record went to the replaced file"
+        );
+        // Unreplaced, the same append reports success.
+        let mut current = OpenOptions::new().append(true).open(&path).unwrap();
+        let opened = current.metadata().unwrap();
+        assert_eq!(
+            SnapshotStore::append_to(&mut current, &opened, &path, record).unwrap(),
+            Append::Written
+        );
+        assert_eq!(store.load(kind, fp).unwrap(), Some(tagged_snapshot(3, 2)));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A temp file whose write or rename fails is removed, not left next to
+    /// the store's files (here the rename fails: the target path is a
+    /// non-empty directory).
+    #[test]
+    fn failed_atomic_writes_leave_no_temp_file() {
+        let store = temp_store("tmp-leak");
+        let kind = BenchmarkKind::Sysbench;
+        let fp = EnvFingerprint(0x7);
+        let estimator = EstimatorKind::QcfeMscn;
+        let path = store.model_path_for(kind, estimator, fp);
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        match store.save_model(kind, estimator, fp, &tiny_mscn(5)) {
+            Err(StoreError::Io(_)) => {}
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        let names: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|name| !name.ends_with(".tmp")),
+            "a failed write left its temp file: {names:?}"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Seeded crash property over one long history of saves that crosses
+    /// the compaction bound many times: after each few saves, a copy of
+    /// the log is torn inside its last record or has random bytes
+    /// appended. Load must return the last completely written snapshot bit
+    /// for bit (or fail typed when the torn record was the log's only
+    /// one), and one more save must be what load then returns.
+    #[test]
+    fn a_torn_or_garbage_tail_never_hides_the_last_complete_snapshot() {
+        use rand::{Rng, RngCore, SeedableRng};
+        const CASES: usize = 1000;
+        let store = temp_store("log-crash-history");
+        let crashed = temp_store("log-crash-copy");
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0xc4a5);
+        let (path, crashed_path) = (store.path_for(kind, fp), crashed.path_for(kind, fp));
+        std::fs::create_dir_all(crashed_path.parent().unwrap()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51_0c);
+        let mut history: Vec<Vec<u8>> = Vec::new();
+        let mut compactions = 0;
+        let (mut torn_cases, mut typed_failures) = (0, 0);
+        for case in 0..CASES {
+            for _ in 0..rng.gen_range(1..=8) {
+                let snapshot = random_snapshot(&mut rng);
+                let before = std::fs::metadata(&path).map_or(0, |m| m.len());
+                store.save(kind, fp, &snapshot).unwrap();
+                if file_len(&path) < before {
+                    compactions += 1;
+                }
+                history.push(snapshot.to_bytes());
+            }
+            let log = std::fs::read(&path).unwrap();
+            assert!(log.len() as u64 <= SnapshotStore::LOG_COMPACT_BYTES);
+            let last = &history[history.len() - 1];
+            let last_start = log.len() - RECORD_PREFIX_LEN - last.len();
+            let (damaged, expected) = if rng.gen_bool(0.5) {
+                torn_cases += 1;
+                let cut = rng.gen_range(last_start..log.len());
+                let previous = (last_start > LOG_HEADER.len()).then(|| &history[history.len() - 2]);
+                (log[..cut].to_vec(), previous)
+            } else {
+                let mut damaged = log.clone();
+                damaged.extend((0..rng.gen_range(1..=64)).map(|_| rng.next_u64() as u8));
+                (damaged, Some(last))
+            };
+            std::fs::write(&crashed_path, &damaged).unwrap();
+            match (crashed.load(kind, fp), expected) {
+                (Ok(Some(loaded)), Some(expected)) => {
+                    assert_eq!(&loaded.to_bytes(), expected, "case {case}")
+                }
+                (Err(StoreError::Codec(_)), None) => typed_failures += 1,
+                (other, expected) => panic!(
+                    "case {case}: loaded {other:?}, expected {}",
+                    if expected.is_some() {
+                        "a snapshot"
+                    } else {
+                        "a codec error"
+                    }
+                ),
+            }
+            let next = random_snapshot(&mut rng);
+            crashed.save(kind, fp, &next).unwrap();
+            let reloaded = crashed.load(kind, fp).unwrap().expect("just saved");
+            assert_eq!(
+                reloaded.to_bytes(),
+                next.to_bytes(),
+                "case {case}: save after the crash"
+            );
+        }
+        assert!(
+            compactions >= 10,
+            "the history crossed the bound {compactions} times"
+        );
+        assert!(
+            torn_cases >= CASES / 3 && typed_failures > 0,
+            "{torn_cases} torn, {typed_failures} typed"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(crashed.root());
+    }
+
+    /// 8 threads save distinct snapshots of one key across several
+    /// compactions while readers load in a loop: every load decodes to a
+    /// snapshot some thread saved, the log never outgrows its bound by
+    /// more than one record per writer, and after the join the log holds
+    /// the last snapshot of one of the threads.
+    #[test]
+    fn concurrent_saves_across_compactions_never_expose_a_torn_snapshot() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const WRITERS: u64 = 8;
+        const SAVES: u64 = 150;
+        let store = temp_store("log-concurrent");
+        let kind = BenchmarkKind::Tpch;
+        let fp = EnvFingerprint(0xc0c0);
+        let path = store.path_for(kind, fp);
+        let record_len = (RECORD_PREFIX_LEN + SNAPSHOT_MAX_ENCODED_LEN) as u64;
+        assert!(
+            WRITERS * SAVES * record_len > 4 * SnapshotStore::LOG_COMPACT_BYTES,
+            "the run must cross the compaction bound several times"
+        );
+        let written = |snapshot: &FeatureSnapshot| {
+            let c = snapshot.coefficients(OperatorKind::SeqScan);
+            (c[0] as u64) < WRITERS
+                && (c[1] as u64) < SAVES
+                && *snapshot == tagged_snapshot(c[0] as u64, c[1] as u64)
+        };
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        for i in 0..SAVES {
+                            store.save(kind, fp, &tagged_snapshot(w, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (store, done, path) = (&store, &done, &path);
+                    scope.spawn(move || {
+                        let mut loads = 0;
+                        while !done.load(Ordering::Acquire) {
+                            match store.load(kind, fp) {
+                                Ok(None) => {}
+                                Ok(Some(snapshot)) => {
+                                    assert!(
+                                        written(&snapshot),
+                                        "a load returned a snapshot no thread saved"
+                                    );
+                                    loads += 1;
+                                }
+                                Err(e) => panic!("a reader saw an undecodable log: {e}"),
+                            }
+                            if let Ok(meta) = std::fs::metadata(path) {
+                                assert!(
+                                    meta.len()
+                                        <= SnapshotStore::LOG_COMPACT_BYTES + WRITERS * record_len
+                                );
+                            }
+                        }
+                        loads
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer saves");
+            }
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                reader.join().expect("every load decodes");
+            }
+        });
+        let last = store.load(kind, fp).unwrap().expect("saved");
+        assert!(
+            (0..WRITERS).any(|w| last == tagged_snapshot(w, SAVES - 1)),
+            "the log must end with some thread's last save"
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 }
