@@ -1,6 +1,6 @@
 //! Microbenchmarks: inference latency, snapshot fitting, snapshot
-//! persistence and feature-reduction runtime — the time-efficiency side of
-//! the paper's "time-accuracy" comparisons.
+//! persistence, training and feature-reduction runtime — the
+//! time-efficiency side of the paper's "time-accuracy" comparisons.
 //!
 //! Criterion is unavailable offline, so this is a plain `harness = false`
 //! bench binary with warm-up plus median-of-samples timing. Run with
@@ -8,7 +8,7 @@
 
 use qcfe_core::collect::collect_workload;
 use qcfe_core::encoding::FeatureEncoder;
-use qcfe_core::estimators::MscnEstimator;
+use qcfe_core::estimators::{MscnEstimator, QppNetEstimator};
 use qcfe_core::pipeline::{prepare_context, ContextConfig};
 use qcfe_core::reduction::{diffprop_reduction, gradient_reduction};
 use qcfe_core::snapshot::{operator_samples_from, FeatureSnapshot};
@@ -136,6 +136,64 @@ fn bench_snapshot_store(snapshot: &FeatureSnapshot) {
     }
 }
 
+/// A one-hot-heavy operator dataset shaped like the pipeline's per-operator
+/// ones: `rows` rows of 65 columns, of which only the first 13 are ever
+/// non-zero (three one-hot groups and four continuous columns); the other
+/// 52 are all-zero, as unused operator and table slots are.
+fn one_hot_heavy(rows: usize, rng: &mut rand::rngs::StdRng) -> qcfe_nn::Dataset {
+    use rand::Rng;
+    let xs: Vec<Vec<f64>> = (0..rows)
+        .map(|_| {
+            let mut x = vec![0.0; 65];
+            x[rng.gen_range(0..3usize)] = 1.0;
+            x[3 + rng.gen_range(0..3usize)] = 1.0;
+            x[6 + rng.gen_range(0..3usize)] = 1.0;
+            for v in &mut x[9..13] {
+                *v = rng.gen_range(0.0..4.0);
+            }
+            x
+        })
+        .collect();
+    let ys = xs
+        .iter()
+        .map(|x| 1.0 + 5.0 * x[0] + 2.0 * x[4] + x[9] * x[10])
+        .collect();
+    qcfe_nn::Dataset::new(xs, ys).expect("non-empty rectangular dataset")
+}
+
+/// Training at the shapes `run_method` trains: the reduction's auxiliary
+/// model, and one QPPNet epoch.
+fn bench_training() {
+    use qcfe_nn::{Activation, Loss, Mlp, Optimizer, TrainConfig};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let data = one_hot_heavy(2000, &mut rng);
+    let untrained = Mlp::new(&[65, 16, 1], Activation::Relu, &mut rng);
+    let cfg = TrainConfig {
+        epochs: 40,
+        batch_size: 32,
+        optimizer: Optimizer::adam(0.01),
+        loss: Loss::LogMse,
+        shuffle: true,
+    };
+    bench("mlp_train/aux_model_65x16x1_2000_rows", 10, 1, || {
+        let mut mlp = untrained.clone();
+        std::hint::black_box(mlp.train(&data, &cfg, &mut rng));
+    });
+
+    let kind = BenchmarkKind::Tpch;
+    let ctx = prepare_context(kind, &ContextConfig::quick(kind));
+    let (train, _) = ctx.workload.split(0.8, 9);
+    let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
+    let name = format!(
+        "qppnet_train/one_epoch_quick_tpch_{}_plans",
+        train.queries.len()
+    );
+    bench(&name, 10, 1, || {
+        let mut qpp = QppNetEstimator::new(encoder.clone(), None, &mut rng);
+        std::hint::black_box(qpp.train(&train, Some(&ctx.snapshots_fso), 1, &mut rng));
+    });
+}
+
 fn bench_reduction() {
     use qcfe_nn::{Activation, Dataset, Mlp};
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -160,6 +218,19 @@ fn bench_reduction() {
     bench("feature_reduction/gradient_importance", 10, 3, || {
         std::hint::black_box(gradient_reduction(&model, &data));
     });
+
+    // The row above varies all 40 of its columns; the pipeline's operator
+    // datasets vary 5-15 of 65, and constant columns never score.
+    let data = one_hot_heavy(2000, &mut rng);
+    let model = Mlp::new(&[65, 16, 1], Activation::Relu, &mut rng);
+    bench(
+        "feature_reduction/difference_propagation_one_hot",
+        10,
+        1,
+        || {
+            std::hint::black_box(diffprop_reduction(&model, &data, 200, &mut diff_rng));
+        },
+    );
 }
 
 fn bench_execution_simulator() {
@@ -178,6 +249,7 @@ fn main() {
     println!("QCFE microbenchmarks (plain harness)");
     bench_inference();
     bench_snapshot_fit();
+    bench_training();
     bench_reduction();
     bench_execution_simulator();
 }

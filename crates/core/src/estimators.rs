@@ -10,7 +10,9 @@ use crate::encoding::FeatureEncoder;
 use crate::metrics::{floor_ms, AccuracyReport};
 use crate::snapshot::FeatureSnapshot;
 use qcfe_db::plan::{OperatorKind, PlanNode};
-use qcfe_nn::{Activation, Dataset, InferenceScratch, Loss, Matrix, Mlp, Optimizer, TrainConfig};
+use qcfe_nn::{
+    Activation, Dataset, InferenceScratch, Loss, Matrix, Mlp, MlpCache, Optimizer, TrainConfig,
+};
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -673,9 +675,10 @@ struct TrainBuffers {
     /// `dL/d(data vector)` per node: its own loss gradient plus, once its
     /// parent's backward has run, the parent-slot gradient.
     grads: Vec<[f64; DATA_VECTOR_DIM]>,
-    input: Matrix,
-    /// One forward cache per non-empty bucket, in forward order.
-    caches: Vec<qcfe_nn::mlp::MlpCache>,
+    /// A pool of training workspaces, one per non-empty bucket of a batch
+    /// in forward order; the pool grows to the most buckets a batch has
+    /// had and is reused by every later batch.
+    caches: Vec<MlpCache>,
 }
 
 impl TrainBuffers {
@@ -684,7 +687,6 @@ impl TrainBuffers {
             buckets: Vec::new(),
             outputs: vec![[0.0; DATA_VECTOR_DIM]; nodes],
             grads: vec![[0.0; DATA_VECTOR_DIM]; nodes],
-            input: Matrix::default(),
             caches: Vec::new(),
         }
     }
@@ -953,7 +955,6 @@ impl QppNetEstimator {
             buckets,
             outputs,
             grads,
-            input,
             caches,
         } = buffers;
         let stages = bucket_by_stage(
@@ -962,16 +963,22 @@ impl QppNetEstimator {
             buckets,
         );
 
-        // Forward, leaves first: one cached pass per bucket.
-        caches.clear();
+        // Forward, leaves first: one cached pass per bucket, its unit
+        // inputs gathered straight into its own workspace.
+        let mut used = 0;
         for stage in buckets.iter().take(stages) {
             for (kind_index, ids) in stage.iter().enumerate() {
                 if ids.is_empty() {
                     continue;
                 }
                 let kind = OperatorKind::ALL[kind_index];
+                if used == caches.len() {
+                    caches.push(MlpCache::default());
+                }
+                let cache = &mut caches[used];
+                used += 1;
                 gather_unit_inputs(
-                    input,
+                    cache.input_mut(),
                     ids,
                     &arena.nodes,
                     &arena.features,
@@ -979,11 +986,10 @@ impl QppNetEstimator {
                     &self.masks[&kind],
                     outputs,
                 );
-                let (out, cache) = self.units[&kind].forward_cached(input);
+                let out = self.units[&kind].forward_cached(cache);
                 for (r, &id) in ids.iter().enumerate() {
                     outputs[id].copy_from_slice(out.row(r));
                 }
-                caches.push(cache);
             }
         }
 
@@ -1006,31 +1012,39 @@ impl QppNetEstimator {
         // Backward, roots first: a node's parent sits at a higher stage, so
         // its parent-slot gradient has arrived before its own bucket runs.
         let mut touched = [false; OperatorKind::ALL.len()];
-        for stage in buckets[..stages].iter().rev() {
+        for (stage_index, stage) in buckets[..stages].iter().enumerate().rev() {
             for (kind_index, ids) in stage.iter().enumerate().rev() {
                 if ids.is_empty() {
                     continue;
                 }
                 let kind = OperatorKind::ALL[kind_index];
                 touched[kind_index] = true;
-                let cache = caches.pop().expect("one cache per forward bucket");
-                let mut grad_output = Matrix::zeros(ids.len(), DATA_VECTOR_DIM);
+                used -= 1;
+                let cache = &mut caches[used];
+                let grad_output = cache.output_and_grad_mut().1;
                 for (r, &id) in ids.iter().enumerate() {
                     grad_output.row_mut(r).copy_from_slice(&grads[id]);
                 }
+                // Only the child slots of the unit input feed the scatter
+                // below, and a leaf (stage 0) has no children at all.
                 let mask_len = self.masks[&kind].len();
-                let unit = self
-                    .units
+                let child_cols = (stage_index > 0)
+                    .then_some(mask_len..mask_len + MAX_CHILDREN * DATA_VECTOR_DIM);
+                self.units
                     .get_mut(&kind)
-                    .expect("one unit per operator kind");
-                let grad_input = unit.backward_cached(&cache, &grad_output);
+                    .expect("one unit per operator kind")
+                    .backward_cached(cache, child_cols);
+                if stage_index == 0 {
+                    continue;
+                }
+                let grad_input = cache.grad_input();
                 for (r, &id) in ids.iter().enumerate() {
                     let row = grad_input.row(r);
                     for (slot, &cid) in arena.nodes[id].children.iter().enumerate() {
                         if cid == usize::MAX {
                             continue;
                         }
-                        let start = mask_len + slot * DATA_VECTOR_DIM;
+                        let start = slot * DATA_VECTOR_DIM;
                         for (g, &d) in grads[cid]
                             .iter_mut()
                             .zip(&row[start..start + DATA_VECTOR_DIM])

@@ -202,6 +202,12 @@ pub fn gradient_reduction(model: &Mlp, data: &Dataset) -> ReductionOutcome {
 /// nothing (which is what rescues dead-ReLU and one-hot dimensions). The
 /// expectation over pairs is the importance score, and features with a
 /// (relatively) non-zero score are kept.
+///
+/// A pair adds to feature `k` only where `|Δx_k| > 1e-12`, so a column
+/// with one value in every row of the data and reference sets (an unused
+/// one-hot slot, say) has `Δx_k = 0` in every pair and never scores: its
+/// score is `0.0`, and it is dropped unless nothing scores at all. Only the
+/// columns that vary are scanned, on compact copies of the rows.
 pub fn diffprop_reduction<R: Rng + ?Sized>(
     model: &Mlp,
     data: &Dataset,
@@ -234,10 +240,29 @@ pub fn diffprop_reduction<R: Rng + ?Sized>(
         .map(|x| model.first_hidden_activations(x))
         .collect();
 
-    let mut scores = vec![0.0; dim];
-    let mut pair_count = 0u64;
-    for (i, xi) in data.features().iter().enumerate() {
-        for (j, xj) in reference.features().iter().enumerate() {
+    // The columns whose value differs somewhere across both sets; a column
+    // equal (`==`) to one value everywhere gives every pair a Δx of ±0, or
+    // NaN for an infinite value, and neither passes the 1e-12 test.
+    let varying: Vec<usize> = (0..dim)
+        .filter(|&k| {
+            let first = data.features()[0][k];
+            let mut rows = data.features().iter().chain(reference.features());
+            rows.any(|x| x[k] != first)
+        })
+        .collect();
+    let compact = |set: &Dataset| -> Vec<f64> {
+        set.features()
+            .iter()
+            .flat_map(|x| varying.iter().map(move |&k| x[k]))
+            .collect()
+    };
+    let (d_rows, r_rows) = (compact(data), compact(&reference));
+
+    // With no varying column the compact rows are empty and no pair runs.
+    let width = varying.len().max(1);
+    let mut varying_scores = vec![0.0; varying.len()];
+    for (i, xi) in d_rows.chunks_exact(width).enumerate() {
+        for (j, xj) in r_rows.chunks_exact(width).enumerate() {
             let delta_m = d_out[i] - r_out[j];
             // Number of first-hidden units whose activation differs between
             // the two points; each contributes one (ΔM/Δh)·(Δh/Δx_k) term,
@@ -248,22 +273,26 @@ pub fn diffprop_reduction<R: Rng + ?Sized>(
                 .filter(|(a, b)| (*a - *b).abs() > 1e-12)
                 .count() as f64;
             if active_units == 0.0 {
-                pair_count += 1;
                 continue;
             }
-            for k in 0..dim {
-                let dx = xi[k] - xj[k];
-                if dx.abs() > 1e-12 {
-                    scores[k] += (active_units * delta_m / dx).abs();
-                }
+            let change = active_units * delta_m;
+            for ((score, &a), &b) in varying_scores.iter_mut().zip(xi).zip(xj) {
+                let dx = a - b;
+                // Branch-free select: a score starts at +0.0 and only grows
+                // by absolute values, so it is never −0.0 and adding +0.0
+                // leaves its bits as skipping the pair would.
+                *score += if dx.abs() > 1e-12 {
+                    (change / dx).abs()
+                } else {
+                    0.0
+                };
             }
-            pair_count += 1;
         }
     }
-    if pair_count > 0 {
-        for s in &mut scores {
-            *s /= pair_count as f64;
-        }
+    let pair_count = (data.len() * reference.len()) as f64;
+    let mut scores = vec![0.0; dim];
+    for (&k, &score) in varying.iter().zip(&varying_scores) {
+        scores[k] = score / pair_count;
     }
 
     let max_score = scores.iter().cloned().fold(0.0_f64, f64::max);

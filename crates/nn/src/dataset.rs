@@ -1,7 +1,8 @@
-//! Dataset container with column projection, subsampling, shuffling and
-//! mini-batching.
+//! Dataset container with column projection and subsampling. Training
+//! ([`crate::mlp::Mlp::train`]) shuffles an index permutation and gathers
+//! each mini-batch straight into its workspace, so the dataset itself is
+//! never copied or reordered.
 
-use crate::matrix::Matrix;
 use crate::NnError;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -95,32 +96,6 @@ impl Dataset {
             targets: indices.iter().map(|&i| self.targets[i]).collect(),
         }
     }
-
-    /// Iterate over mini-batches of (feature matrix, target slice) pairs in a
-    /// fixed order.
-    pub fn batches(&self, batch_size: usize) -> Vec<(Matrix, Vec<f64>)> {
-        assert!(batch_size > 0, "batch_size must be positive");
-        let mut out = Vec::with_capacity(self.len().div_ceil(batch_size));
-        let mut start = 0;
-        while start < self.len() {
-            let end = (start + batch_size).min(self.len());
-            let x = Matrix::from_rows(&self.features[start..end]);
-            let y = self.targets[start..end].to_vec();
-            out.push((x, y));
-            start = end;
-        }
-        out
-    }
-
-    /// Shuffle the samples in place.
-    pub fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        indices.shuffle(rng);
-        let features = indices.iter().map(|&i| self.features[i].clone()).collect();
-        let targets = indices.iter().map(|&i| self.targets[i]).collect();
-        self.features = features;
-        self.targets = targets;
-    }
 }
 
 #[cfg(test)]
@@ -159,17 +134,6 @@ mod tests {
         assert_eq!(p.targets(), d.targets());
         assert!(d.project_columns(&[]).is_err());
         assert!(d.project_columns(&[7]).is_err());
-    }
-
-    #[test]
-    fn batches_cover_every_sample_once() {
-        let d = toy();
-        let batches = d.batches(3);
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].0.rows(), 3);
-        assert_eq!(batches[1].0.rows(), 1);
-        let total: usize = batches.iter().map(|(x, _)| x.rows()).sum();
-        assert_eq!(total, d.len());
     }
 
     #[test]

@@ -56,14 +56,17 @@
 //! # Training and the kernel choice
 //!
 //! Only the two backward products are kernel-independent: `Xᵀ·dZ`
-//! ([`t_matmul_sparse`]) and `dZ·Wᵀ` (`Matrix::matmul_t`) run the same
-//! code under every dispatch choice. `matmul_t` transposes `W` and runs
-//! the portable i-k-j loop over `Wᵀ` whatever the active kernel is: it
-//! vectorises like the forward, yet each output element adds its products
-//! from `0.0` in increasing `p`, bit for bit a row-by-row dot product.
-//! The training forward (`DenseLayer::forward_explicit`) multiplies
-//! through `Matrix::matmul`, i.e. through the active kernel. So training
-//! is bit-identical across scalar and portable, and under AVX2 it differs
+//! ([`t_matmul_sparse`], through `Matrix::t_matmul_into`) and `dZ·Wᵀ`
+//! (`Matrix::matmul_t_rows_into`) run the same code under every dispatch
+//! choice. `matmul_t_rows_into` copies the transposed block of the weight
+//! rows a caller asks for and runs the portable i-k-j loop over it
+//! whatever the active kernel is: it vectorises like the forward, yet each
+//! output element adds its products from `0.0` in increasing `p`, bit for
+//! bit a row-by-row dot product, so any block of input columns equals
+//! those columns of the full product. The training forward
+//! (`DenseLayer::forward_train_into`) multiplies through
+//! `Matrix::matmul_into`, i.e. through the active kernel. So training is
+//! bit-identical across scalar and portable, and under AVX2 it differs
 //! from them by FMA rounding: the same seed trains different low bits of
 //! the weights, and so different `QCFW` bytes.
 

@@ -1,14 +1,20 @@
-//! A fully-connected layer with an explicit forward/backward pair.
+//! A fully-connected layer with an in-place forward/backward pair.
 //!
 //! The layer computes `Y = act(X * W + b)` for a batch `X` (one sample per
-//! row). The layer holds no forward state: [`DenseLayer::forward_explicit`]
-//! returns the pre-activation and the caller hands it, with the input, back
-//! to [`DenseLayer::backward_explicit`], which produces `dL/dX` while
-//! accumulating `dL/dW` and `dL/db` for the optimizer to consume.
+//! row). The layer holds no forward state: [`DenseLayer::forward_train_into`]
+//! writes the pre-activation and the output into caller-owned buffers, and
+//! the caller hands them, with the input, back to
+//! [`DenseLayer::backward_into`], which accumulates `dL/dW` and `dL/db` for
+//! the optimizer to consume and writes `dL/dX` only for the input columns
+//! the caller asks for — none at all for a network's first layer, whose
+//! input gradient training never reads. Every buffer is reshaped in place,
+//! so a training step reusing them (an [`crate::mlp::MlpCache`]) allocates
+//! nothing once it has seen its largest batch.
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
 use rand::Rng;
+use std::ops::Range;
 
 /// A dense (fully-connected) layer.
 #[derive(Debug, Clone)]
@@ -125,86 +131,94 @@ impl DenseLayer {
         out.map_inplace(|v| self.activation.apply(v));
     }
 
-    /// Training forward pass.
-    ///
-    /// Returns `(pre_activation, output)`; the caller keeps both (with the
-    /// input) for [`DenseLayer::backward_explicit`]. Holding the state
+    /// Training forward pass into caller-owned buffers (reshaped in
+    /// place): `pre = X·W + b` and `out = act(pre)`, with the arithmetic of
+    /// [`DenseLayer::forward_inference_into`]. The caller keeps `input`,
+    /// `pre` and `out` for [`DenseLayer::backward_into`]; holding the state
     /// outside the layer lets one shared QPPNet unit run at many plan nodes
     /// before any backward pass.
-    pub fn forward_explicit(&self, input: &Matrix) -> (Matrix, Matrix) {
+    pub fn forward_train_into(&self, input: &Matrix, pre: &mut Matrix, out: &mut Matrix) {
         assert_eq!(
             input.cols(),
             self.input_dim(),
-            "forward_explicit: dimension mismatch"
+            "forward_train_into: dimension mismatch"
         );
-        let pre = input.matmul(&self.weights).add_row_broadcast(&self.biases);
-        let out = pre.map(|v| self.activation.apply(v));
-        (pre, out)
+        input.matmul_into(&self.weights, pre);
+        pre.add_row_broadcast_assign(&self.biases);
+        out.reshape_unspecified(pre.rows(), pre.cols());
+        for (o, &z) in out.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+            *o = self.activation.apply(z);
+        }
     }
 
-    /// Backward pass for a prior [`DenseLayer::forward_explicit`] call.
+    /// Backward pass for a prior [`DenseLayer::forward_train_into`] call.
     ///
-    /// `grad_output` is `dL/dY` with one row per batch sample. Gradients with
-    /// respect to the parameters are *accumulated* (use
-    /// [`DenseLayer::zero_grad`] between optimizer steps); the return value
-    /// is `dL/dX`.
-    pub fn backward_explicit(
+    /// `delta` holds `dL/dY` (one row per batch sample) on entry and
+    /// `dZ = dL/dY ⊙ act'(Z)` on return. Parameter gradients are
+    /// *accumulated* (use [`DenseLayer::zero_grad`] between optimizer
+    /// steps): `Xᵀ·dZ` is summed into the zeroed `scratch` and then added
+    /// to the weight gradient whole. QPPNet adds several buckets into one
+    /// unit per step, and summing each product straight into the gradient
+    /// would reassociate those sums. When `input_grad` is `Some((cols,
+    /// out))`, `out` receives the columns `cols` of `dL/dX = dZ·Wᵀ`, bit for
+    /// bit those columns of the full product; `None` skips `dZ·Wᵀ`.
+    pub fn backward_into(
         &mut self,
         input: &Matrix,
-        pre_activation: &Matrix,
-        grad_output: &Matrix,
-    ) -> Matrix {
-        assert_eq!(
-            input.rows(),
-            pre_activation.rows(),
-            "backward_explicit: batch size"
-        );
-        let grad_pre = self.pre_activation_grad(pre_activation, grad_output);
-        // dW += Xᵀ·dZ ; db += colsum(dZ)
-        let grad_w = input.t_matmul(&grad_pre);
-        self.grad_weights.add_assign(&grad_w);
-        for (gb, s) in self.grad_biases.iter_mut().zip(grad_pre.col_sums()) {
-            *gb += s;
+        pre: &Matrix,
+        delta: &mut Matrix,
+        scratch: &mut Matrix,
+        input_grad: Option<(Range<usize>, &mut Matrix)>,
+    ) {
+        assert_eq!(input.rows(), pre.rows(), "backward_into: batch size");
+        self.pre_activation_grad_in_place(pre, delta);
+        // dW += Xᵀ·dZ ; db += colsum(dZ), each column summed from 0.0 in
+        // row order before it is added.
+        input.t_matmul_into(delta, scratch);
+        self.grad_weights.add_assign(scratch);
+        for (c, gb) in self.grad_biases.iter_mut().enumerate() {
+            let mut sum = 0.0;
+            for r in 0..delta.rows() {
+                sum += delta.get(r, c);
+            }
+            *gb += sum;
         }
-        // dX = dZ·Wᵀ
-        grad_pre.matmul_t(&self.weights)
+        if let Some((cols, out)) = input_grad {
+            delta.matmul_t_rows_into(&self.weights, cols, scratch, out);
+        }
     }
 
-    /// `dL/dX` for a prior [`DenseLayer::forward_explicit`] call, without
-    /// accumulating any parameter gradient: the input-gradient half of
-    /// [`DenseLayer::backward_explicit`], with the same arithmetic.
-    pub(crate) fn input_gradient_explicit(
-        &self,
-        pre_activation: &Matrix,
-        grad_output: &Matrix,
-    ) -> Matrix {
-        self.pre_activation_grad(pre_activation, grad_output)
-            .matmul_t(&self.weights)
-    }
-
-    /// `dZ = dY ⊙ act'(Z)`, shared by both backward steps.
-    fn pre_activation_grad(&self, pre_activation: &Matrix, grad_output: &Matrix) -> Matrix {
+    /// Turn `delta` from `dL/dY` into `dZ = dL/dY ⊙ act'(Z)` in place.
+    pub(crate) fn pre_activation_grad_in_place(&self, pre_activation: &Matrix, delta: &mut Matrix) {
         assert_eq!(
-            grad_output.shape(),
+            delta.shape(),
             pre_activation.shape(),
             "backward: grad shape must match the pre-activation"
         );
-        let mut grad_pre = grad_output.clone();
-        for r in 0..grad_pre.rows() {
-            for c in 0..grad_pre.cols() {
-                let d = self.activation.derivative(pre_activation.get(r, c));
-                grad_pre.set(r, c, grad_pre.get(r, c) * d);
-            }
+        for (d, &z) in delta
+            .as_mut_slice()
+            .iter_mut()
+            .zip(pre_activation.as_slice())
+        {
+            *d *= self.activation.derivative(z);
         }
-        grad_pre
+    }
+
+    /// The parameters and their accumulated gradients, borrowed together
+    /// for an optimizer step that reads the gradients in place.
+    pub(crate) fn params_and_grads_mut(&mut self) -> (&mut Matrix, &mut [f64], &Matrix, &[f64]) {
+        (
+            &mut self.weights,
+            &mut self.biases,
+            &self.grad_weights,
+            &self.grad_biases,
+        )
     }
 
     /// Reset the accumulated parameter gradients to zero.
     pub fn zero_grad(&mut self) {
-        self.grad_weights = Matrix::zeros(self.input_dim(), self.output_dim());
-        for g in &mut self.grad_biases {
-            *g = 0.0;
-        }
+        self.grad_weights.as_mut_slice().fill(0.0);
+        self.grad_biases.fill(0.0);
     }
 }
 
@@ -219,11 +233,27 @@ mod tests {
         DenseLayer::with_parameters(w, vec![0.5, -0.5], Activation::Identity)
     }
 
+    /// `(pre, out)` of one training forward.
+    fn forward(l: &DenseLayer, x: &Matrix) -> (Matrix, Matrix) {
+        let (mut pre, mut out) = (Matrix::default(), Matrix::default());
+        l.forward_train_into(x, &mut pre, &mut out);
+        (pre, out)
+    }
+
+    /// One backward pass; returns the full `dL/dX`.
+    fn backward(l: &mut DenseLayer, x: &Matrix, pre: &Matrix, dy: &Matrix) -> Matrix {
+        let (mut delta, mut scratch, mut grad_in) =
+            (dy.clone(), Matrix::default(), Matrix::default());
+        let cols = 0..l.input_dim();
+        l.backward_into(x, pre, &mut delta, &mut scratch, Some((cols, &mut grad_in)));
+        grad_in
+    }
+
     #[test]
     fn forward_matches_manual_affine() {
         let l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let (_, y) = l.forward_explicit(&x);
+        let (_, y) = forward(&l, &x);
         // [1,1] * [[1,2],[3,4]] + [0.5,-0.5] = [4.5, 5.5]
         assert_eq!(y.row(0), &[4.5, 5.5]);
     }
@@ -232,7 +262,7 @@ mod tests {
     fn relu_masks_negative_preactivations() {
         let w = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         let l = DenseLayer::with_parameters(w, vec![0.0, 0.0], Activation::Relu);
-        let (pre, y) = l.forward_explicit(&Matrix::from_vec(1, 1, vec![2.0]));
+        let (pre, y) = forward(&l, &Matrix::from_vec(1, 1, vec![2.0]));
         assert_eq!(pre.row(0), &[2.0, -2.0]);
         assert_eq!(y.row(0), &[2.0, 0.0]);
     }
@@ -241,15 +271,23 @@ mod tests {
     fn backward_produces_expected_gradients() {
         let mut l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let (pre, _) = l.forward_explicit(&x);
+        let (pre, _) = forward(&l, &x);
         let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let grad_in = l.backward_explicit(&x, &pre, &dy);
+        let grad_in = backward(&mut l, &x, &pre, &dy);
         // dX = dY * W^T = [1,1] * [[1,3],[2,4]] = [3, 7]
         assert_eq!(grad_in.row(0), &[3.0, 7.0]);
-        assert_eq!(l.input_gradient_explicit(&pre, &dy), grad_in);
         // dW = X^T dY = [[1],[2]] * [1,1] = [[1,1],[2,2]]
         assert_eq!(l.grad_weights().as_slice(), &[1.0, 1.0, 2.0, 2.0]);
         assert_eq!(l.grad_biases(), &[1.0, 1.0]);
+        // One input column alone, and none at all, leave the parameter
+        // gradients accumulating exactly as before.
+        let (mut delta, mut scratch, mut one) = (dy.clone(), Matrix::default(), Matrix::default());
+        l.backward_into(&x, &pre, &mut delta, &mut scratch, Some((1..2, &mut one)));
+        assert_eq!(one.row(0), &[7.0]);
+        let mut delta = dy.clone();
+        l.backward_into(&x, &pre, &mut delta, &mut scratch, None);
+        assert_eq!(l.grad_weights().as_slice(), &[3.0, 3.0, 6.0, 6.0]);
+        assert_eq!(l.grad_biases(), &[3.0, 3.0]);
     }
 
     #[test]
@@ -257,8 +295,8 @@ mod tests {
         let mut l = tiny_layer();
         let x = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         for _ in 0..3 {
-            let (pre, _) = l.forward_explicit(&x);
-            let _ = l.backward_explicit(&x, &pre, &Matrix::from_vec(1, 2, vec![1.0, 0.0]));
+            let (pre, _) = forward(&l, &x);
+            let _ = backward(&mut l, &x, &pre, &Matrix::from_vec(1, 2, vec![1.0, 0.0]));
         }
         assert_eq!(l.grad_weights().get(0, 0), 3.0);
         l.zero_grad();
@@ -267,17 +305,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_into_matches_forward_explicit() {
+    fn forward_inference_into_matches_the_training_forward() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let l = DenseLayer::new(5, 3, Activation::Relu, &mut rng);
         let x = Matrix::from_vec(4, 5, (0..20).map(|i| i as f64 * 0.07 - 0.5).collect());
         let mut out = Matrix::default();
         l.forward_inference_into(&x, &mut out);
-        assert_eq!(out, l.forward_explicit(&x).1);
+        assert_eq!(out, forward(&l, &x).1);
         // Reuse with a different batch size.
         let y = Matrix::from_vec(1, 5, (0..5).map(|i| i as f64).collect());
         l.forward_inference_into(&y, &mut out);
-        assert_eq!(out, l.forward_explicit(&y).1);
+        assert_eq!(out, forward(&l, &y).1);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * a row-major [`Matrix`](matrix::Matrix) type with the handful of BLAS-like
 //!   kernels required by dense layers,
-//! * [`DenseLayer`](layer::DenseLayer) with one explicit forward/backward
-//!   pair whose caller keeps the forward state,
+//! * [`DenseLayer`](layer::DenseLayer) with one in-place forward/backward
+//!   pair whose caller keeps the forward state in a reusable
+//!   [`MlpCache`](mlp::MlpCache) workspace,
 //! * the activations used by existing cost estimators (ReLU in QPPNet,
 //!   sigmoid/ReLU in MSCN),
 //! * mean-squared / q-error-friendly losses,
@@ -28,8 +29,7 @@
 //!   portable fallback, overridable via `QCFE_KERNEL=scalar|portable|avx2`,
 //! * a tiny linear-algebra module with a least-squares solver (used to fit
 //!   the feature-snapshot coefficients of Table I),
-//! * dataset utilities (column projection, subsampling, shuffling,
-//!   mini-batching),
+//! * dataset utilities (column projection, subsampling),
 //! * the versioned, checksummed `QCFW` weight codec ([`codec`]) that
 //!   persists trained [`Mlp`](mlp::Mlp) parameters bit-exactly for the
 //!   serving layer's restart-without-retraining path.
@@ -80,7 +80,7 @@ pub use linalg::{
 };
 pub use loss::Loss;
 pub use matrix::Matrix;
-pub use mlp::{InferenceScratch, Mlp, TrainConfig, TrainHistory};
+pub use mlp::{InferenceScratch, Mlp, MlpCache, TrainConfig, TrainHistory};
 pub use optimizer::Optimizer;
 
 /// Convenient glob import for downstream crates.
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::linalg::{least_squares, ridge_regression};
     pub use crate::loss::Loss;
     pub use crate::matrix::Matrix;
-    pub use crate::mlp::{InferenceScratch, Mlp, TrainConfig, TrainHistory};
+    pub use crate::mlp::{InferenceScratch, Mlp, MlpCache, TrainConfig, TrainHistory};
     pub use crate::optimizer::Optimizer;
 }
 

@@ -45,30 +45,31 @@ impl Loss {
         }
     }
 
-    /// Per-sample gradient `dL/dprediction` (already divided by the batch size).
-    pub fn gradient(&self, predictions: &[f64], targets: &[f64]) -> Vec<f64> {
+    /// Per-sample gradient `dL/dprediction` (already divided by the batch
+    /// size), written into `out`, one entry per prediction.
+    pub fn gradient_into(&self, predictions: &[f64], targets: &[f64], out: &mut [f64]) {
         assert_eq!(
             predictions.len(),
             targets.len(),
             "loss gradient: length mismatch"
         );
+        assert_eq!(predictions.len(), out.len(), "loss gradient: output length");
         let n = predictions.len().max(1) as f64;
+        let pairs = predictions.iter().zip(targets).zip(out.iter_mut());
         match self {
-            Loss::Mse => predictions
-                .iter()
-                .zip(targets)
-                .map(|(p, t)| 2.0 * (p - t) / n)
-                .collect(),
-            Loss::LogMse => predictions
-                .iter()
-                .zip(targets)
-                .map(|(p, t)| {
+            Loss::Mse => {
+                for ((p, t), g) in pairs {
+                    *g = 2.0 * (p - t) / n;
+                }
+            }
+            Loss::LogMse => {
+                for ((p, t), g) in pairs {
                     let lp = log1p_clamped(*p);
                     let lt = log1p_clamped(*t);
                     // d/dp (lp - lt)^2 = 2 (lp - lt) * 1/(1 + max(p, 0))
-                    2.0 * (lp - lt) / (1.0 + p.max(0.0)) / n
-                })
-                .collect(),
+                    *g = 2.0 * (lp - lt) / (1.0 + p.max(0.0)) / n;
+                }
+            }
         }
     }
 }
@@ -83,12 +84,18 @@ fn log1p_clamped(x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn gradient(loss: Loss, predictions: &[f64], targets: &[f64]) -> Vec<f64> {
+        let mut g = vec![f64::NAN; predictions.len()];
+        loss.gradient_into(predictions, targets, &mut g);
+        g
+    }
+
     #[test]
     fn mse_value_and_gradient() {
         let preds = vec![1.0, 2.0];
         let targets = vec![0.0, 4.0];
         assert!((Loss::Mse.value(&preds, &targets) - (1.0 + 4.0) / 2.0).abs() < 1e-12);
-        let g = Loss::Mse.gradient(&preds, &targets);
+        let g = gradient(Loss::Mse, &preds, &targets);
         assert!((g[0] - 1.0).abs() < 1e-12);
         assert!((g[1] + 2.0).abs() < 1e-12);
     }
@@ -98,7 +105,7 @@ mod tests {
         let v = vec![1.5, 200.0, 0.01];
         for loss in [Loss::Mse, Loss::LogMse] {
             assert_eq!(loss.value(&v, &v), 0.0, "{loss:?}");
-            assert!(loss.gradient(&v, &v).iter().all(|g| g.abs() < 1e-12));
+            assert!(gradient(loss, &v, &v).iter().all(|g| g.abs() < 1e-12));
         }
     }
 
@@ -117,12 +124,12 @@ mod tests {
 
     #[test]
     fn logmse_gradient_sign_matches_error_direction() {
-        let g_over = Loss::LogMse.gradient(&[100.0], &[10.0]);
+        let g_over = gradient(Loss::LogMse, &[100.0], &[10.0]);
         assert!(
             g_over[0] > 0.0,
             "over-prediction should push the output down"
         );
-        let g_under = Loss::LogMse.gradient(&[10.0], &[100.0]);
+        let g_under = gradient(Loss::LogMse, &[10.0], &[100.0]);
         assert!(
             g_under[0] < 0.0,
             "under-prediction should push the output up"
@@ -132,6 +139,6 @@ mod tests {
     #[test]
     fn empty_batch_is_zero_loss() {
         assert_eq!(Loss::Mse.value(&[], &[]), 0.0);
-        assert!(Loss::Mse.gradient(&[], &[]).is_empty());
+        assert!(gradient(Loss::Mse, &[], &[]).is_empty());
     }
 }

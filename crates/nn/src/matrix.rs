@@ -222,9 +222,19 @@ impl Matrix {
     /// implementation ([`crate::kernel::t_matmul_sparse`]), which keeps the
     /// per-element zero skip: this is the training-side `Xᵀ·G` product
     /// where one-hot-ish design matrices make the skip a real win.
+    ///
+    /// Thin allocate-then-[`Matrix::t_matmul_into`] wrapper.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.t_matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::t_matmul`] written into a caller-owned buffer, reshaped
+    /// and zero-filled in place first.
+    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul: row counts must agree");
-        let mut out = Matrix::zeros(self.cols, other.cols);
+        out.reset(self.cols, other.cols);
         crate::kernel::t_matmul_sparse(
             &self.data,
             self.rows,
@@ -233,30 +243,56 @@ impl Matrix {
             other.cols,
             &mut out.data,
         );
-        out
     }
 
     /// `self * other^T`: the training-side `dZ·Wᵀ` product.
     ///
-    /// Transposes `other` and runs the i-k-j loop of the *portable* kernel,
-    /// never the active one: AVX2's FMA would change bits. Each output
-    /// element adds its products from `0.0` in increasing `p`, exactly as a
-    /// dot product of the two rows does, whatever `QCFE_KERNEL` says, while
-    /// the inner loop runs along contiguous rows the compiler vectorises.
+    /// Thin allocate-then-[`Matrix::matmul_t_rows_into`] wrapper over every
+    /// row of `other`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        let (mut other_t, mut out) = (Matrix::default(), Matrix::default());
+        self.matmul_t_rows_into(other, 0..other.rows, &mut other_t, &mut out);
+        out
+    }
+
+    /// `self * other[rows]^T` into `out` (reshaped in place): the columns
+    /// `rows` of [`Matrix::matmul_t`], bit for bit.
+    ///
+    /// Copies the transposed row block of `other` into `other_t` (a
+    /// caller-owned scratch) and runs the i-k-j loop of the *portable*
+    /// kernel, never the active one: AVX2's FMA would change bits. Each
+    /// output element adds its products from `0.0` in increasing `p`,
+    /// exactly as a dot product of the two rows does, whatever
+    /// `QCFE_KERNEL` says, while the inner loop runs along contiguous rows
+    /// the compiler vectorises. An element's sum never depends on how many
+    /// other columns are computed beside it, so any row block gives the
+    /// same bits as the full product.
+    pub fn matmul_t_rows_into(
+        &self,
+        other: &Matrix,
+        rows: std::ops::Range<usize>,
+        other_t: &mut Matrix,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, other.cols, "matmul_t: column counts must agree");
-        let other_t = other.transpose();
-        let mut out = Matrix::zeros(self.rows, other.rows);
+        assert!(rows.end <= other.rows, "matmul_t: row block out of range");
+        let n = rows.len();
+        other_t.reshape_unspecified(other.cols, n);
+        for (j, r) in rows.enumerate() {
+            for (p, &v) in other.row(r).iter().enumerate() {
+                other_t.data[p * n + j] = v;
+            }
+        }
+        out.reset(self.rows, n);
         crate::kernel::matmul_f64_with(
             crate::kernel::MatmulKernel::Portable,
             &self.data,
             self.rows,
             self.cols,
             &other_t.data,
-            other_t.cols,
+            n,
             &mut out.data,
         );
-        out
     }
 
     /// Transposed copy.
@@ -278,24 +314,7 @@ impl Matrix {
         }
     }
 
-    /// Broadcast-add a row vector to every row (used for bias addition).
-    pub fn add_row_broadcast(&self, row: &[f64]) -> Matrix {
-        assert_eq!(
-            self.cols,
-            row.len(),
-            "add_row_broadcast: length must equal cols"
-        );
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, b) in out.row_mut(r).iter_mut().zip(row.iter()) {
-                *v += *b;
-            }
-        }
-        out
-    }
-
-    /// In-place variant of [`Matrix::add_row_broadcast`]: add a row vector to
-    /// every row without allocating.
+    /// Broadcast-add a row vector to every row in place (bias addition).
     pub fn add_row_broadcast_assign(&mut self, row: &[f64]) {
         assert_eq!(
             self.cols,
@@ -306,27 +325,6 @@ impl Matrix {
             for (v, b) in self.row_mut(r).iter_mut().zip(row.iter()) {
                 *v += *b;
             }
-        }
-    }
-
-    /// Column-wise sums, returned as a vector of length `cols`.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, v) in sums.iter_mut().zip(self.row(r)) {
-                *s += *v;
-            }
-        }
-        sums
-    }
-
-    /// Apply a function to every element, returning a new matrix.
-    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        let data = self.data.iter().map(|&v| f(v)).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
         }
     }
 
@@ -385,12 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_col_sums() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let with_bias = a.add_row_broadcast(&[10.0, 20.0, 30.0]);
-        assert_eq!(with_bias.row(0), &[11.0, 22.0, 33.0]);
-        assert_eq!(with_bias.row(1), &[14.0, 25.0, 36.0]);
-        assert_eq!(a.col_sums(), vec![5.0, 7.0, 9.0]);
+    fn row_broadcast_adds_to_every_row() {
+        let mut a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        a.add_row_broadcast_assign(&[10.0, 20.0, 30.0]);
+        assert_eq!(a.row(0), &[11.0, 22.0, 33.0]);
+        assert_eq!(a.row(1), &[14.0, 25.0, 36.0]);
     }
 
     #[test]
@@ -434,13 +431,5 @@ mod tests {
         m.reset_from_row(&[5.0, 6.0]);
         assert_eq!(m.shape(), (1, 2));
         assert_eq!(m.row(0), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn add_row_broadcast_assign_matches_allocating_variant() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut b = a.clone();
-        b.add_row_broadcast_assign(&[10.0, 20.0, 30.0]);
-        assert_eq!(b, a.add_row_broadcast(&[10.0, 20.0, 30.0]));
     }
 }

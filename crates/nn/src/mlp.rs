@@ -1,12 +1,21 @@
 //! Multi-layer perceptron with one training path, input-gradient
 //! extraction and an allocation-free batched inference path.
 //!
-//! Training runs through one explicit-cache surface:
-//! [`Mlp::forward_cached`] returns the per-layer inputs and
-//! pre-activations as an [`MlpCache`], [`Mlp::backward_cached`] consumes it
-//! and accumulates parameter gradients, and [`Mlp::step`] applies Adam.
-//! [`Mlp::train`] (the flat mini-batch loop of MSCN and the reduction's
-//! auxiliary models) is built from these three calls, and so is the
+//! # Training through a reusable workspace
+//!
+//! Training runs through one explicit-cache surface over a caller-owned
+//! [`MlpCache`]: the caller writes a batch into [`MlpCache::input_mut`],
+//! [`Mlp::forward_cached`] fills the cache's per-layer pre-activations and
+//! outputs in place, the caller writes `dL/dY` into the buffer
+//! [`MlpCache::output_and_grad_mut`] hands out, [`Mlp::backward_cached`]
+//! accumulates the parameter gradients from it, and [`Mlp::step`] applies
+//! Adam, reading the gradients in place. Every buffer is reshaped in place,
+//! so once a cache has seen its largest batch a training step allocates
+//! nothing. The backward computes the gradient of the *network input* only
+//! for the columns the caller names, and not at all for `None`:
+//! [`Mlp::train`] never reads it, and QPPNet reads only its child-slot
+//! columns. [`Mlp::train`] (the flat mini-batch loop of MSCN and the
+//! reduction's auxiliary models) is built from these calls, and so is the
 //! QPPNet reimplementation, where one MLP per operator type runs at every
 //! matching node of a plan tree and gradients flow from parents into the
 //! outputs of children. The layers hold no forward state.
@@ -30,8 +39,10 @@ use crate::layer::DenseLayer;
 use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::optimizer::{Optimizer, OptimizerState};
+use rand::seq::SliceRandom;
 use rand::Rng;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Configuration for the flat mini-batch training loop.
@@ -77,14 +88,63 @@ impl TrainHistory {
     }
 }
 
-/// Cached intermediate state of a functional forward pass, to be fed back
-/// into [`Mlp::backward_cached`].
-#[derive(Debug, Clone)]
+/// The reusable training workspace of one network: the network input the
+/// caller writes, each layer's pre-activation and output from
+/// [`Mlp::forward_cached`], and the gradient buffers and scratch
+/// [`Mlp::backward_cached`] works in.
+///
+/// Every buffer is reshaped in place, so after the largest batch it has
+/// seen a workspace allocates nothing. A `Default` workspace fits any
+/// network: the forward sizes it to the network it runs.
+#[derive(Debug, Clone, Default)]
 pub struct MlpCache {
-    /// Layer inputs, one per layer (index 0 is the network input).
-    inputs: Vec<Matrix>,
-    /// Pre-activation values, one per layer.
-    pre_activations: Vec<Matrix>,
+    /// The network input, written by the caller before the forward.
+    input: Matrix,
+    /// One entry per layer, first layer first.
+    layers: Vec<LayerCache>,
+    /// The network-input gradient columns the last backward asked for.
+    grad_input: Matrix,
+}
+
+/// One layer's share of an [`MlpCache`].
+#[derive(Debug, Clone, Default)]
+struct LayerCache {
+    /// `Z = X·W + b`.
+    pre: Matrix,
+    /// `Y = act(Z)`: the next layer's input, or the network output.
+    out: Matrix,
+    /// `dL/dY` when the layer's backward starts, `dL/dZ` after it.
+    delta: Matrix,
+    /// `Xᵀ·dZ` before it is added to the weight gradient, then the
+    /// transposed weight rows of the input gradient.
+    scratch: Matrix,
+}
+
+impl MlpCache {
+    /// The network-input buffer: the caller reshapes it and writes one
+    /// sample per row before [`Mlp::forward_cached`].
+    pub fn input_mut(&mut self) -> &mut Matrix {
+        &mut self.input
+    }
+
+    /// The network output of the last [`Mlp::forward_cached`], with the
+    /// `dL/dY` buffer that seeds [`Mlp::backward_cached`], zeroed to the
+    /// output's shape for the caller to fill.
+    ///
+    /// # Panics
+    /// Panics if no forward has run on this workspace.
+    pub fn output_and_grad_mut(&mut self) -> (&Matrix, &mut Matrix) {
+        let last = self.layers.last_mut().expect("forward_cached has run");
+        last.delta.reset(last.out.rows(), last.out.cols());
+        (&last.out, &mut last.delta)
+    }
+
+    /// The network-input gradient columns the last
+    /// [`Mlp::backward_cached`] computed: one row per sample, one column
+    /// per requested input column.
+    pub fn grad_input(&self) -> &Matrix {
+        &self.grad_input
+    }
 }
 
 /// Caller-owned scratch buffers for the allocation-free batched forward
@@ -264,41 +324,59 @@ impl Mlp {
         })
     }
 
-    /// Training forward pass over a batch, returning the output and the
-    /// cache [`Mlp::backward_cached`] needs.
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, MlpCache) {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            inputs.push(cur.clone());
-            let (pre, out) = layer.forward_explicit(&cur);
-            pre_activations.push(pre);
-            cur = out;
+    /// Training forward pass over the batch the caller wrote into
+    /// [`MlpCache::input_mut`]: fills the workspace's per-layer
+    /// pre-activations and outputs in place and returns the network output.
+    pub fn forward_cached<'c>(&self, cache: &'c mut MlpCache) -> &'c Matrix {
+        let MlpCache { input, layers, .. } = cache;
+        layers.resize_with(self.layers.len(), LayerCache::default);
+        let mut x: &Matrix = input;
+        for (layer, lc) in self.layers.iter().zip(layers.iter_mut()) {
+            layer.forward_train_into(x, &mut lc.pre, &mut lc.out);
+            x = &lc.out;
         }
-        (
-            cur,
-            MlpCache {
-                inputs,
-                pre_activations,
-            },
-        )
+        x
     }
 
-    /// Backward pass for a prior [`Mlp::forward_cached`] call.
-    /// Accumulates parameter gradients and returns the gradient with respect
-    /// to the network input.
-    pub fn backward_cached(&mut self, cache: &MlpCache, grad_output: &Matrix) -> Matrix {
+    /// Backward pass for a prior [`Mlp::forward_cached`] on `cache`, seeded
+    /// with the `dL/dY` the caller wrote through
+    /// [`MlpCache::output_and_grad_mut`]. Accumulates the parameter
+    /// gradients. `input_cols` names the network-input columns whose
+    /// gradient lands in [`MlpCache::grad_input`], bit for bit those
+    /// columns of the full gradient; `None` skips the first layer's `dZ·Wᵀ`
+    /// entirely.
+    ///
+    /// # Panics
+    /// Panics if `cache` did not run this network's forward.
+    pub fn backward_cached(&mut self, cache: &mut MlpCache, input_cols: Option<Range<usize>>) {
+        let MlpCache {
+            input,
+            layers,
+            grad_input,
+        } = cache;
         assert_eq!(
-            cache.inputs.len(),
+            layers.len(),
             self.layers.len(),
             "cache/layer count mismatch"
         );
-        let mut grad = grad_output.clone();
         for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward_explicit(&cache.inputs[idx], &cache.pre_activations[idx], &grad);
+            let (below, rest) = layers.split_at_mut(idx);
+            let LayerCache {
+                pre,
+                delta,
+                scratch,
+                ..
+            } = &mut rest[0];
+            // A hidden layer's input gradient is the layer below's `dL/dY`.
+            let (layer_input, input_grad) = match below.last_mut() {
+                Some(prev) => (&prev.out, Some((0..layer.input_dim(), &mut prev.delta))),
+                None => (
+                    &*input,
+                    input_cols.clone().map(|cols| (cols, &mut *grad_input)),
+                ),
+            };
+            layer.backward_into(layer_input, pre, delta, scratch, input_grad);
         }
-        grad
     }
 
     /// Apply one optimizer step using the accumulated gradients, then clear
@@ -317,14 +395,30 @@ impl Mlp {
     /// layers backwards with `dZ·Wᵀ` steps that accumulate no parameter
     /// gradient, so the network is neither cloned nor changed.
     pub fn input_gradient(&self, features: &[f64]) -> Vec<f64> {
-        let (out, cache) = self.forward_cached(&Matrix::row_vector(features));
+        let mut cache = MlpCache::default();
+        cache.input.reset_from_row(features);
+        self.forward_cached(&mut cache);
         // Seed gradient: 1 on the first output unit.
-        let mut grad = Matrix::zeros(1, out.cols());
-        grad.set(0, 0, 1.0);
-        for (layer, pre) in self.layers.iter().zip(&cache.pre_activations).rev() {
-            grad = layer.input_gradient_explicit(pre, &grad);
+        cache.output_and_grad_mut().1.set(0, 0, 1.0);
+        let MlpCache {
+            layers, grad_input, ..
+        } = &mut cache;
+        for (idx, layer) in self.layers.iter().enumerate().rev() {
+            let (below, rest) = layers.split_at_mut(idx);
+            let LayerCache {
+                pre,
+                delta,
+                scratch,
+                ..
+            } = &mut rest[0];
+            layer.pre_activation_grad_in_place(pre, delta);
+            let out = match below.last_mut() {
+                Some(prev) => &mut prev.delta,
+                None => &mut *grad_input,
+            };
+            delta.matmul_t_rows_into(layer.weights(), 0..layer.input_dim(), scratch, out);
         }
-        grad.row(0).to_vec()
+        grad_input.row(0).to_vec()
     }
 
     /// All layer activations (post-activation outputs) for a single input,
@@ -332,21 +426,20 @@ impl Mlp {
     /// the difference-propagation importance score (Equation 1).
     pub fn layer_activations(&self, features: &[f64]) -> Vec<Vec<f64>> {
         let mut outs = Vec::with_capacity(self.layers.len());
-        let mut cur = Matrix::row_vector(features);
+        let (mut cur, mut next) = (Matrix::row_vector(features), Matrix::default());
         for layer in &self.layers {
-            cur = layer.forward_explicit(&cur).1;
-            outs.push(cur.row(0).to_vec());
+            layer.forward_inference_into(&cur, &mut next);
+            outs.push(next.row(0).to_vec());
+            std::mem::swap(&mut cur, &mut next);
         }
         outs
     }
 
     /// Activations of the first hidden layer for a single input.
     pub fn first_hidden_activations(&self, features: &[f64]) -> Vec<f64> {
-        self.layers[0]
-            .forward_explicit(&Matrix::row_vector(features))
-            .1
-            .row(0)
-            .to_vec()
+        let mut out = Matrix::default();
+        self.layers[0].forward_inference_into(&Matrix::row_vector(features), &mut out);
+        out.row(0).to_vec()
     }
 
     /// Flat mini-batch training loop for scalar-output networks.
@@ -373,22 +466,38 @@ impl Mlp {
             self.input_dim()
         );
         let start = Instant::now();
-        let mut working = data.clone();
+        let mut cache = MlpCache::default();
+        let mut targets = Vec::with_capacity(config.batch_size.min(data.len()));
+        // Shuffling one index permutation in place draws what shuffling the
+        // rows would (both shuffle a Vec of length n), so each batch
+        // gathers the rows a reordered copy of the dataset would hold.
+        let mut order: Vec<usize> = (0..data.len()).collect();
         let mut epoch_losses = Vec::with_capacity(config.epochs);
 
         for _ in 0..config.epochs {
             if config.shuffle {
-                working.shuffle(rng);
+                order.shuffle(rng);
             }
             let mut epoch_loss = 0.0;
             let mut batches_seen = 0usize;
-            for (x, y) in working.batches(config.batch_size) {
-                let (out, cache) = self.forward_cached(&x);
-                let preds: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
-                epoch_loss += config.loss.value(&preds, &y);
+            for batch in order.chunks(config.batch_size) {
+                let input = cache.input_mut();
+                input.reshape_unspecified(batch.len(), data.dim());
+                targets.clear();
+                for (r, &i) in batch.iter().enumerate() {
+                    input.row_mut(r).copy_from_slice(&data.features()[i]);
+                    targets.push(data.targets()[i]);
+                }
+                self.forward_cached(&mut cache);
+                // The output has one column, so its storage is the
+                // prediction vector.
+                let (out, grad) = cache.output_and_grad_mut();
+                epoch_loss += config.loss.value(out.as_slice(), &targets);
                 batches_seen += 1;
-                let grads = config.loss.gradient(&preds, &y);
-                self.backward_cached(&cache, &Matrix::col_vector(&grads));
+                config
+                    .loss
+                    .gradient_into(out.as_slice(), &targets, grad.as_mut_slice());
+                self.backward_cached(&mut cache, None);
                 self.step(&config.optimizer);
             }
             epoch_losses.push(epoch_loss / batches_seen.max(1) as f64);
@@ -409,6 +518,13 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(1234)
+    }
+
+    /// The training forward's output for `x` on a fresh workspace.
+    fn train_forward(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut cache = MlpCache::default();
+        *cache.input_mut() = x.clone();
+        mlp.forward_cached(&mut cache).clone()
     }
 
     #[test]
@@ -462,12 +578,12 @@ mod tests {
         ]);
         let mut scratch = InferenceScratch::new();
         let batched = mlp.predict_batch_into(&x, &mut scratch).clone();
-        assert_eq!(batched, mlp.forward_cached(&x).0);
+        assert_eq!(batched, train_forward(&mlp, &x));
         // Reusing the scratch across calls and batch sizes stays exact.
         let y = Matrix::from_rows(&[vec![0.9, 0.9, 0.9, 0.9]]);
         assert_eq!(
             *mlp.predict_batch_into(&y, &mut scratch),
-            mlp.forward_cached(&y).0
+            train_forward(&mlp, &y)
         );
     }
 
@@ -479,7 +595,7 @@ mod tests {
         let xa = Matrix::from_rows(&[vec![0.1, 0.2, 0.3]]);
         let xb = Matrix::from_rows(&[vec![0.5; 6], vec![-0.5; 6]]);
         let mut scratch = InferenceScratch::new();
-        let (ya, yb) = (a.forward_cached(&xa).0, b.forward_cached(&xb).0);
+        let (ya, yb) = (train_forward(&a, &xa), train_forward(&b, &xb));
         assert_eq!(*a.predict_batch_into(&xa, &mut scratch), ya);
         assert_eq!(*b.predict_batch_into(&xb, &mut scratch), yb);
         assert_eq!(*a.predict_batch_into(&xa, &mut scratch), ya);
@@ -505,10 +621,13 @@ mod tests {
         let mut r = rng();
         let mut mlp = Mlp::new(&[3, 5, 4, 1], Activation::Tanh, &mut r);
         let x = Matrix::from_rows(&[vec![0.4, -0.7, 0.2], vec![-0.3, 0.9, 0.5]]);
-        let (_, cache) = mlp.forward_cached(&x);
+        let mut cache = MlpCache::default();
+        *cache.input_mut() = x.clone();
+        mlp.forward_cached(&mut cache);
         // dY = 1 per row: the gradients are those of the summed outputs.
-        mlp.backward_cached(&cache, &Matrix::col_vector(&[1.0, 1.0]));
-        let summed_output = |m: &Mlp| m.forward_cached(&x).0.as_slice().iter().sum::<f64>();
+        cache.output_and_grad_mut().1.as_mut_slice().fill(1.0);
+        mlp.backward_cached(&mut cache, None);
+        let summed_output = |m: &Mlp| train_forward(m, &x).as_slice().iter().sum::<f64>();
         let eps = 1e-6;
         let mut probe = mlp.clone();
         for (l, layer) in mlp.layers().iter().enumerate() {

@@ -71,8 +71,8 @@ impl OptimizerState {
         }
     }
 
-    /// Apply one update step to all layers using their accumulated gradients,
-    /// then zero the gradients.
+    /// Apply one update step to all layers using their accumulated gradients
+    /// (read in place), then zero the gradients (filled in place).
     pub fn apply(&mut self, optimizer: &Optimizer, layers: &mut [DenseLayer]) {
         assert_eq!(
             layers.len(),
@@ -96,8 +96,7 @@ impl OptimizerState {
         let t = self.step as f64;
         let bc1 = 1.0 - beta1.powf(t);
         let bc2 = 1.0 - beta2.powf(t);
-        let grad_w = layer.grad_weights().clone();
-        let grad_b: Vec<f64> = layer.grad_biases().to_vec();
+        let (w, b, grad_w, grad_b) = layer.params_and_grads_mut();
 
         {
             let m = &mut self.m_weights[idx];
@@ -111,7 +110,6 @@ impl OptimizerState {
                 *mv = beta1 * *mv + (1.0 - beta1) * *gv;
                 *vv = beta2 * *vv + (1.0 - beta2) * *gv * *gv;
             }
-            let w = layer.weights_mut();
             for ((wv, mv), vv) in w
                 .as_mut_slice()
                 .iter_mut()
@@ -126,11 +124,10 @@ impl OptimizerState {
         {
             let mb = &mut self.m_biases[idx];
             let vb = &mut self.v_biases[idx];
-            for ((mv, vv), gv) in mb.iter_mut().zip(vb.iter_mut()).zip(&grad_b) {
+            for ((mv, vv), gv) in mb.iter_mut().zip(vb.iter_mut()).zip(grad_b) {
                 *mv = beta1 * *mv + (1.0 - beta1) * *gv;
                 *vv = beta2 * *vv + (1.0 - beta2) * *gv * *gv;
             }
-            let b = layer.biases_mut();
             for ((bv, mv), vv) in b.iter_mut().zip(mb.iter()).zip(vb.iter()) {
                 let m_hat = *mv / bc1;
                 let v_hat = *vv / bc2;
@@ -153,8 +150,11 @@ mod tests {
         );
         // produce a known gradient of 2.0 on the single weight
         let x = Matrix::from_vec(1, 1, vec![2.0]);
-        let (pre, _) = l.forward_explicit(&x);
-        let _ = l.backward_explicit(&x, &pre, &Matrix::from_vec(1, 1, vec![1.0]));
+        let (mut pre, mut out, mut scratch) =
+            (Matrix::default(), Matrix::default(), Matrix::default());
+        l.forward_train_into(&x, &mut pre, &mut out);
+        let mut delta = Matrix::from_vec(1, 1, vec![1.0]);
+        l.backward_into(&x, &pre, &mut delta, &mut scratch, None);
         l
     }
 

@@ -5,6 +5,7 @@
 //! property, mirroring the old `ProptestConfig::with_cases(64)`).
 
 use qcfe::core::metrics::{pearson, percentile, q_error, q_errors};
+use qcfe::core::reduction::diffprop_reduction;
 use qcfe::core::snapshot::{FeatureSnapshot, OperatorSample};
 use qcfe::db::data::ColumnVector;
 use qcfe::db::expr::{ColumnRef, CompareOp, Predicate};
@@ -14,9 +15,13 @@ use qcfe::db::types::Value;
 use qcfe::nn::codec::{
     WeightsCodecError, FRAME_HEADER_LEN, WEIGHTS_CODEC_MIN_VERSION, WEIGHTS_CODEC_VERSION,
 };
-use qcfe::nn::{least_squares, solve_linear_system, Activation, LinAlgError, Matrix, Mlp};
+use qcfe::nn::{
+    least_squares, solve_linear_system, Activation, Dataset, LinAlgError, Loss, Matrix, Mlp,
+    MlpCache, Optimizer, TrainConfig,
+};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore, SeedableRng};
 
 const CASES: usize = 64;
 
@@ -559,5 +564,485 @@ fn bitmap_count_matches_direct_evaluation() {
         };
         let matches = column.evaluate(&pred).iter().filter(|b| **b).count() as i64;
         assert_eq!(matches, 100 - threshold);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity of the training workspace and of the DiffProp column scan
+// ---------------------------------------------------------------------------
+
+fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+/// `a · bᵀ` as one dot product per output element, each summed from `0.0`
+/// in increasing `p`: the `dZ·Wᵀ` arithmetic every input gradient must
+/// reproduce.
+fn dot_product_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut acc = 0.0;
+            for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                acc += x * y;
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+/// One layer of the allocating reference network below: its parameters,
+/// accumulated gradients and Adam moments.
+struct ReferenceLayer {
+    weights: Matrix,
+    biases: Vec<f64>,
+    activation: Activation,
+    grad_weights: Matrix,
+    grad_biases: Vec<f64>,
+    m_weights: Matrix,
+    v_weights: Matrix,
+    m_biases: Vec<f64>,
+    v_biases: Vec<f64>,
+}
+
+impl ReferenceLayer {
+    fn of(mlp: &Mlp) -> Vec<ReferenceLayer> {
+        mlp.layers()
+            .iter()
+            .map(|l| {
+                let (i, o) = l.weights().shape();
+                ReferenceLayer {
+                    weights: l.weights().clone(),
+                    biases: l.biases().to_vec(),
+                    activation: l.activation(),
+                    grad_weights: Matrix::zeros(i, o),
+                    grad_biases: vec![0.0; o],
+                    m_weights: Matrix::zeros(i, o),
+                    v_weights: Matrix::zeros(i, o),
+                    m_biases: vec![0.0; o],
+                    v_biases: vec![0.0; o],
+                }
+            })
+            .collect()
+    }
+
+    /// The allocating training forward: `(pre, out)`.
+    fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
+        let mut pre = x.matmul(&self.weights);
+        for r in 0..pre.rows() {
+            for (v, b) in pre.row_mut(r).iter_mut().zip(&self.biases) {
+                *v += *b;
+            }
+        }
+        let mut out = pre.clone();
+        for v in out.as_mut_slice() {
+            *v = self.activation.apply(*v);
+        }
+        (pre, out)
+    }
+
+    /// The allocating backward: `dW += Xᵀ·dZ` as one `t_matmul` added
+    /// whole, `db += colsum(dZ)`, and the full `dL/dX = dZ·Wᵀ`.
+    fn backward(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
+        let mut grad_pre = grad_out.clone();
+        for (g, z) in grad_pre.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+            *g *= self.activation.derivative(*z);
+        }
+        self.grad_weights.add_assign(&x.t_matmul(&grad_pre));
+        let mut sums = vec![0.0; grad_pre.cols()];
+        for r in 0..grad_pre.rows() {
+            for (s, v) in sums.iter_mut().zip(grad_pre.row(r)) {
+                *s += *v;
+            }
+        }
+        for (gb, s) in self.grad_biases.iter_mut().zip(sums) {
+            *gb += s;
+        }
+        dot_product_matmul_t(&grad_pre, &self.weights)
+    }
+
+    /// One Adam step (default betas) from a cloned gradient, then zeroed
+    /// gradients.
+    fn adam(&mut self, lr: f64, step: u64) {
+        let (beta1, beta2, epsilon) = (0.9f64, 0.999f64, 1e-8);
+        let t = step as f64;
+        let (bc1, bc2) = (1.0 - beta1.powf(t), 1.0 - beta2.powf(t));
+        let grad_w = self.grad_weights.clone();
+        let grad_b = self.grad_biases.clone();
+        let params = [
+            (
+                self.weights.as_mut_slice(),
+                self.m_weights.as_mut_slice(),
+                self.v_weights.as_mut_slice(),
+                grad_w.as_slice(),
+            ),
+            (
+                self.biases.as_mut_slice(),
+                self.m_biases.as_mut_slice(),
+                self.v_biases.as_mut_slice(),
+                grad_b.as_slice(),
+            ),
+        ];
+        for (w, m, v, g) in params {
+            for ((mv, vv), gv) in m.iter_mut().zip(v.iter_mut()).zip(g) {
+                *mv = beta1 * *mv + (1.0 - beta1) * *gv;
+                *vv = beta2 * *vv + (1.0 - beta2) * *gv * *gv;
+            }
+            for ((wv, mv), vv) in w.iter_mut().zip(m.iter()).zip(v.iter()) {
+                let m_hat = *mv / bc1;
+                let v_hat = *vv / bc2;
+                *wv -= lr * m_hat / (v_hat.sqrt() + epsilon);
+            }
+        }
+        self.grad_weights = Matrix::zeros(self.weights.rows(), self.weights.cols());
+        self.grad_biases = vec![0.0; self.biases.len()];
+    }
+}
+
+/// The flat training loop as it ran before the reusable workspace: clone
+/// the dataset, shuffle it through an index copy every epoch, cut batches,
+/// run the allocating forward and backward down to the network input, and
+/// take a cloning Adam step per batch. Returns the trained layers and the
+/// epoch losses.
+fn reference_train(
+    mlp: &Mlp,
+    data: &Dataset,
+    cfg: &TrainConfig,
+    lr: f64,
+    rng: &mut StdRng,
+) -> (Vec<ReferenceLayer>, Vec<f64>) {
+    let mut layers = ReferenceLayer::of(mlp);
+    let mut features = data.features().to_vec();
+    let mut targets = data.targets().to_vec();
+    let mut step = 0;
+    let mut epoch_losses = Vec::new();
+    for _ in 0..cfg.epochs {
+        if cfg.shuffle {
+            let mut indices: Vec<usize> = (0..features.len()).collect();
+            indices.shuffle(rng);
+            features = indices.iter().map(|&i| features[i].clone()).collect();
+            targets = indices.iter().map(|&i| targets[i]).collect();
+        }
+        let (mut epoch_loss, mut batches) = (0.0, 0usize);
+        let mut start = 0;
+        while start < features.len() {
+            let end = (start + cfg.batch_size).min(features.len());
+            let x = Matrix::from_rows(&features[start..end]);
+            let y = targets[start..end].to_vec();
+            let mut inputs = vec![x];
+            let mut pres = Vec::new();
+            for layer in &layers {
+                let (pre, out) = layer.forward(inputs.last().expect("input"));
+                pres.push(pre);
+                inputs.push(out);
+            }
+            let out = inputs.pop().expect("output");
+            let preds: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
+            epoch_loss += cfg.loss.value(&preds, &y);
+            batches += 1;
+            let mut grads = vec![0.0; preds.len()];
+            cfg.loss.gradient_into(&preds, &y, &mut grads);
+            let mut grad = Matrix::col_vector(&grads);
+            for (idx, layer) in layers.iter_mut().enumerate().rev() {
+                grad = layer.backward(&inputs[idx], &pres[idx], &grad);
+            }
+            step += 1;
+            for layer in &mut layers {
+                layer.adam(lr, step);
+            }
+            start = end;
+        }
+        epoch_losses.push(epoch_loss / batches.max(1) as f64);
+    }
+    (layers, epoch_losses)
+}
+
+/// A design matrix with the column kinds training and reduction meet:
+/// continuous, one-hot (mostly exact zeros), all-zero, all −0.0, mixed
+/// ±0.0, and a non-zero constant. Targets are positive costs.
+fn mixed_dataset(rng: &mut StdRng, rows: usize) -> Dataset {
+    let xs: Vec<Vec<f64>> = (0..rows)
+        .map(|_| {
+            let hot = rng.gen_range(0..3usize);
+            vec![
+                rng.gen_range(-2.0f64..2.0),
+                (hot == 0) as u8 as f64,
+                0.0,
+                (hot == 1) as u8 as f64,
+                -0.0,
+                if rng.gen_range(0.0f64..1.0) < 0.5 {
+                    0.0
+                } else {
+                    -0.0
+                },
+                rng.gen_range(0.0f64..5.0),
+                (hot == 2) as u8 as f64,
+                0.75,
+            ]
+        })
+        .collect();
+    let ys = xs
+        .iter()
+        .map(|x| 1.0 + 3.0 * x[0].abs() + 2.0 * x[1] + x[6])
+        .collect();
+    Dataset::new(xs, ys).expect("non-empty rectangular dataset")
+}
+
+/// `Mlp::train` on its reusable workspace trains bit for bit what the
+/// allocating loop it replaced trained: every weight, bias and epoch loss,
+/// and the same random draws. Covers 2- and 3-layer nets, a ragged last
+/// batch, a batch larger than the dataset, shuffle on and off, both losses,
+/// and all-zero, −0.0 and mixed ±0.0 input columns.
+#[test]
+fn mlp_train_matches_the_allocating_training_loop_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x7EA1);
+    let shapes: [&[usize]; 2] = [&[9, 16, 1], &[9, 8, 5, 1]];
+    let mut case = 0;
+    for shape in shapes {
+        for (rows, batch_size) in [(37, 8), (20, 64), (32, 32)] {
+            for shuffle in [true, false] {
+                case += 1;
+                let data = mixed_dataset(&mut rng, rows);
+                let hidden = [Activation::Relu, Activation::Tanh][case % 2];
+                let mlp = Mlp::new(shape, hidden, &mut rng);
+                let lr = [0.01, 0.05][case % 2];
+                let cfg = TrainConfig {
+                    epochs: 4,
+                    batch_size,
+                    optimizer: Optimizer::adam(lr),
+                    loss: [Loss::LogMse, Loss::Mse][(case / 2) % 2],
+                    shuffle,
+                };
+                let seed = rng.next_u64();
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut trained = mlp.clone();
+                let history = trained.train(&data, &cfg, &mut a);
+                let (want, want_losses) = reference_train(&mlp, &data, &cfg, lr, &mut b);
+                let what = format!("case {case} ({shape:?}, {rows} rows, batch {batch_size})");
+                assert_bits_eq(
+                    &history.epoch_losses,
+                    &want_losses,
+                    &format!("{what} losses"),
+                );
+                for (l, (got, want)) in trained.layers().iter().zip(&want).enumerate() {
+                    let w = format!("{what} layer {l} weights");
+                    assert_bits_eq(got.weights().as_slice(), want.weights.as_slice(), &w);
+                    assert_bits_eq(
+                        got.biases(),
+                        &want.biases,
+                        &format!("{what} layer {l} biases"),
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "{what}: random draws");
+            }
+        }
+    }
+}
+
+/// `Mlp::backward_cached` accumulates parameter gradients over several
+/// backward passes into one network exactly as the allocating
+/// `t_matmul` + `add_assign` products did (QPPNet adds several buckets into
+/// one unit per step), and the network-input gradient it computes for any
+/// column range equals those columns of the full `dZ·Wᵀ`, bit for bit.
+#[test]
+fn backward_cached_matches_the_allocating_products_for_any_input_columns() {
+    let mut rng = StdRng::seed_from_u64(0x7EA2);
+    let mut cache = MlpCache::default();
+    for case in 0..CASES {
+        let mut mlp = random_mlp(&mut rng);
+        let mut reference = ReferenceLayer::of(&mlp);
+        let (in_dim, out_dim) = (mlp.input_dim(), mlp.output_dim());
+        for pass in 0..rng.gen_range(1usize..=4) {
+            let rows = rng.gen_range(1usize..=9);
+            let x = Matrix::from_vec(
+                rows,
+                in_dim,
+                (0..rows * in_dim)
+                    .map(|_| {
+                        if rng.gen_range(0.0f64..1.0) < 0.4 {
+                            0.0
+                        } else {
+                            rng.gen_range(-2.0..2.0)
+                        }
+                    })
+                    .collect(),
+            );
+            let seed: Vec<f64> = (0..rows * out_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let cols = match rng.gen_range(0..3) {
+                0 => None,
+                1 => Some(0..in_dim),
+                _ => {
+                    let start = rng.gen_range(0..in_dim);
+                    Some(start..rng.gen_range(start..=in_dim))
+                }
+            };
+            *cache.input_mut() = x.clone();
+            mlp.forward_cached(&mut cache);
+            cache
+                .output_and_grad_mut()
+                .1
+                .as_mut_slice()
+                .copy_from_slice(&seed);
+            mlp.backward_cached(&mut cache, cols.clone());
+
+            let mut inputs = vec![x];
+            let mut pres = Vec::new();
+            for layer in &reference {
+                let (pre, out) = layer.forward(inputs.last().expect("input"));
+                pres.push(pre);
+                inputs.push(out);
+            }
+            let mut grad = Matrix::from_vec(rows, out_dim, seed);
+            for (idx, layer) in reference.iter_mut().enumerate().rev() {
+                grad = layer.backward(&inputs[idx], &pres[idx], &grad);
+            }
+            if let Some(cols) = cols {
+                let got = cache.grad_input();
+                assert_eq!(got.shape(), (rows, cols.len()), "case {case} pass {pass}");
+                for r in 0..rows {
+                    let what = format!("case {case} pass {pass} row {r} input gradient {cols:?}");
+                    assert_bits_eq(got.row(r), &grad.row(r)[cols.clone()], &what);
+                }
+            }
+        }
+        for (l, (got, want)) in mlp.layers().iter().zip(&reference).enumerate() {
+            let what = format!("case {case} layer {l}");
+            assert_bits_eq(
+                got.grad_weights().as_slice(),
+                want.grad_weights.as_slice(),
+                &what,
+            );
+            assert_bits_eq(got.grad_biases(), &want.grad_biases, &what);
+        }
+    }
+}
+
+/// Difference propagation as it ran before the column scan: every one of
+/// the `dim` columns visited in every (point, reference) pair, each pair
+/// adding to a score only where `|Δx| > 1e-12`. Returns `(scores, kept)`.
+fn reference_diffprop(
+    model: &Mlp,
+    data: &Dataset,
+    reference_count: usize,
+    rng: &mut StdRng,
+) -> (Vec<f64>, Vec<usize>) {
+    let dim = data.dim();
+    let reference = data.subsample(reference_count.max(1), rng);
+    let d_out: Vec<f64> = data
+        .features()
+        .iter()
+        .map(|x| model.predict_one(x))
+        .collect();
+    let d_hidden: Vec<Vec<f64>> = data
+        .features()
+        .iter()
+        .map(|x| model.first_hidden_activations(x))
+        .collect();
+    let r_out: Vec<f64> = reference
+        .features()
+        .iter()
+        .map(|x| model.predict_one(x))
+        .collect();
+    let r_hidden: Vec<Vec<f64>> = reference
+        .features()
+        .iter()
+        .map(|x| model.first_hidden_activations(x))
+        .collect();
+    let mut scores = vec![0.0; dim];
+    let mut pair_count = 0u64;
+    for (i, xi) in data.features().iter().enumerate() {
+        for (j, xj) in reference.features().iter().enumerate() {
+            let delta_m = d_out[i] - r_out[j];
+            let active_units = d_hidden[i]
+                .iter()
+                .zip(&r_hidden[j])
+                .filter(|(a, b)| (*a - *b).abs() > 1e-12)
+                .count() as f64;
+            if active_units == 0.0 {
+                pair_count += 1;
+                continue;
+            }
+            for k in 0..dim {
+                let dx = xi[k] - xj[k];
+                if dx.abs() > 1e-12 {
+                    scores[k] += (active_units * delta_m / dx).abs();
+                }
+            }
+            pair_count += 1;
+        }
+    }
+    for s in &mut scores {
+        *s /= pair_count as f64;
+    }
+    let max_score = scores.iter().cloned().fold(0.0_f64, f64::max);
+    let kept: Vec<usize> = (0..dim).filter(|&f| scores[f] > max_score * 1e-6).collect();
+    let kept = if kept.is_empty() {
+        (0..dim).collect()
+    } else {
+        kept
+    };
+    (scores, kept)
+}
+
+/// `diffprop_reduction`, which scans only the columns that vary, scores
+/// and keeps bit for bit what the all-columns loop did, over constant,
+/// all-zero, mixed ±0.0, sub-1e-12 and NaN columns, and over a dataset in
+/// which no column varies at all.
+#[test]
+fn diffprop_column_scan_matches_the_all_columns_loop_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x7EA3);
+    for case in 0..24 {
+        let rows = rng.gen_range(1usize..=40);
+        let all_constant = case == 0;
+        let xs: Vec<Vec<f64>> = (0..rows)
+            .map(|r| {
+                let hot = rng.gen_range(0..3usize);
+                if all_constant {
+                    return vec![0.5, 0.0, -0.0, if r % 2 == 0 { 0.0 } else { -0.0 }];
+                }
+                vec![
+                    rng.gen_range(-3.0f64..3.0),
+                    (hot == 0) as u8 as f64,
+                    2.5,
+                    0.0,
+                    if r % 3 == 0 { -0.0 } else { 0.0 },
+                    // Varies, but never by more than 1e-12.
+                    1.0 + (r % 4) as f64 * 2e-13,
+                    // NaN in some rows, in every row, or nowhere.
+                    match case % 3 {
+                        0 if r % 5 == 0 => f64::NAN,
+                        1 => f64::NAN,
+                        _ => rng.gen_range(0.0f64..1.0),
+                    },
+                    (hot == 1) as u8 as f64,
+                    if rng.gen_range(0.0f64..1.0) < 0.2 {
+                        rng.gen_range(1.0f64..9.0)
+                    } else {
+                        0.0
+                    },
+                ]
+            })
+            .collect();
+        let ys = (0..rows).map(|r| 1.0 + r as f64).collect();
+        let data = Dataset::new(xs, ys).expect("non-empty rectangular dataset");
+        let model = Mlp::new(
+            &[data.dim(), rng.gen_range(1usize..=16), 1],
+            Activation::Relu,
+            &mut rng,
+        );
+        let reference_count = rng.gen_range(1usize..=rows + 3);
+        let seed = rng.next_u64();
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let got = diffprop_reduction(&model, &data, reference_count, &mut a);
+        let (scores, kept) = reference_diffprop(&model, &data, reference_count, &mut b);
+        assert_bits_eq(&got.scores, &scores, &format!("case {case} scores"));
+        assert_eq!(got.kept, kept, "case {case} kept");
+        assert_eq!(a.next_u64(), b.next_u64(), "case {case}: random draws");
     }
 }

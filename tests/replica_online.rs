@@ -29,7 +29,7 @@ use qcfe::workloads::{run_timed_loop, BenchmarkKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -560,11 +560,31 @@ fn train_mscn(ctx: &ExperimentContext) -> MscnEstimator {
     model
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("qcfe-replica-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&path);
-    let _ = std::fs::remove_file(&path);
-    path
+/// A store directory under the temp dir, named per process: a stale one
+/// from an earlier run is removed on creation, and the directory itself
+/// when the guard drops, at the end of its test or during a panic's
+/// unwinding. Declare it before the gateways, replicators and servers
+/// that use it, so that they drop (and stop writing) first.
+struct TempStore(PathBuf);
+
+impl TempStore {
+    fn new(tag: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("qcfe-replica-it-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        TempStore(path)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn small_service() -> ServiceConfig {
@@ -616,8 +636,8 @@ fn shipped_state_applies_bit_identically_and_rejects_corruption_typed() {
     let sink = Arc::new(CollectSink::default());
     let replicas =
         Arc::new(ReplicaSet::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()], 0).unwrap());
-    let dir_a = temp_path("apply-a");
-    let source = QcfeGateway::builder(&dir_a)
+    let dir_a = TempStore::new("apply-a");
+    let source = QcfeGateway::builder(dir_a.path())
         .service_config(small_service())
         .replication(Arc::clone(&replicas), Arc::clone(&sink) as _)
         .build()
@@ -647,8 +667,8 @@ fn shipped_state_applies_bit_identically_and_rejects_corruption_typed() {
     assert_eq!(source.stats().ships_emitted, events.len() as u64);
 
     // A second gateway over an empty store absorbs the shipped events.
-    let dir_b = temp_path("apply-b");
-    let target = QcfeGateway::builder(&dir_b)
+    let dir_b = TempStore::new("apply-b");
+    let target = QcfeGateway::builder(dir_b.path())
         .service_config(small_service())
         .build()
         .unwrap();
@@ -684,8 +704,8 @@ fn shipped_state_applies_bit_identically_and_rejects_corruption_typed() {
 
     // Corruption: a flipped byte deep in the payload fails codec
     // validation typed, and nothing is persisted under the key.
-    let dir_c = temp_path("apply-c");
-    let fresh = QcfeGateway::builder(&dir_c)
+    let dir_c = TempStore::new("apply-c");
+    let fresh = QcfeGateway::builder(dir_c.path())
         .service_config(small_service())
         .build()
         .unwrap();
@@ -752,12 +772,14 @@ fn requests_for_another_peers_key_redirect_with_a_typed_not_owner_fault() {
     let owner = owner_among(&peers, &key).unwrap();
     let other = 1 - owner;
 
+    let dirs: Vec<TempStore> = (0..peers.len())
+        .map(|i| TempStore::new(&format!("redirect-{i}")))
+        .collect();
     let mut gateways = Vec::new();
     let mut servers = Vec::new();
     for (i, addr) in peers.iter().enumerate() {
-        let dir = temp_path(&format!("redirect-{i}"));
         let gateway = Arc::new(
-            QcfeGateway::builder(&dir)
+            QcfeGateway::builder(dirs[i].path())
                 .service_config(small_service())
                 .build()
                 .unwrap(),
@@ -846,6 +868,9 @@ fn killing_a_replica_mid_load_fails_over_with_bit_identical_estimates() {
     let model = train_mscn(&ctx);
     let peers = reserve_addrs(REPLICAS);
 
+    let dirs: Vec<TempStore> = (0..REPLICAS)
+        .map(|i| TempStore::new(&format!("failover-{i}")))
+        .collect();
     let mut sets = Vec::new();
     let mut replicators = Vec::new();
     let mut gateways = Vec::new();
@@ -860,9 +885,8 @@ fn killing_a_replica_mid_load_fails_over_with_bit_identical_estimates() {
                 ..ReplicatorConfig::default()
             },
         );
-        let dir = temp_path(&format!("failover-{i}"));
         let gateway = Arc::new(
-            QcfeGateway::builder(&dir)
+            QcfeGateway::builder(dirs[i].path())
                 .service_config(small_service())
                 .replication(Arc::clone(&set), replicator.sink())
                 .build()
@@ -1069,8 +1093,8 @@ fn reviving_a_replica_mid_load_catches_up_before_serving() {
     let ctx = ctx_with_envs(3);
     let model = train_mscn(&ctx);
     let peers = reserve_addrs(REPLICAS);
-    let dirs: Vec<PathBuf> = (0..REPLICAS)
-        .map(|i| temp_path(&format!("revive-{i}")))
+    let dirs: Vec<TempStore> = (0..REPLICAS)
+        .map(|i| TempStore::new(&format!("revive-{i}")))
         .collect();
 
     // One node = shared liveness set + store-backed replicator (the
@@ -1085,10 +1109,10 @@ fn reviving_a_replica_mid_load_catches_up_before_serving() {
                 connect_timeout: Duration::from_millis(100),
                 ..ReplicatorConfig::default()
             },
-            SnapshotStore::open(&dirs[i]).unwrap(),
+            SnapshotStore::open(dirs[i].path()).unwrap(),
         );
         let gateway = Arc::new(
-            QcfeGateway::builder(&dirs[i])
+            QcfeGateway::builder(dirs[i].path())
                 .service_config(small_service())
                 .replication(Arc::clone(&set), replicator.sink())
                 .build()
