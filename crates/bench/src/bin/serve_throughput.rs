@@ -1,82 +1,50 @@
-//! Serving-layer throughput benchmark: closed-loop clients against the
-//! micro-batching `EstimationService`, swept over client counts and with
-//! batching effectively on/off (max_batch 1 vs 32), plus a direct
-//! batched-vs-scalar comparison and batch-size sweep of the
-//! operator-grouped QPPNet inference engine, a matmul-kernel sweep
-//! (scalar vs portable vs AVX2 — direct batch-32 inference and the full
-//! service path), a routed-gateway section comparing one `QcfeGateway`
-//! front door (1 client per environment across 4 environments) against
-//! the equivalent hand-wired per-service setup over alternating rounds,
-//! a cold-restart section timing a rebuilt gateway's first estimate
-//! served from persisted `QCFW` weights against one forced to retrain,
-//! an online-refinement section measuring a cold environment's
-//! estimate error under a transferred snapshot vs after refitting from
-//! its own streamed labels (gated: refit error ≤ transferred error),
-//! a network section driving the same gateway through the `qcfe-net`
-//! reactor over a loopback Unix-domain socket — N pipelined remote
-//! clients vs the same clients in-process (throughput reported, not
-//! gated; the mean micro-batch the shards drained over the UDS window
-//! gated; every remote estimate is asserted bit-identical to its
-//! in-process twin),
-//! a multi-tenant scheduling section replaying one adversarial mix
-//! (a greedy deadline-less tenant flooding a throttled single-worker
-//! shard next to compliant deadline-carrying tenants) against a
-//! default FIFO gateway and one running `SchedPolicy::edf()` with a
-//! queue-share quota on the greedy tenant, in alternating rounds over
-//! both gateways kept up until each policy's pooled compliant p99 has
-//! at least 30 samples above it, and a replication section
-//! running three local replicas with rendezvous-sharded keys, killing
-//! the owner of the loaded shard mid-run, and reporting the time for
-//! the survivors to absorb the dead peer's keys from shipped
-//! `QCFS`/`QCFW` state (asserted: the loop keeps completing requests,
-//! post-failover estimates are bit-identical, no shipped state is
-//! rejected), and a revival section exercising the anti-entropy
-//! catch-up handshake: the owner of the loaded shard is killed, its
-//! key's snapshot and model are re-published on the failover owner
-//! during the outage, and the victim is restarted over its stale store
-//! mid-load — reporting the catch-up latency (restart to promotion on
-//! every survivor) and gating **zero stale reads** (every networked
-//! answer bit-identical to the re-publishing owner's) plus both
-//! divergent artifacts re-shipped.
+//! Serving-layer throughput benchmark: ten sections over one shared harness
+//! (a Sysbench context over four environments, with QCFE(mscn) and
+//! QCFE(qpp) trained on it), run in this order:
 //!
-//! Emits the standard report JSON under `target/experiments/` and a
-//! machine-readable `BENCH_serve.json` at the workspace root so future PRs
-//! can track the serving perf trajectory.
+//! 1. **QPPNet batching** — direct QPPNet inference, the scalar per-plan
+//!    path against operator-grouped batches of 1–128 plans;
+//! 2. **kernel sweep** — the batch-32 QPPNet workload, then the
+//!    `EstimationService` path, under each matmul kernel the CPU dispatches
+//!    (scalar, portable, AVX2);
+//! 3. **service sweep** — closed-loop clients against one
+//!    `EstimationService` per model, over client counts, with
+//!    micro-batching off and on (max_batch 1 vs 32);
+//! 4. **routed gateway** — one client per environment through one
+//!    `QcfeGateway` against hand-wired per-environment services, in
+//!    alternating rounds over deployments kept up throughout;
+//! 5. **cold restart** — a rebuilt gateway's first estimate served from
+//!    persisted `QCFW` weights against one that must retrain;
+//! 6. **refinement** — a cold environment's estimate error under a
+//!    transferred snapshot, then after refitting from its own streamed
+//!    labels;
+//! 7. **network** — the gateway behind the `qcfe-net` reactor on a
+//!    loopback Unix-domain socket: pipelined remote clients against the same
+//!    clients in process, with the shards' mean micro-batch per window;
+//! 8. **scheduling** — an adversarial mix (a greedy deadline-less tenant
+//!    flooding a throttled single-worker shard next to compliant
+//!    deadline-carrying tenants) against a FIFO gateway and an EDF gateway
+//!    with a queue-share quota on the greedy tenant, in alternating rounds
+//!    until each policy's pooled compliant p99 has 30 samples above it;
+//! 9. **replication** — three rendezvous-sharded replicas under load, the
+//!    loaded shard's owner killed mid-run and its keys absorbed by the
+//!    survivors from shipped `QCFS`/`QCFW` state;
+//! 10. **revival** — the anti-entropy drill: the loaded shard's owner is
+//!     killed, its key re-published on the failover owner during the
+//!     outage, and the victim restarted over its stale store mid-load.
 //!
-//! The run fails (CI gate) when any of these happens:
-//!
-//! * batched QPPNet inference falls below the scalar per-plan path;
-//! * the AVX2 kernel runs below 1.15x the scalar kernel at batch 32 (on
-//!   CPUs that have AVX2);
-//! * routed-gateway aggregate throughput falls more than 20% below the
-//!   hand-wired per-service baseline (each side's total completions over
-//!   its total time across 100 alternating rounds, after a warm-up round);
-//! * a cold restart from persisted `QCFW` weights is not faster than one
-//!   that retrains;
-//! * online refinement leaves the cold environment's mean q-error above
-//!   the transferred-snapshot error, or the label stream triggers no
-//!   refit or not exactly one promotion;
-//! * scheduling fails to cut the compliant tenants' pooled p99 to ≤ 0.5x
-//!   the FIFO baseline, a compliant tenant keeps < 80% goodput, or the
-//!   greedy tenant is not shed typed (nonzero client-side and
-//!   per-tenant-metric shed counters; every request must resolve —
-//!   served, shed or deadline-failed — under both policies); each
-//!   policy's figures pool its alternating rounds;
-//! * after the replication kill, the survivors answer
-//!   non-bit-identically, the loop stops completing requests, or a
-//!   replica rejects shipped state;
-//! * the revived replica serves a stale read before its catch-up
-//!   promotes it, serves the re-published state non-bit-identically, a
-//!   re-ship is rejected, or the stale snapshot and weights are not both
-//!   re-shipped;
-//! * the shards' mean micro-batch over the UDS window of the network
-//!   section falls below 6 — the reactor handing requests over one at a
-//!   time instead of one batch per readable event (a count, not a
-//!   timing, so loopback noise cannot trip it).
-//!
-//! Every section also fails on a dropped request, and the network section
-//! on a remote estimate that differs from its in-process twin or a
-//! faulted or malformed frame.
+//! Each section adds its tables to the report and its checks to one gate
+//! table (section, check, measured value, bound, verdict). After the last
+//! section the gate table joins the report, which is printed and saved to
+//! `target/experiments/serve.json` and to `BENCH_serve.json` at the
+//! workspace root; the run then exits non-zero if any row failed, so one
+//! failed gate neither hides the others nor stops the baseline being
+//! written. Checks that guard the harness rather than a gate panic at once:
+//! a dropped or untyped-failed request, a kernel that does not dispatch, a
+//! routed deployment that does not start one shard per environment, a wrong
+//! provenance, set-up that does not converge within 30 s, a re-publish that
+//! leaves the served estimate unchanged, and the bit-identity probes of the
+//! network section and of the kill thread.
 //!
 //! Usage: `cargo run --release -p qcfe-bench --bin serve_throughput [--quick] [--seed N]`
 
@@ -88,20 +56,36 @@ use qcfe_core::model_codec::PersistedModel;
 use qcfe_core::pipeline::{prepare_context, ContextConfig, EstimatorKind, ExperimentContext};
 use qcfe_core::snapshot::FeatureSnapshot;
 use qcfe_db::plan::PlanNode;
-use qcfe_db::DbEnvironment;
-use qcfe_net::{NetServerBuilder, QcfeClient, Replicator, ReplicatorConfig, ShardClient};
+use qcfe_db::{Database, DbEnvironment};
+use qcfe_net::{
+    NetServerBuilder, QcfeClient, Replicator, ReplicatorConfig, ServerHandle, ServerStats,
+    ShardClient,
+};
 use qcfe_nn::kernel::{force_kernel, MatmulKernel};
 use qcfe_serve::prelude::*;
 use qcfe_serve::replica::owner_among;
 use qcfe_workloads::{
     run_closed_loop, run_feedback_loop, run_multi_tenant_mix, run_timed_loop, BenchmarkKind,
-    ClosedLoopConfig, MultiTenantReport, ObservedEstimate, SubmitError, TenantLoad,
+    ClosedLoopConfig, LoadReport, MultiTenantReport, ObservedEstimate, SubmitError, TenantLoad,
 };
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The benchmark every section serves.
+const KIND: BenchmarkKind = BenchmarkKind::Sysbench;
+
+/// Per-shard service configuration of every section except scheduling.
+const SHARD_CONFIG: ServiceConfig = ServiceConfig {
+    workers: 2,
+    queue_capacity: 256,
+    max_batch: 32,
+    encoding_cache_capacity: 4096,
+};
 
 /// The network section's gate: the least mean micro-batch the shards may
 /// drain over the UDS window. Per-request hand-off measured 1.7–3.7 and
@@ -125,6 +109,147 @@ const SCHED_TAIL_SAMPLES: usize = 30;
 /// Upper bound on the scheduling section's rounds, reached only when
 /// compliant requests stop completing (which fails its goodput gate).
 const SCHED_MAX_ROUNDS: usize = 40;
+
+const GREEDY_TENANT: u32 = 7;
+const COMPLIANT_TENANTS: [u32; 2] = [21, 22];
+
+/// Replicas of the replication and revival sections.
+const REPLICAS: usize = 3;
+
+/// A gate's comparator: its symbol and its test, which no NaN passes.
+type Cmp = (&'static str, fn(&f64, &f64) -> bool);
+
+/// One row of the gate table.
+struct Gate {
+    section: &'static str,
+    check: String,
+    /// `None` when this host cannot run the check (AVX2 on a CPU without it).
+    measured: Option<f64>,
+    cmp: Cmp,
+    bound: f64,
+}
+
+impl Gate {
+    fn failed(&self) -> bool {
+        let (_, holds) = self.cmp;
+        self.measured.is_some_and(|m| !holds(&m, &self.bound))
+    }
+
+    /// Section, check, measured value, bound and verdict.
+    fn cells(&self) -> Vec<String> {
+        let verdict = match self.measured {
+            None => "skipped",
+            Some(_) if self.failed() => "FAIL",
+            Some(_) => "pass",
+        };
+        let measured = self.measured.map_or("-".into(), cell);
+        let bound = format!("{} {}", self.cmp.0, cell(self.bound));
+        vec![
+            self.section.into(),
+            self.check.clone(),
+            measured,
+            bound,
+            verdict.into(),
+        ]
+    }
+}
+
+/// A measurement or bound as a table cell: whole numbers without decimals.
+fn cell(x: f64) -> String {
+    if x.fract() == 0.0 {
+        format!("{x:.0}")
+    } else {
+        fmt3(x)
+    }
+}
+
+/// What the run produces: the report's tables, and the gate table that
+/// `main` judges once every section has run.
+struct Run {
+    report: ExperimentReport,
+    gates: Vec<Gate>,
+}
+
+impl Run {
+    fn section(&mut self, name: &'static str) -> Section<'_> {
+        Section { run: self, name }
+    }
+
+    /// Every check the run is judged on, one row each, in section order.
+    fn gate_table(&self) -> ReportTable {
+        let headers = ["section", "check", "measured", "bound", "verdict"];
+        let mut table = ReportTable::new("Gates", &headers);
+        for gate in &self.gates {
+            table.push_row(gate.cells());
+        }
+        table
+    }
+
+    /// One line per failed row; the run passes when there is none.
+    fn failures(&self) -> Vec<String> {
+        self.gates
+            .iter()
+            .filter(|gate| gate.failed())
+            .map(|gate| gate.cells()[..4].join(" | "))
+            .collect()
+    }
+}
+
+/// Where one section adds its tables and gate rows. A row measured as
+/// `None` is a check this host cannot run: it shows as skipped and never
+/// fails.
+struct Section<'a> {
+    run: &'a mut Run,
+    name: &'static str,
+}
+
+impl Section<'_> {
+    fn add_table(&mut self, table: ReportTable) {
+        self.run.report.add_table(table);
+    }
+
+    fn gate(
+        &mut self,
+        check: impl Into<String>,
+        measured: impl Into<Option<f64>>,
+        cmp: Cmp,
+        bound: f64,
+    ) {
+        self.run.gates.push(Gate {
+            section: self.name,
+            check: check.into(),
+            measured: measured.into(),
+            cmp,
+            bound,
+        });
+    }
+
+    fn at_least(&mut self, check: impl Into<String>, measured: impl Into<Option<f64>>, bound: f64) {
+        self.gate(check, measured, (">=", f64::ge), bound);
+    }
+
+    fn above(&mut self, check: impl Into<String>, measured: f64, bound: f64) {
+        self.gate(check, measured, (">", f64::gt), bound);
+    }
+
+    fn at_most(&mut self, check: impl Into<String>, measured: f64, bound: f64) {
+        self.gate(check, measured, ("<=", f64::le), bound);
+    }
+
+    fn below(&mut self, check: impl Into<String>, measured: f64, bound: f64) {
+        self.gate(check, measured, ("<", f64::lt), bound);
+    }
+
+    fn equals(&mut self, check: impl Into<String>, measured: f64, bound: f64) {
+        self.gate(check, measured, ("=", f64::eq), bound);
+    }
+
+    /// Bit-identical, the invariant estimates keep across paths.
+    fn same_bits(&mut self, check: impl Into<String>, measured: f64, bound: f64) {
+        let identical = |m: &f64, b: &f64| !m.is_nan() && m.to_bits() == b.to_bits();
+        self.gate(check, measured, ("same bits as", identical), bound);
+    }
+}
 
 /// A cost model that sleeps once per drained micro-batch before
 /// delegating. The scheduling section uses it to make queue wait — not
@@ -186,260 +311,461 @@ fn pool_mix(pool: &mut Option<MultiTenantReport>, round: MultiTenantReport) {
     }
 }
 
-/// One closed-loop service sweep for a model, appended to `table`.
-#[allow(clippy::too_many_arguments)]
-fn service_sweep(
-    table: &mut ReportTable,
-    model_name: &str,
-    model: &Arc<dyn CostModel>,
-    snapshot: &FeatureSnapshot,
-    ctx: &ExperimentContext,
-    client_counts: &[usize],
-    requests_per_client: usize,
+/// QCFE(mscn) as the harness trains it (15 iterations in quick mode, 30 in
+/// full) — also how the cold-restart baseline retrains and how the revival
+/// section trains its divergent model.
+fn train_mscn(ctx: &ExperimentContext, quick: bool, rng: &mut StdRng) -> MscnEstimator {
+    let iterations = if quick { 15 } else { 30 };
+    let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
+    let snapshots = Some(&ctx.snapshots_fso);
+    MscnEstimator::train(encoder, &ctx.workload, snapshots, None, iterations, rng).0
+}
+
+/// A scratch directory, removed on drop — also while a failed check
+/// unwinds.
+struct TempRoot(PathBuf);
+
+impl TempRoot {
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// What every section shares.
+struct Harness {
+    quick: bool,
     seed: u64,
-) {
-    let env = ctx.workload.environments[0].clone();
-    let db = ctx.benchmark.build_database(env);
-    for &clients in client_counts {
-        for max_batch in [1usize, 32] {
-            let service = EstimationService::start(
-                Arc::clone(model),
-                Some(snapshot.clone()),
-                ServiceConfig {
-                    workers: 2,
-                    queue_capacity: 256,
-                    max_batch,
-                    encoding_cache_capacity: 4096,
-                },
-            );
-            let handle = service.handle();
-            let load = ClosedLoopConfig::new(clients, requests_per_client, seed + 100);
-            let run = run_closed_loop(&ctx.benchmark, &load, |query| {
-                let plan = db.plan(&query).map_err(|e| e.to_string())?;
-                Ok(handle.estimate(plan).map_err(|e| e.to_string())?.cost_ms)
-            });
-            let metrics = service.shutdown();
-            assert_eq!(run.errors, 0, "serving must not drop closed-loop requests");
-            table.push_row(vec![
-                model_name.to_string(),
-                clients.to_string(),
-                max_batch.to_string(),
-                format!("{:.0}", run.throughput_qps()),
-                fmt3(run.latency_percentile_ms(50.0)),
-                fmt3(run.latency_percentile_ms(99.0)),
-                fmt3(metrics.mean_batch_size),
-                fmt3(metrics.cache_hit_rate),
-            ]);
-            eprintln!(
-                "[serve] {model_name} clients={clients} max_batch={max_batch}: {:.0} est/s, p99 {:.3} ms, mean batch {:.2}, cache {:.0}%",
-                run.throughput_qps(),
-                run.latency_percentile_ms(99.0),
-                metrics.mean_batch_size,
-                100.0 * metrics.cache_hit_rate,
-            );
+    requests_per_client: usize,
+    /// Closed-loop clients and duration of the replication and revival load.
+    load_clients: usize,
+    load_duration: Duration,
+    ctx: ExperimentContext,
+    /// Environment `i`'s fitted snapshot and database.
+    snapshots: Vec<FeatureSnapshot>,
+    dbs: Vec<Database>,
+    mscn: Arc<MscnEstimator>,
+    qpp: Arc<QppNetEstimator>,
+}
+
+impl Harness {
+    /// Prepare the context over four environments (the routed gateway
+    /// needs four fingerprints) and train both models from `rng`.
+    fn prepare(quick: bool, seed: u64, rng: &mut StdRng) -> Harness {
+        eprintln!("[serve] preparing {} context...", KIND.name());
+        let ctx = prepare_context(
+            KIND,
+            &ContextConfig {
+                seed,
+                environments: 4,
+                ..ContextConfig::quick(KIND)
+            },
+        );
+        let snapshots = ctx
+            .snapshots_fso
+            .iter()
+            .map(|snapshot| snapshot.clone().expect("snapshot fitted"))
+            .collect();
+        let dbs = ctx
+            .workload
+            .environments
+            .iter()
+            .map(|env| ctx.benchmark.build_database(env.clone()))
+            .collect();
+        eprintln!("[serve] training QCFE(mscn)...");
+        let mscn = train_mscn(&ctx, quick, rng);
+        eprintln!("[serve] training QCFE(qpp)...");
+        let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
+        let mut qpp = QppNetEstimator::new(encoder, None, rng);
+        let epochs = if quick { 3 } else { 8 };
+        qpp.train(&ctx.workload, Some(&ctx.snapshots_fso), epochs, rng);
+        Harness {
+            quick,
+            seed,
+            requests_per_client: if quick { 50 } else { 250 },
+            load_clients: if quick { 2 } else { 4 },
+            load_duration: Duration::from_millis(if quick { 1500 } else { 3000 }),
+            ctx,
+            snapshots,
+            dbs,
+            mscn: Arc::new(mscn),
+            qpp: Arc::new(qpp),
         }
+    }
+
+    /// `qcfe-serve-bench-<tag>-<pid>-<seed>` under the temp dir, emptied.
+    fn temp_root(&self, tag: &str) -> TempRoot {
+        let pid = std::process::id();
+        let name = format!("qcfe-serve-bench-{tag}-{pid}-{}", self.seed);
+        let root = TempRoot(std::env::temp_dir().join(name));
+        let _ = std::fs::remove_dir_all(&root.0);
+        root
+    }
+
+    fn plans(&self) -> Vec<&PlanNode> {
+        let queries = &self.ctx.workload.queries;
+        queries.iter().map(|q| &q.executed.root).collect()
+    }
+
+    /// Environment `i`, shared by the requests that name it.
+    fn env(&self, i: usize) -> Arc<DbEnvironment> {
+        Arc::new(self.ctx.workload.environments[i].clone())
+    }
+
+    /// The first workload plan under environment 0: the scheduling
+    /// warm-up and the replication and revival probe.
+    fn probe(&self) -> EstimateRequest {
+        let plan = self.ctx.workload.queries[0].executed.root.clone();
+        EstimateRequest::new(KIND, self.env(0), plan)
+    }
+
+    /// Plans/s of `pass` (one pass over `plans` plans): the best of 9
+    /// windows of 3 passes (4 in full mode). The shortest window is the
+    /// least disturbed by transient machine load.
+    fn best_throughput(&self, plans: usize, pass: impl Fn()) -> f64 {
+        let passes = if self.quick { 3 } else { 4 };
+        let mut best = f64::INFINITY;
+        for _ in 0..9 {
+            let start = Instant::now();
+            for _ in 0..passes {
+                pass();
+            }
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        (passes * plans) as f64 / best
+    }
+
+    /// One closed-loop run against a fresh `EstimationService` over
+    /// environment 0.
+    fn closed_loop_service(
+        &self,
+        model: Arc<dyn CostModel>,
+        clients: usize,
+        max_batch: usize,
+        seed: u64,
+    ) -> (LoadReport, MetricsSnapshot) {
+        let config = ServiceConfig {
+            max_batch,
+            ..SHARD_CONFIG
+        };
+        let service = EstimationService::start(model, Some(self.snapshots[0].clone()), config);
+        let handle = service.handle();
+        let load = ClosedLoopConfig::new(clients, self.requests_per_client, seed);
+        let run = run_closed_loop(&self.ctx.benchmark, &load, |query| {
+            let plan = self.dbs[0].plan(&query).map_err(|e| e.to_string())?;
+            Ok(handle.estimate(plan).map_err(|e| e.to_string())?.cost_ms)
+        });
+        let metrics = service.shutdown();
+        assert_eq!(run.errors, 0, "serving must not drop closed-loop requests");
+        (run, metrics)
+    }
+
+    /// A gateway from `builder` serving `model` for the first `envs`
+    /// environments, each with its fitted snapshot published.
+    fn deploy(
+        &self,
+        builder: GatewayBuilder,
+        model: Arc<dyn CostModel>,
+        envs: usize,
+    ) -> QcfeGateway {
+        let gateway = builder.build().expect("gateway builds");
+        let environments = self.ctx.workload.environments.iter();
+        for (env, snapshot) in environments.zip(&self.snapshots).take(envs) {
+            gateway
+                .publish_snapshot(KIND, env, snapshot)
+                .expect("snapshot published");
+            let key = ModelKey::new(KIND, EstimatorKind::QcfeMscn, env.fingerprint());
+            gateway.register_model(key, Arc::clone(&model));
+        }
+        gateway
+    }
+
+    /// The replication and revival load: `load_clients` closed-loop
+    /// clients on environment 0 for `load_duration`, each request handed to
+    /// `send` with a pooled `ShardClient`.
+    fn replica_load(
+        &self,
+        peers: &[String],
+        seed: u64,
+        send: impl Fn(&mut ShardClient, &EstimateRequest) -> Result<f64, String> + Sync,
+    ) -> LoadReport {
+        let env = self.env(0);
+        let (clients, duration) = (self.load_clients, self.load_duration);
+        let pool = Mutex::new(
+            (0..clients)
+                .map(|_| shard_client(peers))
+                .collect::<Vec<_>>(),
+        );
+        run_timed_loop(&self.ctx.benchmark, clients, duration, seed, |query| {
+            let plan = self.dbs[0].plan(&query).map_err(|e| e.to_string())?;
+            let request = EstimateRequest::new(KIND, Arc::clone(&env), plan);
+            let pooled = pool.lock().expect("pool lock").pop();
+            let mut client = pooled.expect("pooled client");
+            let result = send(&mut client, &request);
+            pool.lock().expect("pool lock").push(client);
+            result
+        })
+    }
+}
+
+/// A gateway builder on `root` with the shared per-shard configuration.
+fn shard_gateway(root: impl Into<PathBuf>) -> GatewayBuilder {
+    QcfeGateway::builder(root).service_config(SHARD_CONFIG)
+}
+
+/// Publish `env`'s snapshot and QCFE(mscn) weights on `gateway`.
+fn publish(
+    gateway: &QcfeGateway,
+    env: &DbEnvironment,
+    snapshot: &FeatureSnapshot,
+    model: &MscnEstimator,
+) {
+    gateway
+        .publish_snapshot(KIND, env, snapshot)
+        .expect("snapshot published");
+    let key = ModelKey::new(KIND, EstimatorKind::QcfeMscn, env.fingerprint());
+    gateway
+        .publish_model(key, PersistedModel::Mscn(model.clone()))
+        .expect("weights published");
+}
+
+/// Reserve `n` distinct local TCP addresses by binding ephemeral
+/// listeners, then releasing them for the replica servers to re-bind.
+fn reserve_peers(n: usize) -> Vec<String> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
+        .collect();
+    listeners
+        .iter()
+        .map(|l| l.local_addr().expect("local addr").to_string())
+        .collect()
+}
+
+/// A client routing over `peers`, 50 ms between routing attempts.
+fn shard_client(peers: &[String]) -> ShardClient {
+    let view = ReplicaSet::client_view(peers.to_vec()).expect("client view");
+    ShardClient::new(Arc::new(view)).attempt_backoff(Duration::from_millis(50))
+}
+
+/// The estimate of `probe` through a fresh client routing over `peers`.
+fn remote_probe(peers: &[String], probe: &EstimateRequest, phase: &str) -> f64 {
+    match shard_client(peers).estimate(probe) {
+        Ok(response) => response.cost_ms,
+        Err(error) => panic!("{phase} probe failed: {error}"),
+    }
+}
+
+/// Poll `done` every `every` until it holds; panics after 30 s.
+fn wait_until(what: &str, every: Duration, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what} within 30s");
+        std::thread::sleep(every);
+    }
+}
+
+/// One replica: liveness view, replicator, gateway and TCP server.
+struct ReplicaNode {
+    set: Arc<ReplicaSet>,
+    replicator: Option<Replicator>,
+    gateway: Arc<QcfeGateway>,
+    server: Option<ServerHandle>,
+}
+
+impl ReplicaNode {
+    /// Start peer `i` of `peers` over the store at `root`. With
+    /// `anti_entropy` its replicator reads that store, so a peer seen
+    /// coming back is caught up before it re-enters placement.
+    fn start(peers: &[String], i: usize, root: &Path, anti_entropy: bool) -> ReplicaNode {
+        let set = Arc::new(ReplicaSet::new(peers.to_vec(), i).expect("replica set"));
+        let config = ReplicatorConfig {
+            heartbeat: Duration::from_millis(100),
+            connect_timeout: Duration::from_millis(100),
+        };
+        let replicator = if anti_entropy {
+            let store = SnapshotStore::open(root).expect("store opens");
+            Replicator::with_store(Arc::clone(&set), config, store)
+        } else {
+            Replicator::start(Arc::clone(&set), config)
+        };
+        let gateway = shard_gateway(root)
+            .replication(Arc::clone(&set), replicator.sink())
+            .build()
+            .expect("replica gateway builds");
+        let gateway = Arc::new(gateway);
+        let server = NetServerBuilder::new(Arc::clone(&gateway))
+            .tcp(peers[i].clone())
+            .replica(Arc::clone(&set))
+            .max_connections(64)
+            .start()
+            .expect("replica server starts");
+        ReplicaNode {
+            set,
+            replicator: Some(replicator),
+            gateway,
+            server: Some(server),
+        }
+    }
+
+    /// Whether this replica's store holds `key`'s snapshot and weights.
+    fn holds(&self, key: &ModelKey) -> bool {
+        let store = self.gateway.store();
+        store.contains(key.benchmark, key.fingerprint)
+            && store.contains_model(key.benchmark, key.estimator, key.fingerprint)
+    }
+
+    /// Drain the server if it still runs, returning its counters.
+    fn stop(&mut self) -> Option<ServerStats> {
+        let server = self.server.take()?;
+        Some(server.join().expect("replica drains"))
     }
 }
 
 fn main() {
     let (quick, seed) = parse_common_args();
-    let kind = BenchmarkKind::Sysbench;
-    let requests_per_client = if quick { 50 } else { 250 };
-    let client_counts: &[usize] = if quick { &[1, 8] } else { &[1, 4, 8, 16, 32] };
-
-    eprintln!("[serve] preparing {} context...", kind.name());
-    // 4 environments: the routed-gateway section needs ≥4 distinct
-    // fingerprints (the single-service sweeps keep using environment 0).
-    let ctx = prepare_context(
-        kind,
-        &ContextConfig {
-            seed,
-            environments: 4,
-            ..ContextConfig::quick(kind)
-        },
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = Harness::prepare(quick, seed, &mut rng);
+    let description = format!(
+        "closed-loop serving throughput + QPPNet batched-vs-scalar, {} requests/client, seed {seed}",
+        h.requests_per_client
     );
-    let snapshot = ctx.snapshots_fso[0].clone().expect("snapshot fitted");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    eprintln!("[serve] training QCFE(mscn)...");
-    let (mscn, _) = MscnEstimator::train(
-        FeatureEncoder::new(&ctx.benchmark.catalog, true),
-        &ctx.workload,
-        Some(&ctx.snapshots_fso),
-        None,
-        if quick { 15 } else { 30 },
-        &mut rng,
-    );
-    eprintln!("[serve] training QCFE(qpp)...");
-    let mut qpp = QppNetEstimator::new(
-        FeatureEncoder::new(&ctx.benchmark.catalog, true),
-        None,
-        &mut rng,
-    );
-    qpp.train(
-        &ctx.workload,
-        Some(&ctx.snapshots_fso),
-        if quick { 3 } else { 8 },
-        &mut rng,
-    );
-
-    let mut report = ExperimentReport::new(
-        "serve",
-        format!(
-            "closed-loop serving throughput + QPPNet batched-vs-scalar, {requests_per_client} requests/client, seed {seed}"
-        ),
-        quick,
-    );
-
-    // ---------------------------------------------------------------
-    // Direct (no service) QPPNet inference: scalar vs operator-grouped
-    // batched, swept over the plans-per-predict_batch-call batch size.
-    // ---------------------------------------------------------------
-    let plans: Vec<&PlanNode> = ctx
-        .workload
-        .queries
-        .iter()
-        .map(|q| &q.executed.root)
-        .collect();
-    let passes = if quick { 3 } else { 4 };
-    let reps = 9;
-    // Warm-up: fills thread-local and per-call scratch buffers.
-    let _ = qpp.predict_batch(&plans, Some(&snapshot));
-
-    // Best-of-`reps` timing windows: the shortest window is the least
-    // disturbed by transient machine load, the standard microbenchmark
-    // defence against noisy neighbours.
-    let best_throughput = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for _ in 0..passes {
-                f();
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (passes * plans.len()) as f64 / best
+    let report = ExperimentReport::new("serve", description, quick);
+    let mut run = Run {
+        report,
+        gates: Vec::new(),
     };
+    qppnet_batching(&h, &mut run.section("QPPNet batching"));
+    kernel_sweep(&h, &mut run.section("kernel sweep"));
+    service_sweep(&h, &mut run.section("service sweep"));
+    routed_gateway(&h, &mut run.section("routed gateway"));
+    cold_restart(&h, &mut rng, &mut run.section("cold restart"));
+    refinement(&h, &mut run.section("refinement"));
+    network(&h, &mut run.section("network"));
+    scheduling(&h, &mut run.section("scheduling"));
+    replication(&h, &mut run.section("replication"));
+    revival(&h, &mut run.section("revival"));
 
-    let scalar_tput = best_throughput(&|| {
+    let gate_table = run.gate_table();
+    run.report.add_table(gate_table);
+    println!("{}", run.report.render());
+    if let Some(path) = run.report.save_json() {
+        eprintln!("[serve] report saved to {}", path.display());
+    }
+    if let Some(path) = run.report.save_bench_json() {
+        eprintln!("[serve] bench trajectory saved to {}", path.display());
+    }
+    let failures = run.failures();
+    for failure in &failures {
+        eprintln!("[serve] gate failed: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Direct (no service) QPPNet inference: scalar vs operator-grouped
+/// batched, swept over the plans per `predict_batch` call.
+fn qppnet_batching(h: &Harness, out: &mut Section) {
+    let plans = h.plans();
+    let snapshot = Some(&h.snapshots[0]);
+    // Warm-up: fills thread-local and per-call scratch buffers.
+    let _ = h.qpp.predict_batch(&plans, snapshot);
+    let scalar = h.best_throughput(plans.len(), || {
         for plan in &plans {
-            let _ = qpp.predict_scalar(plan, Some(&snapshot));
+            let _ = h.qpp.predict_scalar(plan, snapshot);
         }
     });
-
-    let mut qpp_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "QPPNet operator-grouped batching (direct inference)",
         &["batch size", "throughput (plans/s)", "speedup vs scalar"],
     );
-    qpp_table.push_row(vec![
-        "scalar".into(),
-        format!("{scalar_tput:.0}"),
-        fmt3(1.0),
-    ]);
-    let mut batched_best_tput: f64 = 0.0;
-    for &batch_size in &[1usize, 8, 32, 128] {
-        let tput = best_throughput(&|| {
+    table.push_row(vec!["scalar".into(), format!("{scalar:.0}"), fmt3(1.0)]);
+    let mut best_batched: f64 = 0.0;
+    for batch_size in [1usize, 8, 32, 128] {
+        let tput = h.best_throughput(plans.len(), || {
             for chunk in plans.chunks(batch_size) {
-                let _ = qpp.predict_batch(chunk, Some(&snapshot));
+                let _ = h.qpp.predict_batch(chunk, snapshot);
             }
         });
         if batch_size > 1 {
-            batched_best_tput = batched_best_tput.max(tput);
+            best_batched = best_batched.max(tput);
         }
-        qpp_table.push_row(vec![
+        let speedup = tput / scalar;
+        table.push_row(vec![
             batch_size.to_string(),
             format!("{tput:.0}"),
-            fmt3(tput / scalar_tput),
+            fmt3(speedup),
         ]);
-        eprintln!(
-            "[serve] qppnet batch={batch_size}: {tput:.0} plans/s ({:.2}x scalar)",
-            tput / scalar_tput
-        );
+        eprintln!("[serve] qppnet batch={batch_size}: {tput:.0} plans/s ({speedup:.2}x scalar)");
     }
-    report.add_table(qpp_table);
+    out.add_table(table);
+    out.at_least("best batched plans/s vs scalar", best_batched, scalar);
+}
 
-    // ---------------------------------------------------------------
-    // Matmul kernel sweep: the identical operator-grouped QPPNet batch-32
-    // workload driven through each dispatchable kernel (scalar, portable,
-    // AVX2 where the CPU has it). `force_kernel` overrides the
-    // QCFE_KERNEL-resolved default so one process compares all of them.
-    // ---------------------------------------------------------------
-    let supported: Vec<MatmulKernel> = MatmulKernel::ALL
+/// The batch-32 QPPNet workload, then the `EstimationService` path
+/// (micro-batched closed-loop clients), under each kernel the CPU
+/// dispatches. `force_kernel` overrides the `QCFE_KERNEL`-resolved default
+/// so one process compares them all.
+fn kernel_sweep(h: &Harness, out: &mut Section) {
+    let kernels: Vec<MatmulKernel> = MatmulKernel::ALL
         .into_iter()
         .filter(|k| k.is_supported())
         .collect();
-    let mut kernel_table = ReportTable::new(
+    let force = |kernel: MatmulKernel| {
+        assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
+    };
+    let plans = h.plans();
+    let snapshot = Some(&h.snapshots[0]);
+    let mut table = ReportTable::new(
         "Matmul kernel sweep: QPPNet direct inference, batch 32",
         &["kernel", "throughput (plans/s)", "speedup vs scalar"],
     );
-    let mut scalar_f64_tput = 0.0_f64;
-    let mut avx2_f64_tput = None;
-    for &kernel in &supported {
-        assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
-        let tput = best_throughput(&|| {
+    let (mut scalar, mut avx2) = (0.0, None);
+    for &kernel in &kernels {
+        force(kernel);
+        let tput = h.best_throughput(plans.len(), || {
             for chunk in plans.chunks(32) {
-                let _ = qpp.predict_batch(chunk, Some(&snapshot));
+                let _ = h.qpp.predict_batch(chunk, snapshot);
             }
         });
-        if kernel == MatmulKernel::Scalar {
-            scalar_f64_tput = tput;
+        match kernel {
+            MatmulKernel::Scalar => scalar = tput,
+            MatmulKernel::Avx2 => avx2 = Some(tput),
+            _ => {}
         }
-        if kernel == MatmulKernel::Avx2 {
-            avx2_f64_tput = Some(tput);
-        }
-        kernel_table.push_row(vec![
-            kernel.name().into(),
-            format!("{tput:.0}"),
-            fmt3(tput / scalar_f64_tput),
-        ]);
+        let name = kernel.name();
+        table.push_row(vec![name.into(), format!("{tput:.0}"), fmt3(tput / scalar)]);
         eprintln!(
-            "[serve] kernel={}: {tput:.0} plans/s ({:.2}x scalar)",
-            kernel.name(),
-            tput / scalar_f64_tput
+            "[serve] kernel={name}: {tput:.0} plans/s ({:.2}x scalar)",
+            tput / scalar
         );
     }
-    force_kernel(None);
-    report.add_table(kernel_table);
+    out.add_table(table);
 
-    // The same sweep through the full EstimationService path: micro-batched
-    // closed-loop clients, one service per kernel choice.
-    let sweep_db = ctx
-        .benchmark
-        .build_database(ctx.workload.environments[0].clone());
-    let mscn_sweep_model: Arc<dyn CostModel> = Arc::new(mscn.clone());
-    let mut svc_kernel_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Matmul kernel sweep: EstimationService path (QCFE(mscn), 8 clients, max_batch 32)",
         &["kernel", "throughput (est/s)"],
     );
-    for &kernel in &supported {
-        assert!(force_kernel(Some(kernel)), "{} dispatches", kernel.name());
-        let service = EstimationService::start(
-            Arc::clone(&mscn_sweep_model),
-            Some(snapshot.clone()),
-            ServiceConfig {
-                workers: 2,
-                queue_capacity: 256,
-                max_batch: 32,
-                encoding_cache_capacity: 4096,
-            },
-        );
-        let handle = service.handle();
-        let load = ClosedLoopConfig::new(8, requests_per_client, seed + 500);
-        let run = run_closed_loop(&ctx.benchmark, &load, |query| {
-            let plan = sweep_db.plan(&query).map_err(|e| e.to_string())?;
-            Ok(handle.estimate(plan).map_err(|e| e.to_string())?.cost_ms)
-        });
-        let _ = service.shutdown();
-        assert_eq!(run.errors, 0, "kernel-sweep serving must not fail");
+    for &kernel in &kernels {
+        force(kernel);
+        let (run, _) = h.closed_loop_service(h.mscn.clone(), 8, 32, h.seed + 500);
         let tput = run.throughput_qps();
-        svc_kernel_table.push_row(vec![kernel.name().into(), format!("{tput:.0}")]);
+        table.push_row(vec![kernel.name().into(), format!("{tput:.0}")]);
         eprintln!("[serve] service kernel={}: {tput:.0} est/s", kernel.name());
     }
     force_kernel(None);
-    report.add_table(svc_kernel_table);
+    out.add_table(table);
+    out.at_least("AVX2 plans/s vs 1.15x scalar", avx2, 1.15 * scalar);
+}
 
-    // ---------------------------------------------------------------
-    // Service-side closed-loop sweeps for both model families.
-    // ---------------------------------------------------------------
+/// Closed-loop sweeps through one `EstimationService` per model family,
+/// with micro-batching off and on.
+fn service_sweep(h: &Harness, out: &mut Section) {
     let mut table = ReportTable::new(
         "EstimationService throughput",
         &[
@@ -453,106 +779,67 @@ fn main() {
             "cache hit rate",
         ],
     );
-    // The cold-restart section persists and retrains this exact model.
-    let mscn_for_restart = mscn.clone();
-    let mscn_model: Arc<dyn CostModel> = Arc::new(mscn);
-    service_sweep(
-        &mut table,
-        "QCFE(mscn)",
-        &mscn_model,
-        &snapshot,
-        &ctx,
-        client_counts,
-        requests_per_client,
-        seed,
-    );
-    let qpp_model: Arc<dyn CostModel> = Arc::new(qpp);
-    let qpp_clients: &[usize] = if quick { &[8] } else { &[8, 32] };
-    service_sweep(
-        &mut table,
-        "QCFE(qpp)",
-        &qpp_model,
-        &snapshot,
-        &ctx,
-        qpp_clients,
-        requests_per_client,
-        seed,
-    );
-    report.add_table(table);
+    let mscn_clients: &[usize] = if h.quick { &[1, 8] } else { &[1, 4, 8, 16, 32] };
+    let qpp_clients: &[usize] = if h.quick { &[8] } else { &[8, 32] };
+    let models: [(&str, Arc<dyn CostModel>, &[usize]); 2] = [
+        ("QCFE(mscn)", h.mscn.clone(), mscn_clients),
+        ("QCFE(qpp)", h.qpp.clone(), qpp_clients),
+    ];
+    for (name, model, client_counts) in models {
+        for &clients in client_counts {
+            for max_batch in [1usize, 32] {
+                let (run, metrics) =
+                    h.closed_loop_service(Arc::clone(&model), clients, max_batch, h.seed + 100);
+                table.push_row(vec![
+                    name.to_string(),
+                    clients.to_string(),
+                    max_batch.to_string(),
+                    format!("{:.0}", run.throughput_qps()),
+                    fmt3(run.latency_percentile_ms(50.0)),
+                    fmt3(run.latency_percentile_ms(99.0)),
+                    fmt3(metrics.mean_batch_size),
+                    fmt3(metrics.cache_hit_rate),
+                ]);
+                eprintln!(
+                    "[serve] {name} clients={clients} max_batch={max_batch}: {:.0} est/s, p99 {:.3} ms, mean batch {:.2}, cache {:.0}%",
+                    run.throughput_qps(),
+                    run.latency_percentile_ms(99.0),
+                    metrics.mean_batch_size,
+                    100.0 * metrics.cache_hit_rate,
+                );
+            }
+        }
+    }
+    out.add_table(table);
+}
 
-    // ---------------------------------------------------------------
-    // Routed gateway vs hand-wired per-service baseline: 1 closed-loop
-    // client per environment across all 4 environments. Same models,
-    // same snapshots, same per-shard service configuration — the only
-    // difference is whether requests go through the typed front door.
-    // ---------------------------------------------------------------
-    let env_count = ctx.workload.environments.len();
-    let shard_config = ServiceConfig {
-        workers: 2,
-        queue_capacity: 256,
-        max_batch: 32,
-        encoding_cache_capacity: 4096,
-    };
-    let dbs: Vec<_> = ctx
-        .workload
-        .environments
-        .iter()
-        .map(|env| ctx.benchmark.build_database(env.clone()))
-        .collect();
-    let snapshots: Vec<FeatureSnapshot> = (0..env_count)
-        .map(|i| ctx.snapshots_fso[i].clone().expect("snapshot fitted"))
-        .collect();
-
+/// The routed gateway against hand-wired per-environment services: one
+/// closed-loop client per environment, with the same models, snapshots and
+/// per-shard configuration on both sides; the only difference is whether
+/// requests go through the typed front door.
+fn routed_gateway(h: &Harness, out: &mut Section) {
+    let envs = h.ctx.workload.environments.len();
     // Hand-wired: one EstimationService per environment, assembled by the
     // caller exactly as pre-gateway code did.
-    let services: Vec<EstimationService> = snapshots
+    let services: Vec<EstimationService> = h
+        .snapshots
         .iter()
-        .map(|snapshot| {
-            EstimationService::start(
-                Arc::clone(&mscn_model),
-                Some(snapshot.clone()),
-                shard_config,
-            )
-        })
+        .map(|s| EstimationService::start(h.mscn.clone(), Some(s.clone()), SHARD_CONFIG))
         .collect();
-    let service_handles: Vec<ServiceHandle> = services.iter().map(|s| s.handle()).collect();
+    let handles: Vec<ServiceHandle> = services.iter().map(|s| s.handle()).collect();
     let handwired = |i: usize, plan: PlanNode| -> Result<f64, String> {
-        Ok(service_handles[i]
+        Ok(handles[i]
             .estimate(plan)
             .map_err(|e| e.to_string())?
             .cost_ms)
     };
-
     // Routed: one QcfeGateway owning everything; clients submit typed
     // requests naming only their environment.
-    let gw_root = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-gateway-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&gw_root);
-    let gateway = QcfeGateway::builder(&gw_root)
-        .service_config(shard_config)
-        .build()
-        .expect("gateway builds");
-    for (env, snapshot) in ctx.workload.environments.iter().zip(&snapshots) {
-        gateway
-            .publish_snapshot(kind, env, snapshot)
-            .expect("snapshot published");
-        gateway.register_model(
-            ModelKey::new(kind, EstimatorKind::QcfeMscn, env.fingerprint()),
-            Arc::clone(&mscn_model),
-        );
-    }
-    // Shared per client: each request clones the pointer, not the
-    // knob/hardware structs.
-    let routed_envs: Vec<Arc<DbEnvironment>> = ctx
-        .workload
-        .environments
-        .iter()
-        .map(|env| Arc::new(env.clone()))
-        .collect();
+    let root = h.temp_root("gateway");
+    let gateway = h.deploy(shard_gateway(root.join("gateway")), h.mscn.clone(), envs);
+    let routed_envs: Vec<Arc<DbEnvironment>> = (0..envs).map(|i| h.env(i)).collect();
     let routed = |i: usize, plan: PlanNode| -> Result<f64, String> {
-        let request = EstimateRequest::new(kind, Arc::clone(&routed_envs[i]), plan);
+        let request = EstimateRequest::new(KIND, Arc::clone(&routed_envs[i]), plan);
         Ok(gateway
             .estimate(request)
             .map_err(|e| e.to_string())?
@@ -567,15 +854,13 @@ fn main() {
      -> (usize, f64) {
         let started = Instant::now();
         let completed: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..env_count)
+            let handles: Vec<_> = (0..envs)
                 .map(|i| {
-                    let db = &dbs[i];
-                    let benchmark = &ctx.benchmark;
-                    let client_seed = seed + 300 + (round * env_count + i) as u64;
+                    let client_seed = h.seed + 300 + (round * envs + i) as u64;
                     scope.spawn(move || {
-                        let load = ClosedLoopConfig::new(1, requests_per_client, client_seed);
-                        let run = run_closed_loop(benchmark, &load, |query| {
-                            estimate(i, db.plan(&query).map_err(|e| e.to_string())?)
+                        let load = ClosedLoopConfig::new(1, h.requests_per_client, client_seed);
+                        let run = run_closed_loop(&h.ctx.benchmark, &load, |query| {
+                            estimate(i, h.dbs[i].plan(&query).map_err(|e| e.to_string())?)
                         });
                         assert_eq!(run.errors, 0, "gateway-section serving must not fail");
                         run.completed
@@ -606,16 +891,15 @@ fn main() {
             totals[side].1 += secs;
         }
     }
-    let [handwired_tput, gateway_tput] = totals.map(|(completed, secs)| completed as f64 / secs);
+    let [wired_eps, routed_eps] = totals.map(|(completed, secs)| completed as f64 / secs);
     drop(services);
-    let gateway_stats = gateway.stats();
     assert_eq!(
-        gateway_stats.shard_starts as usize, env_count,
+        gateway.stats().shard_starts as usize,
+        envs,
         "each environment must start exactly one shard"
     );
-    let _ = std::fs::remove_dir_all(&gw_root);
 
-    let mut gw_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Routed gateway vs hand-wired services (QCFE(mscn), 1 client per environment)",
         &[
             "setup",
@@ -625,262 +909,193 @@ fn main() {
             "ratio vs hand-wired",
         ],
     );
-    gw_table.push_row(vec![
-        "hand-wired per-service".into(),
-        env_count.to_string(),
-        env_count.to_string(),
-        format!("{handwired_tput:.0}"),
-        fmt3(1.0),
-    ]);
-    gw_table.push_row(vec![
-        "routed QcfeGateway".into(),
-        env_count.to_string(),
-        env_count.to_string(),
-        format!("{gateway_tput:.0}"),
-        fmt3(gateway_tput / handwired_tput),
-    ]);
-    report.add_table(gw_table);
-    eprintln!(
-        "[serve] routed gateway across {env_count} envs: {gateway_tput:.0} est/s vs hand-wired {handwired_tput:.0} est/s ({:.2}x)",
-        gateway_tput / handwired_tput
-    );
-
-    // ---------------------------------------------------------------
-    // Cold restart: time-to-first-estimate of a gateway rebuilt on a
-    // store directory holding persisted QCFW weights (disk load) vs one
-    // that must retrain the same model through its provider. Both serve
-    // the same environment and plan.
-    // ---------------------------------------------------------------
-    let env0 = ctx.workload.environments[0].clone();
-    let restart_plan = dbs[0]
-        .plan(&ctx.benchmark.random_query(&mut rng))
-        .expect("plannable");
-    let restart_key = ModelKey::new(kind, EstimatorKind::QcfeMscn, env0.fingerprint());
-
-    let disk_root = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-restart-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&disk_root);
-    {
-        // First life: publish snapshot + weights, then "exit".
-        let gateway = QcfeGateway::builder(&disk_root)
-            .service_config(shard_config)
-            .build()
-            .expect("gateway builds");
-        gateway
-            .publish_snapshot(kind, &env0, &snapshot)
-            .expect("snapshot published");
-        gateway
-            .publish_model(restart_key, PersistedModel::Mscn(mscn_for_restart.clone()))
-            .expect("weights published");
+    for (setup, eps) in [
+        ("hand-wired per-service", wired_eps),
+        ("routed QcfeGateway", routed_eps),
+    ] {
+        table.push_row(vec![
+            setup.into(),
+            envs.to_string(),
+            envs.to_string(),
+            format!("{eps:.0}"),
+            fmt3(eps / wired_eps),
+        ]);
     }
+    out.add_table(table);
+    eprintln!(
+        "[serve] routed gateway across {envs} envs: {routed_eps:.0} est/s vs hand-wired {wired_eps:.0} est/s ({:.2}x)",
+        routed_eps / wired_eps
+    );
+    out.at_least("est/s vs 0.8x hand-wired", routed_eps, 0.8 * wired_eps);
+}
+
+/// Time to first estimate of a gateway rebuilt on a store holding
+/// persisted `QCFW` weights (disk load) against one that must retrain the
+/// same model through its provider; both serve the same environment and
+/// plan, drawn from the harness RNG.
+fn cold_restart(h: &Harness, rng: &mut StdRng, out: &mut Section) {
+    let env0 = h.ctx.workload.environments[0].clone();
+    let plan = h.dbs[0]
+        .plan(&h.ctx.benchmark.random_query(rng))
+        .expect("plannable");
+    let root = h.temp_root("restart");
+
+    // First life: publish snapshot + weights, then "exit".
+    let first_life = shard_gateway(root.join("disk"))
+        .build()
+        .expect("gateway builds");
+    publish(&first_life, &env0, &h.snapshots[0], &h.mscn);
+    drop(first_life);
     let started = Instant::now();
-    let gateway = QcfeGateway::builder(&disk_root)
-        .service_config(shard_config)
+    let gateway = shard_gateway(root.join("disk"))
         .build()
         .expect("gateway rebuilds");
-    let disk_response = gateway
-        .estimate(EstimateRequest::new(
-            kind,
-            env0.clone(),
-            restart_plan.clone(),
-        ))
+    let response = gateway
+        .estimate(EstimateRequest::new(KIND, env0.clone(), plan.clone()))
         .expect("disk-load estimate");
     let disk_ms = started.elapsed().as_secs_f64() * 1e3;
     assert!(
-        disk_response.provenance.snapshot_origin.is_from_disk(),
+        response.provenance.snapshot_origin.is_from_disk(),
         "cold restart must serve from persisted weights, got {:?}",
-        disk_response.provenance.snapshot_origin
+        response.provenance.snapshot_origin
     );
     drop(gateway);
-    let _ = std::fs::remove_dir_all(&disk_root);
 
-    let retrain_root = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-retrain-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&retrain_root);
-    let train_iterations = if quick { 15 } else { 30 };
-    let trainer_workload = ctx.workload.clone();
-    let trainer_snapshots = ctx.snapshots_fso.clone();
-    let trainer_catalog = ctx.benchmark.catalog.clone();
+    let (quick, seed, ctx) = (h.quick, h.seed, h.ctx.clone());
     let started = Instant::now();
-    let gateway = QcfeGateway::builder(&retrain_root)
-        .service_config(shard_config)
+    let gateway = shard_gateway(root.join("retrain"))
         .model_provider(move |_, _| {
             // The pre-QCFW boot path: rebuild the model from the labeled
             // workload, exactly as the offline phase trained it.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let (retrained, _) = MscnEstimator::train(
-                FeatureEncoder::new(&trainer_catalog, true),
-                &trainer_workload,
-                Some(&trainer_snapshots),
-                None,
-                train_iterations,
-                &mut rng,
-            );
+            let retrained = train_mscn(&ctx, quick, &mut StdRng::seed_from_u64(seed));
             Some(Arc::new(retrained) as Arc<dyn CostModel>)
         })
         .build()
         .expect("gateway builds");
     gateway
-        .publish_snapshot(kind, &env0, &snapshot)
+        .publish_snapshot(KIND, &env0, &h.snapshots[0])
         .expect("snapshot published");
-    let retrain_response = gateway
-        .estimate(EstimateRequest::new(kind, env0, restart_plan))
+    let response = gateway
+        .estimate(EstimateRequest::new(KIND, env0, plan))
         .expect("retrain estimate");
     let retrain_ms = started.elapsed().as_secs_f64() * 1e3;
     assert!(
-        !retrain_response.provenance.snapshot_origin.is_from_disk(),
+        !response.provenance.snapshot_origin.is_from_disk(),
         "the retrain baseline must not find persisted weights"
     );
     drop(gateway);
-    let _ = std::fs::remove_dir_all(&retrain_root);
 
-    let mut restart_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Cold restart: time-to-first-estimate (QCFE(mscn))",
         &["boot path", "time to first estimate (ms)", "speedup"],
     );
-    restart_table.push_row(vec![
+    table.push_row(vec![
         "retrain via model provider".into(),
         fmt3(retrain_ms),
         fmt3(1.0),
     ]);
-    restart_table.push_row(vec![
+    table.push_row(vec![
         "QCFW disk load".into(),
         fmt3(disk_ms),
         fmt3(retrain_ms / disk_ms),
     ]);
-    report.add_table(restart_table);
+    out.add_table(table);
     eprintln!(
         "[serve] cold restart: disk load {disk_ms:.3} ms vs retrain {retrain_ms:.3} ms ({:.1}x faster)",
         retrain_ms / disk_ms
     );
+    out.below("disk-load ms vs retrain ms", disk_ms, retrain_ms);
+}
 
-    // ---------------------------------------------------------------
-    // Online refinement: a cold environment warm-starts from env 0's
-    // published snapshot (Transferred), its estimate error against
-    // observed executions is measured, its executions then stream through
-    // record_execution (refit + promotion to TrainedHere), and the same
-    // seeded query stream is re-measured. The paper's Table VII loop,
-    // online, with a CI gate: refit error ≤ transferred error.
-    // ---------------------------------------------------------------
-    let env_a = ctx.workload.environments[0].clone();
+/// The paper's Table VII loop, online: a cold environment warm-starts from
+/// environment 0's published snapshot (transferred), its estimate error
+/// against observed executions is measured, its executions then stream
+/// through `record_execution` (refit, promotion to trained-here), and the
+/// same seeded query stream is measured again.
+fn refinement(h: &Harness, out: &mut Section) {
+    let envs = &h.ctx.workload.environments;
     // The coldest plausible start: the environment farthest from env 0 in
     // knob space borrows env 0's snapshot.
-    let refine_index = (1..env_count)
+    let b = (1..envs.len())
         .max_by(|&i, &j| {
-            env_a
-                .distance_to(&ctx.workload.environments[i])
-                .total_cmp(&env_a.distance_to(&ctx.workload.environments[j]))
+            envs[0]
+                .distance_to(&envs[i])
+                .total_cmp(&envs[0].distance_to(&envs[j]))
         })
         .expect("≥2 environments");
-    let env_b = Arc::new(ctx.workload.environments[refine_index].clone());
-    let db_b = ctx.benchmark.build_database((*env_b).clone());
-    let refine_root = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-refine-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&refine_root);
-    let gateway = QcfeGateway::builder(&refine_root)
-        .service_config(shard_config)
+    let (env_b, db_b) = (h.env(b), &h.dbs[b]);
+    let root = h.temp_root("refine");
+    let gateway = shard_gateway(root.join("gateway"))
         .refinement(RefinementConfig {
             refit_threshold: 64,
-            min_drift: 0.0,
             buffer_capacity: 16384,
         })
         .with_model(
-            ModelKey::new(kind, EstimatorKind::QcfeMscn, env_b.fingerprint()),
-            Arc::clone(&mscn_model),
+            ModelKey::new(KIND, EstimatorKind::QcfeMscn, env_b.fingerprint()),
+            h.mscn.clone(),
         )
         .build()
         .expect("gateway builds");
     gateway
-        .publish_snapshot(kind, &env_a, &snapshot)
+        .publish_snapshot(KIND, &envs[0], &h.snapshots[0])
         .expect("neighbour published");
 
-    // One closed feedback loop, reused for both measurement phases: plan,
+    // One closed feedback loop, run before and after feedback: plan,
     // estimate through the gateway, execute on the simulator for the
     // observed label. One client and identical query + execution-noise
-    // seeds make the two phases submit identical queries against identical
+    // seeds make both phases submit identical queries against identical
     // observed labels, so the error delta is the refinement effect and
-    // nothing else (in particular, the refit-≤-transferred gate below
-    // cannot flake on execution noise).
-    let measure_seed = seed + 700;
+    // nothing else (the refit-vs-transferred gate cannot flake on
+    // execution noise).
+    let measure_seed = h.seed + 700;
     let measure = |expect_refined: bool| {
-        let exec_rng =
-            std::sync::Mutex::new(rand::rngs::StdRng::seed_from_u64(measure_seed ^ 0x0b5e));
-        run_feedback_loop(
-            &ctx.benchmark,
-            &ClosedLoopConfig::new(1, 2 * requests_per_client, measure_seed),
-            |query| {
-                let plan = db_b.plan(&query).map_err(|e| e.to_string())?;
-                let response = gateway
-                    .estimate(EstimateRequest::new(kind, Arc::clone(&env_b), plan))
-                    .map_err(|e| e.to_string())?;
-                assert_eq!(
-                    response.provenance.refined, expect_refined,
-                    "refinement provenance must match the phase"
-                );
-                let executed = db_b
-                    .execute(&query, &mut *exec_rng.lock().expect("rng lock"))
-                    .map_err(|e| e.to_string())?;
-                Ok(ObservedEstimate {
-                    estimate_ms: response.cost_ms,
-                    observed_ms: executed.total_ms,
-                })
-            },
-        )
-    };
-    let transferred_run = measure(false);
-    assert_eq!(
-        transferred_run.errors, 0,
-        "transferred serving must not fail"
-    );
-
-    // Feedback phase: stream fresh executed queries as labels while
-    // estimates keep flowing — the online loop, not a maintenance window.
-    let feedback_rng = std::sync::Mutex::new(rand::rngs::StdRng::seed_from_u64(seed + 800));
-    let feedback_run = run_feedback_loop(
-        &ctx.benchmark,
-        &ClosedLoopConfig::new(2, requests_per_client.max(60), seed + 900),
-        |query| {
-            let executed = db_b
-                .execute(&query, &mut *feedback_rng.lock().expect("rng lock"))
-                .map_err(|e| e.to_string())?;
+        let exec_rng = Mutex::new(StdRng::seed_from_u64(measure_seed ^ 0x0b5e));
+        let load = ClosedLoopConfig::new(1, 2 * h.requests_per_client, measure_seed);
+        let run = run_feedback_loop(&h.ctx.benchmark, &load, |query| {
+            let plan = db_b.plan(&query).map_err(|e| e.to_string())?;
             let response = gateway
-                .estimate(EstimateRequest::new(
-                    kind,
-                    Arc::clone(&env_b),
-                    executed.root.clone(),
-                ))
+                .estimate(EstimateRequest::new(KIND, Arc::clone(&env_b), plan))
                 .map_err(|e| e.to_string())?;
-            gateway
-                .record_execution(kind, &env_b, &executed)
+            assert_eq!(
+                response.provenance.refined, expect_refined,
+                "refinement provenance must match the phase"
+            );
+            let executed = db_b
+                .execute(&query, &mut *exec_rng.lock().expect("rng lock"))
                 .map_err(|e| e.to_string())?;
             Ok(ObservedEstimate {
                 estimate_ms: response.cost_ms,
                 observed_ms: executed.total_ms,
             })
-        },
-    );
-    assert_eq!(feedback_run.errors, 0, "feedback serving must not fail");
-    let refine_stats = gateway.stats();
-    assert!(
-        refine_stats.refits >= 1,
-        "the label stream must trigger a refit"
-    );
-    assert_eq!(
-        refine_stats.promotions, 1,
-        "the transferred shard must be promoted exactly once"
-    );
+        });
+        assert_eq!(run.errors, 0, "refinement serving must not fail");
+        run
+    };
+    let transferred = measure(false);
 
-    let refined_run = measure(true);
-    assert_eq!(refined_run.errors, 0, "refined serving must not fail");
-    let _ = std::fs::remove_dir_all(&refine_root);
+    // Feedback phase: stream fresh executed queries as labels while
+    // estimates keep flowing — the online loop, not a maintenance window.
+    let feedback_rng = Mutex::new(StdRng::seed_from_u64(h.seed + 800));
+    let load = ClosedLoopConfig::new(2, h.requests_per_client.max(60), h.seed + 900);
+    let feedback = run_feedback_loop(&h.ctx.benchmark, &load, |query| {
+        let executed = db_b
+            .execute(&query, &mut *feedback_rng.lock().expect("rng lock"))
+            .map_err(|e| e.to_string())?;
+        let request = EstimateRequest::new(KIND, Arc::clone(&env_b), executed.root.clone());
+        let response = gateway.estimate(request).map_err(|e| e.to_string())?;
+        gateway
+            .record_execution(KIND, &env_b, &executed)
+            .map_err(|e| e.to_string())?;
+        Ok(ObservedEstimate {
+            estimate_ms: response.cost_ms,
+            observed_ms: executed.total_ms,
+        })
+    });
+    assert_eq!(feedback.errors, 0, "feedback serving must not fail");
+    let stats = gateway.stats();
+    let refined = measure(true);
 
-    let mut refine_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Online refinement: estimate error on a cold environment (QCFE(mscn))",
         &[
             "phase",
@@ -891,91 +1106,64 @@ fn main() {
             "promotions",
         ],
     );
-    refine_table.push_row(vec![
+    table.push_row(vec![
         "before feedback".into(),
         "transferred from nearest".into(),
-        fmt3(transferred_run.mean_q_error()),
-        fmt3(transferred_run.median_q_error()),
+        fmt3(transferred.mean_q_error()),
+        fmt3(transferred.median_q_error()),
         "0".into(),
         "0".into(),
     ]);
-    refine_table.push_row(vec![
+    table.push_row(vec![
         "after feedback".into(),
         "refit from own labels".into(),
-        fmt3(refined_run.mean_q_error()),
-        fmt3(refined_run.median_q_error()),
-        refine_stats.refits.to_string(),
-        refine_stats.promotions.to_string(),
+        fmt3(refined.mean_q_error()),
+        fmt3(refined.median_q_error()),
+        stats.refits.to_string(),
+        stats.promotions.to_string(),
     ]);
-    report.add_table(refine_table);
+    out.add_table(table);
     eprintln!(
         "[serve] refinement: mean q-error {:.3} (transferred) -> {:.3} (refit) over {} labels, {} refits",
-        transferred_run.mean_q_error(),
-        refined_run.mean_q_error(),
-        refine_stats.labels_recorded,
-        refine_stats.refits,
+        transferred.mean_q_error(),
+        refined.mean_q_error(),
+        stats.labels_recorded,
+        stats.refits,
     );
+    let (refined_q, transferred_q) = (refined.mean_q_error(), transferred.mean_q_error());
+    out.at_most("refit q-error vs transferred", refined_q, transferred_q);
+    out.at_least("refits", stats.refits as f64, 1.0);
+    out.equals("promotions", stats.promotions as f64, 1.0);
+}
 
-    // ---------------------------------------------------------------
-    // Network front end: the qcfe-net reactor serving the same routed
-    // gateway over a loopback Unix-domain socket. N remote clients each
-    // pipeline their whole request batch through one connection; the
-    // baseline is the same N clients calling `gateway.estimate`
-    // in-process. Throughput is reported, not gated — loopback syscall
-    // cost is machine noise — but the mean micro-batch the shards drain
-    // over each window is a count, and the UDS one is gated at the end.
-    // Every remote estimate is asserted bit-identical to its in-process
-    // twin first.
-    // ---------------------------------------------------------------
-    let net_root = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-net-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&net_root);
-    let gateway = Arc::new(
-        QcfeGateway::builder(&net_root)
-            .service_config(shard_config)
-            .build()
-            .expect("gateway builds"),
-    );
-    for (env, snapshot) in ctx.workload.environments.iter().zip(&snapshots) {
-        gateway
-            .publish_snapshot(kind, env, snapshot)
-            .expect("snapshot published");
-        gateway.register_model(
-            ModelKey::new(kind, EstimatorKind::QcfeMscn, env.fingerprint()),
-            Arc::clone(&mscn_model),
-        );
-    }
-    let net_clients = if quick { 8 } else { 16 };
-    let query_plans: Vec<PlanNode> = ctx
-        .workload
-        .queries
-        .iter()
-        .map(|q| q.executed.root.clone())
-        .collect();
-    let net_requests: Vec<Vec<EstimateRequest>> = (0..net_clients)
+/// The routed gateway behind the `qcfe-net` reactor on a loopback
+/// Unix-domain socket: N remote clients each pipeline their whole request
+/// batch through one connection, against the same N clients calling the
+/// gateway in process. Loopback throughput is machine noise, so it is
+/// reported, not gated; the mean micro-batch the shards drain over each
+/// window is a count, and the UDS one is gated.
+fn network(h: &Harness, out: &mut Section) {
+    let root = h.temp_root("net");
+    let envs = h.ctx.workload.environments.len();
+    let gateway = h.deploy(shard_gateway(root.join("gateway")), h.mscn.clone(), envs);
+    let gateway = Arc::new(gateway);
+    let clients = if h.quick { 8 } else { 16 };
+    let queries = &h.ctx.workload.queries;
+    let requests: Vec<Vec<EstimateRequest>> = (0..clients)
         .map(|c| {
-            let env = Arc::new(ctx.workload.environments[c % env_count].clone());
-            (0..requests_per_client)
+            let env = h.env(c % envs);
+            (0..h.requests_per_client)
                 .map(|r| {
-                    EstimateRequest::new(
-                        kind,
-                        Arc::clone(&env),
-                        query_plans[(c + r) % query_plans.len()].clone(),
-                    )
+                    let plan = queries[(c + r) % queries.len()].executed.root.clone();
+                    EstimateRequest::new(KIND, Arc::clone(&env), plan)
                 })
                 .collect()
         })
         .collect();
-
-    let socket = std::env::temp_dir().join(format!(
-        "qcfe-serve-bench-net-{}-{seed}.sock",
-        std::process::id()
-    ));
+    let socket = root.join("reactor.sock");
     let server = NetServerBuilder::new(Arc::clone(&gateway))
         .uds(&socket)
-        .max_connections(net_clients + 4)
+        .max_connections(clients + 4)
         .start()
         .expect("net server starts");
 
@@ -984,10 +1172,9 @@ fn main() {
     // in-process.
     {
         let mut client = QcfeClient::connect_uds(&socket).expect("client connects");
-        for batch in &net_requests {
-            let request = &batch[0];
-            let expected = gateway.estimate(request.clone()).expect("in-process");
-            let remote = client.estimate(request).expect("remote");
+        for batch in &requests {
+            let expected = gateway.estimate(batch[0].clone()).expect("in-process");
+            let remote = client.estimate(&batch[0]).expect("remote");
             assert_eq!(
                 remote.cost_ms.to_bits(),
                 expected.cost_ms.to_bits(),
@@ -998,7 +1185,7 @@ fn main() {
 
     // (completed, drained micro-batches) summed over the resident shards:
     // the deltas across a timing window give its mean micro-batch.
-    let batch_totals = |gateway: &QcfeGateway| {
+    let totals = || {
         gateway
             .resident_shards()
             .iter()
@@ -1007,56 +1194,38 @@ fn main() {
                 (completed + m.completed, batches + m.batches)
             })
     };
-    let mean_batch = |before: (u64, u64), after: (u64, u64)| {
-        (after.0 - before.0) as f64 / (after.1 - before.1).max(1) as f64
+    // Throughput and mean micro-batch of one window of every client.
+    let window = |client: &(dyn Fn(&[EstimateRequest]) + Sync)| {
+        let before = totals();
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            for batch in &requests {
+                scope.spawn(move || client(batch));
+            }
+        });
+        let tput = (clients * h.requests_per_client) as f64 / started.elapsed().as_secs_f64();
+        let after = totals();
+        let batch_mean = (after.0 - before.0) as f64 / (after.1 - before.1).max(1) as f64;
+        (tput, batch_mean)
     };
-
-    let before = batch_totals(&gateway);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for batch in &net_requests {
-            let gateway = &gateway;
-            scope.spawn(move || {
-                for request in batch {
-                    gateway.estimate(request.clone()).expect("in-process");
-                }
-            });
+    let (inproc_tput, inproc_batch_mean) = window(&|batch| {
+        for request in batch {
+            gateway.estimate(request.clone()).expect("in-process");
         }
     });
-    let inproc_tput = (net_clients * requests_per_client) as f64 / started.elapsed().as_secs_f64();
-    let inproc_batch_mean = mean_batch(before, batch_totals(&gateway));
-
-    let before = batch_totals(&gateway);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for batch in &net_requests {
-            let socket = &socket;
-            scope.spawn(move || {
-                let mut client = QcfeClient::connect_uds(socket).expect("client connects");
-                for request in batch {
-                    client.send(request).expect("send");
-                }
-                for _ in 0..batch.len() {
-                    let response = client.recv().expect("recv");
-                    response.outcome.expect("remote estimate");
-                }
-            });
+    let (net_tput, net_batch_mean) = window(&|batch| {
+        let mut client = QcfeClient::connect_uds(&socket).expect("client connects");
+        for request in batch {
+            client.send(request).expect("send");
+        }
+        for _ in 0..batch.len() {
+            let response = client.recv().expect("recv");
+            response.outcome.expect("remote estimate");
         }
     });
-    let net_tput = (net_clients * requests_per_client) as f64 / started.elapsed().as_secs_f64();
-    let net_batch_mean = mean_batch(before, batch_totals(&gateway));
+    let stats = server.join().expect("clean reactor shutdown");
 
-    let net_stats = server.join().expect("clean reactor shutdown");
-    assert_eq!(
-        net_stats.responses_ok as usize,
-        net_clients + net_clients * requests_per_client,
-        "every remote request must be answered"
-    );
-    assert_eq!(net_stats.responses_fault, 0, "no remote request may fault");
-    assert_eq!(net_stats.protocol_errors, 0, "no frame may be malformed");
-    let _ = std::fs::remove_dir_all(&net_root);
-
-    let mut net_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Network front end: loopback UDS reactor vs in-process gateway (QCFE(mscn))",
         &[
             "path",
@@ -1067,82 +1236,71 @@ fn main() {
             "mean micro-batch",
         ],
     );
-    net_table.push_row(vec![
-        "in-process QcfeGateway".into(),
-        net_clients.to_string(),
-        requests_per_client.to_string(),
-        format!("{inproc_tput:.0}"),
-        fmt3(1.0),
-        format!("{inproc_batch_mean:.2}"),
-    ]);
-    net_table.push_row(vec![
-        "qcfe-net UDS reactor (pipelined)".into(),
-        net_clients.to_string(),
-        requests_per_client.to_string(),
-        format!("{net_tput:.0}"),
-        fmt3(net_tput / inproc_tput),
-        format!("{net_batch_mean:.2}"),
-    ]);
-    report.add_table(net_table);
+    for (path, tput, batch_mean) in [
+        ("in-process QcfeGateway", inproc_tput, inproc_batch_mean),
+        ("qcfe-net UDS reactor (pipelined)", net_tput, net_batch_mean),
+    ] {
+        table.push_row(vec![
+            path.into(),
+            clients.to_string(),
+            h.requests_per_client.to_string(),
+            format!("{tput:.0}"),
+            fmt3(tput / inproc_tput),
+            format!("{batch_mean:.2}"),
+        ]);
+    }
+    out.add_table(table);
     eprintln!(
-        "[serve] network front end: {net_clients} pipelined UDS clients {net_tput:.0} est/s vs in-process {inproc_tput:.0} est/s ({:.2}x); mean micro-batch {net_batch_mean:.2} over UDS, {inproc_batch_mean:.2} in process",
+        "[serve] network front end: {clients} pipelined UDS clients {net_tput:.0} est/s vs in-process {inproc_tput:.0} est/s ({:.2}x); mean micro-batch {net_batch_mean:.2} over UDS, {inproc_batch_mean:.2} in process",
         net_tput / inproc_tput
     );
+    // A count, not a timing: one hand-off per request gives about 2.
+    out.at_least("UDS mean micro-batch", net_batch_mean, NET_MIN_BATCH_MEAN);
+    let expected = clients + clients * h.requests_per_client;
+    out.equals("responses ok", stats.responses_ok as f64, expected as f64);
+    out.equals("faulted responses", stats.responses_fault as f64, 0.0);
+    out.equals("protocol errors", stats.protocol_errors as f64, 0.0);
+}
 
-    // ---------------------------------------------------------------
-    // Multi-tenant scheduling: the same adversarial mix replayed against
-    // a blind-FIFO gateway and one running `SchedPolicy::edf()` with a
-    // 2-slot queue share on the greedy tenant. A greedy tenant floods a
-    // single-worker, throttled shard (1 ms per micro-batch, max_batch 2)
-    // with deadline-less traffic from 16 closed-loop clients while two
-    // compliant tenants (2 clients each) submit deadline-carrying
-    // requests; the throttle makes queue wait dominate latency, so the
-    // comparison measures ordering policy, not inference speed. Both
-    // gateways stay up and the mix runs in alternating FIFO/EDF rounds
-    // (one seed per round, replayed on both), pooling each policy's
-    // lanes until its compliant p99 has `SCHED_TAIL_SAMPLES` samples
-    // above it.
-    // ---------------------------------------------------------------
-    const GREEDY_TENANT: u32 = 7;
-    const COMPLIANT_TENANTS: [u32; 2] = [21, 22];
-    let sched_requests = if quick { 40 } else { 120 };
-    let sched_lanes = [
-        TenantLoad::greedy(GREEDY_TENANT, 16, sched_requests),
-        TenantLoad::compliant(
-            COMPLIANT_TENANTS[0],
-            2,
-            sched_requests,
-            Duration::from_secs(5),
-        ),
-        TenantLoad::compliant(
-            COMPLIANT_TENANTS[1],
-            2,
-            sched_requests,
-            Duration::from_secs(5),
-        ),
+/// One adversarial mix replayed against a blind-FIFO gateway and one
+/// running `SchedPolicy::edf()` with a 2-slot queue share on the greedy
+/// tenant. The greedy tenant floods a single-worker, throttled shard (1 ms
+/// per micro-batch, max_batch 2) with deadline-less traffic from 16
+/// closed-loop clients while two compliant tenants (2 clients each) submit
+/// deadline-carrying requests; the throttle makes queue wait dominate
+/// latency, so the comparison measures ordering policy, not inference
+/// speed. Both gateways stay up and the mix runs in alternating FIFO/EDF
+/// rounds (one seed per round, replayed on both), pooling each policy's
+/// lanes until its compliant p99 has `SCHED_TAIL_SAMPLES` samples above it.
+fn scheduling(h: &Harness, out: &mut Section) {
+    let requests = if h.quick { 40 } else { 120 };
+    let deadline = Duration::from_secs(5);
+    let lanes = [
+        TenantLoad::greedy(GREEDY_TENANT, 16, requests),
+        TenantLoad::compliant(COMPLIANT_TENANTS[0], 2, requests, deadline),
+        TenantLoad::compliant(COMPLIANT_TENANTS[1], 2, requests, deadline),
     ];
-    let sched_config = ServiceConfig {
+    let config = ServiceConfig {
         workers: 1,
         queue_capacity: 64,
         max_batch: 2,
         encoding_cache_capacity: 1024,
     };
-    let throttled_model: Arc<dyn CostModel> = Arc::new(ThrottledModel {
-        inner: Arc::clone(&mscn_model),
+    let throttled: Arc<dyn CostModel> = Arc::new(ThrottledModel {
+        inner: h.mscn.clone(),
         delay: Duration::from_millis(1),
     });
-    let sched_env = Arc::new(ctx.workload.environments[0].clone());
-    let sched_db = &dbs[0];
+    let env = h.env(0);
     let run_mix = |gateway: &QcfeGateway, round_seed: u64| {
         run_multi_tenant_mix(
-            &ctx.benchmark,
-            &sched_lanes,
+            &h.ctx.benchmark,
+            &lanes,
             round_seed,
             |tenant, deadline, query| {
-                let plan = sched_db
+                let plan = h.dbs[0]
                     .plan(&query)
                     .map_err(|e| SubmitError::Other(e.to_string()))?;
-                let mut request = EstimateRequest::new(kind, Arc::clone(&sched_env), plan)
+                let mut request = EstimateRequest::new(KIND, Arc::clone(&env), plan)
                     .with_tenant(TenantId(tenant));
                 request.options.shed_load = true;
                 if let Some(deadline) = deadline {
@@ -1159,78 +1317,48 @@ fn main() {
             },
         )
     };
-    let start_gateway = |tag: &str, policy: SchedPolicy| {
-        let root = std::env::temp_dir().join(format!(
-            "qcfe-serve-bench-sched-{tag}-{}-{seed}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let gateway = QcfeGateway::builder(&root)
-            .service_config(sched_config)
-            .scheduling(policy)
-            .build()
-            .expect("gateway builds");
-        gateway
-            .publish_snapshot(kind, &ctx.workload.environments[0], &snapshots[0])
-            .expect("snapshot published");
-        gateway.register_model(
-            ModelKey::new(
-                kind,
-                EstimatorKind::QcfeMscn,
-                ctx.workload.environments[0].fingerprint(),
-            ),
-            Arc::clone(&throttled_model),
-        );
+    let root = h.temp_root("sched");
+    let start = |tag: &str, policy: SchedPolicy| {
+        let builder = QcfeGateway::builder(root.join(tag)).service_config(config);
+        let gateway = h.deploy(builder.scheduling(policy), Arc::clone(&throttled), 1);
         // Warm the shard so neither policy pays model load on its first
         // timed request.
+        gateway.estimate(h.probe()).expect("warm-up estimate");
         gateway
-            .estimate(EstimateRequest::new(
-                kind,
-                Arc::clone(&sched_env),
-                ctx.workload.queries[0].executed.root.clone(),
-            ))
-            .expect("warm-up estimate");
-        (gateway, root)
     };
     eprintln!("[serve] multi-tenant scheduling: adversarial mix vs FIFO baseline...");
-    let (fifo_gateway, fifo_root) = start_gateway("fifo", SchedPolicy::fifo());
-    let (edf_gateway, edf_root) = start_gateway(
-        "edf",
-        SchedPolicy::edf()
-            .with_age_after(Duration::from_millis(50))
-            .with_quota(
-                TenantId(GREEDY_TENANT),
-                TenantQuota::new(f64::INFINITY, f64::INFINITY, 2),
-            ),
-    );
+    let fifo_gateway = start("fifo", SchedPolicy::fifo());
+    let quota = TenantQuota::new(f64::INFINITY, f64::INFINITY, 2);
+    let edf = SchedPolicy::edf()
+        .with_age_after(Duration::from_millis(50))
+        .with_quota(TenantId(GREEDY_TENANT), quota);
+    let edf_gateway = start("edf", edf);
     let (mut fifo_pool, mut edf_pool) = (None, None);
     let tail_samples = |pool: &Option<MultiTenantReport>| {
         pool.as_ref()
             .map_or(0, |mix| pooled_p99_ms(mix, &COMPLIANT_TENANTS).1)
     };
-    let mut sched_rounds = 0;
-    while sched_rounds < SCHED_MAX_ROUNDS
+    let mut rounds = 0;
+    while rounds < SCHED_MAX_ROUNDS
         && (tail_samples(&fifo_pool) < SCHED_TAIL_SAMPLES
             || tail_samples(&edf_pool) < SCHED_TAIL_SAMPLES)
     {
-        let round_seed = seed + 700 + sched_rounds as u64;
-        if sched_rounds % 2 == 0 {
+        let round_seed = h.seed + 700 + rounds as u64;
+        if rounds % 2 == 0 {
             pool_mix(&mut fifo_pool, run_mix(&fifo_gateway, round_seed));
             pool_mix(&mut edf_pool, run_mix(&edf_gateway, round_seed));
         } else {
             pool_mix(&mut edf_pool, run_mix(&edf_gateway, round_seed));
             pool_mix(&mut fifo_pool, run_mix(&fifo_gateway, round_seed));
         }
-        sched_rounds += 1;
+        rounds += 1;
     }
     let edf_stats = edf_gateway.stats();
     drop((fifo_gateway, edf_gateway));
-    let _ = std::fs::remove_dir_all(&fifo_root);
-    let _ = std::fs::remove_dir_all(&edf_root);
     let fifo_mix = fifo_pool.expect("at least one scheduling round");
     let edf_mix = edf_pool.expect("at least one scheduling round");
 
-    let mut sched_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Multi-tenant scheduling: adversarial mix on a throttled shard, FIFO vs EDF+quota",
         &[
             "policy",
@@ -1261,7 +1389,7 @@ fn main() {
                 "{label}: tenant {} hit untyped errors",
                 lane.tenant
             );
-            sched_table.push_row(vec![
+            table.push_row(vec![
                 label.to_string(),
                 if lane.tenant == GREEDY_TENANT {
                     format!("{} (greedy)", lane.tenant)
@@ -1277,273 +1405,115 @@ fn main() {
             ]);
         }
     }
-    report.add_table(sched_table);
+    out.add_table(table);
 
     let (fifo_p99, fifo_tail) = pooled_p99_ms(&fifo_mix, &COMPLIANT_TENANTS);
     let (edf_p99, edf_tail) = pooled_p99_ms(&edf_mix, &COMPLIANT_TENANTS);
+    let greedy = edf_mix.lane(GREEDY_TENANT).expect("greedy lane reported");
     eprintln!(
-        "[serve] scheduling: compliant p99 {fifo_p99:.3} ms (FIFO) -> {edf_p99:.3} ms (EDF) over {sched_rounds} alternating rounds ({fifo_tail} and {edf_tail} samples above p99), greedy shed {} of {}",
-        edf_mix.lane(GREEDY_TENANT).map_or(0, |l| l.shed),
-        edf_mix.lane(GREEDY_TENANT).map_or(0, |l| l.attempted),
+        "[serve] scheduling: compliant p99 {fifo_p99:.3} ms (FIFO) -> {edf_p99:.3} ms (EDF) over {rounds} alternating rounds ({fifo_tail} and {edf_tail} samples above p99), greedy shed {} of {}",
+        greedy.shed, greedy.attempted,
     );
-
-    // CI regression gate: with scheduling on, the compliant tenants'
-    // pooled p99 must be at most half the FIFO baseline and every
-    // compliant lane must keep >= 80% of its fair share (its whole
-    // closed-loop demand) as goodput, despite the greedy flood.
-    assert!(
-        edf_p99 <= 0.5 * fifo_p99,
-        "scheduling did not cut compliant p99 in half: {edf_p99:.3} ms vs FIFO {fifo_p99:.3} ms"
-    );
+    out.at_most("EDF compliant p99 ms vs 0.5x FIFO", edf_p99, 0.5 * fifo_p99);
     for tenant in COMPLIANT_TENANTS {
         let lane = edf_mix.lane(tenant).expect("compliant lane reported");
-        assert!(
-            lane.goodput() >= 0.8,
-            "compliant tenant {tenant} goodput fell below fair share: {:.3}",
-            lane.goodput()
-        );
+        out.at_least(format!("tenant {tenant} goodput"), lane.goodput(), 0.8);
     }
-
-    // CI regression gate: the greedy tenant is shed typed — nonzero shed
-    // counters both client-side and in the gateway's per-tenant metrics
-    // lane — and still gets residual service (backfill), never a hang.
-    let greedy_lane = edf_mix.lane(GREEDY_TENANT).expect("greedy lane reported");
-    assert!(
-        greedy_lane.shed > 0,
-        "greedy tenant was never shed despite a 2-slot queue share"
-    );
-    assert!(
-        greedy_lane.completed > 0,
-        "greedy tenant must still be backfilled within its share"
-    );
-    let greedy_metrics = edf_stats
+    // The greedy tenant is shed typed — client-side and in the gateway's
+    // per-tenant metrics lane — and still gets residual service.
+    out.above("greedy shed", greedy.shed as f64, 0.0);
+    out.above("greedy completed (backfill)", greedy.completed as f64, 0.0);
+    let lane = edf_stats
         .tenants
         .iter()
         .find(|lane| lane.tenant == TenantId(GREEDY_TENANT))
         .expect("greedy tenant lane in gateway stats");
-    assert!(
-        greedy_metrics.shed_quota > 0,
-        "gateway metrics must attribute the greedy tenant's sheds to its quota"
-    );
-    assert!(
-        greedy_metrics.admitted > 0 && greedy_metrics.batches_formed > 0,
-        "gateway metrics must show the greedy tenant's admitted share being served"
-    );
+    out.above("greedy shed_quota", lane.shed_quota as f64, 0.0);
+    out.above("greedy admitted", lane.admitted as f64, 0.0);
+    out.above("greedy batches_formed", lane.batches_formed as f64, 0.0);
+}
 
-    // ---------------------------------------------------------------
-    // Replication: three local replicas with rendezvous-sharded keys,
-    // closed-loop load on one shard, owner killed mid-run. Reported:
-    // throughput across the kill and the time for the survivors to
-    // absorb the dead peer's keys from shipped QCFS/QCFW state.
-    // Asserted: the loop keeps completing requests, post-failover
-    // estimates are bit-identical, no shipped state is rejected.
-    // ---------------------------------------------------------------
-    const REPLICAS: usize = 3;
+/// Three local replicas with rendezvous-sharded keys, closed-loop load on
+/// one shard, its owner killed mid-run. Reported: throughput across the
+/// kill and the time for the survivors to absorb the dead peer's keys
+/// from shipped `QCFS`/`QCFW` state.
+fn replication(h: &Harness, out: &mut Section) {
     eprintln!("[serve] replication: {REPLICAS} local replicas, kill-one-mid-load...");
-    let repl_peers: Vec<String> = {
-        let listeners: Vec<TcpListener> = (0..REPLICAS)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-            .collect();
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("local addr").to_string())
-            .collect()
-    };
-    let mut repl_roots = Vec::new();
-    let mut repl_replicators = Vec::new();
-    let mut repl_gateways = Vec::new();
-    let mut repl_servers = Vec::new();
-    for (i, addr) in repl_peers.iter().enumerate() {
-        let set = Arc::new(ReplicaSet::new(repl_peers.clone(), i).expect("replica set"));
-        let replicator = Replicator::start(
-            Arc::clone(&set),
-            ReplicatorConfig {
-                heartbeat: Duration::from_millis(100),
-                connect_timeout: Duration::from_millis(100),
-                ..ReplicatorConfig::default()
-            },
-        );
-        let root = std::env::temp_dir().join(format!(
-            "qcfe-serve-bench-repl-{i}-{}-{seed}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let gateway = Arc::new(
-            QcfeGateway::builder(&root)
-                .service_config(shard_config)
-                .replication(Arc::clone(&set), replicator.sink())
-                .build()
-                .expect("replica gateway builds"),
-        );
-        let server = NetServerBuilder::new(Arc::clone(&gateway))
-            .tcp(addr.clone())
-            .replica(set)
-            .max_connections(64)
-            .start()
-            .expect("replica server starts");
-        repl_roots.push(root);
-        repl_replicators.push(Some(replicator));
-        repl_gateways.push(gateway);
-        repl_servers.push(Some(server));
-    }
-
+    let root = h.temp_root("repl");
+    let peers = reserve_peers(REPLICAS);
+    let mut nodes: Vec<ReplicaNode> = (0..REPLICAS)
+        .map(|i| ReplicaNode::start(&peers, i, &root.join(&format!("replica-{i}")), false))
+        .collect();
     // Publish every environment through its rendezvous owner only; the
     // replicators ship the persisted bytes to the other two.
-    let repl_keys: Vec<ModelKey> = ctx
-        .workload
-        .environments
+    let envs = &h.ctx.workload.environments;
+    let keys: Vec<ModelKey> = envs
         .iter()
-        .map(|env| ModelKey::new(kind, EstimatorKind::QcfeMscn, env.fingerprint()))
+        .map(|env| ModelKey::new(KIND, EstimatorKind::QcfeMscn, env.fingerprint()))
         .collect();
-    for ((env, snapshot), key) in ctx
-        .workload
-        .environments
-        .iter()
-        .zip(&snapshots)
-        .zip(&repl_keys)
-    {
-        let owner = owner_among(&repl_peers, key).expect("placed");
-        repl_gateways[owner]
-            .publish_snapshot(kind, env, snapshot)
-            .expect("snapshot published");
-        repl_gateways[owner]
-            .publish_model(*key, PersistedModel::Mscn(mscn_for_restart.clone()))
-            .expect("weights published");
+    for ((env, snapshot), key) in envs.iter().zip(&h.snapshots).zip(&keys) {
+        let owner = owner_among(&peers, key).expect("placed");
+        publish(&nodes[owner].gateway, env, snapshot, &h.mscn);
     }
-    let converge_deadline = Instant::now() + Duration::from_secs(30);
-    while !repl_gateways.iter().all(|g| {
-        repl_keys.iter().all(|key| {
-            g.store().contains(kind, key.fingerprint)
-                && g.store()
-                    .contains_model(key.benchmark, key.estimator, key.fingerprint)
-        })
-    }) {
-        assert!(
-            Instant::now() < converge_deadline,
-            "replication did not converge within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_until("replication to converge", Duration::from_millis(50), || {
+        nodes
+            .iter()
+            .all(|node| keys.iter().all(|key| node.holds(key)))
+    });
 
-    let repl_client = || {
-        ShardClient::new(Arc::new(
-            ReplicaSet::client_view(repl_peers.clone()).expect("client view"),
-        ))
-        .read_timeout(Some(Duration::from_secs(5)))
-        .attempt_backoff(Duration::from_millis(50))
-    };
-    // The load targets environment 0's shard; its owner is the victim,
-    // so in-flight requests are mid-failover when it dies.
-    let victim = owner_among(&repl_peers, &repl_keys[0]).expect("placed");
-    let repl_env = Arc::new(ctx.workload.environments[0].clone());
-    let probe_request = EstimateRequest::new(
-        kind,
-        Arc::clone(&repl_env),
-        ctx.workload.queries[0].executed.root.clone(),
-    );
-    let probe_bits = repl_client()
-        .estimate(&probe_request)
-        .expect("pre-kill probe")
-        .cost_ms
-        .to_bits();
-
-    let repl_load_clients = if quick { 2 } else { 4 };
-    let load_duration = Duration::from_millis(if quick { 1500 } else { 3000 });
-    let kill_after = load_duration / 3;
-    let victim_server = Mutex::new(repl_servers[victim].take());
-    let victim_replicator = Mutex::new(repl_replicators[victim].take());
-    // The victim owns environment 0's key, and rendezvous placement can
-    // hand it every other key too: count its ships before it goes.
-    let victim_ships = AtomicU64::new(0);
-    let absorb_ms = Mutex::new(0.0f64);
-    let repl_db = &dbs[0];
-    let pool = Mutex::new(
-        (0..repl_load_clients)
-            .map(|_| repl_client())
-            .collect::<Vec<_>>(),
-    );
-    let repl_run = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            std::thread::sleep(kill_after);
-            if let Some(handle) = victim_server.lock().expect("victim lock").take() {
-                handle.join().expect("victim drains");
+    // The load targets environment 0's shard; its owner is the victim, so
+    // in-flight requests are mid-failover when it dies.
+    let victim = owner_among(&peers, &keys[0]).expect("placed");
+    let probe = h.probe();
+    let probe_ms = remote_probe(&peers, &probe, "pre-kill");
+    let (victim_server, victim_replicator) =
+        (nodes[victim].server.take(), nodes[victim].replicator.take());
+    let ((victim_ships, absorb_ms), run) = std::thread::scope(|scope| {
+        let killer = scope.spawn(|| {
+            std::thread::sleep(h.load_duration / 3);
+            if let Some(server) = victim_server {
+                server.join().expect("victim drains");
             }
-            if let Some(replicator) = victim_replicator.lock().expect("replicator lock").take() {
-                victim_ships.store(replicator.stats().ships_sent, Ordering::Relaxed);
-            }
+            // The victim owns environment 0's key, and rendezvous placement
+            // can hand it every other key too: count its ships before it goes.
+            let ships = victim_replicator.map_or(0, |r| r.stats().ships_sent);
             // Absorb latency: from the victim being fully gone to a
             // survivor answering for its keys, redirects and liveness
             // discovery included.
             let killed = Instant::now();
-            let mut prober = repl_client();
-            loop {
-                if let Ok(response) = prober.estimate(&probe_request) {
-                    assert_eq!(
-                        response.cost_ms.to_bits(),
-                        probe_bits,
-                        "absorbed shard must answer bit-identically"
-                    );
-                    break;
+            let mut prober = shard_client(&peers);
+            let response = loop {
+                if let Ok(response) = prober.estimate(&probe) {
+                    break response;
                 }
-            }
-            *absorb_ms.lock().expect("absorb lock") = killed.elapsed().as_secs_f64() * 1e3;
-        });
-        run_timed_loop(
-            &ctx.benchmark,
-            repl_load_clients,
-            load_duration,
-            seed + 1100,
-            |query| {
-                let plan = repl_db.plan(&query).map_err(|e| e.to_string())?;
-                let request = EstimateRequest::new(kind, Arc::clone(&repl_env), plan);
-                let mut client = pool
-                    .lock()
-                    .expect("pool lock")
-                    .pop()
-                    .expect("pooled client");
-                let result = client.estimate(&request);
-                pool.lock().expect("pool lock").push(client);
-                result.map(|r| r.cost_ms).map_err(|e| e.to_string())
-            },
-        )
-    });
-    let absorb_ms = *absorb_ms.lock().expect("absorb lock");
-    assert!(
-        repl_run.completed > 0,
-        "the timed loop must keep completing requests across the kill"
-    );
-    let post_bits = repl_client()
-        .estimate(&probe_request)
-        .expect("post-failover probe")
-        .cost_ms
-        .to_bits();
-    assert_eq!(
-        post_bits, probe_bits,
-        "post-failover estimates must be bit-identical"
-    );
-    let repl_shipped: u64 = repl_replicators
-        .iter()
-        .flatten()
-        .map(|r| r.stats().ships_sent)
-        .sum::<u64>()
-        + victim_ships.load(Ordering::Relaxed);
-    assert!(repl_shipped > 0, "owners must have shipped state to peers");
-    for (i, server) in repl_servers.iter_mut().enumerate() {
-        if let Some(handle) = server.take() {
-            let stats = handle.join().expect("replica drains");
+            };
             assert_eq!(
-                stats.ships_rejected, 0,
-                "replica {i} must not reject shipped state"
+                response.cost_ms.to_bits(),
+                probe_ms.to_bits(),
+                "absorbed shard must answer bit-identically"
             );
+            (ships, killed.elapsed().as_secs_f64() * 1e3)
+        });
+        let run = h.replica_load(&peers, h.seed + 1100, |client, request| {
+            let response = client.estimate(request).map_err(|e| e.to_string())?;
+            Ok(response.cost_ms)
+        });
+        (killer.join().expect("kill thread"), run)
+    });
+    let post_ms = remote_probe(&peers, &probe, "post-failover");
+    let replicators = nodes.iter().filter_map(|node| node.replicator.as_ref());
+    let ships_sent = victim_ships + replicators.map(|r| r.stats().ships_sent).sum::<u64>();
+    out.above("completed across the kill", run.completed as f64, 0.0);
+    out.same_bits("post-failover estimate vs pre-kill", post_ms, probe_ms);
+    out.above("ships sent", ships_sent as f64, 0.0);
+    for (i, node) in nodes.iter_mut().enumerate() {
+        if let Some(stats) = node.stop() {
+            let rejected = stats.ships_rejected as f64;
+            out.equals(format!("replica {i} ships rejected"), rejected, 0.0);
         }
     }
-    drop(repl_replicators);
-    drop(repl_gateways);
-    for root in &repl_roots {
-        let _ = std::fs::remove_dir_all(root);
-    }
 
-    let mut repl_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Replication: kill-one-of-three mid-load (QCFE(mscn), rendezvous-sharded)",
         &[
             "replicas",
@@ -1555,342 +1525,159 @@ fn main() {
             "absorb latency (ms)",
         ],
     );
-    repl_table.push_row(vec![
+    table.push_row(vec![
         format!("{REPLICAS} (1 killed)"),
-        repl_load_clients.to_string(),
-        fmt3(repl_run.wall_s),
-        repl_run.completed.to_string(),
-        repl_run.errors.to_string(),
-        format!("{:.0}", repl_run.throughput_qps()),
+        h.load_clients.to_string(),
+        fmt3(run.wall_s),
+        run.completed.to_string(),
+        run.errors.to_string(),
+        format!("{:.0}", run.throughput_qps()),
         fmt3(absorb_ms),
     ]);
-    report.add_table(repl_table);
+    out.add_table(table);
     eprintln!(
         "[serve] replication: {:.0} est/s across the kill ({} completed, {} errors), absorb latency {absorb_ms:.1} ms",
-        repl_run.throughput_qps(),
-        repl_run.completed,
-        repl_run.errors,
+        run.throughput_qps(),
+        run.completed,
+        run.errors,
     );
+}
 
-    // ---------------------------------------------------------------
-    // Revival: the anti-entropy drill. Three store-backed replicas
-    // converge; the owner of the loaded shard is killed; while it is
-    // down, its key's snapshot and model are re-published on the
-    // failover owner, leaving the victim's disk stale; the victim is
-    // restarted over that stale store mid-load. Reported: catch-up
-    // latency (restart -> promoted on every survivor) and keys
-    // re-shipped. Asserted: zero stale reads (every networked answer
-    // bit-identical to the re-publishing owner's at that moment),
-    // promotion on every survivor, the divergent snapshot + weights
-    // both re-shipped, and the revived server answering manifests.
-    // ---------------------------------------------------------------
+/// The anti-entropy drill. Three store-backed replicas converge; the owner
+/// of the loaded shard is killed; while it is down, its key's snapshot and
+/// model are re-published on the failover owner, leaving the victim's disk
+/// stale; the victim is restarted over that stale store mid-load.
+/// Reported: catch-up latency (restart to promotion on every survivor) and
+/// keys re-shipped. Every networked answer is compared with the
+/// re-publishing owner's, so a stale read is counted, not missed.
+fn revival(h: &Harness, out: &mut Section) {
     eprintln!("[serve] revival: re-publish during outage, revive mid-load...");
-    let rev_peers: Vec<String> = {
-        let listeners: Vec<TcpListener> = (0..REPLICAS)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-            .collect();
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("local addr").to_string())
-            .collect()
-    };
-    let rev_roots: Vec<_> = (0..REPLICAS)
-        .map(|i| {
-            let root = std::env::temp_dir().join(format!(
-                "qcfe-serve-bench-rev-{i}-{}-{seed}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-            root
-        })
+    let root = h.temp_root("rev");
+    let peers = reserve_peers(REPLICAS);
+    let stores: Vec<PathBuf> = (0..REPLICAS)
+        .map(|i| root.join(&format!("replica-{i}")))
         .collect();
-    // One node = liveness set + store-backed (anti-entropy) replicator +
-    // gateway + server; the victim is revived through the same
-    // constructor, over the same (now stale) directory.
-    let start_rev_node = |i: usize| {
-        let set = Arc::new(ReplicaSet::new(rev_peers.clone(), i).expect("replica set"));
-        let replicator = Replicator::with_store(
-            Arc::clone(&set),
-            ReplicatorConfig {
-                heartbeat: Duration::from_millis(100),
-                connect_timeout: Duration::from_millis(100),
-                ..ReplicatorConfig::default()
-            },
-            SnapshotStore::open(&rev_roots[i]).expect("store opens"),
-        );
-        let gateway = Arc::new(
-            QcfeGateway::builder(&rev_roots[i])
-                .service_config(shard_config)
-                .replication(Arc::clone(&set), replicator.sink())
-                .build()
-                .expect("replica gateway builds"),
-        );
-        let server = NetServerBuilder::new(Arc::clone(&gateway))
-            .tcp(rev_peers[i].clone())
-            .replica(Arc::clone(&set))
-            .max_connections(64)
-            .start()
-            .expect("replica server starts");
-        (set, replicator, gateway, server)
-    };
-    let mut rev_sets = Vec::new();
-    let mut rev_replicators = Vec::new();
-    let mut rev_gateways = Vec::new();
-    let mut rev_servers: Vec<Option<_>> = Vec::new();
-    for i in 0..REPLICAS {
-        let (set, replicator, gateway, server) = start_rev_node(i);
-        rev_sets.push(set);
-        rev_replicators.push(Some(replicator));
-        rev_gateways.push(gateway);
-        rev_servers.push(Some(server));
-    }
+    let mut nodes: Vec<ReplicaNode> = (0..REPLICAS)
+        .map(|i| ReplicaNode::start(&peers, i, &stores[i], true))
+        .collect();
 
     // One loaded key is enough: publish environment 0 through its owner
     // and wait until every store holds snapshot + weights.
-    let rev_key = repl_keys[0];
-    let rev_victim = owner_among(&rev_peers, &rev_key).expect("placed");
-    let rev_survivors: Vec<usize> = (0..REPLICAS).filter(|&i| i != rev_victim).collect();
-    let rev_heir = {
-        let survivor_addrs: Vec<String> = rev_survivors
-            .iter()
-            .map(|&s| rev_peers[s].clone())
-            .collect();
-        rev_survivors[owner_among(&survivor_addrs, &rev_key).expect("placed")]
-    };
-    rev_gateways[rev_victim]
-        .publish_snapshot(kind, &ctx.workload.environments[0], &snapshots[0])
-        .expect("snapshot published");
-    rev_gateways[rev_victim]
-        .publish_model(rev_key, PersistedModel::Mscn(mscn_for_restart.clone()))
-        .expect("weights published");
-    let converge_deadline = Instant::now() + Duration::from_secs(30);
-    while !rev_gateways.iter().all(|g| {
-        g.store().contains(kind, rev_key.fingerprint)
-            && g.store()
-                .contains_model(rev_key.benchmark, rev_key.estimator, rev_key.fingerprint)
-    }) {
-        assert!(
-            Instant::now() < converge_deadline,
-            "revival setup did not converge within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    let rev_client = || {
-        ShardClient::new(Arc::new(
-            ReplicaSet::client_view(rev_peers.clone()).expect("client view"),
-        ))
-        .read_timeout(Some(Duration::from_secs(5)))
-        .attempt_backoff(Duration::from_millis(50))
-    };
-    let rev_env = Arc::new(ctx.workload.environments[0].clone());
-    let rev_probe = EstimateRequest::new(
-        kind,
-        Arc::clone(&rev_env),
-        ctx.workload.queries[0].executed.root.clone(),
+    let env0 = &h.ctx.workload.environments[0];
+    let key = ModelKey::new(KIND, EstimatorKind::QcfeMscn, env0.fingerprint());
+    let victim = owner_among(&peers, &key).expect("placed");
+    let survivors: Vec<usize> = (0..REPLICAS).filter(|&i| i != victim).collect();
+    let survivor_peers: Vec<String> = survivors.iter().map(|&s| peers[s].clone()).collect();
+    let heir = survivors[owner_among(&survivor_peers, &key).expect("placed")];
+    publish(&nodes[victim].gateway, env0, &h.snapshots[0], &h.mscn);
+    wait_until(
+        "the revival set-up to converge",
+        Duration::from_millis(50),
+        || nodes.iter().all(|node| node.holds(&key)),
     );
-    let stale_probe_bits = rev_client()
-        .estimate(&rev_probe)
-        .expect("pre-kill probe")
-        .cost_ms
-        .to_bits();
+    let probe = h.probe();
+    let stale_bits = remote_probe(&peers, &probe, "pre-kill").to_bits();
 
     // The weights re-published during the outage: the same model family
     // trained from a different seed, so its sidecar is byte-divergent from
     // what the victim's store still holds.
-    let mut divergent_rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
-    let (divergent_mscn, _) = MscnEstimator::train(
-        FeatureEncoder::new(&ctx.benchmark.catalog, true),
-        &ctx.workload,
-        Some(&ctx.snapshots_fso),
-        None,
-        if quick { 15 } else { 30 },
-        &mut divergent_rng,
-    );
+    let divergent = train_mscn(&h.ctx, h.quick, &mut StdRng::seed_from_u64(h.seed + 1));
 
     // Kill the victim and wait until every survivor's heartbeat agrees.
-    rev_servers[rev_victim]
-        .take()
-        .expect("victim running")
-        .join()
-        .expect("victim drains");
-    rev_replicators[rev_victim].take();
-    let dead_deadline = Instant::now() + Duration::from_secs(30);
-    while rev_survivors
-        .iter()
-        .any(|&s| rev_sets[s].is_alive(rev_victim))
-    {
-        assert!(
-            Instant::now() < dead_deadline,
-            "survivors did not notice the kill within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    nodes[victim].stop().expect("victim running");
+    nodes[victim].replicator = None;
+    let sets: Vec<&ReplicaSet> = survivors.iter().map(|&s| &*nodes[s].set).collect();
+    wait_until(
+        "the survivors to notice the kill",
+        Duration::from_millis(10),
+        || sets.iter().all(|set| !set.is_alive(victim)),
+    );
 
     // Re-publish during the outage: a different fitted snapshot and the
     // divergent weights under the same key.
-    rev_gateways[rev_heir]
-        .publish_snapshot(kind, &ctx.workload.environments[0], &snapshots[1])
-        .expect("re-published snapshot");
-    rev_gateways[rev_heir]
-        .publish_model(rev_key, PersistedModel::Mscn(divergent_mscn))
-        .expect("re-published weights");
-    let converge_deadline = Instant::now() + Duration::from_secs(30);
-    while rev_gateways[rev_survivors[0]]
-        .store()
-        .manifest()
-        .expect("manifest")
-        != rev_gateways[rev_survivors[1]]
-            .store()
-            .manifest()
-            .expect("manifest")
-    {
-        assert!(
-            Instant::now() < converge_deadline,
-            "survivors did not converge on the re-published state within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let fresh_probe_bits = rev_gateways[rev_heir]
-        .estimate(rev_probe.clone())
+    let heir_gateway = &nodes[heir].gateway;
+    publish(heir_gateway, env0, &h.snapshots[1], &divergent);
+    let manifest = |s: usize| nodes[s].gateway.store().manifest().expect("manifest");
+    let converged = || manifest(survivors[0]) == manifest(survivors[1]);
+    wait_until(
+        "the survivors to converge on the re-published state",
+        Duration::from_millis(10),
+        converged,
+    );
+    let fresh_ms = heir_gateway
+        .estimate(probe.clone())
         .expect("fresh reference")
-        .cost_ms
-        .to_bits();
+        .cost_ms;
     assert_ne!(
-        stale_probe_bits, fresh_probe_bits,
+        stale_bits,
+        fresh_ms.to_bits(),
         "the re-publish must change the served estimates"
     );
 
     // Mid-load revival. Every networked answer is compared bit-for-bit
-    // against the heir's in-process answer: only a pre-catch-up victim
-    // can diverge, so any mismatch is a stale read.
-    let rev_duration = Duration::from_millis(if quick { 1500 } else { 3000 });
-    let revive_after = rev_duration / 3;
-    let rev_pool = Mutex::new(
-        (0..repl_load_clients)
-            .map(|_| rev_client())
-            .collect::<Vec<_>>(),
-    );
+    // against the heir's in-process answer: only a pre-catch-up victim can
+    // diverge, so any mismatch is a stale read.
     let stale_reads = AtomicU64::new(0);
-    let catch_up_ms = Mutex::new(f64::NAN);
-    let revived = Mutex::new(None);
-    let rev_run = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            std::thread::sleep(revive_after);
+    let ((catch_up_ms, mut revived), run) = std::thread::scope(|scope| {
+        let reviver = scope.spawn(|| {
+            std::thread::sleep(h.load_duration / 3);
             let restarted = Instant::now();
-            let node = start_rev_node(rev_victim);
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !rev_survivors
-                .iter()
-                .all(|&s| rev_sets[s].is_alive(rev_victim) && !rev_sets[s].is_reviving(rev_victim))
-            {
-                assert!(
-                    Instant::now() < deadline,
-                    "survivors did not promote the revived victim within 30s"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            *catch_up_ms.lock().expect("latency lock") = restarted.elapsed().as_secs_f64() * 1e3;
-            *revived.lock().expect("revived lock") = Some(node);
+            let node = ReplicaNode::start(&peers, victim, &stores[victim], true);
+            let promoted = || {
+                sets.iter()
+                    .all(|set| set.is_alive(victim) && !set.is_reviving(victim))
+            };
+            wait_until(
+                "the survivors to promote the revived victim",
+                Duration::from_millis(5),
+                promoted,
+            );
+            (restarted.elapsed().as_secs_f64() * 1e3, node)
         });
-        run_timed_loop(
-            &ctx.benchmark,
-            repl_load_clients,
-            rev_duration,
-            seed + 1200,
-            |query| {
-                let plan = repl_db.plan(&query).map_err(|e| e.to_string())?;
-                let request = EstimateRequest::new(kind, Arc::clone(&rev_env), plan);
-                let expected = rev_gateways[rev_heir]
-                    .estimate(request.clone())
-                    .map_err(|e| e.to_string())?;
-                let mut client = rev_pool
-                    .lock()
-                    .expect("pool lock")
-                    .pop()
-                    .expect("pooled client");
-                let result = client.estimate(&request);
-                rev_pool.lock().expect("pool lock").push(client);
-                let response = result.map_err(|e| e.to_string())?;
-                if response.cost_ms.to_bits() != expected.cost_ms.to_bits() {
-                    stale_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(response.cost_ms)
-            },
-        )
+        let run = h.replica_load(&peers, h.seed + 1200, |client, request| {
+            let expected = heir_gateway
+                .estimate(request.clone())
+                .map_err(|e| e.to_string())?;
+            let response = client.estimate(request).map_err(|e| e.to_string())?;
+            if response.cost_ms.to_bits() != expected.cost_ms.to_bits() {
+                stale_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(response.cost_ms)
+        });
+        (reviver.join().expect("revival thread"), run)
     });
-    let catch_up_ms = *catch_up_ms.lock().expect("latency lock");
-    let (rev_set2, rev_replicator2, rev_gateway2, rev_server2) = revived
-        .into_inner()
-        .expect("revived lock")
-        .expect("revival thread ran");
-    assert!(
-        rev_run.completed > 0,
-        "the timed loop must keep completing requests across the revival"
-    );
-    assert_eq!(
-        stale_reads.load(Ordering::Relaxed),
-        0,
-        "no request may ever see pre-outage bits: the reviving victim must \
-         stay out of placement until its catch-up drains"
-    );
+    let stale_reads = stale_reads.into_inner();
     // The revived owner now serves the re-published state bit-identically.
-    let post_bits = rev_client()
-        .estimate(&rev_probe)
-        .expect("post-revival probe")
-        .cost_ms
-        .to_bits();
-    assert_eq!(
-        post_bits, fresh_probe_bits,
-        "the revived owner must serve the re-published state bit-identically"
-    );
-    let mut rev_reshipped = 0u64;
-    let mut rev_manifests = 0u64;
-    for &s in &rev_survivors {
-        let stats = rev_replicators[s]
-            .as_ref()
-            .expect("survivor replicator")
-            .stats();
-        assert!(
-            stats.revivals >= 1,
-            "survivor {s} must have completed a revival"
-        );
-        assert!(
-            stats.manifests_exchanged >= 1,
-            "survivor {s} must have interrogated the revived peer"
-        );
-        assert_eq!(stats.ships_rejected, 0, "no re-ship may be rejected");
-        rev_reshipped += stats.keys_reshipped;
-        rev_manifests += stats.manifests_exchanged;
+    let post_ms = remote_probe(&peers, &probe, "post-revival");
+    out.above("completed across the revival", run.completed as f64, 0.0);
+    out.equals("stale reads", stale_reads as f64, 0.0);
+    out.same_bits("post-revival estimate vs re-published", post_ms, fresh_ms);
+    let (mut reshipped, mut manifests) = (0u64, 0u64);
+    for &s in &survivors {
+        let replicator = nodes[s].replicator.as_ref().expect("survivor replicator");
+        let stats = replicator.stats();
+        let exchanged = stats.manifests_exchanged as f64;
+        out.at_least(format!("survivor {s} revivals"), stats.revivals as f64, 1.0);
+        out.at_least(format!("survivor {s} manifests exchanged"), exchanged, 1.0);
+        let rejected = stats.ships_rejected as f64;
+        out.equals(format!("survivor {s} ships rejected"), rejected, 0.0);
+        reshipped += stats.keys_reshipped;
+        manifests += stats.manifests_exchanged;
     }
-    assert!(
-        rev_reshipped >= 2,
-        "the stale snapshot and weights must both have been re-shipped, got {rev_reshipped}"
-    );
-    drop(rev_replicator2);
-    let rev_server_stats = rev_server2.join().expect("revived server drains");
-    assert!(
-        rev_server_stats.manifests_served >= 1,
-        "the revived server must have answered manifest requests"
-    );
-    assert_eq!(
-        rev_server_stats.ships_rejected, 0,
-        "the revived server must accept every catch-up re-ship"
-    );
-    drop(rev_set2);
-    drop(rev_gateway2);
-    for server in rev_servers.iter_mut() {
-        if let Some(handle) = server.take() {
-            handle.join().expect("replica drains");
-        }
-    }
-    drop(rev_replicators);
-    drop(rev_gateways);
-    for root in &rev_roots {
-        let _ = std::fs::remove_dir_all(root);
+    // The stale snapshot and the stale weights.
+    out.at_least("keys re-shipped", reshipped as f64, 2.0);
+    revived.replicator = None;
+    let served = revived.stop().expect("revived server running");
+    let served_manifests = served.manifests_served as f64;
+    out.at_least("revived server manifests served", served_manifests, 1.0);
+    let rejected = served.ships_rejected as f64;
+    out.equals("revived server ships rejected", rejected, 0.0);
+    drop(revived);
+    for node in &mut nodes {
+        node.stop();
     }
 
-    let mut rev_table = ReportTable::new(
+    let mut table = ReportTable::new(
         "Revival: re-publish during outage, revive mid-load (anti-entropy catch-up)",
         &[
             "replicas",
@@ -1903,92 +1690,90 @@ fn main() {
             "catch-up latency (ms)",
         ],
     );
-    rev_table.push_row(vec![
+    table.push_row(vec![
         format!("{REPLICAS} (1 revived)"),
-        repl_load_clients.to_string(),
-        rev_run.completed.to_string(),
-        rev_run.errors.to_string(),
-        "0".to_string(),
-        rev_manifests.to_string(),
-        rev_reshipped.to_string(),
+        h.load_clients.to_string(),
+        run.completed.to_string(),
+        run.errors.to_string(),
+        stale_reads.to_string(),
+        manifests.to_string(),
+        reshipped.to_string(),
         format!("{catch_up_ms:.1}"),
     ]);
-    report.add_table(rev_table);
+    out.add_table(table);
     eprintln!(
-        "[serve] revival: {} completed / {} errors across the revival, 0 stale reads, \
-         {rev_reshipped} keys re-shipped, catch-up latency {catch_up_ms:.1} ms",
-        rev_run.completed, rev_run.errors,
+        "[serve] revival: {} completed / {} errors across the revival, {stale_reads} stale reads, \
+         {reshipped} keys re-shipped, catch-up latency {catch_up_ms:.1} ms",
+        run.completed, run.errors,
     );
+}
 
-    println!("{}", report.render());
-    if let Some(path) = report.save_json() {
-        eprintln!("[serve] report saved to {}", path.display());
-    }
-    if let Some(path) = report.save_bench_json() {
-        eprintln!("[serve] bench trajectory saved to {}", path.display());
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // CI regression gate: operator-grouped batching must never fall below
-    // the scalar per-plan path.
-    assert!(
-        batched_best_tput >= scalar_tput,
-        "batched QPPNet regressed below scalar: {batched_best_tput:.0} < {scalar_tput:.0} plans/s"
-    );
-    eprintln!(
-        "[serve] QPPNet batched/scalar speedup: {:.2}x",
-        batched_best_tput / scalar_tput
-    );
-
-    // CI regression gate: the AVX2 kernel must keep a real lead over the
-    // scalar kernel on the batch-32 QPPNet path — same process, same
-    // plans, same run. Skipped (loudly) on CPUs without AVX2, where the
-    // sweep only exercised the scalar/portable pair.
-    match avx2_f64_tput {
-        Some(avx2) => {
-            assert!(
-                avx2 >= 1.15 * scalar_f64_tput,
-                "AVX2 kernel regressed below 1.15x scalar: {avx2:.0} vs {scalar_f64_tput:.0} plans/s"
-            );
-            eprintln!(
-                "[serve] AVX2/scalar kernel speedup at batch 32: {:.2}x",
-                avx2 / scalar_f64_tput
-            );
+    fn empty_run() -> Run {
+        let report = ExperimentReport::new("serve", "gate table test", true);
+        Run {
+            report,
+            gates: Vec::new(),
         }
-        None => eprintln!("[serve] AVX2 gate skipped: CPU does not support AVX2+FMA"),
     }
 
-    // CI regression gate: routing through the gateway must stay within 20%
-    // of the equivalent hand-wired per-service setup (the front door adds
-    // fingerprint hashing and one shard-map lookup per request, nothing
-    // that should cost real throughput).
-    assert!(
-        gateway_tput >= 0.8 * handwired_tput,
-        "routed gateway regressed below 80% of hand-wired: {gateway_tput:.0} vs {handwired_tput:.0} est/s"
-    );
+    fn verdicts(run: &Run) -> Vec<String> {
+        let rows = run.gate_table().rows.into_iter();
+        rows.map(|row| row[4].clone()).collect()
+    }
 
-    // CI regression gate: a cold restart that loads persisted QCFW weights
-    // must reach its first estimate faster than one that retrains.
-    assert!(
-        disk_ms < retrain_ms,
-        "disk-loaded restart ({disk_ms:.3} ms) must beat retraining ({retrain_ms:.3} ms)"
-    );
+    #[test]
+    fn a_nan_measurement_fails_both_an_at_least_and_an_at_most_row() {
+        let mut run = empty_run();
+        let mut out = run.section("test");
+        out.at_least("floor", f64::NAN, 1.0);
+        out.at_most("ceiling", f64::NAN, 1.0);
+        assert_eq!(verdicts(&run), ["FAIL", "FAIL"]);
+        assert_eq!(run.failures().len(), 2);
+    }
 
-    // CI regression gate: online refinement must not make a cold
-    // environment worse — after refit from its own labels, estimate error
-    // is at most the transferred-snapshot error.
-    assert!(
-        refined_run.mean_q_error() <= transferred_run.mean_q_error(),
-        "refit error regressed above transferred error: {:.4} > {:.4}",
-        refined_run.mean_q_error(),
-        transferred_run.mean_q_error()
-    );
+    #[test]
+    fn a_measurement_at_its_bound_passes_inclusive_rows_and_fails_the_strict_restart_row() {
+        let mut run = empty_run();
+        let mut out = run.section("test");
+        out.at_least("floor", 2.0, 2.0);
+        out.at_most("ceiling", 2.0, 2.0);
+        out.equals("count", 2.0, 2.0);
+        // The cold-restart row: a disk load strictly faster than retraining.
+        out.below("disk-load ms vs retrain ms", 2.0, 2.0);
+        assert_eq!(verdicts(&run), ["pass", "pass", "pass", "FAIL"]);
+    }
 
-    // CI regression gate: the reactor must hand pipelined requests to the
-    // shards in batches. A count, not a timing, so loopback noise cannot
-    // trip it: the mean micro-batch over the UDS window stays at or above
-    // NET_MIN_BATCH_MEAN (one hand-off per request gives about 2).
-    assert!(
-        net_batch_mean >= NET_MIN_BATCH_MEAN,
-        "the UDS reactor's mean micro-batch fell to {net_batch_mean:.2} (gate {NET_MIN_BATCH_MEAN})"
-    );
+    #[test]
+    fn a_bit_identity_row_fails_on_any_other_bits_and_on_nan() {
+        let mut run = empty_run();
+        let mut out = run.section("test");
+        out.same_bits("same", 1.25, 1.25);
+        out.same_bits("next float", 1.25, f64::from_bits(1.25f64.to_bits() + 1));
+        out.same_bits("nan", f64::NAN, f64::NAN);
+        assert_eq!(verdicts(&run), ["pass", "FAIL", "FAIL"]);
+    }
+
+    #[test]
+    fn a_skipped_row_never_fails_the_run() {
+        let mut run = empty_run();
+        let mut out = run.section("kernel sweep");
+        out.at_least("AVX2 plans/s vs 1.15x scalar", None::<f64>, 1.15);
+        assert_eq!(verdicts(&run), ["skipped"]);
+        assert!(run.failures().is_empty());
+    }
+
+    #[test]
+    fn one_failed_row_among_passing_ones_fails_the_run_and_is_named() {
+        let mut run = empty_run();
+        let mut out = run.section("network");
+        out.at_least("UDS mean micro-batch", 28.37, NET_MIN_BATCH_MEAN);
+        out.equals("protocol errors", 1.0, 0.0);
+        out.above("ships sent", 3.0, 0.0);
+        assert_eq!(verdicts(&run), ["pass", "FAIL", "pass"]);
+        assert_eq!(run.failures(), ["network | protocol errors | 1 | = 0"]);
+    }
 }

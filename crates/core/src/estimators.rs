@@ -15,7 +15,7 @@ use qcfe_nn::{
 };
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Training statistics reported in the paper's tables.
@@ -55,15 +55,6 @@ impl PgEstimator {
 
 /// Per-environment snapshots used when encoding labeled queries.
 pub type EnvSnapshots = Vec<Option<FeatureSnapshot>>;
-
-/// Mean per-query inference latency through the scalar and batched paths.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InferenceLatency {
-    /// One prediction per call, microseconds per query.
-    pub scalar_us: f64,
-    /// Whole-workload batched prediction, microseconds per query.
-    pub batched_us: f64,
-}
 
 fn snapshot_for(snapshots: Option<&EnvSnapshots>, env_index: usize) -> Option<&FeatureSnapshot> {
     snapshots
@@ -212,45 +203,6 @@ impl MscnEstimator {
             .map(|q| self.predict(&q.executed.root, snapshot_for(snapshots, q.env_index)))
             .collect();
         AccuracyReport::compute(&actuals, &preds)
-    }
-
-    /// Average per-query inference latency through both the scalar and the
-    /// batched path. The batched probe groups queries by environment so
-    /// every group shares one snapshot (and thus one matrix pass).
-    pub fn inference_latency_us(
-        &self,
-        workload: &LabeledWorkload,
-        snapshots: Option<&EnvSnapshots>,
-    ) -> InferenceLatency {
-        if workload.is_empty() {
-            return InferenceLatency {
-                scalar_us: 0.0,
-                batched_us: 0.0,
-            };
-        }
-        let n = workload.len() as f64;
-        let start = Instant::now();
-        for q in &workload.queries {
-            let _ = self.predict(&q.executed.root, snapshot_for(snapshots, q.env_index));
-        }
-        let scalar_us = start.elapsed().as_secs_f64() * 1e6 / n;
-
-        let mut by_env: BTreeMap<usize, Vec<&PlanNode>> = BTreeMap::new();
-        for q in &workload.queries {
-            by_env
-                .entry(q.env_index)
-                .or_default()
-                .push(&q.executed.root);
-        }
-        let start = Instant::now();
-        for (env_index, plans) in &by_env {
-            let _ = self.predict_batch(plans, snapshot_for(snapshots, *env_index));
-        }
-        let batched_us = start.elapsed().as_secs_f64() * 1e6 / n;
-        InferenceLatency {
-            scalar_us,
-            batched_us,
-        }
     }
 
     /// The trained network (used by feature reduction and tests).
@@ -1150,9 +1102,6 @@ mod tests {
         let report = mscn.evaluate(&test, None);
         assert!(report.mean_q_error.is_finite());
         assert!(report.pearson > 0.0, "pearson {}", report.pearson);
-        let latency = mscn.inference_latency_us(&test, None);
-        assert!(latency.scalar_us > 0.0);
-        assert!(latency.batched_us > 0.0);
         assert_eq!(mscn.mask().len(), mscn.encoder().plan_dim());
     }
 

@@ -123,14 +123,6 @@ impl Database {
         &self.buffer
     }
 
-    /// Switch to a different environment (new knobs / hardware / storage
-    /// format). The buffer pool is resized and cleared; data and statistics
-    /// are unchanged, mirroring `ALTER SYSTEM` + restart.
-    pub fn set_environment(&mut self, env: DbEnvironment) {
-        self.buffer = BufferPool::new(env.buffer_pool_pages());
-        self.env = env;
-    }
-
     /// Schema of a table by name.
     pub fn schema(&self, table: &str) -> Result<&TableSchema, DbError> {
         self.catalog

@@ -325,6 +325,10 @@ pub struct ShardClientStats {
     pub failovers: u64,
 }
 
+/// Owner attempts (redirects and failovers included) before
+/// [`ShardClient::estimate`] surfaces its last error.
+const ROUTING_ATTEMPTS: u32 = 16;
+
 /// Shard-aware routing over a replica set of `qcfe-served` processes.
 ///
 /// Each request's serving key `(benchmark, estimator, fingerprint)` is
@@ -348,8 +352,6 @@ pub struct ShardClientStats {
 pub struct ShardClient {
     replicas: Arc<ReplicaSet>,
     conns: Vec<Option<QcfeClient>>,
-    retry: RetryPolicy,
-    max_attempts: u32,
     attempt_backoff: Duration,
     read_timeout: Option<Duration>,
     stats: ShardClientStats,
@@ -365,25 +367,10 @@ impl ShardClient {
         ShardClient {
             replicas,
             conns,
-            retry: RetryPolicy::default(),
-            max_attempts: 16,
             attempt_backoff: Duration::from_millis(100),
             read_timeout: Some(Duration::from_secs(5)),
             stats: ShardClientStats::default(),
         }
-    }
-
-    /// Replace the per-connection shed/reconnect policy.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Bound the routing loop: how many owner attempts (redirects and
-    /// failovers included) before the last error surfaces (minimum 1).
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
     }
 
     /// Pause between routing attempts (rides out the servers' heartbeat
@@ -412,7 +399,7 @@ impl ShardClient {
 
     /// Estimate one plan through whichever peer owns its serving key,
     /// following redirects and failing over past dead peers. Returns the
-    /// final error once `max_attempts` routing attempts are spent.
+    /// final error once 16 routing attempts are spent.
     pub fn estimate(&mut self, request: &EstimateRequest) -> Result<EstimateResponse, ClientError> {
         let key = ModelKey::new(
             request.benchmark,
@@ -423,14 +410,13 @@ impl ShardClient {
         // re-places the key on the current liveness view.
         let mut redirect: Option<usize> = None;
         let mut last_error: Option<ClientError> = None;
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..ROUTING_ATTEMPTS {
             if attempt > 0 {
                 std::thread::sleep(self.attempt_backoff);
             }
             let target = redirect
                 .take()
                 .unwrap_or_else(|| self.replicas.owner_index(&key));
-            let retry = self.retry;
             let conn = match self.connection(target) {
                 Ok(conn) => conn,
                 Err(error) => {
@@ -439,7 +425,7 @@ impl ShardClient {
                     continue;
                 }
             };
-            match conn.estimate_with_retry(request, retry) {
+            match conn.estimate_with_retry(request, RetryPolicy::default()) {
                 Ok(response) => {
                     self.replicas.mark_alive(target);
                     self.stats.requests_ok += 1;

@@ -63,21 +63,21 @@ pub struct ReplicatorConfig {
     pub heartbeat: Duration,
     /// Per-probe TCP connect timeout (default 250ms).
     pub connect_timeout: Duration,
-    /// How long to wait for a peer's ship-ack before declaring the peer
-    /// dead for this round (default 2s).
-    pub ack_timeout: Duration,
-    /// Bounded queue depth between publishing threads and the worker
-    /// (default 1024); events beyond it are dropped and counted.
-    pub capacity: usize,
 }
+
+/// How long to wait for a peer's ship-ack (or manifest reply) before
+/// declaring the peer dead for this round.
+const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bounded queue depth between publishing threads and the worker; events
+/// beyond it are dropped and counted.
+const QUEUE_CAPACITY: usize = 1024;
 
 impl Default for ReplicatorConfig {
     fn default() -> Self {
         ReplicatorConfig {
             heartbeat: Duration::from_secs(1),
             connect_timeout: Duration::from_millis(250),
-            ack_timeout: Duration::from_secs(2),
-            capacity: 1024,
         }
     }
 }
@@ -197,7 +197,7 @@ impl Replicator {
         config: ReplicatorConfig,
         store: Option<SnapshotStore>,
     ) -> Self {
-        let (tx, rx) = sync_channel(config.capacity.max(1));
+        let (tx, rx) = sync_channel(QUEUE_CAPACITY);
         let counters = Arc::new(Counters::default());
         let worker = Worker {
             replicas,
@@ -337,7 +337,7 @@ impl Worker {
             self.conns.insert(peer, stream);
         }
         let stream = self.conns.get_mut(&peer).expect("connection just cached");
-        stream.set_read_timeout(Some(self.config.ack_timeout))?;
+        stream.set_read_timeout(Some(ACK_TIMEOUT))?;
         stream.write_all(bytes)?;
         self.counters.ships_sent.fetch_add(1, Ordering::Relaxed);
         let stream = self.conns.get_mut(&peer).expect("connection just cached");
@@ -437,7 +437,7 @@ impl Worker {
             self.conns.insert(peer, stream);
         }
         let stream = self.conns.get_mut(&peer).expect("connection just cached");
-        stream.set_read_timeout(Some(self.config.ack_timeout))?;
+        stream.set_read_timeout(Some(ACK_TIMEOUT))?;
         stream.write_all(&request)?;
         let reply = read_manifest_reply(stream, request_id)?;
         self.counters

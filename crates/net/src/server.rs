@@ -80,6 +80,9 @@ const CONN_BASE: usize = 64;
 const READ_CHUNK: usize = 16 * 1024;
 /// Poll timeout when nothing sooner (deadline/idle sweep) is due.
 const TICK: Duration = Duration::from_millis(100);
+/// How long a graceful shutdown waits for in-flight requests to complete
+/// and responses to flush before forcing the exit.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Counters the reactor returns from [`ServerHandle::join`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,7 +120,6 @@ pub struct NetServerBuilder {
     uds: Vec<PathBuf>,
     max_connections: usize,
     idle_timeout: Duration,
-    drain_timeout: Duration,
     replicas: Option<Arc<ReplicaSet>>,
 }
 
@@ -130,7 +132,6 @@ impl NetServerBuilder {
             uds: Vec::new(),
             max_connections: 1024,
             idle_timeout: Duration::from_secs(300),
-            drain_timeout: Duration::from_secs(10),
             replicas: None,
         }
     }
@@ -160,14 +161,6 @@ impl NetServerBuilder {
     /// this long (default 5 minutes).
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// How long a graceful shutdown waits for in-flight requests to
-    /// complete and responses to flush before forcing the exit
-    /// (default 10 seconds).
-    pub fn drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
         self
     }
 
@@ -242,7 +235,6 @@ impl NetServerBuilder {
             shutdown: shutdown.clone(),
             max_connections: self.max_connections,
             idle_timeout: self.idle_timeout,
-            drain_timeout: self.drain_timeout,
             replicas: self.replicas,
             stats: ServerStats::default(),
         };
@@ -456,7 +448,6 @@ struct Reactor {
     shutdown: Arc<AtomicBool>,
     max_connections: usize,
     idle_timeout: Duration,
-    drain_timeout: Duration,
     replicas: Option<Arc<ReplicaSet>>,
     stats: ServerStats,
 }
@@ -477,7 +468,7 @@ impl Reactor {
                         let _ = self.poller.deregister(listener.fd());
                     }
                     accepting = false;
-                    drain_until = Some(Instant::now() + self.drain_timeout);
+                    drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
                     for slot in 0..self.conns.len() {
                         if self.conns[slot].is_some() {
                             self.update_interest(slot, true);

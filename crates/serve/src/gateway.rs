@@ -43,10 +43,8 @@
 //! 2. **refit** — once [`crate::refine::RefinementConfig::refit_threshold`]
 //!    samples accumulate, the shard's current snapshot is refit from its
 //!    own labels ([`FeatureSnapshot::refit_with`]: observed operators get
-//!    fresh coefficients, uncovered ones keep the warm-start's). An
-//!    optional drift gate (`min_drift`) skips installs that would not move
-//!    the snapshot. At most one refit runs per trigger, even under
-//!    concurrent feedback writers;
+//!    fresh coefficients, uncovered ones keep the warm-start's). At most
+//!    one refit runs per trigger, even under concurrent feedback writers;
 //! 3. **persist, then swap** — the refit snapshot (marked
 //!    [`FeatureSnapshot::refined`]) is appended to the key's snapshot log
 //!    *first* (one CRC-framed record per refit; see [`crate::store`]),
@@ -289,7 +287,7 @@ impl GatewayBuilder {
     }
 
     /// Online-refinement policy applied to every shard (refit threshold,
-    /// drift gate, label-window size). See
+    /// label-window size). See
     /// [`QcfeGateway::record_execution`].
     pub fn refinement(mut self, config: RefinementConfig) -> Self {
         self.refinement = config;
@@ -697,8 +695,7 @@ impl QcfeGateway {
     }
 
     /// One refit pass: fit the label window against the serving snapshot,
-    /// apply the drift gate, persist, swap live, promote. Runs with the
-    /// shard's refit guard held.
+    /// persist, swap live, promote. Runs with the shard's refit guard held.
     fn refit_shard(
         &self,
         benchmark: BenchmarkKind,
@@ -721,22 +718,6 @@ impl QcfeGateway {
             return Ok(());
         };
         let candidate = current.refit_with(&labels);
-        // `relative_difference` only scores operators the *current*
-        // snapshot covers, so an operator first observed through feedback
-        // contributes zero drift — it must force the install regardless,
-        // or a strict drift gate would discard its coefficients forever.
-        let covers_new_operator = candidate.covered_operators().into_iter().any(|kind| {
-            current.coefficients(kind) == [0.0; qcfe_core::snapshot::SNAPSHOT_DIM]
-                && candidate.coefficients(kind) != [0.0; qcfe_core::snapshot::SNAPSHOT_DIM]
-        });
-        if self.refinement.min_drift > 0.0
-            && !covers_new_operator
-            && current.relative_difference(&candidate) < self.refinement.min_drift
-        {
-            // The feedback confirms the serving snapshot; installing the
-            // refit would churn disk and cache for nothing.
-            return Ok(());
-        }
         // Persist before swapping: a crash between the two leaves disk
         // *ahead* of the serving state, never behind it, so a restart can
         // only be fresher. The knob vector rides along, making the refined
@@ -1334,6 +1315,7 @@ impl PendingResponse {
 mod tests {
     use super::*;
     use crate::service::ServiceError;
+    use crate::test_support::TempDir;
     use qcfe_core::snapshot::OperatorSample;
     use qcfe_db::plan::{OperatorKind, PhysicalOp, PlanNode};
     use std::sync::atomic::AtomicUsize;
@@ -1389,11 +1371,11 @@ mod tests {
         FeatureSnapshot::fit(&samples)
     }
 
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("qcfe-gateway-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A fresh gateway root, removed with the returned guard.
+    fn temp_root(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("qcfe-gateway-test-{tag}"));
+        let root = dir.path();
+        (dir, root)
     }
 
     fn env_with_overhead(os_overhead: f64) -> DbEnvironment {
@@ -1410,7 +1392,7 @@ mod tests {
 
     #[test]
     fn second_request_to_the_same_fingerprint_reuses_the_shard() {
-        let root = temp_root("reuse");
+        let (_dir, root) = temp_root("reuse");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1443,12 +1425,11 @@ mod tests {
         assert_eq!(gateway.resident_shards(), vec![key]);
         let metrics = gateway.shard_metrics(&key).expect("shard resident");
         assert_eq!(metrics.completed, 2);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn registering_a_model_retires_the_running_shard() {
-        let root = temp_root("replace");
+        let (_dir, root) = temp_root("replace");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1471,12 +1452,11 @@ mod tests {
             "the shard restarts on the replacement"
         );
         assert_eq!(gateway.stats().shard_starts, 2);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn shard_cap_retires_least_recently_used_shards() {
-        let root = temp_root("cap");
+        let (_dir, root) = temp_root("cap");
         let envs: Vec<DbEnvironment> = (0..3)
             .map(|i| env_with_overhead(1.0 + i as f64 * 0.01))
             .collect();
@@ -1505,12 +1485,11 @@ mod tests {
         let again = gateway.estimate(mscn_request(&envs[0], 1.0)).unwrap();
         assert!(again.provenance.cold_start);
         assert_eq!(gateway.stats().shard_starts, 4);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn unseen_fingerprint_warm_starts_from_the_nearest_neighbour() {
-        let root = temp_root("transfer");
+        let (_dir, root) = temp_root("transfer");
         let published = env_with_overhead(1.05);
         let far = env_with_overhead(1.40);
         let unseen = env_with_overhead(1.051);
@@ -1567,12 +1546,11 @@ mod tests {
             }
             other => panic!("expected SnapshotMissing, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn model_resolution_prefers_registry_then_provider_then_pgsql() {
-        let root = temp_root("resolve");
+        let (_dir, root) = temp_root("resolve");
         let env = DbEnvironment::reference();
         let provided = Arc::new(AtomicUsize::new(0));
         let calls = Arc::clone(&provided);
@@ -1612,7 +1590,6 @@ mod tests {
             }
             other => panic!("expected ModelMissing, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A gateway serving `TripleRows` for every given environment.
@@ -1639,7 +1616,7 @@ mod tests {
 
     #[test]
     fn a_batch_call_to_a_warm_shard_forms_one_micro_batch_in_input_order() {
-        let root = temp_root("batch-one");
+        let (_dir, root) = temp_root("batch-one");
         let env = DbEnvironment::reference();
         let gateway = triple_rows_gateway(&root, &[&env], ServiceConfig::default());
         gateway.estimate(mscn_request(&env, 1.0)).unwrap(); // warm the shard
@@ -1662,12 +1639,11 @@ mod tests {
             assert!(!response.provenance.cold_start);
         }
         assert_eq!(gateway.stats().requests, 1 + 16 + 16);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn a_full_queue_hands_rejected_requests_back_whole() {
-        let root = temp_root("batch-full");
+        let (_dir, root) = temp_root("batch-full");
         let env = DbEnvironment::reference();
         let config = ServiceConfig {
             workers: 1,
@@ -1704,12 +1680,11 @@ mod tests {
         for (i, pending) in admitted.into_iter().enumerate() {
             assert_eq!(pending.wait().unwrap().cost_ms, 3.0 * (10.0 + i as f64));
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn a_batch_for_two_environments_forms_one_micro_batch_per_shard() {
-        let root = temp_root("batch-two");
+        let (_dir, root) = temp_root("batch-two");
         let (a, b) = (env_with_overhead(0.5), env_with_overhead(2.0));
         let gateway = triple_rows_gateway(&root, &[&a, &b], ServiceConfig::default());
         gateway.estimate(mscn_request(&a, 1.0)).unwrap();
@@ -1731,12 +1706,11 @@ mod tests {
             );
         }
         assert_eq!(gateway.stats().shard_starts, 2);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn deadlines_fail_fast_with_a_typed_error() {
-        let root = temp_root("deadline");
+        let (_dir, root) = temp_root("deadline");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1759,7 +1733,6 @@ mod tests {
         // A generous deadline passes.
         let request = mscn_request(&env, 1.0).with_deadline(Duration::from_secs(30));
         assert!(gateway.estimate(request).is_ok());
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A deadline bounds the *wait*, not just pre/post checks: a shard
@@ -1777,7 +1750,7 @@ mod tests {
                 1.0
             }
         }
-        let root = temp_root("slow");
+        let (_dir, root) = temp_root("slow");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1801,12 +1774,11 @@ mod tests {
             waited.elapsed() < Duration::from_millis(250),
             "the caller must be released at the deadline, not after inference"
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn concurrent_cold_starts_converge_on_one_shard() {
-        let root = temp_root("race");
+        let (_dir, root) = temp_root("race");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1835,7 +1807,6 @@ mod tests {
         assert_eq!(stats.shards_resident, 1, "racers converge on one shard");
         assert_eq!(stats.shard_starts, 1, "only one racer starts the service");
         assert_eq!(stats.requests, 8);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     use crate::test_support::tiny_mscn as tiny_persisted_mscn;
@@ -1846,7 +1817,7 @@ mod tests {
     /// and no provider in sight.
     #[test]
     fn restarted_gateway_serves_from_persisted_weights() {
-        let root = temp_root("restart");
+        let (_dir, root) = temp_root("restart");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -1892,7 +1863,6 @@ mod tests {
         let stats = gateway.stats();
         assert_eq!(stats.model_loads, 1, "one disk load serves every request");
         assert_eq!(stats.registry.loads, 1);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Disk-loaded weights do not erase a transferred snapshot's
@@ -1901,7 +1871,7 @@ mod tests {
     /// `model_from_disk`.
     #[test]
     fn transferred_snapshot_keeps_its_provenance_with_a_disk_model() {
-        let root = temp_root("transfer-disk");
+        let (_dir, root) = temp_root("transfer-disk");
         let published = env_with_overhead(1.05);
         let unseen = env_with_overhead(1.051);
         let key = ModelKey::new(
@@ -1942,14 +1912,13 @@ mod tests {
         let stats = gateway.stats();
         assert_eq!(stats.model_loads, 1);
         assert_eq!(stats.snapshot_transfers, 1);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A corrupt weight sidecar degrades to a provider call instead of
     /// serving garbage or failing the request.
     #[test]
     fn corrupt_weight_file_falls_through_to_the_provider() {
-        let root = temp_root("corrupt-weights");
+        let (_dir, root) = temp_root("corrupt-weights");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -2002,7 +1971,6 @@ mod tests {
             std::path::PathBuf::from(quarantined).is_file(),
             "quarantined copy must remain for inspection"
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Disk provenance is sticky: with a 1-shard cap, retiring and
@@ -2011,7 +1979,7 @@ mod tests {
     /// not flip to [`SnapshotOrigin::TrainedHere`].
     #[test]
     fn disk_provenance_survives_shard_retirement() {
-        let root = temp_root("sticky");
+        let (_dir, root) = temp_root("sticky");
         let env_a = env_with_overhead(1.0);
         let env_b = env_with_overhead(1.2);
         let key_for = |env: &DbEnvironment| {
@@ -2063,7 +2031,6 @@ mod tests {
             !replaced.provenance.snapshot_origin.is_from_disk(),
             "a freshly registered model is TrainedHere again"
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A provider rebuild clears a stale disk mark: once the sidecar is
@@ -2071,7 +2038,7 @@ mod tests {
     /// registry-resident rebuild must not claim disk provenance.
     #[test]
     fn provider_rebuild_clears_stale_disk_provenance() {
-        let root = temp_root("stale-mark");
+        let (_dir, root) = temp_root("stale-mark");
         let env_a = env_with_overhead(1.0);
         let env_b = env_with_overhead(1.2);
         let key_for = |env: &DbEnvironment| {
@@ -2118,7 +2085,6 @@ mod tests {
             "a retrained model must never resurrect disk provenance, got {:?}",
             again.provenance.snapshot_origin
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A stub whose prediction is the snapshot's SeqScan formula applied to
@@ -2156,7 +2122,7 @@ mod tests {
     /// `Transferred → TrainedHere` — without restarting the shard.
     #[test]
     fn feedback_refits_and_promotes_a_transferred_shard() {
-        let root = temp_root("refine");
+        let (_dir, root) = temp_root("refine");
         let neighbour = env_with_overhead(1.05);
         let unseen = env_with_overhead(1.051);
         let gateway = QcfeGateway::builder(&root)
@@ -2170,7 +2136,6 @@ mod tests {
             )
             .refinement(RefinementConfig {
                 refit_threshold: 8,
-                min_drift: 0.0,
                 buffer_capacity: 64,
             })
             .build()
@@ -2243,144 +2208,12 @@ mod tests {
             .shard_metrics(&promoted.provenance.model_key)
             .expect("resident");
         assert_eq!(metrics.snapshot_swaps, 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// The drift gate: feedback that merely confirms the serving snapshot
-    /// triggers a fit but installs nothing — no persist, no swap, no
-    /// promotion.
-    #[test]
-    fn drift_gate_skips_confirming_feedback() {
-        let root = temp_root("drift");
-        let neighbour = env_with_overhead(1.05);
-        let unseen = env_with_overhead(1.051);
-        let slope = 0.002;
-        let gateway = QcfeGateway::builder(&root)
-            .with_model(
-                ModelKey::new(
-                    BenchmarkKind::Sysbench,
-                    EstimatorKind::Mscn,
-                    unseen.fingerprint(),
-                ),
-                Arc::new(SnapshotSlope),
-            )
-            .refinement(RefinementConfig {
-                refit_threshold: 8,
-                min_drift: 0.5,
-                buffer_capacity: 64,
-            })
-            .build()
-            .unwrap();
-        gateway
-            .publish_snapshot(BenchmarkKind::Sysbench, &neighbour, &tiny_snapshot(slope))
-            .unwrap();
-        gateway.estimate(mscn_request(&unseen, 10.0)).unwrap();
-
-        // Feedback follows the transferred snapshot's own line (same slope
-        // and intercept the neighbour fitted): candidate ≈ current.
-        for i in 0..16 {
-            let outcome = gateway
-                .record_execution(
-                    BenchmarkKind::Sysbench,
-                    &unseen,
-                    &executed_scan((i + 1) as f64 * 50.0, slope, 0.25),
-                )
-                .unwrap();
-            assert_eq!(outcome.refits, 0);
-        }
-        let stats = gateway.stats();
-        assert_eq!(stats.refits, 0, "confirming feedback must not refit");
-        assert_eq!(stats.promotions, 0);
-        let response = gateway.estimate(mscn_request(&unseen, 10.0)).unwrap();
-        assert!(response.provenance.snapshot_origin.is_transferred());
-        assert!(!response.provenance.refined);
-        assert!(
-            gateway
-                .store()
-                .load(BenchmarkKind::Sysbench, unseen.fingerprint())
-                .unwrap()
-                .is_none(),
-            "a skipped install must not persist anything"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// The drift gate must not starve an operator the warm-start never
-    /// covered: feedback whose shared-operator drift is ~zero but which
-    /// carries a *new* operator's labels still installs the refit
-    /// (`relative_difference` only scores shared operators, so the new
-    /// coefficients would otherwise read as zero drift forever).
-    #[test]
-    fn drift_gate_still_installs_newly_covered_operators() {
-        let root = temp_root("drift-new-op");
-        let neighbour = env_with_overhead(1.05);
-        let unseen = env_with_overhead(1.051);
-        let slope = 0.002;
-        let gateway = QcfeGateway::builder(&root)
-            .with_model(
-                ModelKey::new(
-                    BenchmarkKind::Sysbench,
-                    EstimatorKind::Mscn,
-                    unseen.fingerprint(),
-                ),
-                Arc::new(SnapshotSlope),
-            )
-            .refinement(RefinementConfig {
-                refit_threshold: 16,
-                min_drift: 0.5,
-                buffer_capacity: 64,
-            })
-            .build()
-            .unwrap();
-        // The transferred snapshot covers SeqScan only.
-        gateway
-            .publish_snapshot(BenchmarkKind::Sysbench, &neighbour, &tiny_snapshot(slope))
-            .unwrap();
-        gateway.estimate(mscn_request(&unseen, 10.0)).unwrap();
-
-        // Feedback: SeqScan confirms the transferred line (zero drift on
-        // shared operators), but every execution also carries a Sort the
-        // warm start knows nothing about.
-        for i in 0..8 {
-            let n = (i + 1) as f64 * 50.0;
-            let mut scan = PlanNode::new(PhysicalOp::SeqScan { table: "t".into() }, vec![]);
-            scan.actual_rows = n;
-            scan.actual_self_ms = slope * n + 0.25;
-            let mut sort = PlanNode::new(PhysicalOp::Sort { keys: vec![] }, vec![scan]);
-            sort.actual_rows = n;
-            sort.actual_self_ms = 0.001 * n * (n + 1.0).log2() + 2.0;
-            let executed = qcfe_db::executor::ExecutedQuery {
-                total_ms: sort.actual_self_ms,
-                root: sort,
-            };
-            gateway
-                .record_execution(BenchmarkKind::Sysbench, &unseen, &executed)
-                .unwrap();
-        }
-        let stats = gateway.stats();
-        assert_eq!(
-            stats.refits, 1,
-            "a newly covered operator must force the install"
-        );
-        assert_eq!(stats.promotions, 1);
-        let persisted = gateway
-            .store()
-            .load(BenchmarkKind::Sysbench, unseen.fingerprint())
-            .unwrap()
-            .expect("refit persisted");
-        let sort = persisted.coefficients(OperatorKind::Sort);
-        assert!(
-            sort != [0.0; qcfe_core::snapshot::SNAPSHOT_DIM],
-            "the new operator's coefficients must be live"
-        );
-        assert!((sort[0] - 0.001).abs() < 1e-6, "sort c0 {}", sort[0]);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Labels for an environment nobody is serving are dropped, visibly.
     #[test]
     fn feedback_without_a_resident_shard_is_dropped() {
-        let root = temp_root("unrouted");
+        let (_dir, root) = temp_root("unrouted");
         let env = DbEnvironment::reference();
         let gateway = QcfeGateway::builder(&root).build().unwrap();
         let outcome = gateway
@@ -2393,12 +2226,11 @@ mod tests {
         assert_eq!(outcome.samples, 1);
         assert_eq!(outcome.shards, 0, "no owner: labels dropped");
         assert_eq!(gateway.stats().labels_recorded, 0);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn shed_load_surfaces_queue_full_as_qcfe_error() {
-        let root = temp_root("shed");
+        let (_dir, root) = temp_root("shed");
         let env = DbEnvironment::reference();
         let key = ModelKey::new(
             BenchmarkKind::Sysbench,
@@ -2451,6 +2283,5 @@ mod tests {
             let key_metrics = gateway.shard_metrics(&key).expect("resident");
             assert!(key_metrics.rejected >= 1);
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -21,13 +21,6 @@ pub struct RefinementConfig {
     /// Observed operator samples that must accumulate (since the last refit
     /// attempt) before a refit is triggered. Minimum 1.
     pub refit_threshold: usize,
-    /// Optional drift gate: with a positive value, a triggered refit is
-    /// only *installed* when
-    /// [`qcfe_core::snapshot::FeatureSnapshot::relative_difference`]
-    /// between the candidate and the serving snapshot reaches it — feedback
-    /// that merely confirms the current snapshot does not churn the store.
-    /// Zero installs every triggered refit.
-    pub min_drift: f64,
     /// Most recent samples the per-shard [`LabelBuffer`] retains (older
     /// labels fall off the front). Refits always fit over the whole
     /// retained window. Minimum [`RefinementConfig::refit_threshold`].
@@ -38,7 +31,6 @@ impl Default for RefinementConfig {
     fn default() -> Self {
         RefinementConfig {
             refit_threshold: 256,
-            min_drift: 0.0,
             buffer_capacity: 4096,
         }
     }
@@ -46,16 +38,11 @@ impl Default for RefinementConfig {
 
 impl RefinementConfig {
     /// The configuration with its invariants applied (threshold ≥ 1,
-    /// capacity ≥ threshold, non-negative finite drift).
+    /// capacity ≥ threshold).
     pub(crate) fn normalized(self) -> Self {
         let refit_threshold = self.refit_threshold.max(1);
         RefinementConfig {
             refit_threshold,
-            min_drift: if self.min_drift.is_finite() {
-                self.min_drift.max(0.0)
-            } else {
-                0.0
-            },
             buffer_capacity: self.buffer_capacity.max(refit_threshold),
         }
     }
@@ -189,20 +176,16 @@ mod tests {
     fn config_normalization_applies_floors() {
         let cfg = RefinementConfig {
             refit_threshold: 0,
-            min_drift: f64::NAN,
             buffer_capacity: 0,
         }
         .normalized();
         assert_eq!(cfg.refit_threshold, 1);
-        assert_eq!(cfg.min_drift, 0.0);
         assert_eq!(cfg.buffer_capacity, 1);
         let cfg = RefinementConfig {
             refit_threshold: 100,
-            min_drift: -0.5,
             buffer_capacity: 10,
         }
         .normalized();
         assert_eq!(cfg.buffer_capacity, 100, "window always covers a trigger");
-        assert_eq!(cfg.min_drift, 0.0);
     }
 }

@@ -375,16 +375,6 @@ pub enum ShipEvent {
     },
 }
 
-impl ShipEvent {
-    /// A short human label for logs and stats.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ShipEvent::Snapshot { .. } => "snapshot",
-            ShipEvent::Model { .. } => "model",
-        }
-    }
-}
-
 /// Where the gateway hands freshly persisted state for replication.
 ///
 /// Shipping is strictly fire-and-forget from the gateway's perspective:

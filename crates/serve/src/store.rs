@@ -949,30 +949,12 @@ impl SnapshotStore {
         }
         Ok(out)
     }
-
-    /// Load the snapshot for an environment, or fit one with `fit` and
-    /// persist it — the serving layer's "warm start after restart" path.
-    pub fn load_or_insert_with<F>(
-        &self,
-        benchmark: BenchmarkKind,
-        fingerprint: EnvFingerprint,
-        fit: F,
-    ) -> Result<FeatureSnapshot, StoreError>
-    where
-        F: FnOnce() -> FeatureSnapshot,
-    {
-        if let Some(snapshot) = self.load(benchmark, fingerprint)? {
-            return Ok(snapshot);
-        }
-        let snapshot = fit();
-        self.save(benchmark, fingerprint, &snapshot)?;
-        Ok(snapshot)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
     use qcfe_core::pipeline::EstimatorKind;
     use qcfe_core::snapshot::OperatorSample;
     use qcfe_db::plan::OperatorKind;
@@ -993,16 +975,16 @@ mod tests {
         FeatureSnapshot::fit(&samples)
     }
 
-    fn temp_store(tag: &str) -> SnapshotStore {
-        let dir =
-            std::env::temp_dir().join(format!("qcfe-store-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        SnapshotStore::open(dir).expect("store opens")
+    /// A store in a fresh temp directory, removed with the returned guard.
+    fn temp_store(tag: &str) -> (TempDir, SnapshotStore) {
+        let dir = TempDir::new(&format!("qcfe-store-test-{tag}"));
+        let store = SnapshotStore::open(dir.path()).expect("store opens");
+        (dir, store)
     }
 
     #[test]
     fn save_load_roundtrip_is_exact() {
-        let store = temp_store("roundtrip");
+        let (_dir, store) = temp_store("roundtrip");
         let fp = DbEnvironment::reference().fingerprint();
         let snap = sample_snapshot(0.004);
         let path = store.save(BenchmarkKind::Sysbench, fp, &snap).unwrap();
@@ -1012,13 +994,11 @@ mod tests {
             .unwrap()
             .expect("present");
         assert_eq!(loaded, snap);
-        assert_eq!(loaded.relative_difference(&snap), 0.0);
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn missing_snapshots_read_as_none_and_listing_tracks_saves() {
-        let store = temp_store("listing");
+        let (_dir, store) = temp_store("listing");
         let fp1 = DbEnvironment::reference().fingerprint();
         let mut env2 = DbEnvironment::reference();
         env2.os_overhead = 1.07;
@@ -1041,34 +1021,11 @@ mod tests {
         );
         assert!(store.remove(BenchmarkKind::Tpch, fp1).unwrap());
         assert!(!store.remove(BenchmarkKind::Tpch, fp1).unwrap());
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn load_or_insert_fits_once_then_reuses() {
-        let store = temp_store("loi");
-        let fp = DbEnvironment::reference().fingerprint();
-        let mut fits = 0;
-        let first = store
-            .load_or_insert_with(BenchmarkKind::JobLight, fp, || {
-                fits += 1;
-                sample_snapshot(0.003)
-            })
-            .unwrap();
-        let second = store
-            .load_or_insert_with(BenchmarkKind::JobLight, fp, || {
-                fits += 1;
-                sample_snapshot(0.009)
-            })
-            .unwrap();
-        assert_eq!(fits, 1, "second call must come from disk");
-        assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn knob_vectors_roundtrip_and_list() {
-        let store = temp_store("vectors");
+        let (_dir, store) = temp_store("vectors");
         let env = DbEnvironment::reference();
         let fp = env.fingerprint();
         assert!(store
@@ -1095,7 +1052,6 @@ mod tests {
             Err(StoreError::Vector(_)) => {}
             other => panic!("expected vector error, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// Re-saving an environment leaves its unchanged `.qvec` file in place
@@ -1105,7 +1061,7 @@ mod tests {
     #[test]
     fn unchanged_knob_vectors_are_not_rewritten() {
         use std::os::unix::fs::MetadataExt;
-        let store = temp_store("vector-skip");
+        let (_dir, store) = temp_store("vector-skip");
         let kind = BenchmarkKind::Tpch;
         let env = DbEnvironment::reference();
         let fp = env.fingerprint();
@@ -1139,12 +1095,11 @@ mod tests {
         std::fs::write(&path, b"junk").unwrap();
         store.save_env(kind, &env, &sample_snapshot(0.002)).unwrap();
         assert_eq!(store.load_vector(kind, fp).unwrap(), Some(expected));
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn nearest_environment_finds_the_closest_persisted_fingerprint() {
-        let store = temp_store("nearest");
+        let (_dir, store) = temp_store("nearest");
         let kind = BenchmarkKind::Sysbench;
         let reference = DbEnvironment::reference();
         let mut far = reference.clone();
@@ -1179,7 +1134,6 @@ mod tests {
             .unwrap()
             .expect("far candidate remains");
         assert_eq!(fp, far.fingerprint());
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// Satellite acceptance: equal knob distances tie-break
@@ -1196,7 +1150,7 @@ mod tests {
         let high = EnvFingerprint(0xeeee_eeee_eeee_eeee);
         let probe = EnvFingerprint(0xabcd_abcd_abcd_abcd);
         for (tag, order) in [("lo-hi", [low, high]), ("hi-lo", [high, low])] {
-            let store = temp_store(&format!("tie-{tag}"));
+            let (_dir, store) = temp_store(&format!("tie-{tag}"));
             for fp in order {
                 store.save(kind, fp, &sample_snapshot(0.001)).unwrap();
                 store.save_vector(kind, fp, &query).unwrap();
@@ -1213,7 +1167,6 @@ mod tests {
                      (save order {tag})"
                 );
             }
-            let _ = std::fs::remove_dir_all(store.root());
         }
     }
 
@@ -1221,7 +1174,7 @@ mod tests {
 
     #[test]
     fn model_weights_roundtrip_and_list() {
-        let store = temp_store("models");
+        let (_dir, store) = temp_store("models");
         let kind = BenchmarkKind::Sysbench;
         let fp = DbEnvironment::reference().fingerprint();
         let estimator = qcfe_core::pipeline::EstimatorKind::QcfeMscn;
@@ -1242,12 +1195,11 @@ mod tests {
         assert!(store.remove_model(kind, estimator, fp).unwrap());
         assert!(!store.remove_model(kind, estimator, fp).unwrap());
         assert!(store.list_models(kind).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn model_family_mismatches_are_rejected_typed() {
-        let store = temp_store("model-family");
+        let (_dir, store) = temp_store("model-family");
         let kind = BenchmarkKind::Sysbench;
         let fp = DbEnvironment::reference().fingerprint();
         let model = tiny_mscn(9);
@@ -1276,12 +1228,11 @@ mod tests {
             Err(StoreError::Model(_)) => {}
             other => panic!("expected model error, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn quarantine_only_moves_genuinely_corrupt_files() {
-        let store = temp_store("quarantine");
+        let (_dir, store) = temp_store("quarantine");
         let kind = BenchmarkKind::Sysbench;
         let fp = DbEnvironment::reference().fingerprint();
         let estimator = qcfe_core::pipeline::EstimatorKind::QcfeMscn;
@@ -1309,12 +1260,11 @@ mod tests {
         assert!(!path.exists());
         assert!(quarantined.is_file());
         assert!(quarantined.to_string_lossy().ends_with(".corrupt"));
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn corrupted_model_files_surface_typed_errors() {
-        let store = temp_store("model-corrupt");
+        let (_dir, store) = temp_store("model-corrupt");
         let kind = BenchmarkKind::Sysbench;
         let fp = DbEnvironment::reference().fingerprint();
         let estimator = qcfe_core::pipeline::EstimatorKind::QcfeMscn;
@@ -1347,7 +1297,6 @@ mod tests {
                 other => panic!("expected model error, got {other:?}"),
             }
         }
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// The manifest must be a pure function of store *content*: identical
@@ -1361,17 +1310,17 @@ mod tests {
         let fp2 = EnvFingerprint(0xeeee_eeee_eeee_eeee);
         let estimator = qcfe_core::pipeline::EstimatorKind::QcfeMscn;
         let build = |tag: &str, order: [EnvFingerprint; 2]| {
-            let store = temp_store(&format!("manifest-{tag}"));
+            let (dir, store) = temp_store(&format!("manifest-{tag}"));
             for fp in order {
                 store.save(kind, fp, &sample_snapshot(0.004)).unwrap();
             }
             store
                 .save_model(kind, estimator, fp1, &tiny_mscn(7))
                 .unwrap();
-            store
+            (dir, store)
         };
-        let a = build("a", [fp1, fp2]);
-        let b = build("b", [fp2, fp1]);
+        let (_a_dir, a) = build("a", [fp1, fp2]);
+        let (_b_dir, b) = build("b", [fp2, fp1]);
         let manifest = a.manifest().unwrap();
         assert_eq!(
             manifest,
@@ -1401,13 +1350,11 @@ mod tests {
         assert_ne!(a.manifest().unwrap(), manifest);
         a.save(kind, fp1, &sample_snapshot(0.004)).unwrap();
         assert_eq!(a.manifest().unwrap(), manifest);
-        let _ = std::fs::remove_dir_all(a.root());
-        let _ = std::fs::remove_dir_all(b.root());
     }
 
     #[test]
     fn corrupted_files_surface_codec_errors() {
-        let store = temp_store("corrupt");
+        let (_dir, store) = temp_store("corrupt");
         let fp = DbEnvironment::reference().fingerprint();
         let path = store.path_for(BenchmarkKind::Sysbench, fp);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -1416,7 +1363,6 @@ mod tests {
             Err(StoreError::Codec(_)) => {}
             other => panic!("expected codec error, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     // ---- the snapshot log ----
@@ -1459,7 +1405,7 @@ mod tests {
     #[test]
     fn saves_below_the_bound_append_to_the_same_file() {
         use std::os::unix::fs::MetadataExt;
-        let store = temp_store("log-append");
+        let (_dir, store) = temp_store("log-append");
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0xa11e);
         let path = store.path_for(kind, fp);
@@ -1488,7 +1434,6 @@ mod tests {
             .filter(|name| name.to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "no temp files: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// A save that would take the log past its bound writes a fresh
@@ -1498,7 +1443,7 @@ mod tests {
     #[test]
     fn a_log_at_its_bound_compacts_to_one_record() {
         use std::os::unix::fs::MetadataExt;
-        let store = temp_store("log-compact");
+        let (_dir, store) = temp_store("log-compact");
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0xc0);
         let path = store.path_for(kind, fp);
@@ -1518,14 +1463,13 @@ mod tests {
             assert_eq!(store.load(kind, fp).unwrap(), Some(tagged_snapshot(2, i)));
         }
         assert_eq!(compactions, 3, "{per_log} records per log");
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// A log with no CRC-valid record fails typed, as a garbage file does,
     /// and never reads as absent; so does a log of an unknown version.
     #[test]
     fn a_log_without_a_valid_record_fails_typed() {
-        let store = temp_store("log-empty");
+        let (_dir, store) = temp_store("log-empty");
         let kind = BenchmarkKind::Sysbench;
         let fp = EnvFingerprint(0xe);
         let path = store.path_for(kind, fp);
@@ -1582,7 +1526,6 @@ mod tests {
                 "{case}"
             );
         }
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// A single-frame `.qcfs` file, the format before the log, loads and
@@ -1590,7 +1533,7 @@ mod tests {
     /// record is what later loads return.
     #[test]
     fn legacy_single_frame_files_load_and_convert_on_the_first_save() {
-        let store = temp_store("log-legacy");
+        let (_dir, store) = temp_store("log-legacy");
         let kind = BenchmarkKind::JobLight;
         let fp = EnvFingerprint(0x1e9);
         let path = store.path_for(kind, fp);
@@ -1614,7 +1557,6 @@ mod tests {
         store.save(kind, fp, &next).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), one_record_log(&next));
         assert_eq!(store.load(kind, fp).unwrap(), Some(next));
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// Replication ships the current `QCFS` frame, exactly what a
@@ -1625,15 +1567,15 @@ mod tests {
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0x7e91);
         let current = sample_snapshot(0.005);
-        let long = temp_store("log-history-long");
+        let (_long_dir, long) = temp_store("log-history-long");
         for i in 0..40 {
             long.save(kind, fp, &sample_snapshot(0.001 * (i + 1) as f64))
                 .unwrap();
         }
         long.save(kind, fp, &current).unwrap();
-        let short = temp_store("log-history-short");
+        let (_short_dir, short) = temp_store("log-history-short");
         short.save(kind, fp, &current).unwrap();
-        let legacy = temp_store("log-history-legacy");
+        let (_legacy_dir, legacy) = temp_store("log-history-legacy");
         let legacy_path = legacy.path_for(kind, fp);
         std::fs::create_dir_all(legacy_path.parent().unwrap()).unwrap();
         std::fs::write(&legacy_path, current.to_bytes()).unwrap();
@@ -1655,9 +1597,6 @@ mod tests {
         torn.extend_from_slice(&[0x2a; 13]);
         std::fs::write(long.path_for(kind, fp), torn).unwrap();
         assert_eq!(long.manifest().unwrap(), short.manifest().unwrap());
-        for store in [long, short, legacy] {
-            let _ = std::fs::remove_dir_all(store.root());
-        }
     }
 
     /// A compaction that renames a fresh log over the path between an
@@ -1667,7 +1606,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn an_append_into_a_replaced_log_is_detected_and_saved_again() {
-        let store = temp_store("log-replaced");
+        let (_dir, store) = temp_store("log-replaced");
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0x1a7e);
         let path = store.path_for(kind, fp);
@@ -1698,7 +1637,6 @@ mod tests {
             Append::Written
         );
         assert_eq!(store.load(kind, fp).unwrap(), Some(tagged_snapshot(3, 2)));
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// A temp file whose write or rename fails is removed, not left next to
@@ -1706,7 +1644,7 @@ mod tests {
     /// non-empty directory).
     #[test]
     fn failed_atomic_writes_leave_no_temp_file() {
-        let store = temp_store("tmp-leak");
+        let (_dir, store) = temp_store("tmp-leak");
         let kind = BenchmarkKind::Sysbench;
         let fp = EnvFingerprint(0x7);
         let estimator = EstimatorKind::QcfeMscn;
@@ -1724,7 +1662,6 @@ mod tests {
             names.iter().all(|name| !name.ends_with(".tmp")),
             "a failed write left its temp file: {names:?}"
         );
-        let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// Seeded crash property over one long history of saves that crosses
@@ -1737,8 +1674,8 @@ mod tests {
     fn a_torn_or_garbage_tail_never_hides_the_last_complete_snapshot() {
         use rand::{Rng, RngCore, SeedableRng};
         const CASES: usize = 1000;
-        let store = temp_store("log-crash-history");
-        let crashed = temp_store("log-crash-copy");
+        let (_dir, store) = temp_store("log-crash-history");
+        let (_crashed_dir, crashed) = temp_store("log-crash-copy");
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0xc4a5);
         let (path, crashed_path) = (store.path_for(kind, fp), crashed.path_for(kind, fp));
@@ -1803,8 +1740,6 @@ mod tests {
             torn_cases >= CASES / 3 && typed_failures > 0,
             "{torn_cases} torn, {typed_failures} typed"
         );
-        let _ = std::fs::remove_dir_all(store.root());
-        let _ = std::fs::remove_dir_all(crashed.root());
     }
 
     /// 8 threads save distinct snapshots of one key across several
@@ -1817,7 +1752,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         const WRITERS: u64 = 8;
         const SAVES: u64 = 150;
-        let store = temp_store("log-concurrent");
+        let (_dir, store) = temp_store("log-concurrent");
         let kind = BenchmarkKind::Tpch;
         let fp = EnvFingerprint(0xc0c0);
         let path = store.path_for(kind, fp);
@@ -1885,6 +1820,5 @@ mod tests {
             (0..WRITERS).any(|w| last == tagged_snapshot(w, SAVES - 1)),
             "the log must end with some thread's last save"
         );
-        let _ = std::fs::remove_dir_all(store.root());
     }
 }

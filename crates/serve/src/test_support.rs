@@ -7,6 +7,30 @@ use qcfe_db::catalog::{Catalog, TableBuilder};
 use qcfe_db::types::DataType;
 use qcfe_nn::{Activation, Mlp};
 use rand::SeedableRng;
+use std::path::PathBuf;
+
+/// A per-process directory under the system temp dir, emptied when created
+/// and removed when dropped — also while a failed assertion unwinds.
+pub(crate) struct TempDir(PathBuf);
+
+impl TempDir {
+    /// `<temp dir>/<name>-<pid>`.
+    pub(crate) fn new(name: &str) -> TempDir {
+        let path = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        TempDir(path)
+    }
+
+    pub(crate) fn path(&self) -> PathBuf {
+        self.0.clone()
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// A deterministic, training-free MSCN estimator assembled from parts
 /// (tiny single-table catalog, seeded random weights) — real persistable

@@ -70,7 +70,6 @@ fn main() {
         // operator labels accumulate (the demo streams ~200 executions).
         .refinement(RefinementConfig {
             refit_threshold: 64,
-            min_drift: 0.0,
             buffer_capacity: 4096,
         })
         .build()

@@ -161,10 +161,8 @@ fn random_snapshot_samples(rng: &mut StdRng) -> Vec<OperatorSample> {
 
 /// Satellite acceptance (≥1000 seeded cases): `FeatureSnapshot` under
 /// refinement — `fit(samples)` → `to_bytes` → `from_bytes` is bit-identical
-/// (including the refined provenance bit), refitting a snapshot on the very
-/// samples it was fitted from is idempotent on the coefficients, and
-/// `relative_difference` is symmetric, non-negative and exactly zero on
-/// self.
+/// (including the refined provenance bit), and refitting a snapshot on the
+/// very samples it was fitted from is idempotent on the coefficients.
 #[test]
 fn snapshot_refit_and_codec_properties() {
     let mut rng = StdRng::seed_from_u64(0x05AF_EF17);
@@ -200,18 +198,6 @@ fn snapshot_refit_and_codec_properties() {
             .unwrap_or_else(|e| panic!("case {case}: refit buffer rejected: {e}"));
         assert!(refit_back.refined, "case {case}: refined bit must persist");
         assert_eq!(refit_back, refit, "case {case}");
-
-        // relative_difference: zero on self (exactly), non-negative and
-        // symmetric against an independently drawn snapshot.
-        assert_eq!(snap.relative_difference(&snap), 0.0, "case {case}");
-        let other = FeatureSnapshot::fit(&random_snapshot_samples(&mut rng));
-        let ab = snap.relative_difference(&other);
-        let ba = other.relative_difference(&snap);
-        assert!(ab >= 0.0, "case {case}: negative difference {ab}");
-        assert!(
-            (ab - ba).abs() < 1e-12 * (1.0 + ab),
-            "case {case}: asymmetric difference {ab} vs {ba}"
-        );
     }
 }
 

@@ -75,6 +75,24 @@ fn mean_log_gap(a: &[f64], b: &[f64]) -> f64 {
     sum / a.len() as f64
 }
 
+/// Root-mean-square relative difference between two snapshots'
+/// coefficients over the operators both cover.
+fn snapshot_gap(a: &FeatureSnapshot, b: &FeatureSnapshot) -> f64 {
+    let shared = b.covered_operators();
+    let ratios: Vec<f64> = a
+        .entries()
+        .into_iter()
+        .filter(|(kind, _)| shared.contains(kind))
+        .flat_map(|(kind, ca)| ca.into_iter().zip(b.coefficients(kind)))
+        .filter(|(x, y)| x.abs().max(y.abs()) > 1e-12)
+        .map(|(x, y)| ((x - y) / x.abs().max(y.abs())).powi(2))
+        .collect();
+    if ratios.is_empty() {
+        return 0.0;
+    }
+    (ratios.iter().sum::<f64>() / ratios.len() as f64).sqrt()
+}
+
 /// Tentpole acceptance: warm-start env B from env A, stream B's executed
 /// queries through `record_execution`, and watch the full lifecycle —
 /// `Transferred` → refit → `TrainedHere` (exactly one promotion), estimates
@@ -97,7 +115,6 @@ fn transferred_shard_converges_and_survives_restart() {
             // B's 60 labeled queries yield ~108 operator samples: one
             // trigger fires mid-stream, a second cannot.
             refit_threshold: 60,
-            min_drift: 0.0,
             buffer_capacity: 8192,
         })
         .build()
@@ -187,8 +204,8 @@ fn transferred_shard_converges_and_survives_restart() {
         .unwrap()
         .expect("refit snapshot persisted under B's own fingerprint");
     assert!(refit_snapshot.refined, "persisted provenance bit");
-    let transferred_gap = snapshot_a.relative_difference(&baseline);
-    let refined_gap = refit_snapshot.relative_difference(&baseline);
+    let transferred_gap = snapshot_gap(&snapshot_a, &baseline);
+    let refined_gap = snapshot_gap(&refit_snapshot, &baseline);
     assert!(
         refined_gap < transferred_gap,
         "refit snapshot must move toward the local baseline \
@@ -299,7 +316,6 @@ fn first_refit_of_a_transferred_environment_persists_its_knob_vector() {
         .with_model(key, Arc::new(SnapshotSlope))
         .refinement(RefinementConfig {
             refit_threshold: 16,
-            min_drift: 0.0,
             buffer_capacity: 64,
         })
         .build()
@@ -377,7 +393,6 @@ fn promotion_race_never_regresses_or_serves_torn_snapshots() {
             .with_model(key, Arc::new(SnapshotSlope))
             .refinement(RefinementConfig {
                 refit_threshold: THRESHOLD,
-                min_drift: 0.0,
                 buffer_capacity: 1024,
             })
             .build()

@@ -882,7 +882,6 @@ fn killing_a_replica_mid_load_fails_over_with_bit_identical_estimates() {
             ReplicatorConfig {
                 heartbeat: Duration::from_millis(100),
                 connect_timeout: Duration::from_millis(100),
-                ..ReplicatorConfig::default()
             },
         );
         let gateway = Arc::new(
@@ -1107,7 +1106,6 @@ fn reviving_a_replica_mid_load_catches_up_before_serving() {
             ReplicatorConfig {
                 heartbeat: Duration::from_millis(100),
                 connect_timeout: Duration::from_millis(100),
-                ..ReplicatorConfig::default()
             },
             SnapshotStore::open(dirs[i].path()).unwrap(),
         );
