@@ -9,7 +9,7 @@
 use qcfe_bench::report::{fmt3, parse_common_args, ExperimentReport, ReportTable};
 use qcfe_core::collect::collect_workload;
 use qcfe_core::encoding::FeatureEncoder;
-use qcfe_core::estimators::{EnvSnapshots, QppNetEstimator};
+use qcfe_core::estimators::{evaluate, EnvSnapshots, QppNetEstimator};
 use qcfe_core::pipeline::{prepare_context, ContextConfig};
 use qcfe_core::snapshot::FeatureSnapshot;
 use qcfe_db::env::{DbEnvironment, HardwareProfile};
@@ -70,8 +70,8 @@ fn main() {
         transfer.train(&h2_train, Some(&fso_h2), 1, &mut rng);
         table.push_row(vec![
             i.to_string(),
-            fmt3(direct.evaluate(&h2_test, Some(&fso_h2)).mean_q_error),
-            fmt3(transfer.evaluate(&h2_test, Some(&fso_h2)).mean_q_error),
+            fmt3(evaluate(&direct, &h2_test, Some(&fso_h2)).mean_q_error),
+            fmt3(evaluate(&transfer, &h2_test, Some(&fso_h2)).mean_q_error),
         ]);
     }
 

@@ -9,15 +9,16 @@
 //!    (scalar, portable, AVX2);
 //! 3. **service sweep** — closed-loop clients against one
 //!    `EstimationService` per model, over client counts, with
-//!    micro-batching off and on (max_batch 1 vs 32);
+//!    micro-batching off and on (max_batch 1 vs 32), and QCFE(qpp)'s
+//!    encoding-cache hit rate against QCFE(mscn)'s on the same queries;
 //! 4. **routed gateway** — one client per environment through one
 //!    `QcfeGateway` against hand-wired per-environment services, in
 //!    alternating rounds over deployments kept up throughout;
 //! 5. **cold restart** — a rebuilt gateway's first estimate served from
 //!    persisted `QCFW` weights against one that must retrain;
 //! 6. **refinement** — a cold environment's estimate error under a
-//!    transferred snapshot, then after refitting from its own streamed
-//!    labels;
+//!    transferred snapshot, then after refitting from its own labels,
+//!    streamed by one client so the row is a function of the seed;
 //! 7. **network** — the gateway behind the `qcfe-net` reactor on a
 //!    loopback Unix-domain socket: pipelined remote clients against the same
 //!    clients in process, with the shards' mean micro-batch per window;
@@ -49,7 +50,7 @@
 //! Usage: `cargo run --release -p qcfe-bench --bin serve_throughput [--quick] [--seed N]`
 
 use qcfe_bench::report::{fmt3, parse_common_args, ExperimentReport, ReportTable};
-use qcfe_core::cost_model::CostModel;
+use qcfe_core::cost_model::{CostModel, PlanEncoding};
 use qcfe_core::encoding::FeatureEncoder;
 use qcfe_core::estimators::{MscnEstimator, QppNetEstimator};
 use qcfe_core::model_codec::PersistedModel;
@@ -86,6 +87,13 @@ const SHARD_CONFIG: ServiceConfig = ServiceConfig {
     max_batch: 32,
     encoding_cache_capacity: 4096,
 };
+
+/// The service sweep's gate: the least share of QCFE(mscn)'s cache-hit
+/// rate that QCFE(qpp) reaches on the same queries (8 clients, max_batch
+/// 32). Both families key the cache by plan, so only micro-batch
+/// composition tells the two apart: the share measured 0.989–1.004 over 19
+/// `--quick` and 5 full-mode runs (seeds 1–8 and 42, 2-vCPU host).
+const QPP_CACHE_HIT_SHARE: f64 = 0.9;
 
 /// The network section's gate: the least mean micro-batch the shards may
 /// drain over the UDS window. Per-request hand-off measured 1.7–3.7 and
@@ -251,10 +259,11 @@ impl Section<'_> {
     }
 }
 
-/// A cost model that sleeps once per drained micro-batch before
-/// delegating. The scheduling section uses it to make queue wait — not
-/// inference speed — dominate latency, so the FIFO-vs-EDF comparison
-/// measures ordering policy rather than matmul throughput.
+/// A cost model that encodes like its inner model and sleeps once per
+/// drained micro-batch before predicting. The scheduling section uses it to
+/// make queue wait — not inference speed — dominate latency, so the
+/// FIFO-vs-EDF comparison measures ordering policy rather than matmul
+/// throughput.
 struct ThrottledModel {
     inner: Arc<dyn CostModel>,
     delay: Duration,
@@ -265,14 +274,13 @@ impl CostModel for ThrottledModel {
         "throttled"
     }
 
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        std::thread::sleep(self.delay);
-        self.inner.predict_plan(root, snapshot)
+    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        self.inner.encode_plan(root, snapshot)
     }
 
-    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
         std::thread::sleep(self.delay);
-        self.inner.predict_batch(plans, snapshot)
+        self.inner.predict_encoded(encodings)
     }
 }
 
@@ -764,7 +772,11 @@ fn kernel_sweep(h: &Harness, out: &mut Section) {
 }
 
 /// Closed-loop sweeps through one `EstimationService` per model family,
-/// with micro-batching off and on.
+/// with micro-batching off and on. Both families draw the same queries,
+/// so at 8 clients and max_batch 32 QCFE(qpp)'s cache-hit rate is gated
+/// against QCFE(mscn)'s, and its throughput is set beside the roadmap's
+/// target of 0.8x QCFE(mscn)'s (reported, not gated: timing ratios flake
+/// on a busy host).
 fn service_sweep(h: &Harness, out: &mut Section) {
     let mut table = ReportTable::new(
         "EstimationService throughput",
@@ -785,11 +797,16 @@ fn service_sweep(h: &Harness, out: &mut Section) {
         ("QCFE(mscn)", h.mscn.clone(), mscn_clients),
         ("QCFE(qpp)", h.qpp.clone(), qpp_clients),
     ];
-    for (name, model, client_counts) in models {
+    // Each family's (throughput, cache-hit rate) at 8 clients, max_batch 32.
+    let mut compared = [(f64::NAN, f64::NAN); 2];
+    for (m, (name, model, client_counts)) in models.into_iter().enumerate() {
         for &clients in client_counts {
             for max_batch in [1usize, 32] {
                 let (run, metrics) =
                     h.closed_loop_service(Arc::clone(&model), clients, max_batch, h.seed + 100);
+                if (clients, max_batch) == (8, 32) {
+                    compared[m] = (run.throughput_qps(), metrics.cache_hit_rate);
+                }
                 table.push_row(vec![
                     name.to_string(),
                     clients.to_string(),
@@ -811,6 +828,28 @@ fn service_sweep(h: &Harness, out: &mut Section) {
         }
     }
     out.add_table(table);
+    let [(mscn_eps, mscn_hits), (qpp_eps, qpp_hits)] = compared;
+    let mut ratios = ReportTable::new(
+        "QCFE(qpp) against QCFE(mscn), 8 clients, max_batch 32",
+        &["ratio", "QCFE(qpp) / QCFE(mscn)", "target"],
+    );
+    let hit_ratio = qpp_hits / mscn_hits;
+    ratios.push_row(vec![
+        "cache-hit rate".into(),
+        fmt3(hit_ratio),
+        format!(">= {QPP_CACHE_HIT_SHARE} (gated)"),
+    ]);
+    ratios.push_row(vec![
+        "throughput".into(),
+        fmt3(qpp_eps / mscn_eps),
+        ">= 0.8 (roadmap, not gated)".into(),
+    ]);
+    out.add_table(ratios);
+    out.at_least(
+        "QCFE(qpp) cache-hit rate / QCFE(mscn)'s, 8 clients, max_batch 32",
+        hit_ratio,
+        QPP_CACHE_HIT_SHARE,
+    );
 }
 
 /// The routed gateway against hand-wired per-environment services: one
@@ -1075,8 +1114,10 @@ fn refinement(h: &Harness, out: &mut Section) {
 
     // Feedback phase: stream fresh executed queries as labels while
     // estimates keep flowing — the online loop, not a maintenance window.
+    // One client, whose `record_execution` refits inline, so the label
+    // order, the refits and the refined row are a function of the seed.
     let feedback_rng = Mutex::new(StdRng::seed_from_u64(h.seed + 800));
-    let load = ClosedLoopConfig::new(2, h.requests_per_client.max(60), h.seed + 900);
+    let load = ClosedLoopConfig::new(1, 2 * h.requests_per_client.max(60), h.seed + 900);
     let feedback = run_feedback_loop(&h.ctx.benchmark, &load, |query| {
         let executed = db_b
             .execute(&query, &mut *feedback_rng.lock().expect("rng lock"))

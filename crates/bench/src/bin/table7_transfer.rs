@@ -8,7 +8,7 @@
 use qcfe_bench::report::{fmt3, parse_common_args, ExperimentReport, ReportTable};
 use qcfe_core::collect::{collect_workload, execute_queries};
 use qcfe_core::encoding::FeatureEncoder;
-use qcfe_core::estimators::{EnvSnapshots, QppNetEstimator};
+use qcfe_core::estimators::{evaluate, EnvSnapshots, QppNetEstimator};
 use qcfe_core::pipeline::{prepare_context, ContextConfig};
 use qcfe_core::snapshot::FeatureSnapshot;
 use qcfe_core::templates::{simplified_queries, DataAbstract};
@@ -98,10 +98,10 @@ fn main() {
         let mut direct_curve = Vec::new();
         for _ in 0..basis_iterations {
             direct.train(&h2_train, Some(&fso_h2), 1, &mut rng);
-            direct_curve.push(direct.evaluate(&h2_test, Some(&fso_h2)).mean_q_error);
+            direct_curve.push(evaluate(&direct, &h2_test, Some(&fso_h2)).mean_q_error);
         }
         let direct_time = t0.elapsed().as_secs_f64();
-        let direct_acc = direct.evaluate(&h2_test, Some(&fso_h2));
+        let direct_acc = evaluate(&direct, &h2_test, Some(&fso_h2));
 
         // 4b. Transfer with FSO: reuse the basis model, swap the snapshot,
         //     fine-tune briefly.
@@ -110,17 +110,17 @@ fn main() {
         let mut trans_curve = Vec::new();
         for _ in 0..finetune_iterations {
             trans_fso.train(&h2_train, Some(&fso_h2), 1, &mut rng);
-            trans_curve.push(trans_fso.evaluate(&h2_test, Some(&fso_h2)).mean_q_error);
+            trans_curve.push(evaluate(&trans_fso, &h2_test, Some(&fso_h2)).mean_q_error);
         }
         let trans_fso_time = t0.elapsed().as_secs_f64();
-        let trans_fso_acc = trans_fso.evaluate(&h2_test, Some(&fso_h2));
+        let trans_fso_acc = evaluate(&trans_fso, &h2_test, Some(&fso_h2));
 
         // 4c. Transfer with FST.
         let mut trans_fst = basis.clone();
         let t0 = Instant::now();
         trans_fst.train(&h2_train, Some(&fst_h2), finetune_iterations, &mut rng);
         let trans_fst_time = t0.elapsed().as_secs_f64();
-        let trans_fst_acc = trans_fst.evaluate(&h2_test, Some(&fst_h2));
+        let trans_fst_acc = evaluate(&trans_fst, &h2_test, Some(&fst_h2));
 
         let mut table = ReportTable::new(
             format!("Table VII — {}", kind.name()),

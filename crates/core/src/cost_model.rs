@@ -3,123 +3,88 @@
 //!
 //! The experiment pipeline trains concrete estimator types
 //! ([`MscnEstimator`], [`QppNetEstimator`], [`PgEstimator`]); the serving
-//! layer (`qcfe-serve`) holds *any* of them behind `Arc<dyn CostModel>` and
-//! drains its request queue through the **uniform batch API**,
-//! [`CostModel::predict_batch`]: one call per drained micro-batch, every
-//! model free to exploit the batch shape however it can. MSCN-style models
-//! coalesce all encodings into one matrix pass; the QPPNet implementation
-//! runs staged operator-grouped batching over the union of all plan trees
-//! (see [`QppNetEstimator::predict_batch`]); the analytical baseline simply
-//! maps over the batch.
+//! layer (`qcfe-serve`) holds *any* of them behind `Arc<dyn CostModel>`.
+//! Inference is two steps for every model: [`CostModel::encode_plan`] turns
+//! a plan into the model's input, one [`PlanEncoding`], and
+//! [`CostModel::predict_encoded`] predicts a whole micro-batch of them. The
+//! service memoises encodings in its LRU plan-encoding cache, so a
+//! repeated plan skips the first step, and runs the second once per drained
+//! batch. An MSCN encoding is its masked plan row (one matrix pass per
+//! batch), a QPPNet encoding its flattened plan tree (staged
+//! operator-grouped forwards across every plan of the batch), and a
+//! PostgreSQL encoding the planner's cost estimate.
 //!
-//! Models with a *flat* plan encoding additionally expose it via
-//! [`CostModel::encode_plan`] / [`CostModel::predict_encoded`] so the
-//! service can memoise encodings in its LRU plan-encoding cache and skip
-//! the encoding work for repeated plans.
+//! [`MscnEstimator`]: crate::estimators::MscnEstimator
+//! [`QppNetEstimator`]: crate::estimators::QppNetEstimator
+//! [`PgEstimator`]: crate::estimators::PgEstimator
 
-use crate::estimators::{MscnEstimator, PgEstimator, QppNetEstimator};
+use crate::estimators::NodeArena;
 use crate::snapshot::FeatureSnapshot;
 use qcfe_db::plan::PlanNode;
 
+/// One plan encoded for one model: what the serving layer caches per plan
+/// and what [`CostModel::predict_encoded`] consumes. It holds node records
+/// (none for a flat model) and one buffer of values: a flat model's feature
+/// row, or a tree model's node rows back to back. It carries no label, so
+/// two executions of one plan share an encoding.
+#[derive(Debug, Clone)]
+pub struct PlanEncoding {
+    /// A QPPNet encoding's one flattened plan; a flat encoding's row, with
+    /// no nodes.
+    pub(crate) arena: NodeArena,
+}
+
+impl PlanEncoding {
+    /// A flat model's encoding: one row of values and no node records.
+    pub fn flat(values: Vec<f64>) -> Self {
+        PlanEncoding {
+            arena: NodeArena::row(values),
+        }
+    }
+
+    /// The encoding's values: the row of a flat encoding, every node's row
+    /// of a tree encoding.
+    pub fn values(&self) -> &[f64] {
+        self.arena.values()
+    }
+}
+
 /// A trained cost estimator usable from concurrent serving threads.
+///
+/// A model implements two methods, [`CostModel::encode_plan`] and
+/// [`CostModel::predict_encoded`], and the serving layer calls only those
+/// two. [`CostModel::predict_batch`] and [`CostModel::predict_plan`] are
+/// provided on top of them and give the same bits; a model may override
+/// `predict_batch` with a faster route to those bits.
 pub trait CostModel: Send + Sync {
     /// Display name (matches the paper's table labels).
     fn name(&self) -> &'static str;
 
-    /// Predict the latency (ms) of one physical plan.
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64;
+    /// Encode one plan under an (optional) snapshot. The encoding is a
+    /// function of the plan's estimates and the snapshot only, so the
+    /// service may reuse it for every later request of the same plan
+    /// under the same snapshot.
+    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding;
 
-    /// Batched inference over a micro-batch of plans: the uniform entry
-    /// point the serving layer drains its queue through. Implementations
-    /// must return one prediction per plan, in order, and must agree with
-    /// per-plan [`CostModel::predict_plan`] results. The default maps the
-    /// scalar path over the batch.
+    /// Predict the latency (ms) of every encoded plan of a micro-batch, in
+    /// order: one prediction per encoding, each made by this model's
+    /// [`CostModel::encode_plan`].
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64>;
+
+    /// Predict a batch of plans: encode each, then predict the encodings.
     fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
-        plans
+        let encodings: Vec<PlanEncoding> = plans
             .iter()
-            .map(|p| self.predict_plan(p, snapshot))
-            .collect()
+            .map(|plan| self.encode_plan(plan, snapshot))
+            .collect();
+        let encodings: Vec<&PlanEncoding> = encodings.iter().collect();
+        self.predict_encoded(&encodings)
     }
 
-    /// Flat feature encoding of a plan, when the model has one (`None` for
-    /// tree-structured models). Used by the serving layer to memoise
-    /// encodings in its plan-encoding cache.
-    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> Option<Vec<f64>> {
-        let _ = (root, snapshot);
-        None
-    }
-
-    /// Batched inference over encodings produced by
-    /// [`CostModel::encode_plan`]. The default panics; implementors that
-    /// return `Some` encodings must override it.
-    fn predict_encoded(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        let _ = rows;
-        unreachable!("predict_encoded called on a model without a flat encoding")
-    }
-
-    /// Whether [`CostModel::encode_plan`] returns `Some` (i.e. the service
-    /// can cache this model's plan encodings). Every model batches through
-    /// [`CostModel::predict_batch`] regardless of this flag.
-    fn has_flat_encoding(&self) -> bool {
-        false
-    }
-}
-
-impl CostModel for MscnEstimator {
-    fn name(&self) -> &'static str {
-        "MSCN"
-    }
-
+    /// Predict the latency (ms) of one plan.
     fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict(root, snapshot)
+        self.predict_encoded(&[&self.encode_plan(root, snapshot)])[0]
     }
-
-    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
-        MscnEstimator::predict_batch(self, plans, snapshot)
-    }
-
-    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> Option<Vec<f64>> {
-        let features = self.encoder().encode_plan(root, snapshot);
-        Some(self.mask().iter().map(|&i| features[i]).collect())
-    }
-
-    fn predict_encoded(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.model()
-            .predict_rows(rows)
-            .into_iter()
-            .map(crate::metrics::floor_ms)
-            .collect()
-    }
-
-    fn has_flat_encoding(&self) -> bool {
-        true
-    }
-}
-
-impl CostModel for QppNetEstimator {
-    fn name(&self) -> &'static str {
-        "QPPNet"
-    }
-
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict(root, snapshot)
-    }
-
-    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
-        QppNetEstimator::predict_batch(self, plans, snapshot)
-    }
-}
-
-impl CostModel for PgEstimator {
-    fn name(&self) -> &'static str {
-        "PGSQL"
-    }
-
-    fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict(root)
-    }
-    // The trait's default predict_batch (map predict_plan over the batch) is
-    // already the right batching strategy for the analytical baseline.
 }
 
 #[cfg(test)]
@@ -127,8 +92,7 @@ mod tests {
     use super::*;
     use crate::collect::collect_workload;
     use crate::encoding::FeatureEncoder;
-    use crate::estimators::EnvSnapshots;
-    use crate::snapshot::FeatureSnapshot;
+    use crate::estimators::{EnvSnapshots, MscnEstimator, PgEstimator, QppNetEstimator};
     use qcfe_db::env::{DbEnvironment, HardwareProfile};
     use qcfe_workloads::BenchmarkKind;
     use rand::SeedableRng;
@@ -141,13 +105,16 @@ mod tests {
         assert_send_sync::<QppNetEstimator>();
         assert_send_sync::<PgEstimator>();
         assert_send_sync::<std::sync::Arc<dyn CostModel>>();
+        assert_send_sync::<std::sync::Arc<PlanEncoding>>();
     }
 
-    /// ≥ 100 random plans across two environments, with fitted snapshots.
+    /// ≥ 100 random plans across two environments, with fitted snapshots,
+    /// and one model of each family.
     fn equivalence_fixture() -> (
         crate::collect::LabeledWorkload,
         EnvSnapshots,
-        FeatureEncoder,
+        MscnEstimator,
+        QppNetEstimator,
     ) {
         let bench = BenchmarkKind::Sysbench.build(0.0005, 3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -169,15 +136,6 @@ mod tests {
             })
             .collect();
         let encoder = FeatureEncoder::new(&bench.catalog, true);
-        (workload, snapshots, encoder)
-    }
-
-    /// Satellite acceptance: `predict_batch` matches per-plan `predict`
-    /// within 1e-9 for all three estimators, across ≥100 random plans and
-    /// multiple snapshots (fitted per environment, plus `None`).
-    #[test]
-    fn predict_batch_matches_scalar_for_all_estimators() {
-        let (workload, snapshots, encoder) = equivalence_fixture();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let (mscn, _) = MscnEstimator::train(
             encoder.clone(),
@@ -188,22 +146,32 @@ mod tests {
             &mut rng,
         );
         let qpp = QppNetEstimator::new(encoder, None, &mut rng);
-        let models: Vec<Box<dyn CostModel>> =
-            vec![Box::new(PgEstimator), Box::new(mscn), Box::new(qpp)];
-        let plans: Vec<&qcfe_db::plan::PlanNode> =
-            workload.queries.iter().map(|q| &q.executed.root).collect();
+        (workload, snapshots, mscn, qpp)
+    }
 
-        for model in &models {
-            let snapshot_cases: Vec<Option<&FeatureSnapshot>> = std::iter::once(None)
-                .chain(snapshots.iter().map(|s| s.as_ref()))
-                .collect();
-            for snapshot in snapshot_cases {
+    /// `None` plus each environment's fitted snapshot.
+    fn snapshot_cases(snapshots: &EnvSnapshots) -> Vec<Option<&FeatureSnapshot>> {
+        std::iter::once(None)
+            .chain(snapshots.iter().map(|s| s.as_ref()))
+            .collect()
+    }
+
+    /// `predict_batch` matches per-plan `predict_plan` bit for bit for all
+    /// three estimators, across ≥100 random plans and multiple snapshots.
+    #[test]
+    fn predict_batch_matches_scalar_for_all_estimators() {
+        let (workload, snapshots, mscn, qpp) = equivalence_fixture();
+        let models: [&dyn CostModel; 3] = [&PgEstimator, &mscn, &qpp];
+        let plans: Vec<&PlanNode> = workload.queries.iter().map(|q| &q.executed.root).collect();
+        for model in models {
+            for snapshot in snapshot_cases(&snapshots) {
                 let batched = model.predict_batch(&plans, snapshot);
                 assert_eq!(batched.len(), plans.len(), "{}", model.name());
                 for (plan, b) in plans.iter().zip(&batched) {
                     let single = model.predict_plan(plan, snapshot);
-                    assert!(
-                        (single - b).abs() <= 1e-9,
+                    assert_eq!(
+                        single.to_bits(),
+                        b.to_bits(),
                         "{}: batched {b} deviates from scalar {single}",
                         model.name()
                     );
@@ -213,54 +181,44 @@ mod tests {
         }
     }
 
+    /// The one inference path: for every model and snapshot,
+    /// `predict_encoded` over `encode_plan` gives `predict_plan`'s bits
+    /// (and, for QPPNet, the scalar tree walk's). Flat models encode one
+    /// row; QPPNet encodes a row per plan node.
     #[test]
-    fn batched_and_encoded_inference_agree_for_mscn() {
-        let (workload, _, encoder) = equivalence_fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let (mscn, _) = MscnEstimator::train(encoder, &workload, None, None, 10, &mut rng);
-
-        let model: &dyn CostModel = &mscn;
-        assert!(model.has_flat_encoding());
-        assert_eq!(model.name(), "MSCN");
-        let encodings: Vec<Vec<f64>> = workload
-            .queries
-            .iter()
-            .map(|q| {
-                model
-                    .encode_plan(&q.executed.root, None)
-                    .expect("mscn encodes")
-            })
-            .collect();
-        let encoded = model.predict_encoded(&encodings);
-        assert_eq!(encoded.len(), workload.len());
-        for (q, b) in workload.queries.iter().zip(&encoded) {
-            let single = model.predict_plan(&q.executed.root, None);
-            assert!(
-                (single - b).abs() < 1e-9,
-                "encoded {b} deviates from single {single}"
-            );
+    fn encoded_inference_matches_predict_plan_for_every_model() {
+        let (workload, snapshots, mscn, qpp) = equivalence_fixture();
+        let models: [&dyn CostModel; 3] = [&PgEstimator, &mscn, &qpp];
+        let plans: Vec<&PlanNode> = workload.queries.iter().map(|q| &q.executed.root).collect();
+        for model in models {
+            for snapshot in snapshot_cases(&snapshots) {
+                let encodings: Vec<PlanEncoding> = plans
+                    .iter()
+                    .map(|plan| model.encode_plan(plan, snapshot))
+                    .collect();
+                let encoded = model.predict_encoded(&encodings.iter().collect::<Vec<_>>());
+                assert_eq!(encoded.len(), plans.len(), "{}", model.name());
+                for ((plan, encoding), e) in plans.iter().zip(&encodings).zip(&encoded) {
+                    let single = model.predict_plan(plan, snapshot);
+                    assert_eq!(single.to_bits(), e.to_bits(), "{}", model.name());
+                    let width = match model.name() {
+                        "PGSQL" => 1,
+                        "MSCN" => mscn.mask().len(),
+                        _ => plan.node_count() * qpp.node_dim(),
+                    };
+                    assert_eq!(encoding.values().len(), width, "{}", model.name());
+                    if model.name() == "QPPNet" {
+                        let scalar = qpp.predict_scalar(plan, snapshot);
+                        assert_eq!(scalar.to_bits(), e.to_bits(), "QPPNet scalar walk");
+                    }
+                }
+            }
+            assert!(model.predict_encoded(&[]).is_empty());
         }
-        assert!(model.predict_encoded(&[]).is_empty());
-    }
-
-    #[test]
-    fn only_flat_models_advertise_encodings() {
-        let bench = BenchmarkKind::Sysbench.build(0.0005, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let encoder = FeatureEncoder::new(&bench.catalog, false);
-        let qpp = QppNetEstimator::new(encoder, None, &mut rng);
-        let model: &dyn CostModel = &qpp;
-        assert!(!model.has_flat_encoding());
-        assert_eq!(model.name(), "QPPNet");
-
-        let pg: &dyn CostModel = &PgEstimator;
-        assert!(!pg.has_flat_encoding());
-        let envs = DbEnvironment::sample_knob_configs(1, HardwareProfile::h1(), &mut rng);
-        let workload = collect_workload(&bench, &envs, 5, 2);
-        for q in &workload.queries {
-            assert!(pg.encode_plan(&q.executed.root, None).is_none());
-            assert!(pg.predict_plan(&q.executed.root, None) > 0.0);
-            assert!(model.predict_plan(&q.executed.root, None) > 0.0);
-        }
+        let plan = plans[0];
+        assert_eq!(
+            PgEstimator.encode_plan(plan, None).values(),
+            &[plan.est_cost]
+        );
     }
 }

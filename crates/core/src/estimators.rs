@@ -6,6 +6,7 @@
 //! (`QCFE(mscn)`, `QCFE(qpp)`) of the paper's Table IV.
 
 use crate::collect::LabeledWorkload;
+use crate::cost_model::{CostModel, PlanEncoding};
 use crate::encoding::FeatureEncoder;
 use crate::metrics::{floor_ms, AccuracyReport};
 use crate::snapshot::FeatureSnapshot;
@@ -35,21 +36,22 @@ pub struct TrainStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PgEstimator;
 
-impl PgEstimator {
-    /// Predict the latency of a planned query in milliseconds.
-    pub fn predict(&self, plan: &PlanNode) -> f64 {
-        qcfe_db::cost::cost_units_to_ms(plan.est_cost)
+/// The baseline's encoding is the planner's cost estimate alone, which it
+/// converts to milliseconds.
+impl CostModel for PgEstimator {
+    fn name(&self) -> &'static str {
+        "PGSQL"
     }
 
-    /// Evaluate on a labeled workload.
-    pub fn evaluate(&self, workload: &LabeledWorkload) -> AccuracyReport {
-        let actuals: Vec<f64> = workload.actual_costs();
-        let preds: Vec<f64> = workload
-            .queries
+    fn encode_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        PlanEncoding::flat(vec![root.est_cost])
+    }
+
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+        encodings
             .iter()
-            .map(|q| self.predict(&q.executed.root))
-            .collect();
-        AccuracyReport::compute(&actuals, &preds)
+            .map(|e| qcfe_db::cost::cost_units_to_ms(e.values()[0]))
+            .collect()
     }
 }
 
@@ -60,6 +62,21 @@ fn snapshot_for(snapshots: Option<&EnvSnapshots>, env_index: usize) -> Option<&F
     snapshots
         .and_then(|s| s.get(env_index))
         .and_then(|o| o.as_ref())
+}
+
+/// Evaluate any model on a labeled workload, each query predicted under
+/// its own environment's snapshot.
+pub fn evaluate(
+    model: &dyn CostModel,
+    workload: &LabeledWorkload,
+    snapshots: Option<&EnvSnapshots>,
+) -> AccuracyReport {
+    let preds: Vec<f64> = workload
+        .queries
+        .iter()
+        .map(|q| model.predict_plan(&q.executed.root, snapshot_for(snapshots, q.env_index)))
+        .collect();
+    AccuracyReport::compute(&workload.actual_costs(), &preds)
 }
 
 /// Project a feature vector onto the kept indices of a mask.
@@ -171,40 +188,6 @@ impl MscnEstimator {
         floor_ms(self.mlp.predict_one(&project(&features, &self.mask)))
     }
 
-    /// Batched prediction over many plans: every plan is encoded, then the
-    /// whole batch runs through the MLP in a single matrix pass. Results are
-    /// bit-identical to per-plan [`MscnEstimator::predict`].
-    pub fn predict_batch(
-        &self,
-        plans: &[&PlanNode],
-        snapshot: Option<&FeatureSnapshot>,
-    ) -> Vec<f64> {
-        let rows: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| project(&self.encoder.encode_plan(p, snapshot), &self.mask))
-            .collect();
-        self.mlp
-            .predict_rows(&rows)
-            .into_iter()
-            .map(floor_ms)
-            .collect()
-    }
-
-    /// Evaluate on a labeled workload.
-    pub fn evaluate(
-        &self,
-        workload: &LabeledWorkload,
-        snapshots: Option<&EnvSnapshots>,
-    ) -> AccuracyReport {
-        let actuals = workload.actual_costs();
-        let preds: Vec<f64> = workload
-            .queries
-            .iter()
-            .map(|q| self.predict(&q.executed.root, snapshot_for(snapshots, q.env_index)))
-            .collect();
-        AccuracyReport::compute(&actuals, &preds)
-    }
-
     /// The trained network (used by feature reduction and tests).
     pub fn model(&self) -> &Mlp {
         &self.mlp
@@ -218,6 +201,31 @@ impl MscnEstimator {
     /// The encoder in use.
     pub fn encoder(&self) -> &FeatureEncoder {
         &self.encoder
+    }
+}
+
+/// An MSCN encoding is the masked plan row; a batch of them runs through
+/// the MLP in one matrix pass, bit-identical to per-plan
+/// [`MscnEstimator::predict`].
+impl CostModel for MscnEstimator {
+    fn name(&self) -> &'static str {
+        "MSCN"
+    }
+
+    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        PlanEncoding::flat(project(
+            &self.encoder.encode_plan(root, snapshot),
+            &self.mask,
+        ))
+    }
+
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+        let rows: Vec<&[f64]> = encodings.iter().map(|e| e.values()).collect();
+        self.mlp
+            .predict_rows(&rows)
+            .into_iter()
+            .map(floor_ms)
+            .collect()
     }
 }
 
@@ -246,8 +254,8 @@ pub const MAX_CHILDREN: usize = 2;
 ///
 /// Training is operator-grouped the same way, over mini-batches of plans
 /// (QPPNet trains on batches of plans too: Marcus & Papaemmanouil, VLDB
-/// 2019). Every training plan is flattened once by the inference
-/// flattener; a batch then runs one cached forward per bucket, leaves
+/// 2019). Every training plan is flattened once, into the arena type
+/// inference uses; a batch then runs one cached forward per bucket, leaves
 /// first, and one backward per bucket, roots first, scattering child-slot
 /// gradients down, and takes one Adam step on the units it touched. The
 /// batch size and learning rate come from the number of training plans,
@@ -275,114 +283,159 @@ pub struct QppBatchStats {
     pub nodes: usize,
 }
 
-/// One plan node flattened into an arena (inference batch or training
-/// set); its features live at `id * node_dim` in the shared flat feature
-/// buffer.
+/// Marks an absent child slot of a [`FlatNode`].
+const NO_CHILD: usize = usize::MAX;
+
+/// One plan node of a [`NodeArena`]; its node row lives at `id * node_dim`
+/// in the arena's value buffer.
+#[derive(Debug, Clone, Copy)]
 struct FlatNode {
     kind: OperatorKind,
-    /// Child arena ids; `usize::MAX` marks an absent slot. Children beyond
+    /// Child arena ids; [`NO_CHILD`] marks an absent slot. Children beyond
     /// [`MAX_CHILDREN`] are still predicted (and trained) but, exactly as
     /// in the scalar walk, do not feed the parent's input.
     children: [usize; MAX_CHILDREN],
     height: usize,
-    /// The node's label, `actual_total_ms`; only training reads it.
-    actual_ms: f64,
+}
+
+/// Plans flattened in post-order (children before parents), each node with
+/// its full, unmasked node row; a unit's mask applies when its inputs are
+/// gathered. QPPNet's one input form: the inference scratch fills one per
+/// batch, training one per training set, and each QPPNet
+/// [`PlanEncoding`] holds one per plan. A flat encoding is an arena with
+/// no nodes, its row in the value buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeArena {
+    nodes: Vec<FlatNode>,
+    values: Vec<f64>,
+}
+
+impl NodeArena {
+    /// A flat model's row: values and no nodes.
+    pub(crate) fn row(values: Vec<f64>) -> Self {
+        let nodes = Vec::new();
+        NodeArena { nodes, values }
+    }
+
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Flatten one plan under `snapshot` and return its root's id. `blocks`
+    /// must hold no block of another snapshot ([`SnapshotBlocks::reset`]).
+    fn push_plan(
+        &mut self,
+        encoder: &FeatureEncoder,
+        plan: &PlanNode,
+        snapshot: Option<&FeatureSnapshot>,
+        blocks: &mut SnapshotBlocks,
+    ) -> usize {
+        self.push_node(encoder, plan, 0, snapshot, blocks)
+    }
+
+    fn push_node(
+        &mut self,
+        encoder: &FeatureEncoder,
+        node: &PlanNode,
+        depth: usize,
+        snapshot: Option<&FeatureSnapshot>,
+        blocks: &mut SnapshotBlocks,
+    ) -> usize {
+        let mut children = [NO_CHILD; MAX_CHILDREN];
+        let mut height = 0;
+        for (slot, child) in node.children.iter().enumerate() {
+            let cid = self.push_node(encoder, child, depth + 1, snapshot, blocks);
+            height = height.max(self.nodes[cid].height + 1);
+            if slot < MAX_CHILDREN {
+                children[slot] = cid;
+            }
+        }
+        let kind = node.op.kind();
+        encoder.encode_node_prefix_into(node, depth, &mut self.values);
+        self.values
+            .extend_from_slice(blocks.get(encoder, kind, snapshot));
+        self.nodes.push(FlatNode {
+            kind,
+            children,
+            height,
+        });
+        // The engine reads a node back as `&values[id * node_dim ..]`, so
+        // prefix + snapshot block must append exactly node_dim values.
+        debug_assert_eq!(self.values.len(), self.nodes.len() * encoder.node_dim());
+        self.nodes.len() - 1
+    }
+
+    /// Append one flattened plan, offsetting its child ids, and return its
+    /// root's id.
+    fn append(&mut self, plan: &NodeArena) -> usize {
+        assert!(
+            !plan.nodes.is_empty(),
+            "a QPPNet encoding holds its plan's nodes"
+        );
+        let offset = self.nodes.len();
+        self.nodes.extend(plan.nodes.iter().map(|node| {
+            FlatNode {
+                children: node
+                    .children
+                    .map(|c| if c == NO_CHILD { c } else { c + offset }),
+                ..*node
+            }
+        }));
+        self.values.extend_from_slice(&plan.values);
+        self.nodes.len() - 1
+    }
+}
+
+/// The snapshot block of each operator kind, computed on first use. A
+/// block is a function of `(kind, snapshot)` only, so computing it once
+/// per kind instead of once per node is bit-identical and skips the
+/// per-node logarithms. The buffers are reused across resets.
+#[derive(Default)]
+struct SnapshotBlocks {
+    blocks: [Vec<f64>; OperatorKind::ALL.len()],
+    filled: [bool; OperatorKind::ALL.len()],
+}
+
+impl SnapshotBlocks {
+    /// Forget every block, before flattening under another snapshot.
+    fn reset(&mut self) {
+        self.filled = [false; OperatorKind::ALL.len()];
+    }
+
+    fn get(
+        &mut self,
+        encoder: &FeatureEncoder,
+        kind: OperatorKind,
+        snapshot: Option<&FeatureSnapshot>,
+    ) -> &[f64] {
+        let block = &mut self.blocks[kind.index()];
+        if !self.filled[kind.index()] {
+            block.clear();
+            encoder.append_snapshot_block(kind, snapshot, block);
+            self.filled[kind.index()] = true;
+        }
+        block
+    }
 }
 
 /// Reusable per-thread buffers of the batched QPPNet engine: after warm-up
-/// a [`QppNetEstimator::predict_batch`] call performs no steady-state heap
-/// allocations beyond its result vector.
+/// a batch performs no steady-state heap allocations beyond its result
+/// vector.
+#[derive(Default)]
 struct QppBatchScratch {
-    arena: Vec<FlatNode>,
-    features: Vec<f64>,
+    arena: NodeArena,
+    /// Each plan's root id, in batch order.
     roots: Vec<usize>,
+    blocks: SnapshotBlocks,
     /// Node-id buckets per stage, indexed by [`OperatorKind::index`].
     buckets: Vec<[Vec<usize>; OperatorKind::ALL.len()]>,
     outputs: Vec<[f64; DATA_VECTOR_DIM]>,
     input: Matrix,
     nn: InferenceScratch,
-    /// Per-kind snapshot blocks for the current call (the buffers are
-    /// reused across calls; `blocks_filled` is reset per call because the
-    /// snapshot may differ).
-    snapshot_blocks: [Vec<f64>; OperatorKind::ALL.len()],
-    blocks_filled: [bool; OperatorKind::ALL.len()],
-}
-
-impl QppBatchScratch {
-    fn new() -> Self {
-        QppBatchScratch {
-            arena: Vec::new(),
-            features: Vec::new(),
-            roots: Vec::new(),
-            buckets: Vec::new(),
-            outputs: Vec::new(),
-            input: Matrix::default(),
-            nn: InferenceScratch::new(),
-            snapshot_blocks: std::array::from_fn(|_| Vec::new()),
-            blocks_filled: [false; OperatorKind::ALL.len()],
-        }
-    }
 }
 
 thread_local! {
-    static QPP_SCRATCH: RefCell<QppBatchScratch> = RefCell::new(QppBatchScratch::new());
-}
-
-/// Flatten one plan into the arena, returning its root's arena id.
-#[allow(clippy::too_many_arguments)]
-fn flatten_plan_into(
-    encoder: &FeatureEncoder,
-    node_dim: usize,
-    node: &PlanNode,
-    depth: usize,
-    snapshot: Option<&FeatureSnapshot>,
-    arena: &mut Vec<FlatNode>,
-    features: &mut Vec<f64>,
-    // Lazily-computed snapshot block per operator kind: the block is a
-    // function of `(kind, snapshot)` only, so computing it once per kind
-    // (instead of per node) is bit-identical and skips the per-node
-    // logarithm transforms. The buffers are reused across calls.
-    snapshot_blocks: &mut [Vec<f64>; OperatorKind::ALL.len()],
-    blocks_filled: &mut [bool; OperatorKind::ALL.len()],
-) -> usize {
-    let mut children = [usize::MAX; MAX_CHILDREN];
-    let mut height = 0;
-    for (slot, child) in node.children.iter().enumerate() {
-        let cid = flatten_plan_into(
-            encoder,
-            node_dim,
-            child,
-            depth + 1,
-            snapshot,
-            arena,
-            features,
-            snapshot_blocks,
-            blocks_filled,
-        );
-        height = height.max(arena[cid].height + 1);
-        if slot < MAX_CHILDREN {
-            children[slot] = cid;
-        }
-    }
-    let kind = node.op.kind();
-    encoder.encode_node_prefix_into(node, depth, features);
-    let block = &mut snapshot_blocks[kind.index()];
-    if !blocks_filled[kind.index()] {
-        block.clear();
-        encoder.append_snapshot_block(kind, snapshot, block);
-        blocks_filled[kind.index()] = true;
-    }
-    features.extend_from_slice(block);
-    arena.push(FlatNode {
-        kind,
-        children,
-        height,
-        actual_ms: node.actual_total_ms,
-    });
-    // The engine reads features back as `&features[id * node_dim ..]`,
-    // so prefix + snapshot block must append exactly node_dim values.
-    debug_assert_eq!(features.len(), arena.len() * node_dim);
-    arena.len() - 1
+    static QPP_SCRATCH: RefCell<QppBatchScratch> = RefCell::new(QppBatchScratch::default());
 }
 
 /// Bucket the arena nodes `ids` by `(stage, OperatorKind)`, a node's stage
@@ -390,7 +443,7 @@ fn flatten_plan_into(
 /// Fixed per-kind slots keep the execution order deterministic
 /// (`OperatorKind::ALL` order); the bucket vectors are reused across calls.
 fn bucket_by_stage(
-    arena: &[FlatNode],
+    arena: &NodeArena,
     ids: impl Iterator<Item = usize>,
     buckets: &mut Vec<[Vec<usize>; OperatorKind::ALL.len()]>,
 ) -> usize {
@@ -401,7 +454,7 @@ fn bucket_by_stage(
     }
     let mut stages = 0;
     for id in ids {
-        let node = &arena[id];
+        let node = &arena.nodes[id];
         if buckets.len() <= node.height {
             buckets.resize_with(node.height + 1, || std::array::from_fn(|_| Vec::new()));
         }
@@ -418,8 +471,7 @@ fn bucket_by_stage(
 fn gather_unit_inputs(
     input: &mut Matrix,
     ids: &[usize],
-    arena: &[FlatNode],
-    features: &[f64],
+    arena: &NodeArena,
     node_dim: usize,
     mask: &[usize],
     outputs: &[[f64; DATA_VECTOR_DIM]],
@@ -431,7 +483,7 @@ fn gather_unit_inputs(
     // need no zero-fill.
     input.reshape_unspecified(ids.len(), mask.len() + MAX_CHILDREN * DATA_VECTOR_DIM);
     for (r, &id) in ids.iter().enumerate() {
-        let feats = &features[id * node_dim..(id + 1) * node_dim];
+        let feats = &arena.values[id * node_dim..(id + 1) * node_dim];
         let row = input.row_mut(r);
         if identity_mask {
             row[..node_dim].copy_from_slice(feats);
@@ -440,9 +492,9 @@ fn gather_unit_inputs(
                 row[j] = feats[fi];
             }
         }
-        for (slot, &cid) in arena[id].children.iter().enumerate() {
+        for (slot, &cid) in arena.nodes[id].children.iter().enumerate() {
             let start = mask.len() + slot * DATA_VECTOR_DIM;
-            let slot_out = if cid == usize::MAX {
+            let slot_out = if cid == NO_CHILD {
                 &[0.0; DATA_VECTOR_DIM]
             } else {
                 &outputs[cid]
@@ -450,98 +502,6 @@ fn gather_unit_inputs(
             row[start..start + DATA_VECTOR_DIM].copy_from_slice(slot_out);
         }
     }
-}
-
-/// The operator-grouped batched QPPNet inference engine: flatten every
-/// plan into one arena, bucket nodes by `(stage, OperatorKind)`, run each
-/// bucket through its unit in a single [`Mlp::predict_batch_into`] pass,
-/// and scatter child data vectors into parent rows between stages.
-///
-/// The engine is allocation-free in steady state: node encodings are
-/// packed into one flat feature arena (stride [`FeatureEncoder::node_dim`]),
-/// child links live in fixed-size slots, stage buckets are per-kind
-/// vectors, and everything — including the neural-unit input matrix and
-/// [`InferenceScratch`] — lives in a reusable thread-local
-/// [`QppBatchScratch`].
-fn qpp_batched_forward(
-    encoder: &FeatureEncoder,
-    masks: &HashMap<OperatorKind, Vec<usize>>,
-    units: &HashMap<OperatorKind, Mlp>,
-    node_dim: usize,
-    plans: &[&PlanNode],
-    snapshot: Option<&FeatureSnapshot>,
-) -> (Vec<f64>, QppBatchStats) {
-    QPP_SCRATCH.with(|cell| {
-        let s = &mut *cell.borrow_mut();
-        let QppBatchScratch {
-            arena,
-            features,
-            roots,
-            buckets,
-            outputs,
-            input,
-            nn,
-            snapshot_blocks,
-            blocks_filled,
-        } = s;
-        arena.clear();
-        features.clear();
-        roots.clear();
-        // The snapshot may differ between calls, so the cached blocks
-        // must be recomputed — but their buffers are reused.
-        *blocks_filled = [false; OperatorKind::ALL.len()];
-        for plan in plans {
-            let root = flatten_plan_into(
-                encoder,
-                node_dim,
-                plan,
-                0,
-                snapshot,
-                arena,
-                features,
-                snapshot_blocks,
-                blocks_filled,
-            );
-            roots.push(root);
-        }
-        let stages = bucket_by_stage(arena, 0..arena.len(), buckets);
-
-        outputs.clear();
-        outputs.resize(arena.len(), [0.0; DATA_VECTOR_DIM]);
-        let mut forward_calls = 0usize;
-        for stage in buckets.iter().take(stages) {
-            for (kind_index, ids) in stage.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
-                }
-                let kind = OperatorKind::ALL[kind_index];
-                gather_unit_inputs(
-                    input,
-                    ids,
-                    arena,
-                    features,
-                    node_dim,
-                    &masks[&kind],
-                    outputs,
-                );
-                let out = units[&kind].predict_batch_into(input, nn);
-                forward_calls += 1;
-                for (r, &id) in ids.iter().enumerate() {
-                    outputs[id].copy_from_slice(out.row(r));
-                }
-            }
-        }
-
-        let preds = roots.iter().map(|&r| floor_ms(outputs[r][0])).collect();
-        (
-            preds,
-            QppBatchStats {
-                forward_calls,
-                stages,
-                nodes: arena.len(),
-            },
-        )
-    })
 }
 
 // QPPNet's mini-batch rule: the batch size and the learning rate are
@@ -571,11 +531,12 @@ fn qpp_batch_rule(n: usize) -> (usize, f64) {
 }
 
 /// Every training plan flattened once per [`QppNetEstimator::train`] call,
-/// by the flattener inference uses, each under its own environment's
+/// into the arena inference uses, each under its own environment's
 /// snapshot.
 struct TrainArena {
-    nodes: Vec<FlatNode>,
-    features: Vec<f64>,
+    flat: NodeArena,
+    /// Each node's label, `actual_total_ms`, by arena id.
+    labels: Vec<f64>,
     /// Each plan's arena ids (post-order, so children precede parents).
     plans: Vec<std::ops::Range<usize>>,
 }
@@ -586,33 +547,33 @@ impl TrainArena {
         workload: &LabeledWorkload,
         snapshots: Option<&EnvSnapshots>,
     ) -> Self {
+        // Labels in the arena's post-order.
+        fn push_labels(node: &PlanNode, labels: &mut Vec<f64>) {
+            for child in &node.children {
+                push_labels(child, labels);
+            }
+            labels.push(node.actual_total_ms);
+        }
         let mut arena = TrainArena {
-            nodes: Vec::new(),
-            features: Vec::new(),
+            flat: NodeArena::default(),
+            labels: Vec::new(),
             plans: Vec::with_capacity(workload.queries.len()),
         };
-        let mut snapshot_blocks = std::array::from_fn(|_| Vec::new());
-        let mut blocks_filled = [false; OperatorKind::ALL.len()];
+        let mut blocks = SnapshotBlocks::default();
         let mut blocks_env = None;
         for q in &workload.queries {
             // The cached snapshot blocks belong to one environment.
             if blocks_env != Some(q.env_index) {
-                blocks_filled = [false; OperatorKind::ALL.len()];
+                blocks.reset();
                 blocks_env = Some(q.env_index);
             }
-            let first = arena.nodes.len();
-            flatten_plan_into(
-                &est.encoder,
-                est.node_dim,
-                &q.executed.root,
-                0,
-                snapshot_for(snapshots, q.env_index),
-                &mut arena.nodes,
-                &mut arena.features,
-                &mut snapshot_blocks,
-                &mut blocks_filled,
-            );
-            arena.plans.push(first..arena.nodes.len());
+            let first = arena.flat.nodes.len();
+            let snapshot = snapshot_for(snapshots, q.env_index);
+            arena
+                .flat
+                .push_plan(&est.encoder, &q.executed.root, snapshot, &mut blocks);
+            push_labels(&q.executed.root, &mut arena.labels);
+            arena.plans.push(first..arena.flat.nodes.len());
         }
         arena
     }
@@ -813,21 +774,85 @@ impl QppNetEstimator {
     }
 
     /// [`QppNetEstimator::predict_batch`] plus execution statistics (used by
-    /// tests and the serving benchmark to verify grouping happens). Runs the
-    /// operator-grouped engine ([`qpp_batched_forward`]).
+    /// tests and the serving benchmark to verify grouping happens). Flattens
+    /// the plans straight into the engine's arena.
     pub fn predict_batch_with_stats(
         &self,
         plans: &[&PlanNode],
         snapshot: Option<&FeatureSnapshot>,
     ) -> (Vec<f64>, QppBatchStats) {
-        qpp_batched_forward(
-            &self.encoder,
-            &self.masks,
-            &self.units,
-            self.node_dim,
-            plans,
-            snapshot,
-        )
+        self.forward_batch(|s| {
+            // The snapshot may differ from the last call's.
+            s.blocks.reset();
+            for plan in plans {
+                let root = s
+                    .arena
+                    .push_plan(&self.encoder, plan, snapshot, &mut s.blocks);
+                s.roots.push(root);
+            }
+        })
+    }
+
+    /// The operator-grouped batched inference engine, over the thread's
+    /// reusable [`QppBatchScratch`]: `fill` loads the batch's plans into
+    /// the cleared arena and pushes each root id; the engine then buckets
+    /// the nodes by `(stage, OperatorKind)`, runs each bucket through its
+    /// unit in one [`Mlp::predict_batch_into`] pass, leaves first, and
+    /// scatters child data vectors into parent rows between stages. It is
+    /// allocation-free in steady state: node rows are packed in one value
+    /// buffer (stride [`FeatureEncoder::node_dim`]), child links live in
+    /// fixed-size slots, and stage buckets are per-kind vectors.
+    fn forward_batch(&self, fill: impl FnOnce(&mut QppBatchScratch)) -> (Vec<f64>, QppBatchStats) {
+        QPP_SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.arena.nodes.clear();
+            s.arena.values.clear();
+            s.roots.clear();
+            fill(s);
+            let QppBatchScratch {
+                arena,
+                roots,
+                buckets,
+                outputs,
+                input,
+                nn,
+                ..
+            } = s;
+            let stages = bucket_by_stage(arena, 0..arena.nodes.len(), buckets);
+            outputs.clear();
+            outputs.resize(arena.nodes.len(), [0.0; DATA_VECTOR_DIM]);
+            let mut forward_calls = 0usize;
+            for stage in buckets.iter().take(stages) {
+                for (kind_index, ids) in stage.iter().enumerate() {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let kind = OperatorKind::ALL[kind_index];
+                    gather_unit_inputs(
+                        input,
+                        ids,
+                        arena,
+                        self.node_dim,
+                        &self.masks[&kind],
+                        outputs,
+                    );
+                    let out = self.units[&kind].predict_batch_into(input, nn);
+                    forward_calls += 1;
+                    for (r, &id) in ids.iter().enumerate() {
+                        outputs[id].copy_from_slice(out.row(r));
+                    }
+                }
+            }
+            let preds = roots.iter().map(|&r| floor_ms(outputs[r][0])).collect();
+            (
+                preds,
+                QppBatchStats {
+                    forward_calls,
+                    stages,
+                    nodes: arena.nodes.len(),
+                },
+            )
+        })
     }
 
     /// Train on a labeled workload for the given number of iterations
@@ -851,7 +876,7 @@ impl QppNetEstimator {
         let arena = TrainArena::flatten(self, workload, snapshots);
         let (batch_size, learning_rate) = qpp_batch_rule(workload.queries.len());
         let optimizer = Optimizer::adam(learning_rate);
-        let mut buffers = TrainBuffers::new(arena.nodes.len());
+        let mut buffers = TrainBuffers::new(arena.flat.nodes.len());
         let mut final_loss = f64::INFINITY;
         let mut order: Vec<usize> = (0..workload.queries.len()).collect();
         for _ in 0..iterations {
@@ -910,7 +935,7 @@ impl QppNetEstimator {
             caches,
         } = buffers;
         let stages = bucket_by_stage(
-            &arena.nodes,
+            &arena.flat,
             batch.iter().flat_map(|&p| arena.plans[p].clone()),
             buckets,
         );
@@ -932,8 +957,7 @@ impl QppNetEstimator {
                 gather_unit_inputs(
                     cache.input_mut(),
                     ids,
-                    &arena.nodes,
-                    &arena.features,
+                    &arena.flat,
                     self.node_dim,
                     &self.masks[&kind],
                     outputs,
@@ -954,7 +978,7 @@ impl QppNetEstimator {
             let node_count = ids.len() as f64;
             for id in ids {
                 let pred = outputs[id][0].max(0.0);
-                let diff = (1.0 + pred).ln() - (1.0 + arena.nodes[id].actual_ms.max(0.0)).ln();
+                let diff = (1.0 + pred).ln() - (1.0 + arena.labels[id].max(0.0)).ln();
                 loss += diff * diff / node_count;
                 grads[id] = [0.0; DATA_VECTOR_DIM];
                 grads[id][0] = 2.0 * diff / (1.0 + pred) / node_count * plan_weight;
@@ -992,8 +1016,8 @@ impl QppNetEstimator {
                 let grad_input = cache.grad_input();
                 for (r, &id) in ids.iter().enumerate() {
                     let row = grad_input.row(r);
-                    for (slot, &cid) in arena.nodes[id].children.iter().enumerate() {
-                        if cid == usize::MAX {
+                    for (slot, &cid) in arena.flat.nodes[id].children.iter().enumerate() {
+                        if cid == NO_CHILD {
                             continue;
                         }
                         let start = slot * DATA_VECTOR_DIM;
@@ -1008,21 +1032,6 @@ impl QppNetEstimator {
             }
         }
         (loss, touched)
-    }
-
-    /// Evaluate on a labeled workload.
-    pub fn evaluate(
-        &self,
-        workload: &LabeledWorkload,
-        snapshots: Option<&EnvSnapshots>,
-    ) -> AccuracyReport {
-        let actuals = workload.actual_costs();
-        let preds: Vec<f64> = workload
-            .queries
-            .iter()
-            .map(|q| self.predict(&q.executed.root, snapshot_for(snapshots, q.env_index)))
-            .collect();
-        AccuracyReport::compute(&actuals, &preds)
     }
 
     /// Build, per operator kind, the labeled operator-level dataset
@@ -1058,6 +1067,46 @@ impl QppNetEstimator {
     }
 }
 
+/// A QPPNet encoding is its plan flattened into a node arena. A batch of
+/// them is appended to the engine's arena and runs through the same engine
+/// as [`QppNetEstimator::predict_batch`], which the trait's `predict_batch`
+/// keeps: it flattens plans straight into that arena, without a copy.
+impl CostModel for QppNetEstimator {
+    fn name(&self) -> &'static str {
+        "QPPNet"
+    }
+
+    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        // Sized exactly: the encoding may live in a cache.
+        let nodes = root.node_count();
+        let mut arena = NodeArena {
+            nodes: Vec::with_capacity(nodes),
+            values: Vec::with_capacity(nodes * self.node_dim),
+        };
+        arena.push_plan(
+            &self.encoder,
+            root,
+            snapshot,
+            &mut SnapshotBlocks::default(),
+        );
+        PlanEncoding { arena }
+    }
+
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+        self.forward_batch(|s| {
+            for encoding in encodings {
+                let root = s.arena.append(&encoding.arena);
+                s.roots.push(root);
+            }
+        })
+        .0
+    }
+
+    fn predict_batch(&self, plans: &[&PlanNode], snapshot: Option<&FeatureSnapshot>) -> Vec<f64> {
+        QppNetEstimator::predict_batch(self, plans, snapshot)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,10 +1134,13 @@ mod tests {
     fn pg_estimator_predicts_positive_costs() {
         let (w, _, _) = workload();
         let pg = PgEstimator;
-        let report = pg.evaluate(&w);
+        let report = evaluate(&pg, &w, None);
         assert!(report.mean_q_error >= 1.0);
         assert!(report.samples == w.len());
-        assert!(w.queries.iter().all(|q| pg.predict(&q.executed.root) > 0.0));
+        assert!(w
+            .queries
+            .iter()
+            .all(|q| pg.predict_plan(&q.executed.root, None) > 0.0));
     }
 
     #[test]
@@ -1099,7 +1151,7 @@ mod tests {
         let (mscn, stats) = MscnEstimator::train(encoder, &train, None, None, 60, &mut rng);
         assert!(stats.train_time_s > 0.0);
         assert!(stats.final_loss.is_finite());
-        let report = mscn.evaluate(&test, None);
+        let report = evaluate(&mscn, &test, None);
         assert!(report.mean_q_error.is_finite());
         assert!(report.pearson > 0.0, "pearson {}", report.pearson);
         assert_eq!(mscn.mask().len(), mscn.encoder().plan_dim());
@@ -1111,9 +1163,9 @@ mod tests {
         let (train, test) = w.split(0.8, 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let mut qpp = QppNetEstimator::new(encoder_fs, None, &mut rng);
-        let before = qpp.evaluate(&test, None);
+        let before = evaluate(&qpp, &test, None);
         let stats = qpp.train(&train, None, 15, &mut rng);
-        let after = qpp.evaluate(&test, None);
+        let after = evaluate(&qpp, &test, None);
         assert!(stats.final_loss.is_finite());
         assert!(
             after.mean_q_error <= before.mean_q_error * 2.0,
@@ -1339,14 +1391,14 @@ mod tests {
     fn qppnet_batch_gradients_match_finite_differences() {
         let (mut qpp, w) = gradient_check_setup();
         let arena = TrainArena::flatten(&qpp, &w, None);
-        let mut buffers = TrainBuffers::new(arena.nodes.len());
+        let mut buffers = TrainBuffers::new(arena.flat.nodes.len());
         let (_, touched) = qpp.accumulate_batch_gradients(&arena, &CHECKED_BATCH, &mut buffers);
         for (kind, touched) in OperatorKind::ALL.iter().zip(touched) {
             assert_eq!(touched, BATCH_KINDS.contains(kind), "{kind:?}");
         }
 
         let batch_loss = |est: &mut QppNetEstimator| {
-            let mut buffers = TrainBuffers::new(arena.nodes.len());
+            let mut buffers = TrainBuffers::new(arena.flat.nodes.len());
             let (sum, _) = est.accumulate_batch_gradients(&arena, &CHECKED_BATCH, &mut buffers);
             sum / CHECKED_BATCH.len() as f64
         };
@@ -1404,7 +1456,7 @@ mod tests {
     fn qppnet_training_step_leaves_untouched_units_alone() {
         let (mut qpp, w) = gradient_check_setup();
         let arena = TrainArena::flatten(&qpp, &w, None);
-        let mut buffers = TrainBuffers::new(arena.nodes.len());
+        let mut buffers = TrainBuffers::new(arena.flat.nodes.len());
         let optimizer = Optimizer::adam(1e-2);
         // A first step on the fourth plan gives its four kinds Adam state.
         qpp.train_batch(&arena, &[3], &optimizer, &mut buffers);
@@ -1471,11 +1523,8 @@ mod tests {
             let snapshot = snapshot_for(Some(&snapshots), q.env_index);
             for ((node, depth), id) in nodes.into_iter().zip(ids.clone()) {
                 let expected = encoder_fs.encode_node(node, depth, snapshot);
-                assert_eq!(&arena.features[id * dim..(id + 1) * dim], &expected[..]);
-                assert_eq!(
-                    arena.nodes[id].actual_ms.to_bits(),
-                    node.actual_total_ms.to_bits()
-                );
+                assert_eq!(&arena.flat.values[id * dim..(id + 1) * dim], &expected[..]);
+                assert_eq!(arena.labels[id].to_bits(), node.actual_total_ms.to_bits());
             }
         }
     }
@@ -1511,14 +1560,7 @@ mod tests {
         let plans: Vec<&PlanNode> = w.queries.iter().map(|q| &q.executed.root).collect();
         assert!(mscn.predict(plans[0], None).is_nan());
         assert!(mscn.predict_batch(&plans, None).iter().all(|p| p.is_nan()));
-        let rows: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| crate::CostModel::encode_plan(&mscn, p, None).expect("flat encoding"))
-            .collect();
-        assert!(crate::CostModel::predict_encoded(&mscn, &rows)
-            .iter()
-            .all(|p| p.is_nan()));
-        assert!(mscn.evaluate(&w, None).mean_q_error.is_nan());
+        assert!(evaluate(&mscn, &w, None).mean_q_error.is_nan());
     }
 
     #[test]

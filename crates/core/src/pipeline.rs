@@ -4,7 +4,9 @@
 
 use crate::collect::{collect_workload, execute_queries, LabeledWorkload};
 use crate::encoding::FeatureEncoder;
-use crate::estimators::{EnvSnapshots, MscnEstimator, PgEstimator, QppNetEstimator, TrainStats};
+use crate::estimators::{
+    evaluate, EnvSnapshots, MscnEstimator, PgEstimator, QppNetEstimator, TrainStats,
+};
 use crate::metrics::AccuracyReport;
 use crate::reduction::{reduce, ReductionMethod, ReductionOutcome};
 use crate::snapshot::FeatureSnapshot;
@@ -277,20 +279,17 @@ pub fn run_method(
     };
 
     match kind {
-        EstimatorKind::Pgsql => {
-            let pg = PgEstimator;
-            MethodResult {
-                kind,
-                accuracy: pg.evaluate(&test),
-                train: TrainStats {
-                    train_time_s: 0.0,
-                    iterations: 0,
-                    final_loss: 0.0,
-                },
-                operator_reductions: HashMap::new(),
-                plan_reduction: None,
-            }
-        }
+        EstimatorKind::Pgsql => MethodResult {
+            kind,
+            accuracy: evaluate(&PgEstimator, &test, None),
+            train: TrainStats {
+                train_time_s: 0.0,
+                iterations: 0,
+                final_loss: 0.0,
+            },
+            operator_reductions: HashMap::new(),
+            plan_reduction: None,
+        },
         EstimatorKind::Mscn | EstimatorKind::QcfeMscn => {
             let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, snapshots.is_some());
             // Feature reduction (QCFE only): score plan-level features with a
@@ -321,7 +320,7 @@ pub fn run_method(
             );
             MethodResult {
                 kind,
-                accuracy: model.evaluate(&test, snapshots),
+                accuracy: evaluate(&model, &test, snapshots),
                 train: stats,
                 operator_reductions: HashMap::new(),
                 plan_reduction,
@@ -361,7 +360,7 @@ pub fn run_method(
             let stats = model.train(&train, snapshots, config.iterations, &mut rng);
             MethodResult {
                 kind,
-                accuracy: model.evaluate(&test, snapshots),
+                accuracy: evaluate(&model, &test, snapshots),
                 train: stats,
                 operator_reductions,
                 plan_reduction: None,

@@ -309,15 +309,15 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if the rows have inconsistent lengths.
-    pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    pub fn predict_rows<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<f64> {
         if rows.is_empty() {
             return Vec::new();
         }
         TLS_SCRATCH.with(|cell| {
             let (input, scratch) = &mut *cell.borrow_mut();
-            input.reset(rows.len(), rows[0].len());
+            input.reset(rows.len(), rows[0].as_ref().len());
             for (r, row) in rows.iter().enumerate() {
-                input.row_mut(r).copy_from_slice(row);
+                input.row_mut(r).copy_from_slice(row.as_ref());
             }
             let out = self.predict_batch_into(input, scratch);
             (0..out.rows()).map(|r| out.get(r, 0)).collect()
@@ -613,7 +613,7 @@ mod tests {
         for (row, b) in rows.iter().zip(&batched) {
             assert_eq!(mlp.predict_one(row).to_bits(), b.to_bits());
         }
-        assert!(mlp.predict_rows(&[]).is_empty());
+        assert!(mlp.predict_rows::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]

@@ -1316,6 +1316,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceError;
     use crate::test_support::TempDir;
+    use qcfe_core::cost_model::PlanEncoding;
     use qcfe_core::snapshot::OperatorSample;
     use qcfe_db::plan::{OperatorKind, PhysicalOp, PlanNode};
     use std::sync::atomic::AtomicUsize;
@@ -1330,8 +1331,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "TripleRows"
         }
-        fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
-            3.0 * root.est_rows
+        fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+            PlanEncoding::flat(vec![root.est_rows])
+        }
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+            encodings.iter().map(|e| 3.0 * e.values()[0]).collect()
         }
     }
 
@@ -1344,8 +1348,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "DoubleRows"
         }
-        fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
-            2.0 * root.est_rows
+        fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+            PlanEncoding::flat(vec![root.est_rows])
+        }
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+            encodings.iter().map(|e| 2.0 * e.values()[0]).collect()
         }
     }
 
@@ -1745,9 +1752,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "SlowModel"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                std::thread::sleep(Duration::from_millis(300));
-                1.0
+            fn encode_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                PlanEncoding::flat(Vec::new())
+            }
+            fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+                std::thread::sleep(Duration::from_millis(300) * encodings.len() as u32);
+                vec![1.0; encodings.len()]
             }
         }
         let (_dir, root) = temp_root("slow");
@@ -2097,10 +2107,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "SnapshotSlope"
         }
-        fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-            snapshot.map_or(-1.0, |s| {
+        fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+            let cost = snapshot.map_or(-1.0, |s| {
                 s.predict(OperatorKind::SeqScan, root.est_rows, 0.0)
-            })
+            });
+            PlanEncoding::flat(vec![cost])
+        }
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+            encodings.iter().map(|e| e.values()[0]).collect()
         }
     }
 

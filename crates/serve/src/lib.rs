@@ -39,9 +39,11 @@
 //!   evicted models from the store's `QCFW` sidecars
 //!   (load-before-rebuild).
 //! * [`service::EstimationService`] — a worker-thread pool draining a
-//!   bounded request queue with **micro-batched inference** through the
-//!   uniform `CostModel::predict_batch` API (the per-shard engine behind
-//!   the gateway; still usable standalone).
+//!   bounded request queue with **micro-batched inference**: every plan's
+//!   `PlanEncoding` comes from an LRU plan-encoding cache or
+//!   `CostModel::encode_plan`, and each drained batch is one
+//!   `CostModel::predict_encoded` call (the per-shard engine behind the
+//!   gateway; still usable standalone).
 //! * [`sched`] — multi-tenant admission control and deadline-aware batch
 //!   formation between submission and the workers, configured via
 //!   [`gateway::GatewayBuilder::scheduling`]. The pipeline is

@@ -3,14 +3,12 @@
 //!
 //! Requests (physical plans) are pushed by any number of client threads via
 //! a cloneable [`ServiceHandle`]. Workers drain up to
-//! [`ServiceConfig::max_batch`] queued requests at a time and push the whole
-//! drained batch through the model's **uniform batch API**
-//! ([`CostModel::predict_batch`]) — every registered model batches, whether
-//! it is a flat MLP (one matrix pass over all encodings), a tree-structured
-//! QPPNet (staged operator-grouped forwards across all plans in the batch)
-//! or the analytical baseline. Models exposing a flat encoding
-//! ([`CostModel::has_flat_encoding`]) additionally route through the LRU
-//! plan-encoding cache so repeated plans skip the encoding work entirely.
+//! [`ServiceConfig::max_batch`] queued requests at a time and take every
+//! model down one path: each plan's encoding comes from the LRU
+//! plan-encoding cache, or from [`CostModel::encode_plan`] on a miss, and
+//! the whole drained batch is predicted in one
+//! [`CostModel::predict_encoded`] call — one matrix pass for MSCN, staged
+//! operator-grouped forwards across every plan for QPPNet.
 //!
 //! Backpressure: [`ServiceHandle::estimate`] blocks while the queue is at
 //! capacity (closed-loop clients). The gateway's shed-load submissions
@@ -65,7 +63,7 @@
 use crate::lru::LruCache;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::sched::{AdmissionControl, EdfEntry, EdfQueue, Popped, SchedPolicy, TenantId};
-use qcfe_core::cost_model::CostModel;
+use qcfe_core::cost_model::{CostModel, PlanEncoding};
 use qcfe_core::snapshot::FeatureSnapshot;
 use qcfe_db::env::Fnv1a;
 use qcfe_db::plan::PlanNode;
@@ -260,7 +258,7 @@ struct SnapshotSlot {
 /// poison the cache across a swap.
 struct EncodingCache {
     epoch: u64,
-    cache: LruCache<u64, Vec<f64>>,
+    cache: LruCache<u64, Arc<PlanEncoding>>,
 }
 
 struct Shared {
@@ -375,9 +373,8 @@ impl Shared {
         }
     }
 
-    /// Run one drained micro-batch through the model's uniform batch API
-    /// and complete every request. All models batch; the only per-model
-    /// difference is whether the plan-encoding cache applies.
+    /// Run one drained micro-batch through the model and complete every
+    /// request.
     ///
     /// Every reply is sent before any job drops, so the batch's completion
     /// hooks fire together at the end: an event-loop front end woken by
@@ -393,7 +390,7 @@ impl Shared {
         assert_eq!(
             predictions.len(),
             batch_size,
-            "{} predict_batch returned {} predictions for {batch_size} plans",
+            "{} predict_encoded returned {} predictions for {batch_size} plans",
             self.model.name(),
             predictions.len(),
         );
@@ -411,9 +408,9 @@ impl Shared {
     }
 
     /// Batched inference for one drained micro-batch, returning one
-    /// prediction and one cache-hit flag per request. Models with a flat
-    /// encoding go through the LRU plan-encoding cache and predict over
-    /// encodings; everything else predicts straight over the plans.
+    /// prediction and one cache-hit flag per request: each plan's encoding
+    /// comes from the LRU plan-encoding cache or is encoded (and cached),
+    /// and the model predicts all of them in one call.
     ///
     /// The snapshot slot is read exactly once per batch, so a concurrent
     /// [`Shared::install_snapshot`] can never split a batch across two
@@ -425,22 +422,15 @@ impl Shared {
             (slot.snapshot.clone(), slot.epoch)
         };
         let snapshot = snapshot.as_deref();
-        if !self.model.has_flat_encoding() {
-            let plans: Vec<&PlanNode> = batch.iter().map(|entry| &entry.item.plan).collect();
-            return (
-                self.model.predict_batch(&plans, snapshot),
-                vec![false; batch.len()],
-            );
-        }
         // Two lock acquisitions per drained batch (probe, then insert
         // misses), not per request — encoding itself runs unlocked. A cache
         // whose epoch differs from this batch's snapshot belongs to another
-        // snapshot: probe nothing, insert nothing.
+        // snapshot: probe nothing, insert nothing. A hit clones an `Arc`.
         let keys: Vec<u64> = batch
             .iter()
             .map(|entry| plan_key(&entry.item.plan))
             .collect();
-        let mut rows: Vec<Option<Vec<f64>>> = {
+        let cached: Vec<Option<Arc<PlanEncoding>>> = {
             let mut cache = self.encoding_cache.lock().expect("encoding cache poisoned");
             if cache.epoch == epoch {
                 keys.iter()
@@ -450,18 +440,20 @@ impl Shared {
                 vec![None; keys.len()]
             }
         };
-        let hits: Vec<bool> = rows.iter().map(Option::is_some).collect();
-        let mut fresh: Vec<(u64, Vec<f64>)> = Vec::new();
-        for ((slot, entry), key) in rows.iter_mut().zip(batch).zip(&keys) {
-            if slot.is_none() {
-                let encoding = self
-                    .model
-                    .encode_plan(&entry.item.plan, snapshot)
-                    .expect("flat-encoding model must encode");
-                fresh.push((*key, encoding.clone()));
-                *slot = Some(encoding);
-            }
-        }
+        let hits: Vec<bool> = cached.iter().map(Option::is_some).collect();
+        let mut fresh: Vec<(u64, Arc<PlanEncoding>)> = Vec::new();
+        let encodings: Vec<Arc<PlanEncoding>> = cached
+            .into_iter()
+            .zip(batch)
+            .zip(&keys)
+            .map(|((cached, entry), &key)| {
+                cached.unwrap_or_else(|| {
+                    let encoding = Arc::new(self.model.encode_plan(&entry.item.plan, snapshot));
+                    fresh.push((key, Arc::clone(&encoding)));
+                    encoding
+                })
+            })
+            .collect();
         if !fresh.is_empty() {
             let mut cache = self.encoding_cache.lock().expect("encoding cache poisoned");
             if cache.epoch == epoch {
@@ -473,8 +465,8 @@ impl Shared {
         for &hit in &hits {
             self.metrics.record_cache(hit);
         }
-        let rows: Vec<Vec<f64>> = rows.into_iter().map(|r| r.expect("filled")).collect();
-        (self.model.predict_encoded(&rows), hits)
+        let encodings: Vec<&PlanEncoding> = encodings.iter().map(Arc::as_ref).collect();
+        (self.model.predict_encoded(&encodings), hits)
     }
 
     /// Replace the serving snapshot without stopping the service. In-flight
@@ -860,7 +852,7 @@ impl EstimationService {
                     .name(format!("qcfe-serve-{i}"))
                     .spawn(move || {
                         // If a worker dies (a model panicking inside
-                        // predict_batch), close the service and fail queued
+                        // inference), close the service and fail queued
                         // requests rather than leaving clients blocked on a
                         // queue nobody drains.
                         struct AbortOnPanic(Arc<Shared>);
@@ -922,21 +914,22 @@ mod tests {
     use super::*;
     use qcfe_db::plan::PhysicalOp;
 
-    /// A deterministic stub: cost = 2 * est_rows, flat encoding optional.
-    /// Records the size of every `predict_batch` call it receives.
-    #[derive(Debug)]
-    struct DoubleRows {
-        flat_encoding: bool,
-        largest_batch: std::sync::atomic::AtomicUsize,
+    /// The encoding most stubs below use: the plan's `est_rows`.
+    fn rows_encoding(root: &PlanNode) -> PlanEncoding {
+        PlanEncoding::flat(vec![root.est_rows])
     }
 
-    impl DoubleRows {
-        fn new(flat_encoding: bool) -> Self {
-            DoubleRows {
-                flat_encoding,
-                largest_batch: std::sync::atomic::AtomicUsize::new(0),
-            }
-        }
+    /// Each encoding's first value (`est_rows` for [`rows_encoding`])
+    /// times `factor`.
+    fn scaled(encodings: &[&PlanEncoding], factor: f64) -> Vec<f64> {
+        encodings.iter().map(|e| factor * e.values()[0]).collect()
+    }
+
+    /// A deterministic stub: cost = 2 * est_rows. Records the size of every
+    /// batch it predicts.
+    #[derive(Debug, Default)]
+    struct DoubleRows {
+        largest_batch: std::sync::atomic::AtomicUsize,
     }
 
     impl CostModel for DoubleRows {
@@ -944,34 +937,14 @@ mod tests {
             "DoubleRows"
         }
 
-        fn predict_plan(&self, root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
-            2.0 * root.est_rows
+        fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+            rows_encoding(root)
         }
 
-        fn predict_batch(
-            &self,
-            plans: &[&PlanNode],
-            _snapshot: Option<&FeatureSnapshot>,
-        ) -> Vec<f64> {
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
             self.largest_batch
-                .fetch_max(plans.len(), std::sync::atomic::Ordering::Relaxed);
-            plans.iter().map(|p| 2.0 * p.est_rows).collect()
-        }
-
-        fn encode_plan(
-            &self,
-            root: &PlanNode,
-            _snapshot: Option<&FeatureSnapshot>,
-        ) -> Option<Vec<f64>> {
-            self.flat_encoding.then(|| vec![root.est_rows])
-        }
-
-        fn predict_encoded(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-            rows.iter().map(|r| 2.0 * r[0]).collect()
-        }
-
-        fn has_flat_encoding(&self) -> bool {
-            self.flat_encoding
+                .fetch_max(encodings.len(), std::sync::atomic::Ordering::Relaxed);
+            scaled(encodings, 2.0)
         }
     }
 
@@ -982,49 +955,36 @@ mod tests {
         node
     }
 
-    fn start(flat_encoding: bool, config: ServiceConfig) -> EstimationService {
-        EstimationService::start(Arc::new(DoubleRows::new(flat_encoding)), None, config)
+    fn start(config: ServiceConfig) -> EstimationService {
+        EstimationService::start(Arc::new(DoubleRows::default()), None, config)
     }
 
+    /// Distinct plans each miss the cache once and are predicted through
+    /// the encoding path.
     #[test]
     fn estimates_flow_through_the_encoded_path() {
-        let service = start(true, ServiceConfig::default());
+        let service = start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
         let handle = service.handle();
         for rows in [1.0, 10.0, 250.0] {
             let estimate = handle.estimate(scan_plan(rows)).unwrap();
             assert_eq!(estimate.cost_ms, 2.0 * rows);
             assert!(estimate.batch_size >= 1);
+            assert!(!estimate.encoding_cache_hit, "a new plan misses the cache");
         }
         let metrics = service.shutdown();
         assert_eq!(metrics.completed, 3);
         assert_eq!(metrics.rejected, 0);
+        assert_eq!(metrics.cache_hit_rate, 0.0);
     }
 
-    #[test]
-    fn estimates_flow_through_the_uniform_batch_api() {
-        let service = start(
-            false,
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        );
-        let handle = service.handle();
-        let estimate = handle.estimate(scan_plan(7.0)).unwrap();
-        assert_eq!(estimate.cost_ms, 14.0);
-        assert!(!estimate.encoding_cache_hit);
-        let metrics = service.shutdown();
-        assert_eq!(
-            metrics.cache_hit_rate, 0.0,
-            "no cache traffic without a flat encoding"
-        );
-    }
-
-    /// Models without a flat encoding receive the whole drained micro-batch
-    /// in one `predict_batch` call rather than per-plan scalar calls.
+    /// The model receives the whole drained micro-batch in one
+    /// `predict_encoded` call rather than per-plan calls.
     #[test]
     fn queued_requests_reach_the_model_as_one_batch() {
-        let model = Arc::new(DoubleRows::new(false));
+        let model = Arc::new(DoubleRows::default());
         let service = EstimationService::start(
             Arc::clone(&model) as Arc<dyn CostModel>,
             None,
@@ -1058,13 +1018,10 @@ mod tests {
 
     #[test]
     fn repeated_plans_hit_the_encoding_cache() {
-        let service = start(
-            true,
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
         let handle = service.handle();
         let first = handle.estimate(scan_plan(42.0)).unwrap();
         assert!(!first.encoding_cache_hit, "cold cache");
@@ -1075,21 +1032,21 @@ mod tests {
         assert!(service.metrics().cache_hit_rate > 0.7);
     }
 
-    /// A model violating the predict_batch length contract must fail the
+    /// A model violating the predict_encoded length contract must fail the
     /// affected requests (via the worker panic dropping their reply
     /// senders), not leave clients blocked forever.
     #[test]
-    fn wrong_length_predict_batch_fails_requests_instead_of_hanging() {
+    fn wrong_length_predictions_fail_requests_instead_of_hanging() {
         #[derive(Debug)]
         struct ShortBatch;
         impl CostModel for ShortBatch {
             fn name(&self) -> &'static str {
                 "ShortBatch"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                1.0
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, _: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, _: &[&PlanEncoding]) -> Vec<f64> {
                 Vec::new() // always the wrong length
             }
         }
@@ -1128,14 +1085,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "SlowDoubleRows"
             }
-            fn predict_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                2.0 * root.est_rows
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, plans: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
                 self.0
-                    .fetch_max(plans.len(), std::sync::atomic::Ordering::Relaxed);
+                    .fetch_max(encodings.len(), std::sync::atomic::Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_millis(20));
-                plans.iter().map(|p| 2.0 * p.est_rows).collect()
+                scaled(encodings, 2.0)
             }
         }
         let model = Arc::new(SlowDoubleRows(std::sync::atomic::AtomicUsize::new(0)));
@@ -1174,13 +1131,10 @@ mod tests {
     #[test]
     fn try_wait_with_notify_polls_without_blocking() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let service = start(
-            true,
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
         let handle = service.handle();
         let fired = Arc::new(AtomicUsize::new(0));
         let hook = Arc::clone(&fired);
@@ -1227,10 +1181,10 @@ mod tests {
             fn name(&self) -> &'static str {
                 "PanickingModel"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                panic!("model failure");
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, _: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, _: &[&PlanEncoding]) -> Vec<f64> {
                 panic!("model failure");
             }
         }
@@ -1281,10 +1235,10 @@ mod tests {
             fn name(&self) -> &'static str {
                 "GatedPanic"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                panic!("model failure");
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, _: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, _: &[&PlanEncoding]) -> Vec<f64> {
                 while !self.0.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -1345,14 +1299,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "GatedDoubleRows"
         }
-        fn predict_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-            2.0 * root.est_rows
+        fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+            rows_encoding(root)
         }
-        fn predict_batch(&self, plans: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
             while !self.0.load(std::sync::atomic::Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            plans.iter().map(|p| 2.0 * p.est_rows).collect()
+            scaled(encodings, 2.0)
         }
     }
 
@@ -1458,7 +1412,7 @@ mod tests {
 
     #[test]
     fn submissions_after_shutdown_fail_closed() {
-        let service = start(true, ServiceConfig::default());
+        let service = start(ServiceConfig::default());
         let handle = service.handle();
         assert!(handle.estimate(scan_plan(1.0)).is_ok());
         drop(service);
@@ -1475,9 +1429,7 @@ mod tests {
     /// SeqScan c1 intercept. Lets swap tests assert *which* snapshot served
     /// a request, bit-for-bit.
     #[derive(Debug)]
-    struct SnapshotIntercept {
-        flat_encoding: bool,
-    }
+    struct SnapshotIntercept;
 
     impl SnapshotIntercept {
         fn value(snapshot: Option<&FeatureSnapshot>) -> f64 {
@@ -1491,21 +1443,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "SnapshotIntercept"
         }
-        fn predict_plan(&self, _: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-            Self::value(snapshot)
+        fn encode_plan(&self, _: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+            PlanEncoding::flat(vec![Self::value(snapshot)])
         }
-        fn encode_plan(
-            &self,
-            _: &PlanNode,
-            snapshot: Option<&FeatureSnapshot>,
-        ) -> Option<Vec<f64>> {
-            self.flat_encoding.then(|| vec![Self::value(snapshot)])
-        }
-        fn predict_encoded(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-            rows.iter().map(|r| r[0]).collect()
-        }
-        fn has_flat_encoding(&self) -> bool {
-            self.flat_encoding
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+            scaled(encodings, 1.0)
         }
     }
 
@@ -1523,48 +1465,45 @@ mod tests {
     }
 
     /// `install_snapshot` takes effect on the running service without a
-    /// restart, for both the direct-batch and the cached-encoding paths —
-    /// and the encoding cache never serves an encoding made under the old
-    /// snapshot.
+    /// restart, and the encoding cache never serves an encoding made under
+    /// the old snapshot.
     #[test]
     fn installed_snapshots_take_effect_without_restart() {
-        for flat_encoding in [false, true] {
-            let before = intercept_snapshot(2.0);
-            let after = intercept_snapshot(8.0);
-            let expect_before = SnapshotIntercept::value(Some(&before));
-            let expect_after = SnapshotIntercept::value(Some(&after));
-            assert_ne!(expect_before.to_bits(), expect_after.to_bits());
+        let before = intercept_snapshot(2.0);
+        let after = intercept_snapshot(8.0);
+        let expect_before = SnapshotIntercept::value(Some(&before));
+        let expect_after = SnapshotIntercept::value(Some(&after));
+        assert_ne!(expect_before.to_bits(), expect_after.to_bits());
 
-            let service = EstimationService::start(
-                Arc::new(SnapshotIntercept { flat_encoding }),
-                Some(before),
-                ServiceConfig {
-                    workers: 1,
-                    ..ServiceConfig::default()
-                },
-            );
-            let handle = service.handle();
-            // Warm the encoding cache under the old snapshot.
-            for _ in 0..3 {
-                let estimate = handle.estimate(scan_plan(42.0)).unwrap();
-                assert_eq!(estimate.cost_ms.to_bits(), expect_before.to_bits());
-            }
-            handle.install_snapshot(Some(Arc::new(after.clone())));
-            assert_eq!(service.metrics().snapshot_swaps, 1);
+        let service = EstimationService::start(
+            Arc::new(SnapshotIntercept),
+            Some(before),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let handle = service.handle();
+        // Warm the encoding cache under the old snapshot.
+        for _ in 0..3 {
+            let estimate = handle.estimate(scan_plan(42.0)).unwrap();
+            assert_eq!(estimate.cost_ms.to_bits(), expect_before.to_bits());
+        }
+        handle.install_snapshot(Some(Arc::new(after.clone())));
+        assert_eq!(service.metrics().snapshot_swaps, 1);
+        assert_eq!(
+            handle.snapshot().expect("snapshot installed").to_bytes(),
+            after.to_bytes()
+        );
+        // The very same plan — a guaranteed cache key hit before the swap —
+        // must now predict under the new snapshot.
+        for _ in 0..3 {
+            let estimate = handle.estimate(scan_plan(42.0)).unwrap();
             assert_eq!(
-                handle.snapshot().expect("snapshot installed").to_bytes(),
-                after.to_bytes()
+                estimate.cost_ms.to_bits(),
+                expect_after.to_bits(),
+                "stale snapshot served after swap"
             );
-            // The very same plan — a guaranteed cache key hit before the
-            // swap — must now predict under the new snapshot.
-            for _ in 0..3 {
-                let estimate = handle.estimate(scan_plan(42.0)).unwrap();
-                assert_eq!(
-                    estimate.cost_ms.to_bits(),
-                    expect_after.to_bits(),
-                    "flat_encoding={flat_encoding}: stale snapshot served after swap"
-                );
-            }
         }
     }
 
@@ -1580,9 +1519,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "SlowModel"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                1.0
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
+            }
+            fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+                std::thread::sleep(std::time::Duration::from_millis(200) * encodings.len() as u32);
+                vec![1.0; encodings.len()]
             }
         }
         let service = EstimationService::start(
@@ -1650,15 +1592,12 @@ mod tests {
     fn shed_load_submission_is_rejected_when_the_queue_is_full() {
         // One worker, tiny queue: stall the worker with a burst from
         // background threads, then check a shed-load submission rejects.
-        let service = start(
-            true,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 1,
-                encoding_cache_capacity: 16,
-            },
-        );
+        let service = start(ServiceConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch: 1,
+            encoding_cache_capacity: 16,
+        });
         let handle = service.handle();
         let mut clients = Vec::new();
         for i in 0..64 {
@@ -1705,7 +1644,7 @@ mod tests {
         use crate::sched::TenantQuota;
         let tenant = TenantId(5);
         let service = EstimationService::start_with_policy(
-            Arc::new(DoubleRows::new(false)),
+            Arc::new(DoubleRows::default()),
             None,
             ServiceConfig::default(),
             SchedPolicy::edf().with_quota(tenant, TenantQuota::new(0.0, 2.0, usize::MAX)),
@@ -1757,12 +1696,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "SlowModel"
             }
-            fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                1.0
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, plans: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
                 std::thread::sleep(std::time::Duration::from_millis(150));
-                vec![1.0; plans.len()]
+                vec![1.0; encodings.len()]
             }
         }
         let service = EstimationService::start_with_policy(
@@ -1831,19 +1770,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Recorder"
             }
-            fn predict_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-                root.est_rows
+            fn encode_plan(&self, root: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+                rows_encoding(root)
             }
-            fn predict_batch(&self, plans: &[&PlanNode], _: Option<&FeatureSnapshot>) -> Vec<f64> {
+            fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
                 std::thread::sleep(std::time::Duration::from_millis(30));
-                let mut seen = self.0.lock().unwrap();
-                plans
-                    .iter()
-                    .map(|p| {
-                        seen.push(p.est_rows);
-                        p.est_rows
-                    })
-                    .collect()
+                let rows = scaled(encodings, 1.0);
+                self.0.lock().unwrap().extend(&rows);
+                rows
             }
         }
         let model = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));

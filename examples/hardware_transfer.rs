@@ -6,7 +6,7 @@
 
 use qcfe::core::collect::collect_workload;
 use qcfe::core::encoding::FeatureEncoder;
-use qcfe::core::estimators::{EnvSnapshots, QppNetEstimator};
+use qcfe::core::estimators::{evaluate, EnvSnapshots, QppNetEstimator};
 use qcfe::core::pipeline::{prepare_context, ContextConfig};
 use qcfe::core::snapshot::FeatureSnapshot;
 use qcfe::db::prelude::*;
@@ -40,7 +40,7 @@ fn main() {
             .collect::<Vec<_>>(),
     ))];
 
-    let zero_shot = basis.evaluate(&h2_test, Some(&h2_snapshot));
+    let zero_shot = evaluate(&basis, &h2_test, Some(&h2_snapshot));
     println!(
         "Zero-shot on h2 (snapshot swapped, no fine-tuning): mean q-error {:.3}",
         zero_shot.mean_q_error
@@ -48,7 +48,7 @@ fn main() {
 
     let mut transferred = basis.clone();
     transferred.train(&h2_train, Some(&h2_snapshot), 3, &mut rng);
-    let after = transferred.evaluate(&h2_test, Some(&h2_snapshot));
+    let after = evaluate(&transferred, &h2_test, Some(&h2_snapshot));
     println!(
         "After 3 fine-tuning iterations: mean q-error {:.3}",
         after.mean_q_error
@@ -56,7 +56,7 @@ fn main() {
 
     let mut direct = QppNetEstimator::new(encoder, None, &mut rng);
     direct.train(&h2_train, Some(&h2_snapshot), 12, &mut rng);
-    let scratch = direct.evaluate(&h2_test, Some(&h2_snapshot));
+    let scratch = evaluate(&direct, &h2_test, Some(&h2_snapshot));
     println!(
         "Training from scratch on h2 (12 iterations): mean q-error {:.3}",
         scratch.mean_q_error

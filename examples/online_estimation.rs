@@ -1,20 +1,22 @@
 //! Online estimation walkthrough through the serving front door: train a
-//! QCFE(mscn) estimator, publish its environment *and its weights* through
-//! the [`QcfeGateway`], serve concurrent typed requests, watch an *unseen*
-//! environment warm-start from the nearest persisted fingerprint (the
-//! paper's snapshot-transfer workflow, online), **refine** that transferred
-//! shard from its own observed executions until it is promoted
-//! `Transferred → TrainedHere` (the full Table VII loop), then simulate a
-//! process restart — the rebuilt gateway answers from the persisted `QCFW`
-//! weight sidecars and the refit snapshot, bit-identically, without
-//! retraining.
+//! QCFE(qpp) estimator (the model Table IV ranks first), publish its
+//! environment *and its weights* through the [`QcfeGateway`], serve
+//! concurrent typed requests through the shard's plan-encoding cache,
+//! watch an *unseen* environment warm-start from the nearest persisted
+//! fingerprint (the paper's snapshot-transfer workflow, online), **refine**
+//! that transferred shard from its own observed executions until it is
+//! promoted `Transferred → TrainedHere` (the full Table VII loop; every
+//! refit swaps the snapshot and so invalidates the cached encodings), then
+//! simulate a process restart — the rebuilt gateway answers from the
+//! persisted `QCFW` weight sidecars and the refit snapshot, bit-identically,
+//! without retraining.
 //!
 //! ```sh
 //! cargo run --release --example online_estimation
 //! ```
 
 use qcfe::core::encoding::FeatureEncoder;
-use qcfe::core::estimators::MscnEstimator;
+use qcfe::core::estimators::QppNetEstimator;
 use qcfe::core::model_codec::PersistedModel;
 use qcfe::core::pipeline::{prepare_context, ContextConfig, EstimatorKind};
 use qcfe::serve::prelude::*;
@@ -24,6 +26,9 @@ use qcfe::workloads::{
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::sync::Mutex;
+
+/// The model every request of the walkthrough asks for.
+const ESTIMATOR: EstimatorKind = EstimatorKind::QcfeQpp;
 
 fn main() {
     // The walkthrough's story starts from an empty store: the "unseen"
@@ -42,16 +47,10 @@ fn main() {
     let snapshot = ctx.snapshots_fso[0].clone().expect("snapshot fitted");
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
-    let (model, stats) = MscnEstimator::train(
-        encoder,
-        &ctx.workload,
-        Some(&ctx.snapshots_fso),
-        None,
-        30,
-        &mut rng,
-    );
+    let mut model = QppNetEstimator::new(encoder, None, &mut rng);
+    let stats = model.train(&ctx.workload, Some(&ctx.snapshots_fso), 30, &mut rng);
     println!(
-        "trained QCFE(mscn) in {:.2}s (final loss {:.4})",
+        "trained QCFE(qpp) in {:.2}s (final loss {:.4})",
         stats.train_time_s, stats.final_loss
     );
 
@@ -82,12 +81,12 @@ fn main() {
         "published environment {fingerprint} (snapshot + knob vector) at {}",
         path.display()
     );
-    let key = ModelKey::new(kind, EstimatorKind::QcfeMscn, fingerprint);
+    let key = ModelKey::new(kind, ESTIMATOR, fingerprint);
     let weights_path = gateway
-        .publish_model(key, PersistedModel::Mscn(model.clone()))
+        .publish_model(key, PersistedModel::QppNet(model.clone()))
         .expect("weights published");
     println!(
-        "published QCFE(mscn) weights ({} bytes) at {}",
+        "published QCFE(qpp) weights ({} bytes) at {}",
         std::fs::metadata(&weights_path)
             .map(|m| m.len())
             .unwrap_or(0),
@@ -100,7 +99,7 @@ fn main() {
     let db = ctx.benchmark.build_database(env.clone());
     let report = run_closed_loop(&ctx.benchmark, &ClosedLoopConfig::new(8, 50, 9), |query| {
         let plan = db.plan(&query).map_err(|e| e.to_string())?;
-        let request = EstimateRequest::new(kind, env.clone(), plan);
+        let request = EstimateRequest::new(kind, env.clone(), plan).with_estimator(ESTIMATOR);
         Ok(gateway
             .estimate(request)
             .map_err(|e| e.to_string())?
@@ -121,18 +120,21 @@ fn main() {
         report.latency_percentile_ms(50.0),
         report.latency_percentile_ms(99.0)
     );
-    if let Some(metrics) = gateway.shard_metrics(&key) {
-        println!(
-            "shard            mean batch {:.2} (max {}), cache hit rate {:.1}%",
-            metrics.mean_batch_size,
-            metrics.max_batch_size,
-            100.0 * metrics.cache_hit_rate
-        );
-        println!(
-            "shard latency    p50 {:.0} us   p95 {:.0} us   p99 {:.0} us",
-            metrics.p50_latency_us, metrics.p95_latency_us, metrics.p99_latency_us
-        );
-    }
+    let metrics = gateway.shard_metrics(&key).expect("shard resident");
+    println!(
+        "shard            mean batch {:.2} (max {}), cache hit rate {:.1}%",
+        metrics.mean_batch_size,
+        metrics.max_batch_size,
+        100.0 * metrics.cache_hit_rate
+    );
+    println!(
+        "shard latency    p50 {:.0} us   p95 {:.0} us   p99 {:.0} us",
+        metrics.p50_latency_us, metrics.p95_latency_us, metrics.p99_latency_us
+    );
+    assert!(
+        metrics.cache_hit_rate > 0.0,
+        "repeated plans must be served from the encoding cache"
+    );
 
     // 4. Transfer: a machine with a different configuration — an unseen
     //    fingerprint — asks the same gateway. Its shard warm-starts from
@@ -141,15 +143,12 @@ fn main() {
     let mut unseen = env.clone();
     unseen.os_overhead *= 1.15;
     assert_ne!(unseen.fingerprint(), fingerprint);
-    gateway.register_model(
-        ModelKey::new(kind, EstimatorKind::QcfeMscn, unseen.fingerprint()),
-        model,
-    );
+    gateway.register_model(ModelKey::new(kind, ESTIMATOR, unseen.fingerprint()), model);
     let plan = db
         .plan(&ctx.benchmark.random_query(&mut rng))
         .expect("plannable");
     let response = gateway
-        .estimate(EstimateRequest::new(kind, unseen.clone(), plan))
+        .estimate(EstimateRequest::new(kind, unseen.clone(), plan).with_estimator(ESTIMATOR))
         .expect("transferred estimate");
     println!("\n== unseen environment {} ==", unseen.fingerprint());
     match response.provenance.snapshot_origin {
@@ -177,11 +176,10 @@ fn main() {
                 .execute(&query, &mut *feedback_rng.lock().expect("rng"))
                 .map_err(|e| e.to_string())?;
             let estimate = gateway
-                .estimate(EstimateRequest::new(
-                    kind,
-                    Arc::clone(&unseen_env),
-                    executed.root.clone(),
-                ))
+                .estimate(
+                    EstimateRequest::new(kind, Arc::clone(&unseen_env), executed.root.clone())
+                        .with_estimator(ESTIMATOR),
+                )
                 .map_err(|e| e.to_string())?
                 .cost_ms;
             gateway
@@ -194,13 +192,16 @@ fn main() {
         },
     );
     let promoted = gateway
-        .estimate(EstimateRequest::new(
-            kind,
-            Arc::clone(&unseen_env),
-            unseen_db
-                .plan(&ctx.benchmark.random_query(&mut rng))
-                .expect("plannable"),
-        ))
+        .estimate(
+            EstimateRequest::new(
+                kind,
+                Arc::clone(&unseen_env),
+                unseen_db
+                    .plan(&ctx.benchmark.random_query(&mut rng))
+                    .expect("plannable"),
+            )
+            .with_estimator(ESTIMATOR),
+        )
         .expect("refined estimate");
     let stats = gateway.stats();
     println!(
@@ -235,11 +236,10 @@ fn main() {
         .plan(&ctx.benchmark.random_query(&mut rng))
         .expect("plannable");
     let before_restart = gateway
-        .estimate(EstimateRequest::new(
-            kind,
-            env.clone(),
-            reference_plan.clone(),
-        ))
+        .estimate(
+            EstimateRequest::new(kind, env.clone(), reference_plan.clone())
+                .with_estimator(ESTIMATOR),
+        )
         .expect("pre-restart estimate");
     drop(gateway);
 
@@ -247,7 +247,7 @@ fn main() {
         .build()
         .expect("gateway rebuilds");
     let after_restart = restarted
-        .estimate(EstimateRequest::new(kind, env.clone(), reference_plan))
+        .estimate(EstimateRequest::new(kind, env.clone(), reference_plan).with_estimator(ESTIMATOR))
         .expect("post-restart estimate");
     println!("\n== restart: same store directory, empty registry ==");
     println!(

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example tpch_cost_estimation`
 
 use qcfe::core::encoding::FeatureEncoder;
-use qcfe::core::estimators::QppNetEstimator;
+use qcfe::core::estimators::{evaluate, QppNetEstimator};
 use qcfe::core::pipeline::{prepare_context, ContextConfig};
 use qcfe::db::prelude::*;
 use qcfe::workloads::BenchmarkKind;
@@ -32,7 +32,7 @@ fn main() {
     let (train, test) = ctx.workload.split(0.8, 1);
     let mut model = QppNetEstimator::new(encoder, None, &mut rng);
     model.train(&train, Some(&ctx.snapshots_fso), 10, &mut rng);
-    let report = model.evaluate(&test, Some(&ctx.snapshots_fso));
+    let report = evaluate(&model, &test, Some(&ctx.snapshots_fso));
     println!(
         "Held-out accuracy: pearson {:.3}, mean q-error {:.3} over {} queries",
         report.pearson, report.mean_q_error, report.samples

@@ -6,9 +6,9 @@
 //! the wire-level deadline clamp, and graceful shutdown draining
 //! in-flight requests.
 
-use qcfe::core::cost_model::CostModel;
+use qcfe::core::cost_model::{CostModel, PlanEncoding};
 use qcfe::core::encoding::FeatureEncoder;
-use qcfe::core::estimators::MscnEstimator;
+use qcfe::core::estimators::{MscnEstimator, QppNetEstimator};
 use qcfe::core::pipeline::{prepare_context, ContextConfig, EstimatorKind, ExperimentContext};
 use qcfe::db::env::{DbEnvironment, EnvFingerprint, HardwareProfile};
 use qcfe::db::expr::{ColumnRef, CompareOp, JoinCondition, Predicate};
@@ -438,6 +438,14 @@ fn train_mscn(ctx: &ExperimentContext) -> Arc<dyn CostModel> {
     Arc::new(model)
 }
 
+fn train_qpp(ctx: &ExperimentContext) -> Arc<dyn CostModel> {
+    let mut rng = StdRng::seed_from_u64(9);
+    let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
+    let mut model = QppNetEstimator::new(encoder, None, &mut rng);
+    model.train(&ctx.workload, Some(&ctx.snapshots_fso), 2, &mut rng);
+    Arc::new(model)
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("qcfe-net-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&path);
@@ -447,8 +455,13 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// A gateway with every context environment published and served by one
 /// deterministic MSCN model.
+/// A gateway serving QCFE(mscn) and QCFE(qpp) for every environment of
+/// `ctx`.
 fn served_gateway(ctx: &ExperimentContext, dir: &PathBuf) -> Arc<QcfeGateway> {
-    let model = train_mscn(ctx);
+    let models = [
+        (EstimatorKind::QcfeMscn, train_mscn(ctx)),
+        (EstimatorKind::QcfeQpp, train_qpp(ctx)),
+    ];
     let gateway = Arc::new(
         QcfeGateway::builder(dir)
             .service_config(ServiceConfig {
@@ -469,18 +482,21 @@ fn served_gateway(ctx: &ExperimentContext, dir: &PathBuf) -> Arc<QcfeGateway> {
         gateway
             .publish_snapshot(KIND, env, snapshot.as_ref().expect("fitted"))
             .unwrap();
-        gateway.register_model(
-            ModelKey::new(KIND, EstimatorKind::QcfeMscn, env.fingerprint()),
-            Arc::clone(&model),
-        );
+        for (estimator, model) in &models {
+            gateway.register_model(
+                ModelKey::new(KIND, *estimator, env.fingerprint()),
+                Arc::clone(model),
+            );
+        }
     }
     gateway
 }
 
 /// Tentpole acceptance criterion: `qcfe-net` serves ≥64 concurrent
-/// pipelined Unix-domain clients from one reactor thread, and every
-/// remote estimate is bit-identical to the same request made in-process
-/// on the same gateway.
+/// pipelined Unix-domain clients from one reactor thread, half of them
+/// asking for QCFE(mscn) and half for QCFE(qpp), and every remote estimate
+/// is bit-identical to the same request made in-process on the same
+/// gateway.
 #[test]
 fn uds_server_is_bit_identical_to_in_process_gateway_for_64_pipelined_clients() {
     const CLIENTS: usize = 64;
@@ -514,9 +530,14 @@ fn uds_server_is_bit_identical_to_in_process_gateway_for_64_pipelined_clients() 
     let requests: Vec<EstimateRequest> = (0..CLIENTS)
         .flat_map(|c| {
             let env = Arc::clone(&environments[c % environments.len()]);
-            plans
-                .iter()
-                .map(move |plan| EstimateRequest::new(KIND, Arc::clone(&env), plan.clone()))
+            let estimator = if (c / environments.len()).is_multiple_of(2) {
+                EstimatorKind::QcfeMscn
+            } else {
+                EstimatorKind::QcfeQpp
+            };
+            plans.iter().map(move |plan| {
+                EstimateRequest::new(KIND, Arc::clone(&env), plan.clone()).with_estimator(estimator)
+            })
         })
         .collect();
     let expected: Vec<EstimateResponse> = requests
@@ -818,23 +839,19 @@ impl CostModel for SlowLinear {
         "SlowLinear"
     }
 
-    fn predict_plan(
+    fn encode_plan(
         &self,
         root: &PlanNode,
         _: Option<&qcfe::core::snapshot::FeatureSnapshot>,
-    ) -> f64 {
-        1.5 * root.est_rows + 0.25
+    ) -> PlanEncoding {
+        PlanEncoding::flat(vec![root.est_rows])
     }
 
-    fn predict_batch(
-        &self,
-        plans: &[&PlanNode],
-        snapshot: Option<&qcfe::core::snapshot::FeatureSnapshot>,
-    ) -> Vec<f64> {
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
         std::thread::sleep(Duration::from_millis(5));
-        plans
+        encodings
             .iter()
-            .map(|p| self.predict_plan(p, snapshot))
+            .map(|e| 1.5 * e.values()[0] + 0.25)
             .collect()
     }
 }

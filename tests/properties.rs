@@ -4,12 +4,16 @@
 //! checked over a seeded random sample of its input domain (64 cases per
 //! property, mirroring the old `ProptestConfig::with_cases(64)`).
 
+use qcfe::core::cost_model::{CostModel, PlanEncoding};
+use qcfe::core::encoding::FeatureEncoder;
+use qcfe::core::estimators::{QppNetEstimator, MAX_CHILDREN};
 use qcfe::core::metrics::{pearson, percentile, q_error, q_errors};
+use qcfe::core::pipeline::{prepare_context, ContextConfig};
 use qcfe::core::reduction::diffprop_reduction;
 use qcfe::core::snapshot::{FeatureSnapshot, OperatorSample};
 use qcfe::db::data::ColumnVector;
 use qcfe::db::expr::{ColumnRef, CompareOp, Predicate};
-use qcfe::db::plan::OperatorKind;
+use qcfe::db::plan::{OperatorKind, PhysicalOp, PlanNode};
 use qcfe::db::stats::ColumnStats;
 use qcfe::db::types::Value;
 use qcfe::nn::codec::{
@@ -19,9 +23,11 @@ use qcfe::nn::{
     least_squares, solve_linear_system, Activation, Dataset, LinAlgError, Loss, Matrix, Mlp,
     MlpCache, Optimizer, TrainConfig,
 };
+use qcfe::workloads::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
+use std::collections::HashMap;
 
 const CASES: usize = 64;
 
@@ -1030,5 +1036,113 @@ fn diffprop_column_scan_matches_the_all_columns_loop_bit_for_bit() {
         assert_bits_eq(&got.scores, &scores, &format!("case {case} scores"));
         assert_eq!(got.kept, kept, "case {case} kept");
         assert_eq!(a.next_u64(), b.next_u64(), "case {case}: random draws");
+    }
+}
+
+/// A scan node with distinct estimates.
+fn scan_node(table: &str, rows: f64) -> PlanNode {
+    let mut node = PlanNode::new(
+        PhysicalOp::SeqScan {
+            table: table.into(),
+        },
+        Vec::new(),
+    );
+    node.est_rows = rows;
+    node.est_cost = rows * 0.7 + 2.0;
+    node.est_width = 24.0;
+    node
+}
+
+/// Random batches of QPPNet encodings, each plan's taken either from a
+/// cache made once or freshly encoded, predict every plan with the bits of
+/// its scalar tree walk, whatever shares the batch: a plan repeated inside
+/// the batch, one-node plans, and a node with one child more than a unit
+/// reads. Units see random reduced masks, so the gather runs off the
+/// identity path.
+#[test]
+fn qppnet_encoded_batches_match_the_scalar_walk_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x7EA4);
+    let kind = BenchmarkKind::Sysbench;
+    let ctx = prepare_context(
+        kind,
+        &ContextConfig {
+            environments: 2,
+            queries_per_env: 30,
+            template_scale: 1,
+            seed: 5,
+            data_scale: kind.quick_scale(),
+        },
+    );
+    let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
+    let masks: HashMap<OperatorKind, Vec<usize>> = OperatorKind::ALL
+        .iter()
+        .map(|&op| {
+            let mask = (0..encoder.node_dim())
+                .filter(|_| rng.gen_bool(0.7))
+                .collect();
+            (op, mask)
+        })
+        .collect();
+    let qpp = QppNetEstimator::new(encoder, Some(masks), &mut rng);
+
+    let table = ctx.benchmark.catalog.table_names()[0].to_string();
+    let children: Vec<PlanNode> = (0..=MAX_CHILDREN)
+        .map(|i| scan_node(&table, 40.0 * (i + 1) as f64))
+        .collect();
+    let mut wide = PlanNode::new(
+        PhysicalOp::Aggregate {
+            group_by: Vec::new(),
+            functions: Vec::new(),
+        },
+        children,
+    );
+    wide.est_rows = 3.0;
+    wide.est_cost = 90.0;
+    let mut plans: Vec<PlanNode> = ctx
+        .workload
+        .queries
+        .iter()
+        .map(|q| q.executed.root.clone())
+        .collect();
+    plans.push(scan_node(&table, 7.0));
+    plans.push(scan_node(&table, 900.0));
+    plans.push(wide);
+
+    for snapshot in [None, ctx.snapshots_fso[0].as_ref()] {
+        let cached: Vec<PlanEncoding> =
+            plans.iter().map(|p| qpp.encode_plan(p, snapshot)).collect();
+        let scalar: Vec<u64> = plans
+            .iter()
+            .map(|p| qpp.predict_scalar(p, snapshot).to_bits())
+            .collect();
+        for case in 0..CASES {
+            let mut picks: Vec<usize> = (0..rng.gen_range(1..=24usize))
+                .map(|_| rng.gen_range(0..plans.len()))
+                .collect();
+            // One plan twice in the batch, and every hand-built plan once
+            // in a while.
+            picks.push(picks[0]);
+            if case % 4 == 0 {
+                picks.extend(plans.len() - 3..plans.len());
+            }
+            picks.shuffle(&mut rng);
+            let fresh: Vec<Option<PlanEncoding>> = picks
+                .iter()
+                .map(|&i| {
+                    rng.gen_bool(0.5)
+                        .then(|| qpp.encode_plan(&plans[i], snapshot))
+                })
+                .collect();
+            let batch: Vec<&PlanEncoding> = picks
+                .iter()
+                .zip(&fresh)
+                .map(|(&i, fresh)| fresh.as_ref().unwrap_or(&cached[i]))
+                .collect();
+            let got = qpp.predict_encoded(&batch);
+            assert_eq!(got.len(), picks.len(), "case {case}");
+            for (&i, g) in picks.iter().zip(&got) {
+                assert_eq!(g.to_bits(), scalar[i], "case {case}: plan {i}");
+            }
+        }
     }
 }

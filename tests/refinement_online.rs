@@ -13,7 +13,7 @@
 //! * **deadlines**: an effectively-expired deadline fails typed and
 //!   promptly even while the shard is wedged in slow inference.
 
-use qcfe::core::cost_model::CostModel;
+use qcfe::core::cost_model::{CostModel, PlanEncoding};
 use qcfe::core::encoding::FeatureEncoder;
 use qcfe::core::estimators::MscnEstimator;
 use qcfe::core::model_codec::PersistedModel;
@@ -261,10 +261,14 @@ impl CostModel for SnapshotSlope {
     fn name(&self) -> &'static str {
         "SnapshotSlope"
     }
-    fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        snapshot.map_or(-1.0, |s| {
+    fn encode_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        let cost = snapshot.map_or(-1.0, |s| {
             s.predict(OperatorKind::SeqScan, root.est_rows, 0.0)
-        })
+        });
+        PlanEncoding::flat(vec![cost])
+    }
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+        encodings.iter().map(|e| e.values()[0]).collect()
     }
 }
 
@@ -529,9 +533,12 @@ fn exhausted_deadline_fails_promptly_while_the_shard_is_wedged() {
         fn name(&self) -> &'static str {
             "SlowModel"
         }
-        fn predict_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> f64 {
-            std::thread::sleep(Duration::from_millis(400));
-            1.0
+        fn encode_plan(&self, _: &PlanNode, _: Option<&FeatureSnapshot>) -> PlanEncoding {
+            PlanEncoding::flat(Vec::new())
+        }
+        fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+            std::thread::sleep(Duration::from_millis(400) * encodings.len() as u32);
+            vec![1.0; encodings.len()]
         }
     }
     let dir = temp_dir("deadline");

@@ -5,7 +5,7 @@
 //! FIFO-default behaviour), and the client's opt-in shed-backoff /
 //! reconnect retry loop over live sockets.
 
-use qcfe::core::cost_model::CostModel;
+use qcfe::core::cost_model::{CostModel, PlanEncoding};
 use qcfe::core::encoding::FeatureEncoder;
 use qcfe::core::estimators::MscnEstimator;
 use qcfe::core::pipeline::{prepare_context, ContextConfig, EstimatorKind, ExperimentContext};
@@ -299,9 +299,13 @@ impl CostModel for SlowModel {
         "slow"
     }
 
-    fn predict_plan(&self, _root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> f64 {
-        std::thread::sleep(self.per_plan);
-        1.0
+    fn encode_plan(&self, _root: &PlanNode, _snapshot: Option<&FeatureSnapshot>) -> PlanEncoding {
+        PlanEncoding::flat(Vec::new())
+    }
+
+    fn predict_encoded(&self, encodings: &[&PlanEncoding]) -> Vec<f64> {
+        std::thread::sleep(self.per_plan * encodings.len() as u32);
+        vec![1.0; encodings.len()]
     }
 }
 

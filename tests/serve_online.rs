@@ -109,10 +109,6 @@ fn concurrent_closed_loop_load_with_micro_batching() {
     let env = ctx.workload.environments[0].clone();
     let snapshot = ctx.snapshots_fso[0].clone().expect("fitted");
     let model: Arc<dyn CostModel> = Arc::new(train_mscn(&ctx));
-    assert!(
-        model.has_flat_encoding(),
-        "MSCN serves through the cached encoding path"
-    );
     let key = ModelKey::new(kind, EstimatorKind::QcfeMscn, env.fingerprint());
     let dir = temp_dir("closedloop");
 
@@ -154,9 +150,10 @@ fn concurrent_closed_loop_load_with_micro_batching() {
 }
 
 /// Routing every model family through the gateway leaves the results
-/// unchanged — each served estimate equals the model's direct per-plan
-/// prediction, for both the flat (MSCN) and the tree-structured (QPPNet)
-/// estimator.
+/// unchanged — each served estimate has the bits of the model's direct
+/// per-plan prediction (for QPPNet, of its scalar tree walk), for both the
+/// flat (MSCN) and the tree-structured (QPPNet) estimator, on a cache miss
+/// and again on a cache hit.
 #[test]
 fn gateway_routing_preserves_direct_predictions() {
     let ctx = quick_ctx();
@@ -167,6 +164,16 @@ fn gateway_routing_preserves_direct_predictions() {
     let encoder = FeatureEncoder::new(&ctx.benchmark.catalog, true);
     let mut qpp = QppNetEstimator::new(encoder, None, &mut rng);
     qpp.train(&ctx.workload, Some(&ctx.snapshots_fso), 2, &mut rng);
+    let scalar: Vec<u64> = ctx
+        .workload
+        .queries
+        .iter()
+        .take(40)
+        .map(|q| {
+            qpp.predict_scalar(&q.executed.root, Some(&snapshot))
+                .to_bits()
+        })
+        .collect();
 
     let models: Vec<(EstimatorKind, Arc<dyn CostModel>)> = vec![
         (EstimatorKind::QcfeMscn, Arc::new(train_mscn(&ctx))),
@@ -180,6 +187,10 @@ fn gateway_routing_preserves_direct_predictions() {
             .take(40)
             .map(|q| model.predict_plan(&q.executed.root, Some(&snapshot)))
             .collect();
+        if estimator == EstimatorKind::QcfeQpp {
+            let direct: Vec<u64> = direct.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(direct, scalar, "QPPNet direct vs scalar walk");
+        }
         let dir = temp_dir(&format!("routing-{estimator:?}"));
         let key = ModelKey::new(kind, estimator, env.fingerprint());
         let gateway = QcfeGateway::builder(&dir)
@@ -193,22 +204,34 @@ fn gateway_routing_preserves_direct_predictions() {
             .build()
             .unwrap();
         gateway.publish_snapshot(kind, &env, &snapshot).unwrap();
-        for (q, expected) in ctx.workload.queries.iter().take(40).zip(&direct) {
-            let response = gateway
-                .estimate(
-                    EstimateRequest::new(kind, env.clone(), q.executed.root.clone())
-                        .with_estimator(estimator),
-                )
-                .unwrap();
-            assert!(
-                (response.cost_ms - expected).abs() <= 1e-9,
-                "{}: served {} deviates from direct {expected}",
-                model.name(),
-                response.cost_ms
-            );
+        // The second pass repeats every plan, so it is served from the
+        // encoding cache.
+        for pass in 0..2 {
+            for (q, expected) in ctx.workload.queries.iter().take(40).zip(&direct) {
+                let response = gateway
+                    .estimate(
+                        EstimateRequest::new(kind, env.clone(), q.executed.root.clone())
+                            .with_estimator(estimator),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    response.cost_ms.to_bits(),
+                    expected.to_bits(),
+                    "{} pass {pass}: served {} deviates from direct {expected}",
+                    model.name(),
+                    response.cost_ms
+                );
+                if pass == 1 {
+                    assert!(
+                        response.encoding_cache_hit,
+                        "{}: a repeated plan must hit the encoding cache",
+                        model.name()
+                    );
+                }
+            }
         }
         let metrics = gateway.shard_metrics(&key).expect("shard resident");
-        assert_eq!(metrics.completed, 40);
+        assert_eq!(metrics.completed, 80);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
