@@ -3,10 +3,12 @@
 //! QCFE(qpp) trained on it), run in this order:
 //!
 //! 1. **QPPNet batching** — direct QPPNet inference, the scalar per-plan
-//!    path against operator-grouped batches of 1–128 plans;
-//! 2. **kernel sweep** — the batch-32 QPPNet workload, then the
-//!    `EstimationService` path, under each matmul kernel the CPU dispatches
-//!    (scalar, portable, AVX2);
+//!    path against operator-grouped batches of 1–128 plans flattened
+//!    straight into the engine (not the served encode → cache → predict
+//!    path, which the service sweep times);
+//! 2. **kernel sweep** — the batch-32 direct QPPNet workload of section 1,
+//!    then QCFE(mscn) through the `EstimationService`, under each matmul
+//!    kernel the CPU dispatches (scalar, portable, AVX2);
 //! 3. **service sweep** — closed-loop clients against one
 //!    `EstimationService` per model, over client counts, with
 //!    micro-batching off and on (max_batch 1 vs 32), and QCFE(qpp)'s
@@ -677,7 +679,10 @@ fn main() {
 }
 
 /// Direct (no service) QPPNet inference: scalar vs operator-grouped
-/// batched, swept over the plans per `predict_batch` call.
+/// batched, swept over the plans per `predict_batch` call. The batches
+/// flatten plans straight into the engine; a served QCFE(qpp) request
+/// instead runs encode → encoding cache → `predict_encoded`, timed by
+/// [`service_sweep`].
 fn qppnet_batching(h: &Harness, out: &mut Section) {
     let plans = h.plans();
     let snapshot = Some(&h.snapshots[0]);
@@ -715,7 +720,8 @@ fn qppnet_batching(h: &Harness, out: &mut Section) {
     out.at_least("best batched plans/s vs scalar", best_batched, scalar);
 }
 
-/// The batch-32 QPPNet workload, then the `EstimationService` path
+/// The batch-32 direct QPPNet workload of [`qppnet_batching`] (not the
+/// served path), then QCFE(mscn) through the `EstimationService`
 /// (micro-batched closed-loop clients), under each kernel the CPU
 /// dispatches. `force_kernel` overrides the `QCFE_KERNEL`-resolved default
 /// so one process compares them all.

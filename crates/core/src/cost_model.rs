@@ -54,8 +54,10 @@ impl PlanEncoding {
 /// A model implements two methods, [`CostModel::encode_plan`] and
 /// [`CostModel::predict_encoded`], and the serving layer calls only those
 /// two. [`CostModel::predict_batch`] and [`CostModel::predict_plan`] are
-/// provided on top of them and give the same bits; a model may override
-/// `predict_batch` with a faster route to those bits.
+/// provided on top of them and give the same bits. QPPNet overrides
+/// `predict_batch` to flatten plans straight into its engine, without an
+/// encoding per plan; `predict_plan`, which
+/// [`evaluate`](crate::estimators::evaluate) calls, goes through it.
 pub trait CostModel: Send + Sync {
     /// Display name (matches the paper's table labels).
     fn name(&self) -> &'static str;
@@ -81,9 +83,9 @@ pub trait CostModel: Send + Sync {
         self.predict_encoded(&encodings)
     }
 
-    /// Predict the latency (ms) of one plan.
+    /// Predict the latency (ms) of one plan: a batch of one.
     fn predict_plan(&self, root: &PlanNode, snapshot: Option<&FeatureSnapshot>) -> f64 {
-        self.predict_encoded(&[&self.encode_plan(root, snapshot)])[0]
+        self.predict_batch(&[root], snapshot)[0]
     }
 }
 

@@ -9,7 +9,7 @@ use crate::collect::LabeledWorkload;
 use crate::cost_model::{CostModel, PlanEncoding};
 use crate::encoding::FeatureEncoder;
 use crate::metrics::{floor_ms, AccuracyReport};
-use crate::snapshot::FeatureSnapshot;
+use crate::snapshot::{FeatureSnapshot, SNAPSHOT_DIM};
 use qcfe_db::plan::{OperatorKind, PlanNode};
 use qcfe_nn::{
     Activation, Dataset, InferenceScratch, Loss, Matrix, Mlp, MlpCache, Optimizer, TrainConfig,
@@ -321,39 +321,26 @@ impl NodeArena {
         &self.values
     }
 
-    /// Flatten one plan under `snapshot` and return its root's id. `blocks`
-    /// must hold no block of another snapshot ([`SnapshotBlocks::reset`]).
-    fn push_plan(
-        &mut self,
-        encoder: &FeatureEncoder,
-        plan: &PlanNode,
-        snapshot: Option<&FeatureSnapshot>,
-        blocks: &mut SnapshotBlocks,
-    ) -> usize {
-        self.push_node(encoder, plan, 0, snapshot, blocks)
+    /// Flatten one plan under the view's encoder and snapshot and return
+    /// its root's id.
+    fn push_plan(&mut self, plan: &PlanNode, blocks: &mut SnapshotView) -> usize {
+        self.push_node(plan, 0, blocks)
     }
 
-    fn push_node(
-        &mut self,
-        encoder: &FeatureEncoder,
-        node: &PlanNode,
-        depth: usize,
-        snapshot: Option<&FeatureSnapshot>,
-        blocks: &mut SnapshotBlocks,
-    ) -> usize {
+    fn push_node(&mut self, node: &PlanNode, depth: usize, blocks: &mut SnapshotView) -> usize {
         let mut children = [NO_CHILD; MAX_CHILDREN];
         let mut height = 0;
         for (slot, child) in node.children.iter().enumerate() {
-            let cid = self.push_node(encoder, child, depth + 1, snapshot, blocks);
+            let cid = self.push_node(child, depth + 1, blocks);
             height = height.max(self.nodes[cid].height + 1);
             if slot < MAX_CHILDREN {
                 children[slot] = cid;
             }
         }
         let kind = node.op.kind();
+        let encoder = blocks.encoder;
         encoder.encode_node_prefix_into(node, depth, &mut self.values);
-        self.values
-            .extend_from_slice(blocks.get(encoder, kind, snapshot));
+        self.values.extend_from_slice(blocks.get(kind));
         self.nodes.push(FlatNode {
             kind,
             children,
@@ -386,33 +373,61 @@ impl NodeArena {
     }
 }
 
-/// The snapshot block of each operator kind, computed on first use. A
-/// block is a function of `(kind, snapshot)` only, so computing it once
-/// per kind instead of once per node is bit-identical and skips the
-/// per-node logarithms. The buffers are reused across resets.
+/// The snapshot block of each operator kind, with the bits of the kind's
+/// snapshot coefficients it was made from. A block is a function of those
+/// coefficients only (an encoder without the snapshot appends none), so
+/// the memo recomputes one only when they change: bit-identical, without
+/// the per-node logarithms, and valid across plans, snapshots and models,
+/// so it is never reset. It is read through a [`SnapshotView`].
 #[derive(Default)]
 struct SnapshotBlocks {
-    blocks: [Vec<f64>; OperatorKind::ALL.len()],
-    filled: [bool; OperatorKind::ALL.len()],
+    blocks: [(Option<[u64; SNAPSHOT_DIM]>, Vec<f64>); OperatorKind::ALL.len()],
 }
 
 impl SnapshotBlocks {
-    /// Forget every block, before flattening under another snapshot.
-    fn reset(&mut self) {
-        self.filled = [false; OperatorKind::ALL.len()];
+    /// The memo under one encoder and snapshot.
+    fn view<'a>(
+        &'a mut self,
+        encoder: &'a FeatureEncoder,
+        snapshot: Option<&'a FeatureSnapshot>,
+    ) -> SnapshotView<'a> {
+        SnapshotView {
+            memo: self,
+            encoder,
+            snapshot,
+            checked: [false; OperatorKind::ALL.len()],
+        }
     }
+}
 
-    fn get(
-        &mut self,
-        encoder: &FeatureEncoder,
-        kind: OperatorKind,
-        snapshot: Option<&FeatureSnapshot>,
-    ) -> &[f64] {
-        let block = &mut self.blocks[kind.index()];
-        if !self.filled[kind.index()] {
-            block.clear();
-            encoder.append_snapshot_block(kind, snapshot, block);
-            self.filled[kind.index()] = true;
+/// [`SnapshotBlocks`] under one encoder and snapshot. A kind's block is
+/// checked against the snapshot's coefficients on its first use only, so a
+/// batch (or one plan) pays one coefficient lookup per kind, not per node.
+struct SnapshotView<'a> {
+    memo: &'a mut SnapshotBlocks,
+    encoder: &'a FeatureEncoder,
+    snapshot: Option<&'a FeatureSnapshot>,
+    checked: [bool; OperatorKind::ALL.len()],
+}
+
+impl SnapshotView<'_> {
+    fn get(&mut self, kind: OperatorKind) -> &[f64] {
+        if !self.encoder.includes_snapshot() {
+            return &[];
+        }
+        let (seen, block) = &mut self.memo.blocks[kind.index()];
+        if !self.checked[kind.index()] {
+            self.checked[kind.index()] = true;
+            let coefficients = self
+                .snapshot
+                .map_or([0.0; SNAPSHOT_DIM], |s| s.coefficients(kind));
+            let bits = coefficients.map(f64::to_bits);
+            if *seen != Some(bits) {
+                block.clear();
+                self.encoder
+                    .append_snapshot_block(kind, self.snapshot, block);
+                *seen = Some(bits);
+            }
         }
         block
     }
@@ -560,18 +575,11 @@ impl TrainArena {
             plans: Vec::with_capacity(workload.queries.len()),
         };
         let mut blocks = SnapshotBlocks::default();
-        let mut blocks_env = None;
         for q in &workload.queries {
-            // The cached snapshot blocks belong to one environment.
-            if blocks_env != Some(q.env_index) {
-                blocks.reset();
-                blocks_env = Some(q.env_index);
-            }
             let first = arena.flat.nodes.len();
             let snapshot = snapshot_for(snapshots, q.env_index);
-            arena
-                .flat
-                .push_plan(&est.encoder, &q.executed.root, snapshot, &mut blocks);
+            let mut view = blocks.view(&est.encoder, snapshot);
+            arena.flat.push_plan(&q.executed.root, &mut view);
             push_labels(&q.executed.root, &mut arena.labels);
             arena.plans.push(first..arena.flat.nodes.len());
         }
@@ -782,12 +790,9 @@ impl QppNetEstimator {
         snapshot: Option<&FeatureSnapshot>,
     ) -> (Vec<f64>, QppBatchStats) {
         self.forward_batch(|s| {
-            // The snapshot may differ from the last call's.
-            s.blocks.reset();
+            let mut blocks = s.blocks.view(&self.encoder, snapshot);
             for plan in plans {
-                let root = s
-                    .arena
-                    .push_plan(&self.encoder, plan, snapshot, &mut s.blocks);
+                let root = s.arena.push_plan(plan, &mut blocks);
                 s.roots.push(root);
             }
         })
@@ -1070,7 +1075,8 @@ impl QppNetEstimator {
 /// A QPPNet encoding is its plan flattened into a node arena. A batch of
 /// them is appended to the engine's arena and runs through the same engine
 /// as [`QppNetEstimator::predict_batch`], which the trait's `predict_batch`
-/// keeps: it flattens plans straight into that arena, without a copy.
+/// (and so `predict_plan` and [`evaluate`]) keeps: it flattens plans
+/// straight into that arena, without an encoding per plan.
 impl CostModel for QppNetEstimator {
     fn name(&self) -> &'static str {
         "QPPNet"
@@ -1083,12 +1089,10 @@ impl CostModel for QppNetEstimator {
             nodes: Vec::with_capacity(nodes),
             values: Vec::with_capacity(nodes * self.node_dim),
         };
-        arena.push_plan(
-            &self.encoder,
-            root,
-            snapshot,
-            &mut SnapshotBlocks::default(),
-        );
+        QPP_SCRATCH.with(|cell| {
+            let memo = &mut cell.borrow_mut().blocks;
+            arena.push_plan(root, &mut memo.view(&self.encoder, snapshot));
+        });
         PlanEncoding { arena }
     }
 

@@ -1,19 +1,37 @@
 //! A small least-recently-used map used by the model registry and the
 //! plan-encoding cache.
 //!
-//! Implemented as a `HashMap` plus a `BTreeMap` recency index (logical
-//! clock → key), giving `O(log n)` touch/evict without external crates.
+//! Entries live in a dense slab threaded by a doubly-linked recency list of
+//! slot indices, with a `HashMap` from key to slot: touch, insert, remove
+//! and evict are `O(1)`, and none allocates once the slab has grown to
+//! capacity. A removed slot is refilled by the last one (`swap_remove`),
+//! whose links are then repointed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
+
+/// Marks the end of the recency list.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    /// The next less recently used slot.
+    older: usize,
+    /// The next more recently used slot.
+    newer: usize,
+}
 
 /// A bounded map that evicts the least-recently-used entry on overflow.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: usize,
-    clock: u64,
-    map: HashMap<K, (V, u64)>,
-    recency: BTreeMap<u64, K>,
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// Least and most recently used slots ([`NIL`] when empty).
+    oldest: usize,
+    newest: usize,
     evictions: u64,
 }
 
@@ -22,9 +40,10 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity: capacity.max(1),
-            clock: 0,
             map: HashMap::new(),
-            recency: BTreeMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             evictions: 0,
         }
     }
@@ -57,56 +76,116 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// Look up `key` without touching recency (diagnostics reads that must
     /// not distort the eviction order).
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(value, _)| value)
+        self.map.get(key).map(|&i| &self.slots[i].value)
     }
 
     /// Look up `key`, marking it most recently used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.clock += 1;
-        let clock = self.clock;
-        let (value, stamp) = self.map.get_mut(key)?;
-        self.recency.remove(stamp);
-        self.recency.insert(clock, key.clone());
-        *stamp = clock;
-        Some(value)
+        let i = *self.map.get(key)?;
+        self.unlink(i);
+        self.push_newest(i);
+        Some(&self.slots[i].value)
     }
 
     /// Insert or replace `key`, marking it most recently used. Returns the
     /// evicted `(key, value)` pair when the insert pushed the cache over
     /// capacity.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.clock += 1;
-        if let Some((_, stamp)) = self.map.get(&key) {
-            self.recency.remove(stamp);
+        if let Some(&i) = self.map.get(&key) {
+            self.slots[i].value = value;
+            self.unlink(i);
+            self.push_newest(i);
+            return None;
         }
-        self.map.insert(key.clone(), (value, self.clock));
-        self.recency.insert(self.clock, key);
+        let i = self.slots.len();
+        self.map.insert(key.clone(), i);
+        self.slots.push(Slot {
+            key,
+            value,
+            older: NIL,
+            newer: NIL,
+        });
+        self.push_newest(i);
         if self.map.len() > self.capacity {
-            let (_, victim) = self.recency.pop_first().expect("cache non-empty");
-            let (value, _) = self.map.remove(&victim).expect("victim resident");
+            let victim = self.remove_slot(self.oldest);
             self.evictions += 1;
-            return Some((victim, value));
+            return Some((victim.key, victim.value));
         }
         None
     }
 
     /// Remove `key` if resident.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (value, stamp) = self.map.remove(key)?;
-        self.recency.remove(&stamp);
-        Some(value)
+        let i = *self.map.get(key)?;
+        Some(self.remove_slot(i).value)
     }
 
     /// Keys ordered from least to most recently used (tests/diagnostics).
     pub fn keys_by_recency(&self) -> Vec<K> {
-        self.recency.values().cloned().collect()
+        let mut keys = Vec::with_capacity(self.slots.len());
+        let mut i = self.oldest;
+        while i != NIL {
+            keys.push(self.slots[i].key.clone());
+            i = self.slots[i].newer;
+        }
+        keys
     }
 
     /// Drop every entry (capacity and the eviction counter are kept —
     /// invalidation is not eviction).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.recency.clear();
+        self.slots.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+    }
+
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Link the unlinked slot `i` in as the most recently used.
+    fn push_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Remove slot `i`; the last slot moves into its place.
+    fn remove_slot(&mut self, i: usize) -> Slot<K, V> {
+        self.unlink(i);
+        self.map.remove(&self.slots[i].key);
+        let slot = self.slots.swap_remove(i);
+        if i < self.slots.len() {
+            // The moved slot's neighbours and key still name its old index.
+            *self
+                .map
+                .get_mut(&self.slots[i].key)
+                .expect("moved slot resident") = i;
+            let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+            match older {
+                NIL => self.oldest = i,
+                o => self.slots[o].newer = i,
+            }
+            match newer {
+                NIL => self.newest = i,
+                n => self.slots[n].older = i,
+            }
+        }
+        slot
     }
 }
 
@@ -163,6 +242,64 @@ mod tests {
         assert!(lru.keys_by_recency().is_empty());
         assert_eq!(lru.evictions(), 1, "invalidation is not eviction");
         assert!(lru.insert(3, "z").is_none(), "cleared cache has room");
+    }
+
+    /// Seeded random operations against a reference LRU (a `Vec` in
+    /// recency order): every result, the recency order and the eviction
+    /// count agree after each step.
+    #[test]
+    fn matches_a_reference_lru_under_random_operations() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for capacity in [1usize, 2, 3, 8] {
+            let mut lru = LruCache::new(capacity);
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let mut evictions = 0;
+            for step in 0..2000u64 {
+                let key = next(12);
+                match next(5) {
+                    0 | 1 => {
+                        let evicted = lru.insert(key, step);
+                        let mut expected = None;
+                        if let Some(at) = reference.iter().position(|&(k, _)| k == key) {
+                            reference.remove(at);
+                        } else if reference.len() == capacity {
+                            expected = Some(reference.remove(0));
+                            evictions += 1;
+                        }
+                        reference.push((key, step));
+                        assert_eq!(evicted, expected);
+                    }
+                    2 => {
+                        let at = reference.iter().position(|&(k, _)| k == key);
+                        let expected = at.map(|at| {
+                            let entry = reference.remove(at);
+                            reference.push(entry);
+                            entry.1
+                        });
+                        assert_eq!(lru.get(&key).copied(), expected);
+                    }
+                    3 => {
+                        let at = reference.iter().position(|&(k, _)| k == key);
+                        let expected = at.map(|at| reference.remove(at).1);
+                        assert_eq!(lru.remove(&key), expected);
+                    }
+                    _ => {
+                        let expected = reference.iter().find(|&&(k, _)| k == key);
+                        assert_eq!(lru.peek(&key), expected.map(|(_, v)| v));
+                    }
+                }
+                let keys: Vec<u64> = reference.iter().map(|&(k, _)| k).collect();
+                assert_eq!(lru.keys_by_recency(), keys);
+                assert_eq!(lru.len(), reference.len());
+                assert_eq!(lru.evictions(), evictions);
+            }
+        }
     }
 
     #[test]

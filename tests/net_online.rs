@@ -453,8 +453,6 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// A gateway with every context environment published and served by one
-/// deterministic MSCN model.
 /// A gateway serving QCFE(mscn) and QCFE(qpp) for every environment of
 /// `ctx`.
 fn served_gateway(ctx: &ExperimentContext, dir: &PathBuf) -> Arc<QcfeGateway> {
