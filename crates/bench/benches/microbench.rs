@@ -1,6 +1,7 @@
-//! Microbenchmarks: inference latency, snapshot fitting, snapshot
-//! persistence, training and feature-reduction runtime — the
-//! time-efficiency side of the paper's "time-accuracy" comparisons.
+//! Microbenchmarks: the `QCFP` request codec and its CRC-32, inference
+//! latency, snapshot fitting, snapshot persistence, training and
+//! feature-reduction runtime — the time-efficiency side of the paper's
+//! "time-accuracy" comparisons.
 //!
 //! Criterion is unavailable offline, so this is a plain `harness = false`
 //! bench binary with warm-up plus median-of-samples timing. Run with
@@ -245,8 +246,65 @@ fn bench_execution_simulator() {
     });
 }
 
+/// The `QCFP` request path's codec on a TPCH request, and the CRC-32 every
+/// `QCFP`, `QCFW` and `QCFL` frame carries: over that request's body and
+/// over a `QCFS` frame as the snapshot log stores it. The request is the
+/// quick context's one whose frame is nearest 888 B, the mean request of
+/// perfbench's `uds-hot` pool.
+fn bench_codec() {
+    use qcfe_net::wire::{decode_frame, encode_estimate_request, PRELUDE_LEN};
+    use qcfe_nn::codec::crc32;
+    use qcfe_serve::EstimateRequest;
+    use std::sync::Arc;
+    let kind = BenchmarkKind::Tpch;
+    let ctx = prepare_context(kind, &ContextConfig::quick(kind));
+    let envs: Vec<Arc<DbEnvironment>> = ctx
+        .workload
+        .environments
+        .iter()
+        .map(|env| Arc::new(env.clone()))
+        .collect();
+    let request = ctx
+        .workload
+        .queries
+        .iter()
+        .map(|q| {
+            EstimateRequest::new(
+                kind,
+                Arc::clone(&envs[q.env_index]),
+                q.executed.root.clone(),
+            )
+        })
+        .min_by_key(|r| {
+            let len = encode_estimate_request(1, r).expect("encodes").len();
+            len.abs_diff(888)
+        })
+        .expect("a query");
+    let frame = encode_estimate_request(1, &request).expect("encodes");
+    let body = &frame[PRELUDE_LEN..];
+    let snapshot = ctx.snapshots_fso[0].as_ref().expect("fitted").to_bytes();
+
+    let name = format!("crc32/request_body_{}_bytes", body.len());
+    bench(&name, 20, 2000, || {
+        std::hint::black_box(crc32(std::hint::black_box(body)));
+    });
+    let name = format!("crc32/qcfs_frame_{}_bytes", snapshot.len());
+    bench(&name, 20, 2000, || {
+        std::hint::black_box(crc32(std::hint::black_box(&snapshot)));
+    });
+    let name = format!("wire/encode_estimate_request_tpch_{}_bytes", frame.len());
+    bench(&name, 20, 2000, || {
+        std::hint::black_box(encode_estimate_request(1, &request).ok());
+    });
+    let name = format!("wire/decode_frame_tpch_request_{}_bytes", frame.len());
+    bench(&name, 20, 2000, || {
+        std::hint::black_box(decode_frame(std::hint::black_box(&frame)).ok());
+    });
+}
+
 fn main() {
     println!("QCFE microbenchmarks (plain harness)");
+    bench_codec();
     bench_inference();
     bench_snapshot_fit();
     bench_training();

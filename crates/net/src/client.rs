@@ -1,10 +1,16 @@
 //! Blocking `QCFP` client.
 //!
 //! [`QcfeClient`] speaks the wire protocol over one TCP or Unix-domain
-//! connection. It is deliberately simple — blocking sockets, one buffer —
-//! because the concurrency lives on the server: a client **pipelines** by
-//! calling [`QcfeClient::send`] N times before reaping N responses with
-//! [`QcfeClient::recv`], correlating them by request id. The one-shot
+//! connection. It is deliberately simple — blocking sockets, one write
+//! buffer and one read buffer — because the concurrency lives on the
+//! server: a client **pipelines** by calling [`QcfeClient::send`] N times
+//! before reaping N responses with [`QcfeClient::recv`], correlating them
+//! by request id. `send` only appends the sealed frame to the write
+//! buffer; the requests leave together, in one write, at the next `recv`
+//! that has to wait for the server or at an explicit
+//! [`QcfeClient::flush`]. A client dropped with requests still buffered
+//! discards them unsent. `recv` decodes each response in place in its read
+//! buffer and keeps a partial frame for the next call. The one-shot
 //! [`QcfeClient::estimate`] wraps a single send/recv pair and converts
 //! the typed wire fault into an error.
 //!
@@ -158,11 +164,21 @@ impl Transport {
     }
 }
 
+/// The least free space the read buffer keeps after its undecoded tail
+/// when [`QcfeClient::recv`] reads from the socket.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A blocking connection to a `qcfe-net` server.
 pub struct QcfeClient {
     transport: Transport,
     target: ConnectTarget,
+    /// Sealed request frames not yet written to the socket.
+    write_buf: Vec<u8>,
+    /// Bytes read from the socket; `read_buf[read_pos..read_end]` are not
+    /// yet decoded.
     read_buf: Vec<u8>,
+    read_pos: usize,
+    read_end: usize,
     next_id: u64,
 }
 
@@ -190,15 +206,18 @@ impl QcfeClient {
         QcfeClient {
             transport,
             target,
+            write_buf: Vec::new(),
             read_buf: Vec::new(),
+            read_pos: 0,
+            read_end: 0,
             next_id: 1,
         }
     }
 
     /// Re-establish the transport to the original connect target. Any
-    /// half-read frame is discarded (it belonged to the dead connection);
-    /// the correlation-id counter keeps advancing so ids stay unique
-    /// across the reconnect.
+    /// half-read frame and any request not yet written are discarded (they
+    /// belonged to the dead connection); the correlation-id counter keeps
+    /// advancing so ids stay unique across the reconnect.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         self.transport = match &self.target {
             ConnectTarget::Tcp(addrs) => {
@@ -208,7 +227,8 @@ impl QcfeClient {
             }
             ConnectTarget::Uds(path) => Transport::Uds(UnixStream::connect(path)?),
         };
-        self.read_buf.clear();
+        self.write_buf.clear();
+        (self.read_pos, self.read_end) = (0, 0);
         Ok(())
     }
 
@@ -221,44 +241,76 @@ impl QcfeClient {
         Ok(())
     }
 
-    /// Encode and send one request without waiting for its response;
+    /// Encode one request and append its frame to the write buffer;
     /// returns the correlation id the response will echo. Call repeatedly
-    /// to pipeline. The frame is encoded straight from the borrowed
-    /// request ([`wire::encode_estimate_request`]), one allocation, no
-    /// clone of the environment or plan.
+    /// to pipeline: nothing is written until the next [`QcfeClient::recv`]
+    /// that has to wait for the server or the next [`QcfeClient::flush`],
+    /// either of which writes every buffered request in one `write_all`; a
+    /// client dropped before then discards them unsent. The frame is
+    /// encoded straight from the borrowed request
+    /// ([`wire::encode_estimate_request`]), no clone of the environment or
+    /// plan.
     pub fn send(&mut self, request: &EstimateRequest) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.transport
-            .write_all(&wire::encode_estimate_request(id, request)?)?;
+        self.write_buf
+            .extend_from_slice(&wire::encode_estimate_request(id, request)?);
         Ok(id)
     }
 
-    /// Block until the next response frame arrives (whatever its id — the
-    /// server answers pipelined requests in completion order).
+    /// Write every buffered request to the socket in one `write_all`. A
+    /// caller that sends without receiving calls this; [`QcfeClient::recv`]
+    /// does it itself before it blocks. The buffer is emptied even when the
+    /// write fails: a frame cut off mid-write cannot be resumed.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.write_buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.transport.write_all(&self.write_buf);
+        self.write_buf.clear();
+        Ok(written?)
+    }
+
+    /// Return the next response frame (whatever its id — the server
+    /// answers pipelined requests in completion order). A frame already
+    /// read is decoded in place; otherwise the buffered requests are
+    /// written first ([`QcfeClient::flush`]) and the call blocks on the
+    /// socket. Bytes past the returned frame stay buffered for the next
+    /// call.
     pub fn recv(&mut self) -> Result<WireResponse, ClientError> {
         loop {
-            match wire::frame_length(&self.read_buf)? {
-                Some(len) => {
-                    let frame: Vec<u8> = self.read_buf.drain(..len).collect();
-                    return match wire::decode_frame(&frame)? {
-                        Frame::Response(response) => Ok(response),
-                        _ => Err(ClientError::UnexpectedFrame),
-                    };
-                }
-                None => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.transport.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        )));
-                    }
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                }
+            let pending = &self.read_buf[self.read_pos..self.read_end];
+            if let Some(len) = wire::frame_length(pending)? {
+                let frame = wire::decode_frame(&pending[..len]);
+                self.read_pos += len;
+                return match frame? {
+                    Frame::Response(response) => Ok(response),
+                    _ => Err(ClientError::UnexpectedFrame),
+                };
             }
+            self.flush()?;
+            self.fill_read_buf()?;
         }
+    }
+
+    /// Move the undecoded tail to the front of the read buffer and read
+    /// once from the socket after it.
+    fn fill_read_buf(&mut self) -> Result<(), ClientError> {
+        self.read_buf.copy_within(self.read_pos..self.read_end, 0);
+        self.read_end -= self.read_pos;
+        self.read_pos = 0;
+        if self.read_buf.len() < self.read_end + READ_CHUNK {
+            self.read_buf.resize(self.read_end + READ_CHUNK, 0);
+        }
+        let n = self.transport.read(&mut self.read_buf[self.read_end..])?;
+        if n == 0 {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )));
+        }
+        self.read_end += n;
+        Ok(())
     }
 
     /// One blocking round trip: send, await the matching response (out-of-
@@ -267,6 +319,9 @@ impl QcfeClient {
     /// convert a fault into [`ClientError::Fault`].
     pub fn estimate(&mut self, request: &EstimateRequest) -> Result<EstimateResponse, ClientError> {
         let id = self.send(request)?;
+        // Written now even if a stale response is already buffered, so an
+        // `IdMismatch` never leaves this request unsent.
+        self.flush()?;
         let response = self.recv()?;
         if response.request_id != id {
             return Err(ClientError::IdMismatch {

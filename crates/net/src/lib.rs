@@ -16,12 +16,14 @@
 //!   write per turn — thousands of in-flight estimates without a thread
 //!   each.
 //! * [`client`] — a small blocking client that connects, pipelines
-//!   requests and reaps responses by correlation id, with an opt-in
-//!   [`client::RetryPolicy`] for backoff-on-shed and transparent
-//!   reconnect; [`client::ShardClient`] adds shard-aware routing over a
-//!   replica set — it rendezvous-places each request's serving key,
-//!   follows [`wire::WireFault::NotOwner`] redirects, and fails over to
-//!   the surviving peers when the owner dies mid-load.
+//!   requests and reaps responses by correlation id. Sent requests are
+//!   buffered and leave in one write at the next receive that waits on the
+//!   server (or an explicit flush); a client dropped before then discards
+//!   them. An opt-in [`client::RetryPolicy`] adds backoff-on-shed and
+//!   transparent reconnect; [`client::ShardClient`] adds shard-aware
+//!   routing over a replica set — it rendezvous-places each request's
+//!   serving key, follows [`wire::WireFault::NotOwner`] redirects, and
+//!   fails over to the surviving peers when the owner dies mid-load.
 //! * [`replicator`] — the peer-to-peer shipping worker behind
 //!   [`qcfe_serve::ReplicationSink`]: every published or refined
 //!   snapshot/model is pushed to the other replica-set members as `QCFP`

@@ -1,6 +1,7 @@
 //! Acceptance tests of the `qcfe-net` front end: the `QCFP` wire codec
-//! under a seeded 1000-case round-trip/corruption property sweep, and the
-//! reactor server driven live over Unix-domain and TCP sockets — ≥64
+//! under a seeded 1000-case round-trip/corruption property sweep, the
+//! pipelining client's write and read buffers against a bare socket, and
+//! the reactor server driven live over Unix-domain and TCP sockets — ≥64
 //! concurrent pipelined clients, responses bit-identical to in-process
 //! `QcfeGateway::estimate` calls, typed rejection of malformed frames,
 //! the wire-level deadline clamp, and graceful shutdown draining
@@ -27,6 +28,8 @@ use qcfe::serve::SnapshotOrigin;
 use qcfe::workloads::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -408,6 +411,129 @@ fn borrowed_request_encoder_is_byte_identical_to_encode_request() {
 }
 
 // ---------------------------------------------------------------------------
+// The pipelining client against a bare socket.
+// ---------------------------------------------------------------------------
+
+/// A client connected to a bare `UnixListener`, and the accepted socket.
+/// The socket file is removed once the connection is up.
+fn client_and_peer(tag: &str) -> (QcfeClient, UnixStream) {
+    let socket = temp_path(tag);
+    let listener = UnixListener::bind(&socket).unwrap();
+    let mut client = QcfeClient::connect_uds(&socket).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let (peer, _) = listener.accept().unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    std::fs::remove_file(&socket).unwrap();
+    (client, peer)
+}
+
+fn assert_nothing_to_read(peer: &mut UnixStream, when: &str) {
+    peer.set_nonblocking(true).unwrap();
+    let err = peer.read(&mut [0u8; 1]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::WouldBlock, "{when}");
+    peer.set_nonblocking(false).unwrap();
+}
+
+/// `send` only buffers: nothing reaches the socket until `flush`, which
+/// then delivers exactly the N frames `encode_estimate_request` makes for
+/// ids 1..=N, in order.
+#[test]
+fn client_sends_leave_only_at_flush_byte_identical_to_the_encoder() {
+    const N: u64 = 12;
+    let (mut client, mut peer) = client_and_peer("pipeline-send.sock");
+    let mut rng = StdRng::seed_from_u64(0x5E4D);
+    let requests: Vec<EstimateRequest> = (0..N)
+        .map(|_| random_request(&mut rng).into_estimate_request())
+        .collect();
+    let ids: Vec<u64> = requests.iter().map(|r| client.send(r).unwrap()).collect();
+    assert_eq!(ids, (1..=N).collect::<Vec<u64>>());
+    assert_nothing_to_read(&mut peer, "sent requests wait for a flush");
+
+    std::thread::scope(|scope| {
+        // The frames may outgrow the socket buffer: read while flushing.
+        let flushed = scope.spawn(|| client.flush());
+        let mut buf = Vec::new();
+        for (id, request) in (1..=N).zip(&requests) {
+            let want = wire::encode_estimate_request(id, request).unwrap();
+            while wire::frame_length(&buf).unwrap().is_none() {
+                let mut chunk = [0u8; 4096];
+                let n = peer.read(&mut chunk).unwrap();
+                assert!(n > 0, "client hung up before frame {id}");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            let len = wire::frame_length(&buf).unwrap().unwrap();
+            assert_eq!(
+                buf[..len],
+                want[..],
+                "frame {id} differs from the encoder's"
+            );
+            buf.drain(..len);
+        }
+        assert!(buf.is_empty(), "{} bytes past frame {N}", buf.len());
+        flushed.join().unwrap().unwrap();
+    });
+    assert_nothing_to_read(&mut peer, "exactly N frames per flush");
+    client.flush().unwrap();
+    assert_nothing_to_read(&mut peer, "a flush of an empty buffer writes nothing");
+}
+
+/// Response frames written in chunks cut at seeded byte boundaries come
+/// back from `recv` in order and bit-identical; the partial frame a read
+/// leaves after the last complete one is kept for the next call.
+#[test]
+fn client_recv_reassembles_responses_cut_at_seeded_boundaries() {
+    const N: usize = 40;
+    let (mut client, mut peer) = client_and_peer("pipeline-recv.sock");
+    let mut rng = StdRng::seed_from_u64(0xC4C4);
+    let frames: Vec<Vec<u8>> = (1..=N as u64)
+        .map(|id| {
+            let response = WireResponse {
+                request_id: id,
+                ..random_response(&mut rng)
+            };
+            wire::encode_response(&response).unwrap()
+        })
+        .collect();
+    let ends: Vec<usize> = frames
+        .iter()
+        .scan(0, |end, frame| {
+            *end += frame.len();
+            Some(*end)
+        })
+        .collect();
+    let bytes = frames.concat();
+    let mut cuts: Vec<usize> = (0..2 * N)
+        .map(|_| rng.gen_range(1..bytes.len()))
+        .chain([bytes.len()])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let (mut written, mut received, mut tails_kept) = (0, 0, 0);
+    for cut in cuts {
+        peer.write_all(&bytes[written..cut]).unwrap();
+        written = cut;
+        let before = received;
+        // Every frame complete on the socket comes back, in order.
+        while received < N && ends[received] <= written {
+            let response = client.recv().unwrap();
+            assert_eq!(response.request_id, received as u64 + 1, "in order");
+            assert_eq!(wire::encode_response(&response).unwrap(), frames[received]);
+            received += 1;
+        }
+        // Its last read took the bytes after the last complete frame too.
+        if received > before && received < N && written > ends[received - 1] {
+            tails_kept += 1;
+        }
+    }
+    assert_eq!(received, N);
+    assert!(tails_kept > 0, "no cut left a partial frame behind a read");
+}
+
+// ---------------------------------------------------------------------------
 // Live-server fixtures.
 // ---------------------------------------------------------------------------
 
@@ -649,7 +775,6 @@ fn malformed_frames_are_rejected_typed_over_the_wire() {
 
     // 1. Garbage bytes: error frame with id 0, then the server hangs up.
     {
-        use std::io::{Read, Write};
         let mut raw = std::os::unix::net::UnixStream::connect(&socket).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         raw.write_all(b"definitely not a QCFP frame").unwrap();
@@ -691,7 +816,6 @@ fn malformed_frames_are_rejected_typed_over_the_wire() {
         let crc = crc32(&bytes[PRELUDE_LEN..]);
         bytes[12..16].copy_from_slice(&crc.to_le_bytes());
 
-        use std::io::{Read, Write};
         let mut raw = std::os::unix::net::UnixStream::connect(&socket).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         raw.write_all(&bytes).unwrap();
@@ -857,7 +981,6 @@ impl CostModel for SlowLinear {
 /// Write every request's frame in one `write_all` on a raw socket, then
 /// read one response per request, returned in request order.
 fn pipeline_in_one_write(socket: &PathBuf, requests: &[EstimateRequest]) -> Vec<WireResponse> {
-    use std::io::{Read, Write};
     let mut bytes = Vec::new();
     for (i, request) in requests.iter().enumerate() {
         let wire_request = WireRequest::from_estimate_request(i as u64 + 1, request).unwrap();
