@@ -594,21 +594,17 @@ struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// Start peer `i` of `peers` over the store at `root`. With
-    /// `anti_entropy` its replicator reads that store, so a peer seen
-    /// coming back is caught up before it re-enters placement.
-    fn start(peers: &[String], i: usize, root: &Path, anti_entropy: bool) -> ReplicaNode {
+    /// Start peer `i` of `peers` over the store at `root`. Its replicator
+    /// reads that store, so a peer seen coming back is caught up before it
+    /// re-enters placement.
+    fn start(peers: &[String], i: usize, root: &Path) -> ReplicaNode {
         let set = Arc::new(ReplicaSet::new(peers.to_vec(), i).expect("replica set"));
         let config = ReplicatorConfig {
             heartbeat: Duration::from_millis(100),
             connect_timeout: Duration::from_millis(100),
         };
-        let replicator = if anti_entropy {
-            let store = SnapshotStore::open(root).expect("store opens");
-            Replicator::with_store(Arc::clone(&set), config, store)
-        } else {
-            Replicator::start(Arc::clone(&set), config)
-        };
+        let store = SnapshotStore::open(root).expect("store opens");
+        let replicator = Replicator::start(Arc::clone(&set), config, store);
         let gateway = shard_gateway(root)
             .replication(Arc::clone(&set), replicator.sink())
             .build()
@@ -1511,7 +1507,7 @@ fn replication(h: &Harness, out: &mut Section) {
     let root = h.temp_root("repl");
     let peers = reserve_peers(REPLICAS);
     let mut nodes: Vec<ReplicaNode> = (0..REPLICAS)
-        .map(|i| ReplicaNode::start(&peers, i, &root.join(&format!("replica-{i}")), false))
+        .map(|i| ReplicaNode::start(&peers, i, &root.join(&format!("replica-{i}"))))
         .collect();
     // Publish every environment through its rendezvous owner only; the
     // replicators ship the persisted bytes to the other two.
@@ -1612,9 +1608,9 @@ fn replication(h: &Harness, out: &mut Section) {
     );
 }
 
-/// The anti-entropy drill. Three store-backed replicas converge; the owner
-/// of the loaded shard is killed; while it is down, its key's snapshot and
-/// model are re-published on the failover owner, leaving the victim's disk
+/// The anti-entropy drill. Three replicas converge; the owner of the
+/// loaded shard is killed; while it is down, its key's snapshot and model
+/// are re-published on the failover owner, leaving the victim's disk
 /// stale; the victim is restarted over that stale store mid-load.
 /// Reported: catch-up latency (restart to promotion on every survivor) and
 /// keys re-shipped. Every networked answer is compared with the
@@ -1627,7 +1623,7 @@ fn revival(h: &Harness, out: &mut Section) {
         .map(|i| root.join(&format!("replica-{i}")))
         .collect();
     let mut nodes: Vec<ReplicaNode> = (0..REPLICAS)
-        .map(|i| ReplicaNode::start(&peers, i, &stores[i], true))
+        .map(|i| ReplicaNode::start(&peers, i, &stores[i]))
         .collect();
 
     // One loaded key is enough: publish environment 0 through its owner
@@ -1691,7 +1687,7 @@ fn revival(h: &Harness, out: &mut Section) {
         let reviver = scope.spawn(|| {
             std::thread::sleep(h.load_duration / 3);
             let restarted = Instant::now();
-            let node = ReplicaNode::start(&peers, victim, &stores[victim], true);
+            let node = ReplicaNode::start(&peers, victim, &stores[victim]);
             let promoted = || {
                 sets.iter()
                     .all(|set| set.is_alive(victim) && !set.is_reviving(victim))

@@ -120,7 +120,7 @@ fn main() {
         // back from the dead is caught up (manifest diff + re-ship) before
         // traffic is routed back to it.
         match SnapshotStore::open(&store_dir) {
-            Ok(store) => Replicator::with_store(Arc::clone(set), config, store),
+            Ok(store) => Replicator::start(Arc::clone(set), config, store),
             Err(e) => {
                 eprintln!("qcfe-served: cannot open store {store_dir}: {e}");
                 std::process::exit(1);

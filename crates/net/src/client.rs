@@ -41,9 +41,9 @@ pub enum ClientError {
     Wire(WireError),
     /// The server answered with a typed fault.
     Fault(WireFault),
-    /// The server sent a non-response frame (requests, replication ship
-    /// frames and manifest catch-up frames are only ever received by
-    /// servers and the replicator, never by an estimate client).
+    /// The peer sent a frame the caller was not waiting for: anything but
+    /// a response to an estimate client, or anything but a ship ack or
+    /// manifest reply to the replicator.
     UnexpectedFrame,
     /// A response arrived for a different correlation id than the one
     /// [`QcfeClient::estimate`] was waiting on.
@@ -149,6 +149,12 @@ enum Transport {
 }
 
 impl Transport {
+    /// A TCP transport, with Nagle off: a request burst leaves at once.
+    fn tcp(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        Transport::Tcp(stream)
+    }
+
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.read(buf),
@@ -188,9 +194,8 @@ impl QcfeClient {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let stream = TcpStream::connect(&addrs[..])?;
-        let _ = stream.set_nodelay(true);
         Ok(Self::over(
-            Transport::Tcp(stream),
+            Transport::tcp(stream),
             ConnectTarget::Tcp(addrs),
         ))
     }
@@ -200,6 +205,20 @@ impl QcfeClient {
         let path = path.as_ref().to_path_buf();
         let stream = UnixStream::connect(&path)?;
         Ok(Self::over(Transport::Uds(stream), ConnectTarget::Uds(path)))
+    }
+
+    /// Connect over TCP to the first address `addr` resolves to, giving up
+    /// after `timeout`.
+    pub(crate) fn connect_tcp_timeout(addr: &str, timeout: Duration) -> Result<Self, ClientError> {
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let first = addrs
+            .first()
+            .ok_or(io::Error::from(io::ErrorKind::AddrNotAvailable))?;
+        let stream = TcpStream::connect_timeout(first, timeout)?;
+        Ok(Self::over(
+            Transport::tcp(stream),
+            ConnectTarget::Tcp(addrs),
+        ))
     }
 
     fn over(transport: Transport, target: ConnectTarget) -> Self {
@@ -220,11 +239,7 @@ impl QcfeClient {
     /// advancing so ids stay unique across the reconnect.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         self.transport = match &self.target {
-            ConnectTarget::Tcp(addrs) => {
-                let stream = TcpStream::connect(&addrs[..])?;
-                let _ = stream.set_nodelay(true);
-                Transport::Tcp(stream)
-            }
+            ConnectTarget::Tcp(addrs) => Transport::tcp(TcpStream::connect(&addrs[..])?),
             ConnectTarget::Uds(path) => Transport::Uds(UnixStream::connect(path)?),
         };
         self.write_buf.clear();
@@ -253,9 +268,14 @@ impl QcfeClient {
     pub fn send(&mut self, request: &EstimateRequest) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.write_buf
-            .extend_from_slice(&wire::encode_estimate_request(id, request)?);
+        self.queue_frame(&wire::encode_estimate_request(id, request)?);
         Ok(id)
+    }
+
+    /// Append an already-sealed frame to the write buffer; it leaves with
+    /// the buffered requests at the next write.
+    pub(crate) fn queue_frame(&mut self, frame: &[u8]) {
+        self.write_buf.extend_from_slice(frame);
     }
 
     /// Write every buffered request to the socket in one `write_all`. A
@@ -278,15 +298,20 @@ impl QcfeClient {
     /// socket. Bytes past the returned frame stay buffered for the next
     /// call.
     pub fn recv(&mut self) -> Result<WireResponse, ClientError> {
+        match self.recv_frame()? {
+            Frame::Response(response) => Ok(response),
+            _ => Err(ClientError::UnexpectedFrame),
+        }
+    }
+
+    /// [`QcfeClient::recv`] for a frame of any kind.
+    pub(crate) fn recv_frame(&mut self) -> Result<Frame, ClientError> {
         loop {
             let pending = &self.read_buf[self.read_pos..self.read_end];
             if let Some(len) = wire::frame_length(pending)? {
                 let frame = wire::decode_frame(&pending[..len]);
                 self.read_pos += len;
-                return match frame? {
-                    Frame::Response(response) => Ok(response),
-                    _ => Err(ClientError::UnexpectedFrame),
-                };
+                return Ok(frame?);
             }
             self.flush()?;
             self.fill_read_buf()?;

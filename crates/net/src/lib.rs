@@ -29,7 +29,9 @@
 //!   snapshot/model is pushed to the other replica-set members as `QCFP`
 //!   ship frames (the verbatim persisted `QCFS`/`QCFW` codec bytes), and
 //!   heartbeat probes keep the shared liveness mask honest so a dead
-//!   peer's shards rendezvous onto survivors.
+//!   peer's shards rendezvous onto survivors. A peer seen coming back is
+//!   caught up from this process's store before it is promoted. Every
+//!   peer connection the worker opens is a [`client::QcfeClient`].
 //!
 //! The `qcfe-served` binary glues the pieces together: it opens a store
 //! directory, builds a gateway and serves it on the listeners named on the
@@ -43,7 +45,7 @@ pub mod sys;
 pub mod wire;
 
 pub use client::{ClientError, QcfeClient, RetryPolicy, ShardClient};
-pub use replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
+pub use replicator::{Replicator, ReplicatorConfig};
 pub use server::{NetServerBuilder, ServerHandle, ServerStats};
 pub use wire::{
     decode_frame, encode_estimate_request, encode_request, encode_response, frame_length, Frame,

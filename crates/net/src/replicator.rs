@@ -2,32 +2,32 @@
 //!
 //! The gateway's replication hooks hand every published or refined
 //! artifact to a [`qcfe_serve::ReplicationSink`]; this module provides the
-//! network-backed sink. A [`Replicator`] owns one background worker thread
-//! and a bounded queue:
+//! network-backed sink. A [`Replicator`] owns one background worker thread,
+//! a bounded queue and a handle on this process's snapshot store:
 //!
 //! * [`Replicator::sink`] returns the queue's producer handle. `ship` is a
 //!   `try_send` — when the queue is full the event is **dropped and
-//!   counted** ([`ReplicatorStats::ships_dropped`]), never blocking the
+//!   counted** ([`ReplicationHealth::ships_dropped`]), never blocking the
 //!   publishing thread. Dropping is safe because shipped state is a cache
 //!   of the owner's disk: a peer that missed an event absorbs the next
 //!   refit of the same key, and the owner's store remains authoritative.
 //! * the worker drains events and pushes each one to **every other peer**
 //!   as a `QCFP` ship frame ([`crate::wire::FRAME_SHIP_SNAPSHOT`] /
 //!   [`crate::wire::FRAME_SHIP_MODEL`]), waiting for the peer's
-//!   [`crate::wire::WireShipAck`] under a read timeout. Connections are
-//!   cached and rebuilt on error.
-//! * between events the worker heartbeats: every
-//!   [`ReplicatorConfig::heartbeat`] it (re)connects to peers it has no
-//!   healthy connection to. Probe outcomes drive the shared
-//!   [`qcfe_serve::ReplicaSet`] liveness mask — a dead peer's keys
-//!   rendezvous-place onto survivors, which is the whole failover story.
+//!   [`crate::wire::WireShipAck`] under a read timeout. Each peer
+//!   connection is a [`QcfeClient`], cached and rebuilt on error.
+//! * whenever the queue stays empty for [`ReplicatorConfig::heartbeat`],
+//!   the worker probes every peer with a fresh connect. Probe outcomes
+//!   drive the shared [`qcfe_serve::ReplicaSet`] liveness mask — a dead
+//!   peer's keys rendezvous-place onto survivors, which is the whole
+//!   failover story.
 //!
-//! Shipping alone has no history replay, so revival is anti-entropic
-//! when the worker was started with a store ([`Replicator::with_store`]):
-//! a heartbeat that finds a previously dead peer responsive again does
-//! **not** flip it straight back into the alive mask. It parks the peer
-//! in the [`ReplicaSet`]'s *reviving* state, interrogates it with a
-//! `QCFP` [`crate::wire::WireManifestRequest`], diffs the peer's
+//! Shipping alone has no history replay, so revival is anti-entropic: a
+//! heartbeat that finds a previously dead peer responsive again does
+//! **not** flip it straight back into the alive mask, and neither does a
+//! successful ship. The heartbeat parks the peer in the [`ReplicaSet`]'s
+//! *reviving* state, interrogates it with a `QCFP`
+//! [`crate::wire::WireManifestRequest`], diffs the peer's
 //! [`crate::wire::WireManifestReply`] against the local store manifest
 //! ([`qcfe_serve::SnapshotStore::manifest`]), re-ships every divergent or
 //! missing key through the ordinary ship path, and only then promotes
@@ -36,30 +36,28 @@
 //! before its outage. Every survivor runs the same handshake from its
 //! own store (replication converges all survivor stores, so each
 //! survivor can repair the full diff), which means no survivor promotes
-//! the peer before it has itself verified the peer's state. A worker
-//! started without a store ([`Replicator::start`]) keeps the old
-//! promote-on-probe behaviour and the staleness window that comes with
-//! it.
+//! the peer before it has itself verified the peer's state.
 
+use crate::client::{ClientError, QcfeClient};
 use crate::wire::{
-    self, Frame, WireManifestEntry, WireManifestReply, WireManifestRequest, WireShipModel,
-    WireShipSnapshot,
+    self, Frame, WireManifestEntry, WireManifestRequest, WireShipModel, WireShipSnapshot,
 };
-use qcfe_serve::store::ManifestEntry;
-use qcfe_serve::{ReplicaSet, ReplicationHealth, ReplicationSink, ShipEvent, SnapshotStore};
+use qcfe_serve::store::{ManifestEntry, StoreError};
+use qcfe_serve::{
+    ModelKey, ReplicaSet, ReplicationHealth, ReplicationSink, ShipEvent, SnapshotStore,
+};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Tuning for a [`Replicator`] worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicatorConfig {
-    /// How often the worker probes peers it has no healthy connection to
-    /// (default 1s). This bounds how stale the liveness mask can be.
+    /// How long the queue must stay empty before the worker probes every
+    /// peer (default 1s).
     pub heartbeat: Duration,
     /// Per-probe TCP connect timeout (default 250ms).
     pub connect_timeout: Duration,
@@ -82,43 +80,10 @@ impl Default for ReplicatorConfig {
     }
 }
 
-/// Monotonic shipping counters (relaxed atomics; read any time via
-/// [`Replicator::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicatorStats {
-    /// Ship frames written to a peer socket.
-    pub ships_sent: u64,
-    /// Ship frames the peer validated and applied.
-    pub ships_acked: u64,
-    /// Ship frames the peer rejected (codec validation or store failure
-    /// on the far side — the payload was delivered but not applied).
-    pub ships_rejected: u64,
-    /// Events dropped because the queue was full or a peer was
-    /// unreachable for the whole round.
-    pub ships_dropped: u64,
-    /// Heartbeat probes that failed to connect (each marks the peer dead
-    /// in the shared liveness mask).
-    pub probe_failures: u64,
-    /// Manifest replies received from revived peers (one per catch-up
-    /// handshake round-trip).
-    pub manifests_exchanged: u64,
-    /// Divergent or missing keys re-shipped during revival catch-up.
-    pub keys_reshipped: u64,
-    /// Revivals completed: manifest diffed, divergent keys re-shipped and
-    /// accepted, peer promoted back into the alive mask.
-    pub revivals: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    ships_sent: AtomicU64,
-    ships_acked: AtomicU64,
-    ships_rejected: AtomicU64,
-    ships_dropped: AtomicU64,
-    probe_failures: AtomicU64,
-    manifests_exchanged: AtomicU64,
-    keys_reshipped: AtomicU64,
-    revivals: AtomicU64,
+/// The shared counters, locked. The lock is never held across I/O, and a
+/// poisoned one still holds valid counts.
+fn lock(counters: &Mutex<ReplicationHealth>) -> MutexGuard<'_, ReplicationHealth> {
+    counters.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 enum Command {
@@ -130,7 +95,7 @@ enum Command {
 /// feeds the same worker.
 struct Sink {
     tx: SyncSender<Command>,
-    counters: Arc<Counters>,
+    counters: Arc<Mutex<ReplicationHealth>>,
 }
 
 impl ReplicationSink for Sink {
@@ -140,18 +105,13 @@ impl ReplicationSink for Sink {
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 // Fire-and-forget by contract: the publisher must never
                 // block or fail because replication is behind (or down).
-                self.counters.ships_dropped.fetch_add(1, Ordering::Relaxed);
+                lock(&self.counters).ships_dropped += 1;
             }
         }
     }
 
     fn health(&self) -> ReplicationHealth {
-        ReplicationHealth {
-            ships_dropped: self.counters.ships_dropped.load(Ordering::Relaxed),
-            manifests_exchanged: self.counters.manifests_exchanged.load(Ordering::Relaxed),
-            keys_reshipped: self.counters.keys_reshipped.load(Ordering::Relaxed),
-            revivals: self.counters.revivals.load(Ordering::Relaxed),
-        }
+        *lock(&self.counters)
     }
 }
 
@@ -159,7 +119,7 @@ impl ReplicationSink for Sink {
 /// joins the thread.
 pub struct Replicator {
     tx: SyncSender<Command>,
-    counters: Arc<Counters>,
+    counters: Arc<Mutex<ReplicationHealth>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -168,45 +128,18 @@ impl Replicator {
     /// be a member — built via [`ReplicaSet::new`], not
     /// [`ReplicaSet::client_view`]). The worker owns the outbound
     /// connections; share the same `Arc<ReplicaSet>` with the server so
-    /// probe outcomes steer request ownership too.
-    ///
-    /// Without a store the worker cannot run the revival catch-up
-    /// handshake: a peer seen dead→alive is promoted straight back and
-    /// may serve stale state for keys re-published during its outage.
-    /// Production servers should use [`Replicator::with_store`].
-    pub fn start(replicas: Arc<ReplicaSet>, config: ReplicatorConfig) -> Self {
-        Self::spawn(replicas, config, None)
-    }
-
-    /// Like [`Replicator::start`], but with access to this process's
-    /// snapshot store so dead→alive transitions run the anti-entropy
-    /// catch-up handshake (manifest exchange + divergent-key re-ship)
-    /// before the peer re-enters the alive mask. `store` must be rooted
-    /// at the same directory as the gateway's, so the manifest describes
-    /// exactly the state the gateway serves and ships.
-    pub fn with_store(
+    /// probe outcomes steer request ownership too. `store` must be rooted
+    /// at the same directory as the gateway's, so the manifest a revived
+    /// peer is diffed against describes exactly the state the gateway
+    /// serves and ships.
+    pub fn start(
         replicas: Arc<ReplicaSet>,
         config: ReplicatorConfig,
         store: SnapshotStore,
     ) -> Self {
-        Self::spawn(replicas, config, Some(store))
-    }
-
-    fn spawn(
-        replicas: Arc<ReplicaSet>,
-        config: ReplicatorConfig,
-        store: Option<SnapshotStore>,
-    ) -> Self {
         let (tx, rx) = sync_channel(QUEUE_CAPACITY);
-        let counters = Arc::new(Counters::default());
-        let worker = Worker {
-            replicas,
-            config,
-            counters: Arc::clone(&counters),
-            conns: HashMap::new(),
-            next_request_id: 1,
-            store,
-        };
+        let worker = Worker::new(replicas, config, store);
+        let counters = Arc::clone(&worker.counters);
         let thread = std::thread::Builder::new()
             .name("qcfe-replicator".into())
             .spawn(move || worker.run(rx))
@@ -227,18 +160,10 @@ impl Replicator {
         })
     }
 
-    /// A point-in-time view of the shipping counters.
-    pub fn stats(&self) -> ReplicatorStats {
-        ReplicatorStats {
-            ships_sent: self.counters.ships_sent.load(Ordering::Relaxed),
-            ships_acked: self.counters.ships_acked.load(Ordering::Relaxed),
-            ships_rejected: self.counters.ships_rejected.load(Ordering::Relaxed),
-            ships_dropped: self.counters.ships_dropped.load(Ordering::Relaxed),
-            probe_failures: self.counters.probe_failures.load(Ordering::Relaxed),
-            manifests_exchanged: self.counters.manifests_exchanged.load(Ordering::Relaxed),
-            keys_reshipped: self.counters.keys_reshipped.load(Ordering::Relaxed),
-            revivals: self.counters.revivals.load(Ordering::Relaxed),
-        }
+    /// A point-in-time view of the shipping counters, the same one the
+    /// gateway reports as `GatewayStats::replication`.
+    pub fn stats(&self) -> ReplicationHealth {
+        *lock(&self.counters)
     }
 
     /// Stop the worker and join it. Queued events are shipped best-effort
@@ -264,95 +189,130 @@ impl Drop for Replicator {
 struct Worker {
     replicas: Arc<ReplicaSet>,
     config: ReplicatorConfig,
-    counters: Arc<Counters>,
+    counters: Arc<Mutex<ReplicationHealth>>,
     /// Cached outbound connections, keyed by peer index. Dropped on any
     /// error and rebuilt by the next ship or heartbeat.
-    conns: HashMap<usize, TcpStream>,
+    conns: HashMap<usize, QcfeClient>,
     next_request_id: u64,
-    /// This process's snapshot store, when revival anti-entropy is
-    /// enabled. `None` keeps the legacy promote-on-probe behaviour.
-    store: Option<SnapshotStore>,
+    /// This process's snapshot store, which a revived peer's manifest is
+    /// diffed against.
+    store: SnapshotStore,
 }
 
 impl Worker {
+    fn new(replicas: Arc<ReplicaSet>, config: ReplicatorConfig, store: SnapshotStore) -> Self {
+        Worker {
+            replicas,
+            config,
+            counters: Arc::default(),
+            conns: HashMap::new(),
+            next_request_id: 1,
+            store,
+        }
+    }
+
     fn run(mut self, rx: Receiver<Command>) {
         loop {
             match rx.recv_timeout(self.config.heartbeat) {
-                Ok(Command::Ship(event)) => self.ship_to_peers(&event),
+                Ok(Command::Ship(event)) => self.ship_to_peers(event),
                 Ok(Command::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
                 Err(RecvTimeoutError::Timeout) => self.heartbeat(),
             }
         }
     }
 
+    /// Every peer but ourselves.
+    fn peers(&self) -> Vec<usize> {
+        (0..self.replicas.len())
+            .filter(|&i| Some(i) != self.replicas.self_index())
+            .collect()
+    }
+
+    /// The next id of the sequence ship and manifest frames share.
+    fn take_request_id(&mut self) -> u64 {
+        let id = self.next_request_id;
+        self.next_request_id += 1;
+        id
+    }
+
     /// Push one event to every peer but ourselves. A peer that cannot be
     /// reached (or whose ack never arrives) is marked dead and the event
     /// is dropped *for that peer only* — the owner's disk remains
-    /// authoritative and a later refit repairs the gap.
-    fn ship_to_peers(&mut self, event: &ShipEvent) {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let Ok(bytes) = encode_event(event, request_id) else {
+    /// authoritative and a later refit repairs the gap. A working ship
+    /// never marks a dead peer alive: only the heartbeat's catch-up
+    /// promotes, so the peer's other (possibly stale) keys never serve
+    /// early.
+    fn ship_to_peers(&mut self, event: ShipEvent) {
+        let request_id = self.take_request_id();
+        let Ok(frame) = encode_event(event, request_id) else {
             // Oversized artifact (exceeds MAX_SHIP_BYTES): undeliverable
             // by protocol, count it once and move on.
-            self.counters.ships_dropped.fetch_add(1, Ordering::Relaxed);
+            lock(&self.counters).ships_dropped += 1;
             return;
         };
-        let peers: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| Some(i) != self.replicas.self_index())
-            .collect();
-        for peer in peers {
-            match self.ship_one(peer, &bytes, request_id) {
-                Ok(accepted) => {
-                    // With anti-entropy enabled, a successful ship must
-                    // not resurrect a dead peer — only the heartbeat's
-                    // catch-up handshake promotes, so the peer's other
-                    // (possibly stale) keys never serve early. Without a
-                    // store there is no handshake, so a working ship
-                    // remains evidence enough. (mark_alive is a no-op for
-                    // a peer that is already alive or mid-revival.)
-                    if self.store.is_none() {
-                        self.replicas.mark_alive(peer);
-                    }
-                    if accepted {
-                        self.counters.ships_acked.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.counters.ships_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        for peer in self.peers() {
+            match self.ship_one(peer, &frame, request_id) {
+                Ok(true) => lock(&self.counters).ships_acked += 1,
+                Ok(false) => lock(&self.counters).ships_rejected += 1,
                 Err(_) => {
                     self.conns.remove(&peer);
                     self.replicas.mark_dead(peer);
-                    self.counters.ships_dropped.fetch_add(1, Ordering::Relaxed);
+                    lock(&self.counters).ships_dropped += 1;
                 }
             }
         }
     }
 
-    /// Write one pre-encoded ship frame to a peer and wait for its ack.
+    /// Write one sealed ship frame to a peer and wait for its ack.
     /// Returns whether the peer accepted the artifact.
-    fn ship_one(&mut self, peer: usize, bytes: &[u8], request_id: u64) -> std::io::Result<bool> {
-        if !self.conns.contains_key(&peer) {
-            let stream = self.connect(peer)?;
-            self.conns.insert(peer, stream);
+    fn ship_one(
+        &mut self,
+        peer: usize,
+        frame: &[u8],
+        request_id: u64,
+    ) -> Result<bool, ClientError> {
+        self.send(peer, frame)?;
+        lock(&self.counters).ships_sent += 1;
+        match self.await_reply(peer, request_id)? {
+            Frame::ShipAck(ack) => Ok(ack.accepted),
+            _ => Err(ClientError::UnexpectedFrame),
         }
-        let stream = self.conns.get_mut(&peer).expect("connection just cached");
-        stream.set_read_timeout(Some(ACK_TIMEOUT))?;
-        stream.write_all(bytes)?;
-        self.counters.ships_sent.fetch_add(1, Ordering::Relaxed);
-        let stream = self.conns.get_mut(&peer).expect("connection just cached");
-        read_ack(stream, request_id)
     }
 
-    fn connect(&self, peer: usize) -> std::io::Result<TcpStream> {
-        let addr_str = &self.replicas.peers()[peer];
-        let addr = addr_str
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other(format!("unresolvable peer {addr_str}")))?;
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-        stream.set_nodelay(true).ok();
-        Ok(stream)
+    /// Write one sealed frame to `peer` over its cached connection,
+    /// connecting first when none is cached.
+    fn send(&mut self, peer: usize, frame: &[u8]) -> Result<(), ClientError> {
+        let conn = match self.conns.entry(peer) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => slot.insert(connect(
+                &self.replicas.peers()[peer],
+                self.config.connect_timeout,
+            )?),
+        };
+        conn.queue_frame(frame);
+        conn.flush()
+    }
+
+    /// Read frames from `peer`'s connection until the reply to round
+    /// `request_id` arrives. Ship acks and manifest replies of earlier,
+    /// timed-out rounds are skipped; any other frame is an error, and the
+    /// caller drops the connection.
+    fn await_reply(&mut self, peer: usize, request_id: u64) -> Result<Frame, ClientError> {
+        let conn = self
+            .conns
+            .get_mut(&peer)
+            .ok_or_else(|| io::Error::from(io::ErrorKind::NotConnected))?;
+        loop {
+            let frame = conn.recv_frame()?;
+            let id = match &frame {
+                Frame::ShipAck(ack) => ack.request_id,
+                Frame::ManifestReply(reply) => reply.request_id,
+                _ => return Err(ClientError::UnexpectedFrame),
+            };
+            if id == request_id {
+                return Ok(frame);
+            }
+        }
     }
 
     /// Probe every peer with a fresh connect, steering the shared
@@ -362,58 +322,38 @@ impl Worker {
     /// next write) and its keys would never migrate to the survivors.
     ///
     /// A responsive peer that is currently *not* alive is the revival
-    /// path: with a store configured it runs the catch-up handshake
-    /// before promotion; without one it is promoted immediately (and may
-    /// serve stale state — the documented degradation of store-less
-    /// replicators).
+    /// path: the catch-up handshake runs before its promotion.
     fn heartbeat(&mut self) {
-        let peers: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| Some(i) != self.replicas.self_index())
-            .collect();
-        for peer in peers {
-            match self.connect(peer) {
-                Ok(stream) => {
-                    // Keep the probe connection only when none is cached;
-                    // a healthy cached one stays preferred (it may have a
-                    // ship round-trip's worth of warmed state behind it).
-                    self.conns.entry(peer).or_insert(stream);
-                    if self.replicas.is_alive(peer) {
-                        continue;
-                    }
-                    if self.store.is_none() {
-                        self.replicas.mark_alive(peer);
-                        continue;
-                    }
-                    // begin_revival claims the transition exactly once;
-                    // losing the claim (peer already promoted or another
-                    // actor mid-handshake) means nothing to do here.
-                    if !self.replicas.begin_revival(peer) {
-                        continue;
-                    }
-                    match self.catch_up(peer) {
-                        Ok(()) => {
-                            if self.replicas.promote_revived(peer) {
-                                self.counters.revivals.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            // Handshake broke (peer died again, rejected
-                            // a re-ship, or spoke garbage): cancel the
-                            // revival so the next heartbeat retries from
-                            // scratch.
-                            self.conns.remove(&peer);
-                            self.replicas.mark_dead(peer);
-                            self.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.conns.remove(&peer);
-                    self.replicas.mark_dead(peer);
-                    self.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
-                }
+        for peer in self.peers() {
+            let probe = connect(&self.replicas.peers()[peer], self.config.connect_timeout);
+            let outcome = probe.and_then(|conn| {
+                // Keep the probe connection only when none is cached; a
+                // healthy cached one stays preferred.
+                self.conns.entry(peer).or_insert(conn);
+                self.revive(peer)
+            });
+            if outcome.is_err() {
+                // No answer, or a broken handshake: marking the peer dead
+                // cancels its revival, and the next heartbeat retries.
+                self.conns.remove(&peer);
+                self.replicas.mark_dead(peer);
+                lock(&self.counters).probe_failures += 1;
             }
         }
+    }
+
+    /// Catch up and promote a responsive peer that is not alive.
+    /// `begin_revival` claims the transition exactly once; losing the
+    /// claim (peer already alive, or another actor mid-handshake) means
+    /// nothing to do here.
+    fn revive(&mut self, peer: usize) -> Result<(), ClientError> {
+        if self.replicas.begin_revival(peer) {
+            self.catch_up(peer)?;
+            if self.replicas.promote_revived(peer) {
+                lock(&self.counters).revivals += 1;
+            }
+        }
+        Ok(())
     }
 
     /// The revival catch-up handshake: request the reviving peer's store
@@ -422,100 +362,87 @@ impl Worker {
     /// only once the whole diff has been shipped *and accepted* — a
     /// rejected re-ship is an error, because promoting a peer whose
     /// store is still divergent would serve stale estimates.
-    fn catch_up(&mut self, peer: usize) -> std::io::Result<()> {
-        let store = self
-            .store
-            .clone()
-            .expect("catch_up only runs with a store configured");
-        let local = store.manifest().map_err(std::io::Error::other)?;
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let request = wire::encode_manifest_request(&WireManifestRequest { request_id })
-            .map_err(std::io::Error::other)?;
-        if !self.conns.contains_key(&peer) {
-            let stream = self.connect(peer)?;
-            self.conns.insert(peer, stream);
-        }
-        let stream = self.conns.get_mut(&peer).expect("connection just cached");
-        stream.set_read_timeout(Some(ACK_TIMEOUT))?;
-        stream.write_all(&request)?;
-        let reply = read_manifest_reply(stream, request_id)?;
-        self.counters
-            .manifests_exchanged
-            .fetch_add(1, Ordering::Relaxed);
+    fn catch_up(&mut self, peer: usize) -> Result<(), ClientError> {
+        let local = self.store.manifest().map_err(io::Error::other)?;
+        let request_id = self.take_request_id();
+        let request = wire::encode_manifest_request(&WireManifestRequest { request_id })?;
+        self.send(peer, &request)?;
+        let Frame::ManifestReply(reply) = self.await_reply(peer, request_id)? else {
+            return Err(ClientError::UnexpectedFrame);
+        };
+        lock(&self.counters).manifests_exchanged += 1;
         let theirs: HashSet<WireManifestEntry> = reply.entries.into_iter().collect();
-        for entry in &local {
-            if theirs.contains(&WireManifestEntry::from(*entry)) {
+        for entry in local {
+            if theirs.contains(&WireManifestEntry::from(entry)) {
                 continue;
             }
             // Divergent or missing on the peer: re-ship the persisted
             // codec bytes. An entry whose file vanished between manifest
             // and read (concurrent re-publish) is skipped — the ordinary
             // ship path already carried its replacement.
-            let ship_id = self.next_request_id;
-            self.next_request_id += 1;
-            let bytes = match *entry {
-                ManifestEntry::Snapshot {
-                    benchmark,
-                    fingerprint,
-                    ..
-                } => {
-                    let Some(snapshot) = store
-                        .snapshot_bytes(benchmark, fingerprint)
-                        .map_err(std::io::Error::other)?
-                    else {
-                        continue;
-                    };
-                    let knobs = store
-                        .load_vector(benchmark, fingerprint)
-                        .unwrap_or_default()
-                        .unwrap_or_default();
-                    wire::encode_ship_snapshot(&WireShipSnapshot {
-                        request_id: ship_id,
-                        benchmark,
-                        fingerprint: fingerprint.0,
-                        knobs,
-                        snapshot,
-                    })
-                    .map_err(std::io::Error::other)?
-                }
-                ManifestEntry::Model {
-                    benchmark,
-                    estimator,
-                    fingerprint,
-                    ..
-                } => {
-                    let Some(weights) = store
-                        .model_bytes(benchmark, estimator, fingerprint)
-                        .map_err(std::io::Error::other)?
-                    else {
-                        continue;
-                    };
-                    wire::encode_ship_model(&WireShipModel {
-                        request_id: ship_id,
-                        benchmark,
-                        estimator,
-                        fingerprint: fingerprint.0,
-                        weights,
-                    })
-                    .map_err(std::io::Error::other)?
-                }
+            let Some(event) = stored_event(&self.store, entry).map_err(io::Error::other)? else {
+                continue;
             };
-            if self.ship_one(peer, &bytes, ship_id)? {
-                self.counters.keys_reshipped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.counters.ships_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(std::io::Error::other(
+            let ship_id = self.take_request_id();
+            if !self.ship_one(peer, &encode_event(event, ship_id)?, ship_id)? {
+                lock(&self.counters).ships_rejected += 1;
+                return Err(io::Error::other(
                     "peer rejected a catch-up re-ship; store still divergent",
-                ));
+                )
+                .into());
             }
+            lock(&self.counters).keys_reshipped += 1;
         }
         Ok(())
     }
 }
 
+/// A fresh connection to `addr`. Every reply wait on it is bounded by
+/// [`ACK_TIMEOUT`].
+fn connect(addr: &str, timeout: Duration) -> Result<QcfeClient, ClientError> {
+    let mut conn = QcfeClient::connect_tcp_timeout(addr, timeout)?;
+    conn.set_read_timeout(Some(ACK_TIMEOUT))?;
+    Ok(conn)
+}
+
+/// The [`ShipEvent`] that carries a manifest entry's persisted bytes, or
+/// `None` when the file vanished after the manifest was read.
+fn stored_event(
+    store: &SnapshotStore,
+    entry: ManifestEntry,
+) -> Result<Option<ShipEvent>, StoreError> {
+    Ok(match entry {
+        ManifestEntry::Snapshot {
+            benchmark,
+            fingerprint,
+            ..
+        } => store
+            .snapshot_bytes(benchmark, fingerprint)?
+            .map(|snapshot| ShipEvent::Snapshot {
+                benchmark,
+                fingerprint,
+                snapshot,
+                knobs: store
+                    .load_vector(benchmark, fingerprint)
+                    .unwrap_or_default()
+                    .unwrap_or_default(),
+            }),
+        ManifestEntry::Model {
+            benchmark,
+            estimator,
+            fingerprint,
+            ..
+        } => store
+            .model_bytes(benchmark, estimator, fingerprint)?
+            .map(|weights| ShipEvent::Model {
+                key: ModelKey::new(benchmark, estimator, fingerprint),
+                weights,
+            }),
+    })
+}
+
 /// Encode a [`ShipEvent`] as its `QCFP` ship frame.
-fn encode_event(event: &ShipEvent, request_id: u64) -> Result<Vec<u8>, wire::WireError> {
+fn encode_event(event: ShipEvent, request_id: u64) -> Result<Vec<u8>, wire::WireError> {
     match event {
         ShipEvent::Snapshot {
             benchmark,
@@ -524,77 +451,219 @@ fn encode_event(event: &ShipEvent, request_id: u64) -> Result<Vec<u8>, wire::Wir
             knobs,
         } => wire::encode_ship_snapshot(&WireShipSnapshot {
             request_id,
-            benchmark: *benchmark,
+            benchmark,
             fingerprint: fingerprint.0,
-            knobs: knobs.clone(),
-            snapshot: snapshot.clone(),
+            knobs,
+            snapshot,
         }),
         ShipEvent::Model { key, weights } => wire::encode_ship_model(&WireShipModel {
             request_id,
             benchmark: key.benchmark,
             estimator: key.estimator,
             fingerprint: key.fingerprint.0,
-            weights: weights.clone(),
+            weights,
         }),
     }
 }
 
-/// Read frames until the ack for `request_id` arrives (acks for earlier,
-/// timed-out rounds are skipped). Any wire-level breakage is an error —
-/// the caller drops the connection.
-fn read_ack(stream: &mut TcpStream, request_id: u64) -> std::io::Result<bool> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(len) = wire::frame_length(&buf).map_err(std::io::Error::other)? {
-            let frame: Vec<u8> = buf.drain(..len).collect();
-            match wire::decode_frame(&frame).map_err(std::io::Error::other)? {
-                Frame::ShipAck(ack) if ack.request_id == request_id => return Ok(ack.accepted),
-                Frame::ShipAck(_) => continue, // stale ack from a timed-out round
-                _ => return Err(std::io::Error::other("unexpected frame while awaiting ack")),
-            }
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed before ack",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{WireFault, WireManifestReply, WireResponse, WireShipAck};
+    use qcfe_core::pipeline::EstimatorKind;
+    use qcfe_db::env::EnvFingerprint;
+    use qcfe_workloads::BenchmarkKind;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
-/// Read frames until the manifest reply for `request_id` arrives. Stale
-/// ship acks and stale manifest replies (from earlier, timed-out rounds)
-/// are skipped; anything else is an error and the caller drops the
-/// connection.
-fn read_manifest_reply(
-    stream: &mut TcpStream,
-    request_id: u64,
-) -> std::io::Result<WireManifestReply> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(len) = wire::frame_length(&buf).map_err(std::io::Error::other)? {
-            let frame: Vec<u8> = buf.drain(..len).collect();
-            match wire::decode_frame(&frame).map_err(std::io::Error::other)? {
-                Frame::ManifestReply(reply) if reply.request_id == request_id => return Ok(reply),
-                Frame::ManifestReply(_) | Frame::ShipAck(_) => continue, // stale round
-                _ => {
-                    return Err(std::io::Error::other(
-                        "unexpected frame while awaiting manifest reply",
-                    ))
-                }
+    const KEY: ModelKey = ModelKey {
+        benchmark: BenchmarkKind::Sysbench,
+        estimator: EstimatorKind::QcfeMscn,
+        fingerprint: EnvFingerprint(0xC0FFEE),
+    };
+
+    /// A worker over an empty store whose only other peer (index 1) is a
+    /// local listener. `script` plays that peer in its own thread; the
+    /// worker is driven from the test thread, so no heartbeat runs unless
+    /// the test calls one.
+    fn scripted(
+        tag: &str,
+        script: impl FnOnce(TcpListener) + Send + 'static,
+    ) -> (Worker, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap().to_string();
+        let replicas = ReplicaSet::new(vec!["127.0.0.1:1".into(), peer], 0).unwrap();
+        let root =
+            std::env::temp_dir().join(format!("qcfe-replicator-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = SnapshotStore::open(root).unwrap();
+        let worker = Worker::new(Arc::new(replicas), ReplicatorConfig::default(), store);
+        (worker, std::thread::spawn(move || script(listener)))
+    }
+
+    /// Drop the worker (closing its connections), join the peer and
+    /// remove the store. A throwaway connect first wakes a peer still in
+    /// `accept`, so a worker that never dialled fails the test instead of
+    /// hanging it.
+    fn finish(worker: Worker, peer: JoinHandle<()>) {
+        let _ = QcfeClient::connect_tcp(worker.replicas.peers()[1].as_str());
+        let root = worker.store.root().to_path_buf();
+        drop(worker);
+        peer.join().unwrap();
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    /// Read exactly one frame; the worker never sends a second one before
+    /// it has its reply.
+    fn read_frame(stream: &mut impl Read) -> Frame {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(len) = wire::frame_length(&buf).unwrap() {
+                assert_eq!(len, buf.len(), "one frame per round");
+                return wire::decode_frame(&buf).unwrap();
             }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "the worker hung up mid-frame");
+            buf.extend_from_slice(&chunk[..n]);
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed before manifest reply",
-            ));
+    }
+
+    /// Block until the worker closes the connection. A reset counts: the
+    /// worker may hang up with a reply still unread.
+    fn expect_hang_up(stream: &mut impl Read) {
+        match stream.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Err(error) if error.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected the worker to hang up, got {other:?}"),
         }
-        buf.extend_from_slice(&chunk[..n]);
+    }
+
+    fn ack(request_id: u64, accepted: bool) -> Vec<u8> {
+        let message = String::new();
+        let ack = WireShipAck {
+            request_id,
+            accepted,
+            message,
+        };
+        wire::encode_ship_ack(&ack).unwrap()
+    }
+
+    fn ship_id(frame: Frame) -> u64 {
+        match frame {
+            Frame::ShipModel(ship) => ship.request_id,
+            other => panic!("expected a ship-model frame, got {other:?}"),
+        }
+    }
+
+    fn event() -> ShipEvent {
+        ShipEvent::Model {
+            key: KEY,
+            weights: vec![0x5A; 32],
+        }
+    }
+
+    #[test]
+    fn a_stale_ack_is_skipped_and_the_matching_one_counts() {
+        let (mut worker, peer) = scripted("stale-ack", |listener| {
+            let (mut stream, _) = listener.accept().unwrap();
+            let first = ship_id(read_frame(&mut stream));
+            stream.write_all(&ack(first, true)).unwrap();
+            // The second round is answered with the first round's ack
+            // again and then its own rejection, in one write: taking the
+            // stale ack would count an acceptance.
+            let second = ship_id(read_frame(&mut stream));
+            assert_ne!(first, second);
+            let mut replies = ack(first, true);
+            replies.extend_from_slice(&ack(second, false));
+            stream.write_all(&replies).unwrap();
+            expect_hang_up(&mut stream);
+        });
+        worker.ship_to_peers(event());
+        worker.ship_to_peers(event());
+        let stats = *lock(&worker.counters);
+        assert_eq!(stats.ships_sent, 2);
+        assert_eq!(stats.ships_acked, 1);
+        assert_eq!(stats.ships_rejected, 1);
+        assert_eq!(stats.ships_dropped, 0);
+        assert!(worker.replicas.is_alive(1));
+        assert!(
+            worker.conns.contains_key(&1),
+            "one connection for both rounds"
+        );
+        finish(worker, peer);
+    }
+
+    #[test]
+    fn a_foreign_frame_during_the_wait_drops_the_connection_and_the_peer() {
+        let (mut worker, peer) = scripted("foreign", |listener| {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request_id = ship_id(read_frame(&mut stream));
+            let message = "not an ack".to_string();
+            let outcome = Err(WireFault::BadRequest { message });
+            let response = WireResponse {
+                request_id,
+                outcome,
+            };
+            // The matching ack follows in the same write: a wait that
+            // skipped the foreign frame would count it.
+            let mut replies = wire::encode_response(&response).unwrap();
+            replies.extend_from_slice(&ack(request_id, true));
+            stream.write_all(&replies).unwrap();
+            expect_hang_up(&mut stream);
+        });
+        worker.ship_to_peers(event());
+        let stats = *lock(&worker.counters);
+        assert_eq!(stats.ships_sent, 1);
+        assert_eq!(stats.ships_acked + stats.ships_rejected, 0);
+        assert_eq!(stats.ships_dropped, 1);
+        assert!(!worker.replicas.is_alive(1), "the peer is marked dead");
+        assert!(worker.conns.is_empty(), "the connection is dropped");
+        finish(worker, peer);
+    }
+
+    #[test]
+    fn a_revival_skips_a_stale_ack_before_the_manifest_reply() {
+        let (mut worker, peer) = scripted("revival", |listener| {
+            // The heartbeat's probe connection carries the handshake.
+            let (mut stream, _) = listener.accept().unwrap();
+            let request_id = match read_frame(&mut stream) {
+                Frame::ManifestRequest(request) => request.request_id,
+                other => panic!("expected a manifest request, got {other:?}"),
+            };
+            stream.write_all(&ack(request_id + 1000, true)).unwrap();
+            let reply = WireManifestReply {
+                request_id,
+                entries: Vec::new(),
+            };
+            stream
+                .write_all(&wire::encode_manifest_reply(&reply).unwrap())
+                .unwrap();
+            // The peer holds nothing, so the one stored key is re-shipped
+            // verbatim.
+            let reship = match read_frame(&mut stream) {
+                Frame::ShipModel(ship) => ship,
+                other => panic!("expected a re-ship, got {other:?}"),
+            };
+            assert_eq!(reship.fingerprint, KEY.fingerprint.0);
+            assert_eq!(reship.weights, b"stored weights");
+            stream.write_all(&ack(reship.request_id, true)).unwrap();
+            expect_hang_up(&mut stream);
+        });
+        let path = worker
+            .store
+            .model_path_for(KEY.benchmark, KEY.estimator, KEY.fingerprint);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, b"stored weights").unwrap();
+        worker.replicas.mark_dead(1);
+        worker.heartbeat();
+        let stats = *lock(&worker.counters);
+        assert_eq!(stats.manifests_exchanged, 1);
+        assert_eq!(stats.keys_reshipped, 1);
+        assert_eq!(stats.revivals, 1);
+        assert_eq!(stats.probe_failures, 0);
+        assert!(worker.replicas.is_alive(1) && !worker.replicas.is_reviving(1));
+        finish(worker, peer);
     }
 }

@@ -718,7 +718,7 @@ impl Reactor {
                 );
             }
             Ok(Frame::ShipSnapshot(ship)) => {
-                if self.reject_ship_when_solo(slot, ship.request_id) {
+                if self.reject_ship_when_solo(slot, ship.request_id, wire::FRAME_SHIP_SNAPSHOT) {
                     return;
                 }
                 let outcome = self.gateway.apply_shipped_snapshot(
@@ -730,7 +730,7 @@ impl Reactor {
                 self.ship_ack(slot, ship.request_id, outcome);
             }
             Ok(Frame::ShipModel(ship)) => {
-                if self.reject_ship_when_solo(slot, ship.request_id) {
+                if self.reject_ship_when_solo(slot, ship.request_id, wire::FRAME_SHIP_MODEL) {
                     return;
                 }
                 let key = ModelKey::new(
@@ -756,7 +756,11 @@ impl Reactor {
                 // full manifest so the surviving peer can diff and
                 // re-ship. Solo servers treat it as role confusion, like
                 // a ship frame.
-                if self.reject_ship_when_solo(slot, request.request_id) {
+                if self.reject_ship_when_solo(
+                    slot,
+                    request.request_id,
+                    wire::FRAME_MANIFEST_REQUEST,
+                ) {
                     return;
                 }
                 match self.gateway.store().manifest() {
@@ -1042,20 +1046,16 @@ impl Reactor {
         }
     }
 
-    /// Ship frames are only meaningful between replica-set members; a
-    /// solo server treats them as a role confusion and closes, exactly
-    /// like an inbound response frame. Returns whether the frame was
-    /// rejected.
-    fn reject_ship_when_solo(&mut self, slot: usize, request_id: u64) -> bool {
+    /// Ship and manifest frames are only meaningful between replica-set
+    /// members; a solo server treats them as a role confusion and closes,
+    /// exactly like an inbound response frame, naming the frame's `kind`.
+    /// Returns whether the frame was rejected.
+    fn reject_ship_when_solo(&mut self, slot: usize, request_id: u64, kind: u8) -> bool {
         if self.replicas.is_some() {
             return false;
         }
         self.stats.protocol_errors += 1;
-        self.protocol_error(
-            slot,
-            request_id,
-            &WireError::UnknownFrameKind(wire::FRAME_SHIP_SNAPSHOT),
-        );
+        self.protocol_error(slot, request_id, &WireError::UnknownFrameKind(kind));
         true
     }
 

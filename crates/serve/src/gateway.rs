@@ -220,10 +220,10 @@ pub struct GatewayStats {
     /// the same codecs the shipping peer wrote, so the absorbed state is
     /// bit-identical or rejected typed.
     pub ships_applied: u64,
-    /// The replication sink's own health: queue drops (silent replication
-    /// loss an operator must be able to see) and revival catch-up
-    /// counters. All zeros when replication is not configured or the sink
-    /// does not report (e.g. a plain test sink).
+    /// The replication sink's own health: ship outcomes, drops (silent
+    /// replication loss an operator must be able to see), probe failures
+    /// and revival catch-up counters. All zeros when replication is not
+    /// configured or the sink does not report (e.g. a plain test sink).
     pub replication: ReplicationHealth,
     /// The owned model registry's lookup/eviction statistics.
     pub registry: RegistryStats,

@@ -197,11 +197,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Latency percentile (0–100) from the histogram, in microseconds.
-    fn percentile_us(&self, counts: &[u64; BUCKETS], p: f64) -> f64 {
-        percentile_from_buckets(counts, p)
-    }
-
     /// A consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counts: [u64; BUCKETS] =
@@ -222,9 +217,9 @@ impl ServiceMetrics {
             } else {
                 self.latency_sum_us.load(Ordering::Relaxed) as f64 / completed as f64
             },
-            p50_latency_us: self.percentile_us(&counts, 50.0),
-            p95_latency_us: self.percentile_us(&counts, 95.0),
-            p99_latency_us: self.percentile_us(&counts, 99.0),
+            p50_latency_us: percentile_from_buckets(&counts, 50.0),
+            p95_latency_us: percentile_from_buckets(&counts, 95.0),
+            p99_latency_us: percentile_from_buckets(&counts, 99.0),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed) as usize,
             snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
@@ -257,9 +252,9 @@ impl ServiceMetrics {
                 shed_quota: counters.shed_quota,
                 shed_deadline: counters.shed_deadline,
                 batches_formed: counters.batches_formed,
-                p50_wait_us: self.percentile_us(&counters.wait_buckets, 50.0).round() as u64,
-                p95_wait_us: self.percentile_us(&counters.wait_buckets, 95.0).round() as u64,
-                p99_wait_us: self.percentile_us(&counters.wait_buckets, 99.0).round() as u64,
+                p50_wait_us: percentile_from_buckets(&counters.wait_buckets, 50.0).round() as u64,
+                p95_wait_us: percentile_from_buckets(&counters.wait_buckets, 95.0).round() as u64,
+                p99_wait_us: percentile_from_buckets(&counters.wait_buckets, 99.0).round() as u64,
                 wait_buckets: counters.wait_buckets,
             })
             .collect();
@@ -327,12 +322,22 @@ impl TenantLane {
 /// all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationHealth {
-    /// Ship events dropped before transmission — the bounded ship queue
-    /// overflowed (or an event exceeded the wire cap). Every drop is
-    /// replication loss an anti-entropy pass has to repair later, so a
-    /// non-zero value is an operator signal to widen the queue or slow
-    /// publication.
+    /// Ship frames written to a peer socket.
+    pub ships_sent: u64,
+    /// Ship frames the peer validated and applied.
+    pub ships_acked: u64,
+    /// Ship frames the peer rejected (codec validation or store failure
+    /// on the far side — the payload was delivered but not applied).
+    pub ships_rejected: u64,
+    /// Ship events lost: the bounded ship queue overflowed, an event
+    /// exceeded the wire cap, or a peer was unreachable for the whole
+    /// round. Every drop is replication loss an anti-entropy pass has to
+    /// repair later, so a non-zero value is an operator signal to widen
+    /// the queue or slow publication.
     pub ships_dropped: u64,
+    /// Heartbeat probes that failed to connect or whose catch-up broke
+    /// (each marks the peer dead in the shared liveness mask).
+    pub probe_failures: u64,
     /// Manifest replies received from revived peers (one per catch-up
     /// handshake round-trip).
     pub manifests_exchanged: u64,

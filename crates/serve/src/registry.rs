@@ -231,16 +231,6 @@ impl ModelRegistry {
         })
     }
 
-    /// Whether the key's resident model was brought in by the disk loader.
-    /// `false` for absent keys.
-    pub fn is_disk_loaded(&self, key: &ModelKey) -> bool {
-        self.inner
-            .lock()
-            .expect("registry mutex poisoned")
-            .disk_loaded
-            .contains(key)
-    }
-
     /// Register (or replace) a model; returns the evicted entry if the
     /// insert pushed the registry over capacity. An in-process insert
     /// clears any disk-load mark the key carried.
@@ -576,7 +566,6 @@ mod tests {
         assert!(Arc::ptr_eq(&model, &resolved.model));
         assert_eq!(resolved.source, ModelSource::Resident);
         assert!(resolved.from_disk, "mark sticks while resident");
-        assert!(registry.is_disk_loaded(&key(1)));
         assert!(resolved.evicted.is_none());
         assert_eq!(loads.load(Ordering::Relaxed), 1);
 

@@ -211,11 +211,6 @@ impl ReplicaSet {
         self.self_index
     }
 
-    /// This process's address (servers only).
-    pub fn self_addr(&self) -> Option<&str> {
-        self.self_index.map(|i| self.peers[i].as_str())
-    }
-
     /// The index of `addr` in the peer list.
     pub fn index_of(&self, addr: &str) -> Option<usize> {
         self.peers.iter().position(|p| p == addr)
@@ -224,11 +219,6 @@ impl ReplicaSet {
     /// Whether peer `index` is currently believed alive.
     pub fn is_alive(&self, index: usize) -> bool {
         index < self.peers.len() && self.alive.load(Ordering::Acquire) & (1u64 << index) != 0
-    }
-
-    /// How many peers are currently believed alive.
-    pub fn alive_count(&self) -> usize {
-        self.alive.load(Ordering::Acquire).count_ones() as usize
     }
 
     /// Mark peer `index` dead; returns whether it was alive or reviving.
@@ -264,11 +254,6 @@ impl ReplicaSet {
     /// catching up, excluded from owner selection).
     pub fn is_reviving(&self, index: usize) -> bool {
         index < self.peers.len() && self.reviving.load(Ordering::Acquire) & (1u64 << index) != 0
-    }
-
-    /// How many peers are currently mid-revival.
-    pub fn reviving_count(&self) -> usize {
-        self.reviving.load(Ordering::Acquire).count_ones() as usize
     }
 
     /// Begin the revival of a dead peer that answered a heartbeat again:
@@ -386,10 +371,11 @@ pub trait ReplicationSink: Send + Sync {
     /// Enqueue `event` for delivery to every peer.
     fn ship(&self, event: ShipEvent);
 
-    /// Point-in-time replication health: queue drops and revival
-    /// catch-up counters. The default (all zeros) suits test sinks that
-    /// never drop; the production replicator reports its real counters so
-    /// the gateway can surface silent replication loss.
+    /// Point-in-time replication health: ship outcomes, drops, probe
+    /// failures and revival catch-up counters. The default (all zeros)
+    /// suits test sinks that never drop; the production replicator reports
+    /// its real counters so the gateway can surface silent replication
+    /// loss.
     fn health(&self) -> crate::metrics::ReplicationHealth {
         crate::metrics::ReplicationHealth::default()
     }
@@ -459,7 +445,7 @@ mod tests {
         let owners_before: Vec<usize> = (0..300).map(|fp| set.owner_index(&key(fp))).collect();
         assert!(set.mark_dead(2));
         assert!(!set.mark_dead(2), "second mark is a no-op");
-        assert_eq!(set.alive_count(), 4);
+        assert!((0..5).all(|i| set.is_alive(i) == (i != 2)));
         for (fp, before) in owners_before.iter().enumerate() {
             let after = set.owner_index(&key(fp as u64));
             if *before == 2 {
@@ -485,7 +471,7 @@ mod tests {
         for i in 0..3 {
             set.mark_dead(i);
         }
-        assert_eq!(set.alive_count(), 0);
+        assert!((0..3).all(|i| !set.is_alive(i)));
         assert_eq!(set.owner_index(&key(9)), before, "total despite empty mask");
         assert!(!set.owns(&key(9)), "client views own nothing");
     }
@@ -511,7 +497,7 @@ mod tests {
         assert!(set.begin_revival(2));
         assert!(!set.begin_revival(2), "revival is claimed once");
         assert!(set.is_reviving(2) && !set.is_alive(2));
-        assert_eq!(set.reviving_count(), 1);
+        assert!((0..4).all(|i| set.is_reviving(i) == (i == 2)));
         assert_ne!(
             set.owner_index(&key(fp)),
             2,
@@ -552,7 +538,7 @@ mod tests {
     fn self_identity_and_address_lookup() {
         let set = ReplicaSet::new(peers(3), 1).unwrap();
         assert_eq!(set.self_index(), Some(1));
-        assert_eq!(set.self_addr(), Some("127.0.0.1:9001"));
+        assert_eq!(set.peers()[1], "127.0.0.1:9001");
         assert_eq!(set.index_of("127.0.0.1:9002"), Some(2));
         assert_eq!(set.index_of("10.0.0.1:1"), None);
         let k = key(17);

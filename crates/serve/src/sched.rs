@@ -141,9 +141,8 @@ pub struct SchedPolicy {
     /// How long a deadline-less entry may wait behind deadline-carrying
     /// entries before the starvation guard ages it into the front.
     pub age_after: Duration,
-    /// Quota applied to tenants without an explicit entry (including the
-    /// anonymous tenant). Unlimited by default.
-    pub default_quota: TenantQuota,
+    /// Per-tenant quotas; a tenant without an entry (the anonymous one
+    /// included) is unlimited.
     quotas: Vec<(TenantId, TenantQuota)>,
 }
 
@@ -153,7 +152,6 @@ impl SchedPolicy {
         SchedPolicy {
             enabled: false,
             age_after: Duration::from_millis(25),
-            default_quota: TenantQuota::unlimited(),
             quotas: Vec::new(),
         }
     }
@@ -173,25 +171,18 @@ impl SchedPolicy {
         self
     }
 
-    /// Set the quota applied to tenants without an explicit entry.
-    pub fn with_default_quota(mut self, quota: TenantQuota) -> Self {
-        self.default_quota = quota;
-        self
-    }
-
     /// Set the starvation-guard bound for deadline-less entries.
     pub fn with_age_after(mut self, age_after: Duration) -> Self {
         self.age_after = age_after;
         self
     }
 
-    /// The quota governing `tenant`.
+    /// The quota governing `tenant`: its own entry, else unlimited.
     pub fn quota_for(&self, tenant: TenantId) -> TenantQuota {
         self.quotas
             .iter()
             .find(|(t, _)| *t == tenant)
-            .map(|(_, q)| *q)
-            .unwrap_or(self.default_quota)
+            .map_or(TenantQuota::unlimited(), |(_, q)| *q)
     }
 }
 
@@ -682,12 +673,15 @@ mod tests {
 
     #[test]
     fn policy_quota_lookup_falls_back_to_default() {
-        let policy = SchedPolicy::edf()
-            .with_quota(TenantId(1), TenantQuota::new(5.0, 5.0, 8))
-            .with_default_quota(TenantQuota::new(1.0, 1.0, 2));
+        let policy = SchedPolicy::edf().with_quota(TenantId(1), TenantQuota::new(5.0, 5.0, 8));
         assert_eq!(policy.quota_for(TenantId(1)).max_queued, 8);
-        assert_eq!(policy.quota_for(TenantId(2)).max_queued, 2);
-        assert_eq!(policy.quota_for(TenantId::ANONYMOUS).max_queued, 2);
+        // A tenant without an entry, the anonymous one included, is
+        // unlimited.
+        assert_eq!(policy.quota_for(TenantId(2)), TenantQuota::unlimited());
+        assert_eq!(
+            policy.quota_for(TenantId::ANONYMOUS),
+            TenantQuota::unlimited()
+        );
         // Re-setting a tenant replaces its entry.
         let policy = policy.with_quota(TenantId(1), TenantQuota::unlimited());
         assert_eq!(policy.quota_for(TenantId(1)).max_queued, usize::MAX);

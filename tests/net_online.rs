@@ -19,8 +19,8 @@ use qcfe::db::types::Value;
 use qcfe::net::client::{ClientError, QcfeClient};
 use qcfe::net::server::NetServerBuilder;
 use qcfe::net::wire::{
-    self, Frame, WireError, WireEstimate, WireFault, WireRequest, WireResponse, MAX_DEADLINE_US,
-    PRELUDE_LEN,
+    self, Frame, WireError, WireEstimate, WireFault, WireManifestRequest, WireRequest,
+    WireResponse, WireShipModel, WireShipSnapshot, MAX_DEADLINE_US, PRELUDE_LEN,
 };
 use qcfe::nn::codec::crc32;
 use qcfe::serve::prelude::*;
@@ -757,7 +757,9 @@ fn tcp_round_trip_matches_in_process_and_shuts_down_gracefully() {
 /// Malformed input over a live connection: a broken envelope gets a
 /// best-effort error frame and the connection closes; a verified envelope
 /// with an invalid payload gets a typed `BadRequest` with the authentic
-/// request id and the connection survives to serve real traffic.
+/// request id and the connection survives to serve real traffic; a ship
+/// or manifest frame sent to a server outside any replica set gets a
+/// `BadRequest` naming its kind and the connection closes.
 #[test]
 fn malformed_frames_are_rejected_typed_over_the_wire() {
     let ctx = ctx_with_envs(1);
@@ -881,6 +883,58 @@ fn malformed_frames_are_rejected_typed_over_the_wire() {
     let bounded = request.with_deadline(Duration::from_secs(30));
     let response = client.estimate(&bounded).unwrap();
     assert!(response.cost_ms.is_finite() && response.cost_ms > 0.0);
+
+    // 4. Ship and manifest frames are for replica-set members. A server
+    //    built without `.replica(..)` answers each, on its own connection,
+    //    with a BadRequest naming that frame's kind, then hangs up.
+    let replica_frames = [
+        (
+            wire::FRAME_SHIP_SNAPSHOT,
+            wire::encode_ship_snapshot(&WireShipSnapshot {
+                request_id: 91,
+                benchmark: KIND,
+                fingerprint: 7,
+                knobs: vec![1.0],
+                snapshot: vec![0xAB; 16],
+            }),
+        ),
+        (
+            wire::FRAME_SHIP_MODEL,
+            wire::encode_ship_model(&WireShipModel {
+                request_id: 91,
+                benchmark: KIND,
+                estimator: EstimatorKind::QcfeMscn,
+                fingerprint: 7,
+                weights: vec![0xCD; 16],
+            }),
+        ),
+        (
+            wire::FRAME_MANIFEST_REQUEST,
+            wire::encode_manifest_request(&WireManifestRequest { request_id: 91 }),
+        ),
+    ];
+    for (kind, frame) in replica_frames {
+        let mut raw = UnixStream::connect(&socket).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        raw.write_all(&frame.unwrap()).unwrap();
+        // Returns only once the server has closed the connection.
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        assert_eq!(wire::frame_length(&buf).unwrap(), Some(buf.len()));
+        match wire::decode_frame(&buf).unwrap() {
+            Frame::Response(response) => {
+                assert_eq!(response.request_id, 91, "authentic id echoed");
+                match response.outcome {
+                    Err(WireFault::BadRequest { message }) => assert!(
+                        message.contains(&format!("unknown QCFP frame kind {kind}")),
+                        "fault must name frame kind {kind}: {message}"
+                    ),
+                    other => panic!("expected BadRequest for kind {kind}, got {other:?}"),
+                }
+            }
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+    }
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

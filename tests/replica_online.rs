@@ -608,6 +608,39 @@ fn reserve_addrs(n: usize) -> Vec<String> {
         .collect()
 }
 
+/// One replica-set member over the store at `dir`: the shared liveness
+/// set, its replicator, a gateway and a TCP server. Both drills build
+/// every node through it, a restarted victim included.
+fn start_node(
+    peers: &[String],
+    i: usize,
+    dir: &Path,
+) -> (Arc<ReplicaSet>, Replicator, Arc<QcfeGateway>, ServerHandle) {
+    let set = Arc::new(ReplicaSet::new(peers.to_vec(), i).unwrap());
+    let replicator = Replicator::start(
+        Arc::clone(&set),
+        ReplicatorConfig {
+            heartbeat: Duration::from_millis(100),
+            connect_timeout: Duration::from_millis(100),
+        },
+        SnapshotStore::open(dir).unwrap(),
+    );
+    let gateway = Arc::new(
+        QcfeGateway::builder(dir)
+            .service_config(small_service())
+            .replication(Arc::clone(&set), replicator.sink())
+            .build()
+            .unwrap(),
+    );
+    let server = NetServerBuilder::new(Arc::clone(&gateway))
+        .tcp(peers[i].clone())
+        .replica(Arc::clone(&set))
+        .max_connections(64)
+        .start()
+        .unwrap();
+    (set, replicator, gateway, server)
+}
+
 /// An in-memory `ReplicationSink` that records every shipped event, for
 /// driving `apply_shipped_*` without a network in between.
 #[derive(Default)]
@@ -871,33 +904,11 @@ fn killing_a_replica_mid_load_fails_over_with_bit_identical_estimates() {
     let dirs: Vec<TempStore> = (0..REPLICAS)
         .map(|i| TempStore::new(&format!("failover-{i}")))
         .collect();
-    let mut sets = Vec::new();
     let mut replicators = Vec::new();
     let mut gateways = Vec::new();
     let mut servers: Vec<Option<ServerHandle>> = Vec::new();
-    for i in 0..REPLICAS {
-        let set = Arc::new(ReplicaSet::new(peers.clone(), i).unwrap());
-        let replicator = Replicator::start(
-            Arc::clone(&set),
-            ReplicatorConfig {
-                heartbeat: Duration::from_millis(100),
-                connect_timeout: Duration::from_millis(100),
-            },
-        );
-        let gateway = Arc::new(
-            QcfeGateway::builder(dirs[i].path())
-                .service_config(small_service())
-                .replication(Arc::clone(&set), replicator.sink())
-                .build()
-                .unwrap(),
-        );
-        let server = NetServerBuilder::new(Arc::clone(&gateway))
-            .tcp(peers[i].clone())
-            .replica(Arc::clone(&set))
-            .max_connections(64)
-            .start()
-            .unwrap();
-        sets.push(set);
+    for (i, dir) in dirs.iter().enumerate() {
+        let (_, replicator, gateway, server) = start_node(&peers, i, dir.path());
         replicators.push(Some(replicator));
         gateways.push(gateway);
         servers.push(Some(server));
@@ -1096,41 +1107,14 @@ fn reviving_a_replica_mid_load_catches_up_before_serving() {
         .map(|i| TempStore::new(&format!("revive-{i}")))
         .collect();
 
-    // One node = shared liveness set + store-backed replicator (the
-    // anti-entropy variant) + gateway + server. The victim is restarted
-    // through the same constructor, over the same directory.
-    let start_node = |i: usize| {
-        let set = Arc::new(ReplicaSet::new(peers.clone(), i).unwrap());
-        let replicator = Replicator::with_store(
-            Arc::clone(&set),
-            ReplicatorConfig {
-                heartbeat: Duration::from_millis(100),
-                connect_timeout: Duration::from_millis(100),
-            },
-            SnapshotStore::open(dirs[i].path()).unwrap(),
-        );
-        let gateway = Arc::new(
-            QcfeGateway::builder(dirs[i].path())
-                .service_config(small_service())
-                .replication(Arc::clone(&set), replicator.sink())
-                .build()
-                .unwrap(),
-        );
-        let server = NetServerBuilder::new(Arc::clone(&gateway))
-            .tcp(peers[i].clone())
-            .replica(Arc::clone(&set))
-            .max_connections(64)
-            .start()
-            .unwrap();
-        (set, replicator, gateway, server)
-    };
-
+    // The victim is restarted through the same constructor, over the same
+    // directory.
     let mut sets = Vec::new();
     let mut replicators = Vec::new();
     let mut gateways = Vec::new();
     let mut servers: Vec<Option<ServerHandle>> = Vec::new();
-    for i in 0..REPLICAS {
-        let (set, replicator, gateway, server) = start_node(i);
+    for (i, dir) in dirs.iter().enumerate() {
+        let (set, replicator, gateway, server) = start_node(&peers, i, dir.path());
         sets.push(set);
         replicators.push(Some(replicator));
         gateways.push(gateway);
@@ -1335,7 +1319,7 @@ fn reviving_a_replica_mid_load_catches_up_before_serving() {
     let report = std::thread::scope(|scope| {
         scope.spawn(|| {
             std::thread::sleep(Duration::from_millis(1000));
-            *revived.lock().unwrap() = Some(start_node(victim));
+            *revived.lock().unwrap() = Some(start_node(&peers, victim, dirs[victim].path()));
         });
         run_timed_loop(
             &ctx.benchmark,
